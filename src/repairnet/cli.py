@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .dp import policy_iteration, reward_optimum
 from .experiments import (
     ExperimentConfig,
@@ -31,31 +29,24 @@ from .instance import (
     STREAM_OPI_OFFLINE,
     STREAM_OPI_ONLINE,
     CostKind,
+    _generator,
     generate_instance,
     load_instance,
     save_instance,
 )
-from .mdp import SystemState, pristine_state, simulate
+from .mdp import pristine_state, simulate
 from .opi import (
     STEP_COUNT,
     WALL_CLOCK,
     OpiBudget,
     desk_scale_budget,
-    load_store,
     full_scale_budget,
+    load_store,
+    parse_state_key,
     run_opi,
     save_store,
 )
 from .polling import PollingPolicy, best_tour
-
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
-
-
-def _parse_state(text: str) -> SystemState:
-    loc, _, conds = text.partition(":")
-    return SystemState(int(loc), tuple(int(c) for c in conds.split(",")))
 
 
 def _budget_from_args(args) -> OpiBudget:
@@ -112,8 +103,8 @@ def _policy_for(name: str, inst):
 
 def cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
-    x0 = _parse_state(args.start) if args.start else pristine_state(inst)
-    crn = _rng(args.seed, STREAM_CRN).random(args.steps)
+    x0 = parse_state_key(args.start) if args.start else pristine_state(inst)
+    crn = _generator(args.seed, STREAM_CRN).random(args.steps)
     if args.policy == "polling":
         tour = best_tour(inst.layout, inst.layout.machines if not args.subset
                          else [int(x) for x in args.subset.split(",")])
@@ -131,14 +122,14 @@ def cmd_opi(args) -> int:
     budget = _budget_from_args(args)
     base = ModifiedIndexPolicy(inst)
     store = load_store(args.import_store) if args.import_store else None
-    x0 = _parse_state(args.start) if args.start else pristine_state(inst)
-    crn = _rng(args.seed, STREAM_CRN).random(budget.r_on)
+    x0 = parse_state_key(args.start) if args.start else pristine_state(inst)
+    crn = _generator(args.seed, STREAM_CRN).random(budget.r_on)
     result = run_opi(
         inst,
         base,
         budget,
-        offline_rng=_rng(args.seed, STREAM_OPI_OFFLINE),
-        online_rng=_rng(args.seed, STREAM_OPI_ONLINE),
+        offline_rng=_generator(args.seed, STREAM_OPI_OFFLINE),
+        online_rng=_generator(args.seed, STREAM_OPI_ONLINE),
         x0=x0,
         crn=crn,
         store=store,
@@ -199,7 +190,7 @@ def cmd_report(args) -> int:
 
 def cmd_indices(args) -> int:
     inst = load_instance(args.instance)
-    state = _parse_state(args.state)
+    state = parse_state_key(args.state)
     print(json.dumps(index_table(inst, state), indent=2))
     return 0
 

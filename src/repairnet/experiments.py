@@ -17,8 +17,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .dp import policy_iteration
 from .index_policy import IndexPolicy
 from .instance import (
@@ -27,6 +25,7 @@ from .instance import (
     STREAM_OPI_ONLINE,
     CostKind,
     InstanceParameters,
+    _generator,
     generate_instance,
     load_instance,
 )
@@ -93,10 +92,6 @@ class SuboptimalityRecord:
 RECORD_FIELDS = [f for f in SuboptimalityRecord.__dataclass_fields__]
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
-
-
 def _pct(diff: float, base: float) -> float | None:
     return 100.0 * diff / base if base > 0 else None
 
@@ -115,7 +110,7 @@ def run_instance_benchmark(
         eta=inst.eta,
     )
     steps = config.steps
-    crn = _rng(instance_seed, STREAM_CRN).random(steps)
+    crn = _generator(instance_seed, STREAM_CRN).random(steps)
     x0 = pristine_state(inst)
 
     ind_report = simulate(inst, IndexPolicy(inst), x0, steps, crn=crn)
@@ -134,8 +129,8 @@ def run_instance_benchmark(
         inst,
         ModifiedIndexPolicy(inst),
         budget,
-        offline_rng=_rng(instance_seed, STREAM_OPI_OFFLINE),
-        online_rng=_rng(instance_seed, STREAM_OPI_ONLINE),
+        offline_rng=_generator(instance_seed, STREAM_OPI_OFFLINE),
+        online_rng=_generator(instance_seed, STREAM_OPI_ONLINE),
         x0=x0,
         crn=crn,
     )

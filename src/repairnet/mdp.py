@@ -34,6 +34,8 @@ class SystemState(NamedTuple):
 
 Action = int
 DecisionRule = Callable[[SystemState], Action]
+# (cost, thresholds, offsets): one state-action pair's successors; see Kernel.row.
+Row = tuple[float, tuple[float, ...], tuple[int, ...]]
 
 
 class EventKind(enum.Enum):
@@ -99,12 +101,6 @@ def step_reward(inst: InstanceParameters, state: SystemState, action: Action) ->
     cap = inst.cap[i - 1]
     headroom = inst.cost.rate(i, cap, cap) - inst.cost.rate(i, x - 1, cap)
     return (inst.mu[i - 1] / inst.lam[i - 1]) * headroom
-
-
-def step_shifted_cost(inst: InstanceParameters, state: SystemState, action: Action) -> float:
-    """Action-dependent cost that differs from the plain cost only by a
-    policy-independent average: total failed cost minus the reward."""
-    return inst.failed_cost_total() - step_reward(inst, state, action)
 
 
 def step_probabilities(
@@ -177,13 +173,17 @@ class Kernel:
             for i in range(1, m + 1)
         ]
         self._cost_cache: dict[tuple[int, ...], float] = {}
+        self.indexer = StateIndexer(inst)
+        self._thresholds: dict[tuple[float, ...], tuple[float, ...]] = {}
+        self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def _cost_of(self, conditions: tuple[int, ...]) -> float:
+        return sum(self.cost_rate[j][level] for j, level in enumerate(conditions))
 
     def cost(self, state: SystemState) -> float:
         cached = self._cost_cache.get(state.conditions)
         if cached is None:
-            cached = sum(
-                self.cost_rate[j][level] for j, level in enumerate(state.conditions)
-            )
+            cached = self._cost_of(state.conditions)
             self._cost_cache[state.conditions] = cached
         return cached
 
@@ -224,6 +224,38 @@ class Kernel:
             if u < threshold:
                 return with_location(state, action)
         return state
+
+    def row(self, state: SystemState, action: Action) -> Row:
+        """``step`` as a successor row over StateIndexer indices.
+
+        Returns ``(cost, thresholds, offsets)``: the draw ``u`` moves index
+        ``x`` of ``state`` to ``x + offsets[bisect_right(thresholds, u)]``,
+        which is the index of ``step(state, action, u)``.  The thresholds
+        are the degradation slot ends, then the repair or switch slot's end
+        when the action has one; the offsets are one stride per machine (0
+        at its cap), the repair or switch move, and 0 for the self-loop.
+        Rows hold relative moves, so equal tuples are shared across states.
+        """
+        m = self.machine_count
+        strides = self.indexer.strides
+        conds = state.conditions
+        thresholds = self.cum_lambda[1:]
+        offsets = [strides[j] if conds[j] < self.cap[j] else 0 for j in range(m)]
+        i = state.location
+        if action == i:
+            if i <= m and conds[i - 1] >= 1:
+                thresholds.append(self.degrade_upper + self.mu_delta[i - 1])
+                offsets.append(-strides[i - 1])
+        else:
+            thresholds.append(self.degrade_upper + self.tau_delta)
+            offsets.append((action - i) * self.indexer.conditions_per_location)
+        offsets.append(0)
+        thresholds, offsets = tuple(thresholds), tuple(offsets)
+        return (
+            self._cost_of(conds),
+            self._thresholds.setdefault(thresholds, thresholds),
+            self._offsets.setdefault(offsets, offsets),
+        )
 
 
 @dataclass

@@ -15,6 +15,16 @@ otherwise the base policy's action is used as the safe fallback.  The gap
 between transitions funds nested simulations that sharpen the estimates
 around the states the system is about to visit.
 
+The hot loops work on StateIndexer's mixed-radix integers, not on state
+tuples.  A step under an action is a successor row from ``Kernel.row``:
+one bisection of the uniform draw into the row's thresholds picks an
+offset to add to the index.  Base-policy actions, rows, neighborhoods and
+action forms are memoized per index, and an int-keyed index of the store
+shares its entry objects.  Every action's delta is one coefficient (mu_i
+for a repair, tau for a switch, 0 for idling) times a difference of two
+values, so the pairwise confidence test is closed-form interval
+arithmetic over at most three values.
+
 Budgets run in two modes.  Wall-clock mode reproduces the real-time
 regime (seconds per decision); step-count mode swaps every clock for a
 deterministic counter so runs are exactly reproducible.
@@ -25,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +44,9 @@ from .instance import InstanceParameters
 from .mdp import (
     DecisionRule,
     Kernel,
+    Row,
     SimulationReport,
+    StateIndexer,
     SystemState,
     actions_of,
     pristine_state,
@@ -97,7 +110,7 @@ def desk_scale_budget(r_on: int = 50_000) -> OpiBudget:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class ValueStoreEntry:
     h: float = 0.0
     ss: float = 0.0
@@ -170,46 +183,130 @@ def load_store(path) -> ValueStore:
     )
 
 
-class _Uniforms:
-    """Buffered sequential uniforms from a generator."""
+_BUFFER = 8192
 
-    __slots__ = ("_rng", "_buffer", "_pos")
+
+class _Uniforms:
+    """Sequential uniforms from a generator, drawn 8192 at a time.
+
+    Hot loops copy ``buffer`` and ``pos`` into locals, call ``refill``
+    when ``pos`` reaches the end, and write ``pos`` back when done.
+    """
+
+    __slots__ = ("_rng", "buffer", "pos")
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._buffer = rng.random(8192)
-        self._pos = 0
+        self.refill()
+
+    def refill(self) -> list[float]:
+        self.buffer = self._rng.random(_BUFFER).tolist()
+        self.pos = 0
+        return self.buffer
 
     def take(self) -> float:
-        if self._pos >= len(self._buffer):
-            self._buffer = self._rng.random(8192)
-            self._pos = 0
-        u = self._buffer[self._pos]
-        self._pos += 1
+        if self.pos >= _BUFFER:
+            self.refill()
+        u = self.buffer[self.pos]
+        self.pos += 1
         return u
 
 
-class _Runtime:
-    """Shared kernel plus memoized base-policy actions for hot loops."""
+# (action, c, t): the action's value delta c * (h[t] - h[x]); see _action_forms.
+Form = tuple[int, float, int]
 
-    def __init__(self, inst: InstanceParameters, base: DecisionRule):
+
+def _action_forms(
+    inst: InstanceParameters, indexer: StateIndexer, state: SystemState, x: int
+) -> tuple[Form, ...]:
+    """Each action's value delta as ``(action, c, t)``, meaning
+    ``c * (h[t] - h[x])`` over state indices: c is mu_i for a repair and
+    tau for a switch.  Idling has the exact zero delta, written c = 0.0
+    with t = x."""
+    i = state.location
+    forms = []
+    for a in actions_of(inst, state):
+        if a != i:
+            forms.append((a, inst.tau, x + (a - i) * indexer.conditions_per_location))
+        elif inst.layout.is_machine(i) and state.conditions[i - 1] >= 1:
+            forms.append((a, inst.mu[i - 1], x - indexer.strides[i - 1]))
+        else:
+            forms.append((a, 0.0, x))
+    return tuple(forms)
+
+
+class _Runtime:
+    """One phase's kernel and lazily filled memos, all keyed by state index.
+
+    ``values`` indexes ``store.entries`` by state index and shares its
+    entry objects; ``add_entry`` puts a new entry into both dicts.
+    """
+
+    def __init__(
+        self, inst: InstanceParameters, base: DecisionRule, store: ValueStore | None = None
+    ):
         self.inst = inst
         self.kernel = Kernel(inst)
+        self.indexer = self.kernel.indexer
+        self.block = self.indexer.conditions_per_location
         self.base = base
-        self._actions: dict[SystemState, int] = {}
+        self.store = store
+        self.values: dict[int, ValueStoreEntry] = {}
+        if store is not None:
+            index = self.indexer.index
+            self.reference = index(store.reference)
+            self.values.update((index(s), e) for s, e in store.entries.items())
+        self.base_rows: dict[int, Row] = {}
+        self._actions: dict[int, int] = {}
+        self._action_rows: dict[tuple[int, int], tuple] = {}
+        self._neighborhoods: dict[int, list[int]] = {}
+        self._forms: dict[int, tuple[Form, ...]] = {}
 
-    def base_action(self, state: SystemState) -> int:
-        action = self._actions.get(state)
+    def base_action(self, x: int) -> int:
+        action = self._actions.get(x)
         if action is None:
-            action = self.base(state)
-            self._actions[state] = action
+            action = self._actions[x] = self.base(self.indexer.state(x))
         return action
 
-    def step(self, state: SystemState, action: int, u: float) -> SystemState:
-        return self.kernel.step(state, action, u)
+    def base_row(self, x: int) -> Row:
+        row = self.base_rows.get(x)
+        if row is None:
+            row = self.base_rows[x] = self.kernel.row(self.indexer.state(x), self.base_action(x))
+        return row
 
-    def base_step(self, state: SystemState, u: float) -> SystemState:
-        return self.kernel.step(state, self.base_action(state), u)
+    def base_step(self, x: int, u: float) -> int:
+        _, thresholds, offsets = self.base_row(x)
+        return x + offsets[bisect_right(thresholds, u)]
+
+    def action_row(self, x: int, action: int) -> tuple:
+        """``Kernel.row`` of (x, action) with the reward rate appended."""
+        row = self._action_rows.get((x, action))
+        if row is None:
+            state = self.indexer.state(x)
+            row = self.kernel.row(state, action) + (self.kernel.reward(state, action),)
+            self._action_rows[(x, action)] = row
+        return row
+
+    def neighborhood(self, x: int) -> list[int]:
+        members = self._neighborhoods.get(x)
+        if members is None:
+            index = self.indexer.index
+            members = [index(s) for s in neighborhood(self.inst, self.indexer.state(x))]
+            self._neighborhoods[x] = members
+        return members
+
+    def forms(self, x: int) -> tuple[Form, ...]:
+        forms = self._forms.get(x)
+        if forms is None:
+            forms = _action_forms(self.inst, self.indexer, self.indexer.state(x), x)
+            self._forms[x] = forms
+        return forms
+
+    def add_entry(self, x: int) -> ValueStoreEntry:
+        entry = ValueStoreEntry()
+        self.store.entries[self.indexer.state(x)] = entry
+        self.values[x] = entry
+        return entry
 
 
 TRAJECTORY_CAP = 50_000_000
@@ -217,13 +314,12 @@ TRAJECTORY_CAP = 50_000_000
 
 def _sample_trajectory(
     runtime: _Runtime,
-    store: ValueStore,
-    z: SystemState,
+    z: int,
     p: int,
     uniforms: _Uniforms,
     mode: str,
-) -> tuple[SystemState, float]:
-    """One variable-length rollout from ``z`` under the base policy.
+) -> tuple[int, float]:
+    """One variable-length rollout from index ``z`` under the base policy.
 
     Runs until hitting a stored state other than ``z`` itself (returning
     to the reference state always stops).  The first ``p`` distinct states
@@ -231,42 +327,51 @@ def _sample_trajectory(
     returned in the active mode's unit.
     """
     started = time.perf_counter() if mode == WALL_CLOCK else 0.0
-    kernel = runtime.kernel
-    entries = store.entries
-    reference = store.reference
-    g_base = store.g_base
+    values = runtime.values
+    rows = runtime.base_rows
+    base_row = runtime.base_row
+    reference = runtime.reference
+    g_base = runtime.store.g_base
+    bisect, end, cap = bisect_right, _BUFFER, TRAJECTORY_CAP
+    buffer, pos = uniforms.buffer, uniforms.pos
 
     total_cost = 0.0
     steps = 0
     current = z
-    seen = {z}
     records = [(z, 0.0, 0)]
+    # Distinct states still to record; once none are left, no bookkeeping.
+    room = p - 1 if p > 1 else 0
+    seen = {z} if room else None
     while True:
-        total_cost += kernel.cost(current)
+        cost, thresholds, offsets = rows.get(current) or base_row(current)
+        total_cost += cost
         steps += 1
-        nxt = runtime.base_step(current, uniforms.take())
-        if (nxt != z or nxt == reference) and nxt in entries:
-            stop = nxt
+        if pos == end:
+            buffer = uniforms.refill()
+            pos = 0
+        stop = current + offsets[bisect(thresholds, buffer[pos])]
+        pos += 1
+        if (stop != z or stop == reference) and stop in values:
             break
-        current = nxt
-        if nxt not in seen:
-            seen.add(nxt)
-            if len(records) < p:
-                records.append((nxt, total_cost, steps))
-        if steps >= TRAJECTORY_CAP:
+        current = stop
+        if room and stop not in seen:
+            seen.add(stop)
+            records.append((stop, total_cost, steps))
+            room -= 1
+        if steps >= cap:
             raise RuntimeError(
-                f"trajectory from {z} exceeded {TRAJECTORY_CAP} steps without "
-                "reaching a stored state; is the base policy unichain?"
+                f"trajectory from {runtime.indexer.state(z)} exceeded {cap} "
+                "steps without reaching a stored state; is the base policy unichain?"
             )
+    uniforms.pos = pos
 
     for x, cost_at, steps_at in records:
-        entry = entries.get(x)
+        entry = values.get(x)
         if entry is None:
-            entry = ValueStoreEntry()
-            entries[x] = entry
+            entry = runtime.add_entry(x)
         entry.s += 1
         alpha = LEARNING_SCALE / (LEARNING_SCALE + entry.s - 1)
-        observation = (total_cost - cost_at) + entries[stop].h - g_base * (steps - steps_at)
+        observation = (total_cost - cost_at) + values[stop].h - g_base * (steps - steps_at)
         entry.h = (1.0 - alpha) * entry.h + alpha * observation
         entry.ss = (1.0 - alpha) * entry.ss + alpha * observation * observation
         entry.w = (1.0 - alpha) ** 2 * entry.w + alpha * alpha
@@ -287,8 +392,11 @@ def sample_trajectory(
     """Public single-trajectory entry point (see _sample_trajectory)."""
     if store.reference not in store.entries:
         raise ValueError("store is missing its reference entry")
-    runtime = _Runtime(inst, base)
-    return _sample_trajectory(runtime, store, z, p, _Uniforms(rng), mode)
+    runtime = _Runtime(inst, base, store)
+    stop, elapsed = _sample_trajectory(
+        runtime, runtime.indexer.index(z), p, _Uniforms(rng), mode
+    )
+    return runtime.indexer.state(stop), elapsed
 
 
 @dataclass
@@ -315,31 +423,42 @@ def offline_preparatory(
     """
     runtime = _Runtime(inst, base)
     uniforms = _Uniforms(rng)
+    index, block = runtime.indexer.index, runtime.block
     m = inst.machine_count
 
     z_core: list[SystemState] = []
     for i in range(1, m + 1):
-        state = pristine_state(inst, location=i)
-        counts: dict[SystemState, int] = {}
+        state = index(pristine_state(inst, location=i))
+        at_i = range((i - 1) * block, i * block)
+        counts: dict[int, int] = {}
         for _ in range(budget.r1):
             state = runtime.base_step(state, uniforms.take())
-            if state.location == i:
+            if state in at_i:
                 counts[state] = counts.get(state, 0) + 1
         if counts:
-            # Most frequent; ties go to the lexicographically smallest state.
+            # Most frequent; ties go to the smallest index, which is the
+            # lexicographically smallest state.
             best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-            z_core.append(best[0])
+            z_core.append(runtime.indexer.state(best[0]))
         else:
             z_core.append(pristine_state(inst, location=i))
 
-    state = pristine_state(inst, location=1)
+    rows = runtime.base_rows
+    buffer, pos = uniforms.buffer, uniforms.pos
+    state = index(pristine_state(inst, location=1))
     total_cost = 0.0
     visits = [0] * m
     for _ in range(budget.r2):
-        total_cost += runtime.kernel.cost(state)
-        state = runtime.base_step(state, uniforms.take())
-        if state.location <= m:
-            visits[state.location - 1] += 1
+        cost, thresholds, offsets = rows.get(state) or runtime.base_row(state)
+        total_cost += cost
+        if pos == _BUFFER:
+            buffer = uniforms.refill()
+            pos = 0
+        state += offsets[bisect_right(thresholds, buffer[pos])]
+        pos += 1
+        location = state // block
+        if location < m:
+            visits[location] += 1
     g_base = total_cost / budget.r2
     j_star = max(range(1, m + 1), key=lambda i: (visits[i - 1], -i))
     reference = z_core[j_star - 1]
@@ -372,24 +491,26 @@ def offline_main(
     rng: np.random.Generator,
 ) -> ValueStore:
     """Populate the value store from repeated and chained trajectories."""
-    runtime = _Runtime(inst, base)
-    uniforms = _Uniforms(rng)
     store = ValueStore(reference=prep.reference, g_base=prep.g_base)
+    runtime = _Runtime(inst, base, store)
+    uniforms = _Uniforms(rng)
+    index = runtime.indexer.index
 
     for z in prep.z_all:
+        start = index(z)
         done = 0
         used = 0.0
         while done < budget.r_off and used < budget.tau_max:
-            _, elapsed = _sample_trajectory(runtime, store, z, 1, uniforms, budget.mode)
+            _, elapsed = _sample_trajectory(runtime, start, 1, uniforms, budget.mode)
             done += 1
             used += elapsed
 
     for z in prep.z_core:
+        start = index(z)
         done = 0
         used = 0.0
-        start = z
         while done < budget.r_off and used < budget.tau_max:
-            start, elapsed = _sample_trajectory(runtime, store, start, 5, uniforms, budget.mode)
+            start, elapsed = _sample_trajectory(runtime, start, 5, uniforms, budget.mode)
             done += 1
             used += elapsed
 
@@ -429,43 +550,48 @@ def neighborhood(inst: InstanceParameters, state: SystemState) -> list[SystemSta
     return members
 
 
-def _delta_coefficients(
-    inst: InstanceParameters, state: SystemState, action: int
-) -> dict[SystemState, float]:
-    """The action-dependent part of the one-step lookahead, as a linear
-    form over stored values.  Idle contributes the exact constant zero."""
-    i = state.location
-    if action == i:
-        if inst.layout.is_machine(i) and state.conditions[i - 1] >= 1:
-            mu = inst.mu[i - 1]
-            return {with_level_change(state, i, -1): mu, state: -mu}
-        return {}
-    return {with_location(state, action): inst.tau, state: -inst.tau}
+def _gate(
+    x: int,
+    forms: tuple[Form, ...],
+    values: dict[int, ValueStoreEntry],
+) -> int | None:
+    """The action whose delta beats every rival's for all values inside
+    the confidence intervals, or None when no action does.
 
-
-def _dominates(
-    lhs: dict[SystemState, float],
-    rhs: dict[SystemState, float],
-    intervals: dict[SystemState, tuple[float, float]],
-) -> bool:
-    """True when lhs < rhs for every value assignment inside the intervals.
-
-    The worst case of the difference takes each state's upper endpoint
-    where its net coefficient is positive and the lower endpoint where it
-    is negative; any needed-but-unbounded endpoint defeats the comparison.
+    Action a beats b when the worst case of
+    c_a * (h[t_a] - h[x]) - c_b * (h[t_b] - h[x]) is negative.  That is
+    closed-form: h[x] enters with coefficient c_b - c_a (which equals
+    (-c_a) - (-c_b)) at whichever endpoint maximizes, h[t_a] at its upper
+    endpoint and h[t_b] at its lower one.  Zero coefficients drop out, any
+    infinite term defeats the test, and terms add in the order x, t_a, t_b.
     """
-    states = set(lhs) | set(rhs)
-    worst = 0.0
-    for s in states:
-        coefficient = lhs.get(s, 0.0) - rhs.get(s, 0.0)
-        if coefficient == 0.0:
-            continue
-        lo, hi = intervals[s]
-        bound = coefficient * (hi if coefficient > 0.0 else lo)
-        if math.isinf(bound):
-            return False
-        worst += bound
-    return worst < 0.0
+    lo_x, hi_x = confidence_interval(values.get(x))
+    bounds = [(a, c) + confidence_interval(values.get(t)) for a, c, t in forms]
+    for a, ca, _, hi_a in bounds:
+        for b, cb, lo_b, _ in bounds:
+            if b == a:
+                continue
+            worst = 0.0
+            k = cb - ca
+            if k != 0.0:
+                worst = k * hi_x if k > 0.0 else k * lo_x
+                if not -math.inf < worst < math.inf:
+                    break
+            if ca != 0.0:
+                term = ca * hi_a
+                if not -math.inf < term < math.inf:
+                    break
+                worst += term
+            if cb != 0.0:
+                term = -cb * lo_b
+                if not -math.inf < term < math.inf:
+                    break
+                worst += term
+            if not worst < 0.0:
+                break
+        else:
+            return a
+    return None
 
 
 def improving_action(
@@ -480,14 +606,15 @@ def improving_action(
     all interval-consistent value assignments, with safe_flag False; if no
     action separates, returns the base action with safe_flag True.
     """
-    members = neighborhood(inst, state)
-    intervals = {s: confidence_interval(store.get(s)) for s in members}
-    actions = actions_of(inst, state)
-    forms = {a: _delta_coefficients(inst, state, a) for a in actions}
-    for a in actions:
-        if all(_dominates(forms[a], forms[b], intervals) for b in actions if b != a):
-            return a, False
-    return base_action, True
+    indexer = StateIndexer(inst)
+    x = indexer.index(state)
+    values = {
+        indexer.index(s): store.entries[s] for s in neighborhood(inst, state) if s in store.entries
+    }
+    action = _gate(x, _action_forms(inst, indexer, state, x), values)
+    if action is None:
+        return base_action, True
+    return action, False
 
 
 def online_run(
@@ -505,12 +632,16 @@ def online_run(
     budget on nested rollouts around a hypothetical successor, then
     realize the actual transition (from the shared random-number list
     when one is supplied, so runs are comparable across policies).
+    ``safe_by_quarter`` holds the fallback share of each quarter of the
+    run, None for a quarter with no steps (r_on < 4).
     """
-    runtime = _Runtime(inst, base)
+    runtime = _Runtime(inst, base, store)
     uniforms = _Uniforms(rng)
-    kernel = runtime.kernel
+    values = runtime.values
+    block = runtime.block
+    mode = budget.mode
 
-    state = store.reference if x0 is None else x0
+    state = runtime.indexer.index(store.reference if x0 is None else x0)
     total_cost = 0.0
     total_reward = 0.0
     safe_count = 0
@@ -522,31 +653,34 @@ def online_run(
         raise ValueError(f"CRN list of length {len(crn)} is shorter than r_on={budget.r_on}")
 
     for step_index in range(budget.r_on):
-        visits[state.location - 1] += 1
-        total_cost += kernel.cost(state)
-        action, safe = improving_action(inst, state, store, runtime.base_action(state))
-        if safe:
+        visits[state // block] += 1
+        base_action = runtime.base_action(state)
+        action = _gate(state, runtime.forms(state), values)
+        if action is None:
+            action = base_action
             safe_count += 1
             safe_by_quarter[min(step_index // quarter, 3)] += 1
-        total_reward += kernel.reward(state, action)
+        cost, thresholds, offsets, reward = runtime.action_row(state, action)
+        total_cost += cost
+        total_reward += reward
 
-        if budget.mode == STEP_COUNT:
+        if mode == STEP_COUNT:
             remaining = int(budget.delta)
             while remaining > 0:
-                hypothetical = runtime.step(state, action, uniforms.take())
-                for y in neighborhood(inst, hypothetical):
+                hypothetical = state + offsets[bisect_right(thresholds, uniforms.take())]
+                for y in runtime.neighborhood(hypothetical):
                     if remaining <= 0:
                         break
-                    _sample_trajectory(runtime, store, y, 1, uniforms, budget.mode)
+                    _sample_trajectory(runtime, y, 1, uniforms, mode)
                     remaining -= 1
         else:
             used = 0.0
             while used < budget.delta:
-                hypothetical = runtime.step(state, action, uniforms.take())
-                for y in neighborhood(inst, hypothetical):
+                hypothetical = state + offsets[bisect_right(thresholds, uniforms.take())]
+                for y in runtime.neighborhood(hypothetical):
                     if used >= budget.delta:
                         break
-                    _, elapsed = _sample_trajectory(runtime, store, y, 1, uniforms, budget.mode)
+                    _, elapsed = _sample_trajectory(runtime, y, 1, uniforms, mode)
                     used += elapsed
 
         if crn is not None:
@@ -554,7 +688,7 @@ def online_run(
             crn_pos += 1
         else:
             u = uniforms.take()
-        state = runtime.step(state, action, u)
+        state += offsets[bisect_right(thresholds, u)]
 
     report = SimulationReport(
         average_cost=total_cost / budget.r_on,
@@ -563,8 +697,11 @@ def online_run(
         visit_counts=tuple(visits),
         safe_action_fraction=safe_count / budget.r_on,
     )
-    sizes = [quarter, quarter, quarter, max(1, budget.r_on - 3 * quarter)]
-    report.metadata["safe_by_quarter"] = [c / n for c, n in zip(safe_by_quarter, sizes)]
+    sizes = [min(quarter, max(0, budget.r_on - k * quarter)) for k in range(3)]
+    sizes.append(max(0, budget.r_on - 3 * quarter))
+    report.metadata["safe_by_quarter"] = [
+        c / n if n else None for c, n in zip(safe_by_quarter, sizes)
+    ]
     return report
 
 

@@ -1,0 +1,206 @@
+"""The int-coded OPI path against its references.
+
+Successor rows are checked against ``Kernel.step`` and ``Kernel.cost``,
+the closed-form confidence gate against a vertex-enumeration oracle, and
+a fixed-seed offline-plus-online run against digests pinned from the
+state-tuple implementation the int-coded path replaced.
+"""
+
+import hashlib
+import itertools
+import json
+import math
+from bisect import bisect_right
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import rng
+from repairnet.index_policy import ModifiedIndexPolicy
+from repairnet.instance import generate_instance
+from repairnet.mdp import (
+    Kernel,
+    StateIndexer,
+    SystemState,
+    actions_of,
+    pristine_state,
+    with_level_change,
+    with_location,
+)
+from repairnet.opi import (
+    STEP_COUNT,
+    OpiBudget,
+    ValueStore,
+    ValueStoreEntry,
+    confidence_interval,
+    improving_action,
+    neighborhood,
+    offline_main,
+    offline_preparatory,
+    online_run,
+    state_key,
+)
+
+
+@st.composite
+def instances_and_states(draw):
+    inst = generate_instance(
+        draw(st.integers(0, 10_000)), m=draw(st.integers(2, 4)), cap=draw(st.integers(1, 3))
+    )
+    location = draw(st.integers(1, inst.layout.node_count))
+    conditions = tuple(draw(st.integers(0, k)) for k in inst.cap)
+    return inst, SystemState(location, conditions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances_and_states(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_row_matches_kernel_step_and_cost(case, draws):
+    inst, state = case
+    kernel = Kernel(inst)
+    indexer = StateIndexer(inst)
+    x = indexer.index(state)
+    for action in actions_of(inst, state):
+        cost, thresholds, offsets = kernel.row(state, action)
+        assert cost == kernel.cost(state)
+        assert len(offsets) == len(thresholds) + 1
+        # Every slot boundary and the float just below it, plus random draws.
+        edges = [v for t in thresholds for v in (t, math.nextafter(t, 0.0))]
+        for u in edges + draws + [0.0]:
+            if u >= 1.0:
+                continue
+            moved = x + offsets[bisect_right(thresholds, u)]
+            assert moved == indexer.index(kernel.step(state, action, u))
+
+
+def test_rows_share_interned_tuples():
+    inst = generate_instance(3, m=3, cap=2)
+    kernel = Kernel(inst)
+    a = kernel.row(SystemState(1, (1, 0, 0)), 1)
+    b = kernel.row(SystemState(1, (1, 1, 1)), 1)
+    assert a[1] is b[1] and a[2] is b[2]
+
+
+def tight(h, width):
+    # Entry whose interval is [h - width, h + width] (w = 0.5, s = 10).
+    return ValueStoreEntry(h=h, ss=h * h + (width / 1.96) ** 2, w=0.5, s=10)
+
+
+def vertex_oracle(inst, state, store, base_action):
+    """Pairwise domination by enumerating every vertex of the intervals."""
+    members = neighborhood(inst, state)
+    intervals = {s: confidence_interval(store.get(s)) for s in members}
+    i = state.location
+
+    def form(action):  # the action's delta as {state: coefficient}
+        if action != i:
+            return {with_location(state, action): inst.tau, state: -inst.tau}
+        if inst.layout.is_machine(i) and state.conditions[i - 1] >= 1:
+            mu = inst.mu[i - 1]
+            return {with_level_change(state, i, -1): mu, state: -mu}
+        return {}
+
+    def dominates(a, b):
+        fa, fb = form(a), form(b)
+        net = {s: fa.get(s, 0.0) - fb.get(s, 0.0) for s in members}
+        needed = [s for s in members if net[s] != 0.0]
+        if any(math.isinf(intervals[s][0]) for s in needed):
+            return False
+        worst = max(
+            sum(net[s] * v for s, v in zip(needed, corner))
+            for corner in itertools.product(*(intervals[s] for s in needed))
+        )
+        return worst < 0.0
+
+    actions = actions_of(inst, state)
+    for a in actions:
+        if all(dominates(a, b) for b in actions if b != a):
+            return a, False
+    return base_action, True
+
+
+def test_closed_form_gate_matches_vertex_oracle():
+    generator = rng(606)
+    inst = generate_instance(12, m=4, cap=2)
+    checked = confident = 0
+    for _ in range(300):
+        location = int(generator.integers(1, inst.layout.node_count + 1))
+        conditions = tuple(int(generator.integers(0, k + 1)) for k in inst.cap)
+        state = SystemState(location, conditions)
+        store = ValueStore(reference=pristine_state(inst), g_base=0.0)
+        for s in neighborhood(inst, state):
+            if generator.random() < 0.1:
+                continue  # leave an unbounded interval now and then
+            h = float(generator.normal(0.0, 5.0))
+            store.entries[s] = tight(h, float(generator.uniform(0.01, 2.0)))
+        base = actions_of(inst, state)[0]
+        got = improving_action(inst, state, store, base)
+        assert got == vertex_oracle(inst, state, store, base)
+        checked += 1
+        confident += not got[1]
+    assert checked == 300 and 0 < confident < checked
+
+
+def run_digest(inst, budget, seed, use_crn):
+    base = ModifiedIndexPolicy(inst)
+    offline_rng = rng(seed)
+    prep = offline_preparatory(inst, base, budget, offline_rng)
+    store = offline_main(inst, base, prep, budget, offline_rng)
+    crn = rng(seed + 2).random(budget.r_on) if use_crn else None
+    report = online_run(inst, base, store, budget, rng(seed + 1), x0=pristine_state(inst), crn=crn)
+    payload = {
+        "g_base": prep.g_base,
+        "reference": state_key(prep.reference),
+        "z_all": [state_key(z) for z in prep.z_all],
+        "report": [
+            report.average_cost,
+            report.average_reward,
+            report.steps,
+            list(report.visit_counts),
+            report.safe_action_fraction,
+            report.metadata["safe_by_quarter"],
+        ],
+        "entries": [
+            [state_key(s), e.h, e.ss, e.w, e.s] for s, e in sorted(store.entries.items())
+        ],
+    }
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    return digest, report.safe_action_fraction
+
+
+GOLDEN_BUDGET = OpiBudget(
+    r1=500, r2=20_000, r_off=400, tau_max=1e9, r_on=4_000, delta=8, mode=STEP_COUNT
+)
+
+
+def test_golden_run_two_machines():
+    inst = generate_instance(5, m=2, cap=2)
+    digest, safe = run_digest(inst, GOLDEN_BUDGET, 11, use_crn=False)
+    assert 0.0 < safe < 1.0
+    assert digest == "a14b2871d9d42ec6b4998b14569ba8c94da0aeac9abcc8601ed5a94fc4511082"
+
+
+def test_golden_run_four_machines_with_crn():
+    inst = generate_instance(12, m=4, cap=2)
+    digest, safe = run_digest(inst, GOLDEN_BUDGET, 11, use_crn=True)
+    assert 0.0 < safe < 1.0
+    assert digest == "c61bbba0f7d739f54c9dd027f42de1a2565c7d32b0d5d6c6e7205313ac33ae51"
+
+
+def test_safe_by_quarter_reports_empty_quarters_as_none():
+    inst = generate_instance(23, m=2, cap=1)
+    base = ModifiedIndexPolicy(inst)
+    for r_on, empty in ((1, 3), (2, 2), (3, 1), (4, 0), (7, 0)):
+        budget = OpiBudget(
+            r1=50, r2=500, r_off=5, tau_max=1e9, r_on=r_on, delta=1, mode=STEP_COUNT
+        )
+        prep = offline_preparatory(inst, base, budget, rng(1))
+        store = offline_main(inst, base, prep, budget, rng(2))
+        report = online_run(inst, base, store, budget, rng(3), x0=pristine_state(inst))
+        quarters = report.metadata["safe_by_quarter"]
+        assert quarters[4 - empty:] == [None] * empty
+        assert all(q is not None and 0.0 <= q <= 1.0 for q in quarters[: 4 - empty])
+        # The per-quarter shares add back up to the run's fallback count.
+        quarter = max(1, r_on // 4)
+        sizes = [quarter] * 3 + [r_on - 3 * quarter]
+        fallbacks = sum(q * n for q, n in zip(quarters, sizes) if q is not None)
+        assert round(fallbacks) == round(report.safe_action_fraction * r_on)
