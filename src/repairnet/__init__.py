@@ -45,6 +45,7 @@ from .mdp import (
     step_cost,
     step_probabilities,
     step_reward,
+    validate_state,
 )
 from .network import (
     NetworkLayout,

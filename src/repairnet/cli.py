@@ -34,7 +34,7 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .mdp import pristine_state, simulate
+from .mdp import pristine_state, simulate, validate_state
 from .opi import (
     STEP_COUNT,
     WALL_CLOCK,
@@ -101,9 +101,25 @@ def _policy_for(name: str, inst):
     raise ValueError(f"unknown policy {name!r}")
 
 
+def _state_option(inst, option: str, text: str):
+    """The state given as ``option``; exits naming the offending field when
+    it is malformed or outside the instance."""
+    try:
+        state = parse_state_key(text)
+        validate_state(inst, state)
+    except ValueError as exc:
+        raise SystemExit(f"repairnet: error: {option} {text!r}: {exc}") from None
+    return state
+
+
+def _start_state(inst, text: str | None):
+    """The ``--start`` state, pristine at node 1 when not given."""
+    return _state_option(inst, "--start", text) if text else pristine_state(inst)
+
+
 def cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
-    x0 = parse_state_key(args.start) if args.start else pristine_state(inst)
+    x0 = _start_state(inst, args.start)
     crn = _generator(args.seed, STREAM_CRN).random(args.steps)
     if args.policy == "polling":
         tour = best_tour(inst.layout, inst.layout.machines if not args.subset
@@ -122,7 +138,7 @@ def cmd_opi(args) -> int:
     budget = _budget_from_args(args)
     base = ModifiedIndexPolicy(inst)
     store = load_store(args.import_store) if args.import_store else None
-    x0 = parse_state_key(args.start) if args.start else pristine_state(inst)
+    x0 = _start_state(inst, args.start)
     crn = _generator(args.seed, STREAM_CRN).random(budget.r_on)
     result = run_opi(
         inst,
@@ -190,7 +206,7 @@ def cmd_report(args) -> int:
 
 def cmd_indices(args) -> int:
     inst = load_instance(args.instance)
-    state = parse_state_key(args.state)
+    state = _state_option(inst, "--state", args.state)
     print(json.dumps(index_table(inst, state), indent=2))
     return 0
 

@@ -12,6 +12,13 @@ layout: every machine owns a reserved degradation slot (machine order),
 then the repair-or-switch slot, then the self-loop remainder.  A capped
 machine's slot degenerates to a self-loop instead of being reassigned, so
 degradation draws coincide across policies sharing the same uniforms.
+
+``Kernel.step`` applies that layout to a state tuple and is the readable
+reference.  ``simulate`` and the OPI hot loops run on StateIndexer's
+mixed-radix integers instead: ``Kernel.action_row`` memoizes, per
+state-action pair, the cost and reward rates and a successor row, so a
+step is one bisection of the uniform draw into the row's thresholds and
+one offset added to the index.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -36,6 +45,8 @@ Action = int
 DecisionRule = Callable[[SystemState], Action]
 # (cost, thresholds, offsets): one state-action pair's successors; see Kernel.row.
 Row = tuple[float, tuple[float, ...], tuple[int, ...]]
+# Row with the pair's reward rate appended; see Kernel.action_row.
+ActionRow = tuple[float, tuple[float, ...], tuple[int, ...], float]
 
 
 class EventKind(enum.Enum):
@@ -70,6 +81,27 @@ def with_level_change(state: SystemState, machine: int, delta: int) -> SystemSta
     conds = list(state.conditions)
     conds[machine - 1] += delta
     return SystemState(state.location, tuple(conds))
+
+
+def validate_state(inst: InstanceParameters, state: SystemState) -> None:
+    """Raise ValueError, naming the field, unless ``state`` lies in the
+    instance's state space: a location in 1..node_count and one integer
+    level in 0..cap per machine."""
+    n = inst.layout.node_count
+    location = state.location
+    if not isinstance(location, numbers.Integral) or not 1 <= location <= n:
+        raise ValueError(f"state.location: {location!r} is not a node in 1..{n}")
+    m = inst.machine_count
+    if len(state.conditions) != m:
+        raise ValueError(
+            f"state.conditions: {len(state.conditions)} levels for {m} machines"
+        )
+    for j, (level, cap) in enumerate(zip(state.conditions, inst.cap)):
+        if not isinstance(level, numbers.Integral) or not 0 <= level <= cap:
+            raise ValueError(
+                f"state.conditions[{j}]: level {level!r} of machine {j + 1} "
+                f"is not in 0..{cap}"
+            )
 
 
 def actions_of(inst: InstanceParameters, state: SystemState) -> tuple[Action, ...]:
@@ -172,20 +204,14 @@ class Kernel:
             [inst.cost.rate(i, level, inst.cap[i - 1]) for level in range(inst.cap[i - 1] + 1)]
             for i in range(1, m + 1)
         ]
-        self._cost_cache: dict[tuple[int, ...], float] = {}
         self.indexer = StateIndexer(inst)
         self._thresholds: dict[tuple[float, ...], tuple[float, ...]] = {}
         self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def _cost_of(self, conditions: tuple[int, ...]) -> float:
-        return sum(self.cost_rate[j][level] for j, level in enumerate(conditions))
+        self.states: dict[int, SystemState] = {}
+        self.action_rows: dict[tuple[int, Action], ActionRow] = {}
 
     def cost(self, state: SystemState) -> float:
-        cached = self._cost_cache.get(state.conditions)
-        if cached is None:
-            cached = self._cost_of(state.conditions)
-            self._cost_cache[state.conditions] = cached
-        return cached
+        return sum(self.cost_rate[j][level] for j, level in enumerate(state.conditions))
 
     def reward(self, state: SystemState, action: Action) -> float:
         i = state.location
@@ -252,10 +278,35 @@ class Kernel:
         offsets.append(0)
         thresholds, offsets = tuple(thresholds), tuple(offsets)
         return (
-            self._cost_of(conds),
+            self.cost(state),
             self._thresholds.setdefault(thresholds, thresholds),
             self._offsets.setdefault(offsets, offsets),
         )
+
+    def state(self, x: int) -> SystemState:
+        """The state with index ``x``, interned: one tuple per index, kept
+        in ``states``."""
+        state = self.states.get(x)
+        if state is None:
+            state = self.states[x] = self.indexer.state(x)
+        return state
+
+    def action_row(self, x: int, action: Action) -> ActionRow:
+        """``row`` of the state with index ``x`` with the reward rate appended.
+
+        Memoized in ``action_rows`` under ``(x, action)``, which hot loops
+        may read directly before calling this.  Raises ValueError when
+        ``action`` is not available in the state, which is checked once
+        per memoized pair.
+        """
+        row = self.action_rows.get((x, action))
+        if row is None:
+            state = self.state(x)
+            if action not in actions_of(self.inst, state):
+                raise ValueError(f"action {action!r} not available in state {state}")
+            row = self.row(state, action) + (self.reward(state, action),)
+            self.action_rows[(x, action)] = row
+        return row
 
 
 @dataclass
@@ -281,27 +332,8 @@ class SimulationReport:
         return json.dumps(payload, indent=2)
 
 
-class _UniformSource:
-    """Sequential uniforms from either a pre-generated list or a generator."""
-
-    def __init__(self, crn: Sequence[float] | None, rng: np.random.Generator | None):
-        self._crn = crn
-        self._pos = 0
-        self._rng = rng
-        self._buffer: np.ndarray | None = None
-        self._buf_pos = 0
-
-    def take(self) -> float:
-        if self._crn is not None:
-            u = self._crn[self._pos]
-            self._pos += 1
-            return u
-        if self._buffer is None or self._buf_pos >= len(self._buffer):
-            self._buffer = self._rng.random(4096)
-            self._buf_pos = 0
-        u = self._buffer[self._buf_pos]
-        self._buf_pos += 1
-        return u
+# Uniforms are drawn and converted to Python floats this many at a time.
+UNIFORM_CHUNK = 4096
 
 
 def simulate(
@@ -315,9 +347,11 @@ def simulate(
     """Run the uniformized chain for ``steps`` steps under ``policy``.
 
     Supply ``crn`` (one uniform per step) to compare policies under common
-    random numbers, or ``rng`` for an independent run.  Stateful decision
-    rules are supported; the rule is queried once per step with the
-    start-of-step state.
+    random numbers, or ``rng`` for an independent run; ``rng`` is drawn
+    ``UNIFORM_CHUNK`` uniforms at a time.  Stateful decision rules are
+    supported; the rule is queried once per step with the start-of-step
+    state.  The chain itself runs on state indices and the kernel's
+    memoized action rows.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -325,19 +359,31 @@ def simulate(
         raise ValueError(f"CRN list of length {len(crn)} is shorter than {steps} steps")
     if crn is None and rng is None:
         raise ValueError("either crn or rng must be supplied")
+    validate_state(inst, x0)
 
     kernel = Kernel(inst)
-    uniforms = _UniformSource(crn, rng)
+    block = kernel.indexer.conditions_per_location
+    states = kernel.states
+    intern = kernel.state
+    rows = kernel.action_rows
+    action_row = kernel.action_row
     visits = [0] * inst.layout.node_count
     total_cost = 0.0
     total_reward = 0.0
-    state = x0
-    for _ in range(steps):
-        visits[state.location - 1] += 1
-        action = policy(state)
-        total_cost += kernel.cost(state)
-        total_reward += kernel.reward(state, action)
-        state = kernel.step(state, action, uniforms.take())
+    x = kernel.indexer.index(x0)
+    for start in range(0, steps, UNIFORM_CHUNK):
+        stop = min(start + UNIFORM_CHUNK, steps)
+        if crn is None:
+            chunk = rng.random(UNIFORM_CHUNK).tolist()[: stop - start]
+        else:
+            chunk = np.asarray(crn[start:stop], dtype=np.float64).tolist()
+        for u in chunk:
+            visits[x // block] += 1
+            action = policy(states.get(x) or intern(x))
+            cost, thresholds, offsets, reward = rows.get((x, action)) or action_row(x, action)
+            total_cost += cost
+            total_reward += reward
+            x += offsets[bisect_right(thresholds, u)]
 
     return SimulationReport(
         average_cost=total_cost / steps,

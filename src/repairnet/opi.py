@@ -19,11 +19,12 @@ The hot loops work on StateIndexer's mixed-radix integers, not on state
 tuples.  A step under an action is a successor row from ``Kernel.row``:
 one bisection of the uniform draw into the row's thresholds picks an
 offset to add to the index.  Base-policy actions, rows, neighborhoods and
-action forms are memoized per index, and an int-keyed index of the store
-shares its entry objects.  Every action's delta is one coefficient (mu_i
-for a repair, tau for a switch, 0 for idling) times a difference of two
-values, so the pairwise confidence test is closed-form interval
-arithmetic over at most three values.
+action forms are memoized per index, the online run's rows come from
+``Kernel.action_row``'s memo as in ``simulate``, and an int-keyed index
+of the store shares its entry objects.  Every action's delta is one
+coefficient (mu_i for a repair, tau for a switch, 0 for idling) times a
+difference of two values, so the pairwise confidence test is closed-form
+interval arithmetic over at most three values.
 
 Budgets run in two modes.  Wall-clock mode reproduces the real-time
 regime (seconds per decision); step-count mode swaps every clock for a
@@ -50,6 +51,7 @@ from .mdp import (
     SystemState,
     actions_of,
     pristine_state,
+    validate_state,
     with_level_change,
     with_location,
 )
@@ -258,7 +260,6 @@ class _Runtime:
             self.values.update((index(s), e) for s, e in store.entries.items())
         self.base_rows: dict[int, Row] = {}
         self._actions: dict[int, int] = {}
-        self._action_rows: dict[tuple[int, int], tuple] = {}
         self._neighborhoods: dict[int, list[int]] = {}
         self._forms: dict[int, tuple[Form, ...]] = {}
 
@@ -277,15 +278,6 @@ class _Runtime:
     def base_step(self, x: int, u: float) -> int:
         _, thresholds, offsets = self.base_row(x)
         return x + offsets[bisect_right(thresholds, u)]
-
-    def action_row(self, x: int, action: int) -> tuple:
-        """``Kernel.row`` of (x, action) with the reward rate appended."""
-        row = self._action_rows.get((x, action))
-        if row is None:
-            state = self.indexer.state(x)
-            row = self.kernel.row(state, action) + (self.kernel.reward(state, action),)
-            self._action_rows[(x, action)] = row
-        return row
 
     def neighborhood(self, x: int) -> list[int]:
         members = self._neighborhoods.get(x)
@@ -635,13 +627,16 @@ def online_run(
     ``safe_by_quarter`` holds the fallback share of each quarter of the
     run, None for a quarter with no steps (r_on < 4).
     """
+    start = store.reference if x0 is None else x0
+    validate_state(inst, start)
     runtime = _Runtime(inst, base, store)
     uniforms = _Uniforms(rng)
     values = runtime.values
     block = runtime.block
+    action_row = runtime.kernel.action_row
     mode = budget.mode
 
-    state = runtime.indexer.index(store.reference if x0 is None else x0)
+    state = runtime.indexer.index(start)
     total_cost = 0.0
     total_reward = 0.0
     safe_count = 0
@@ -660,7 +655,7 @@ def online_run(
             action = base_action
             safe_count += 1
             safe_by_quarter[min(step_index // quarter, 3)] += 1
-        cost, thresholds, offsets, reward = runtime.action_row(state, action)
+        cost, thresholds, offsets, reward = action_row(state, action)
         total_cost += cost
         total_reward += reward
 
@@ -723,6 +718,8 @@ def run_opi(
     store: ValueStore | None = None,
 ) -> OpiResult:
     """Offline preparation and estimation followed by the online run."""
+    if x0 is not None:
+        validate_state(inst, x0)  # before the offline phases, not after them
     prep = offline_preparatory(inst, base, budget, offline_rng)
     if store is None:
         store = offline_main(inst, base, prep, budget, offline_rng)
