@@ -45,6 +45,7 @@ from .opi import (
     parse_state_key,
     run_opi,
     save_store,
+    validate_store,
 )
 from .polling import PollingPolicy, best_tour
 
@@ -117,6 +118,17 @@ def _start_state(inst, text: str | None):
     return _state_option(inst, "--start", text) if text else pristine_state(inst)
 
 
+def _import_store(inst, path: str):
+    """The ``--import-store`` store; exits naming the offending entry when
+    it does not parse or lies outside the instance."""
+    try:
+        store = load_store(path)
+        validate_store(inst, store)
+    except ValueError as exc:
+        raise SystemExit(f"repairnet: error: --import-store {path!r}: {exc}") from None
+    return store
+
+
 def cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
     x0 = _start_state(inst, args.start)
@@ -137,7 +149,7 @@ def cmd_opi(args) -> int:
     inst = load_instance(args.instance)
     budget = _budget_from_args(args)
     base = ModifiedIndexPolicy(inst)
-    store = load_store(args.import_store) if args.import_store else None
+    store = _import_store(inst, args.import_store) if args.import_store else None
     x0 = _start_state(inst, args.start)
     crn = _generator(args.seed, STREAM_CRN).random(budget.r_on)
     result = run_opi(

@@ -8,6 +8,15 @@ traveling, and vetoes moves that waiting would beat.  All indices derive
 from two ingredients computed in closed form: the expected reward and
 duration of an uninterrupted repair episode, and the distribution of a
 machine's level at the moment the repairer would arrive.
+
+The move and wait indices depend only on the distance, the target
+machine and its level, so the per-instance calculator memoizes them per
+``(distance, machine, level)``: a state's first decision looks up one
+score per other machine instead of summing over arrival outcomes.  The
+entry points that take a state from a caller (``index_decision``,
+``modified_index_decision``, ``index_table``) validate it against the
+instance first; the policy objects, called once per simulated step, do
+not.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .instance import InstanceParameters
-from .mdp import SystemState
+from .mdp import SystemState, validate_state
 from .network import shortest_next_hop
 
 
@@ -112,7 +121,11 @@ def idle_score(inst: InstanceParameters, node: int) -> float:
 
 
 def index_decision(inst: InstanceParameters, state: SystemState) -> int:
-    """Action chosen by the index heuristic; ties go to the smallest id."""
+    """Action chosen by the index heuristic; ties go to the smallest id.
+
+    Raises ValueError, naming the field, for a state outside the instance.
+    """
+    validate_state(inst, state)
     return _calculator(inst).decision(state)
 
 
@@ -122,8 +135,10 @@ def modified_index_decision(inst: InstanceParameters, state: SystemState) -> int
     When every machine sits at its cap the repairer heads for the
     smallest-indexed machine with the best full-repair reward rate,
     making that state reachable under the policy from everywhere and the
-    induced chain unichain.
+    induced chain unichain.  Raises ValueError, naming the field, for a
+    state outside the instance.
     """
+    validate_state(inst, state)
     return _calculator(inst).modified_decision(state)
 
 
@@ -149,7 +164,7 @@ class ModifiedIndexPolicy:
 
 class _IndexCalculator:
     """Per-instance caches: repair statistics, arrival distributions,
-    idle scores, and memoized decisions."""
+    idle scores, move and wait indices, and memoized decisions."""
 
     def __init__(self, inst: InstanceParameters):
         self.inst = inst
@@ -157,6 +172,8 @@ class _IndexCalculator:
         self.m = inst.machine_count
         self._repair: dict[int, RepairStatistics] = {}
         self._arrival: dict[tuple[int, int, int], ArrivalDistribution] = {}
+        self._move: dict[tuple[int, int, int], float] = {}
+        self._wait: dict[tuple[int, int, int], float] = {}
         self._decisions: dict[SystemState, int] = {}
         self._modified: dict[SystemState, int] = {}
         total_lam = sum(inst.lam)
@@ -172,6 +189,11 @@ class _IndexCalculator:
         # location, so the idling destination is the same from everywhere.
         self.idle_target = min(
             range(1, self.layout.node_count + 1), key=lambda i: (self.psi_table[i - 1], i)
+        )
+        # Per location: every other machine with its distance, in id order.
+        self.targets = tuple(
+            tuple((j, self.layout.dist(i, j)) for j in self.layout.machines if j != i)
+            for i in range(1, self.layout.node_count + 1)
         )
 
     def psi(self, node: int) -> float:
@@ -238,32 +260,41 @@ class _IndexCalculator:
         return dist
 
     def move(self, d: int, machine: int, level: int) -> float:
-        stats = self.repair_stats(machine)
-        total = 0.0
-        for k, p, travel in self.arrival(d, machine, level).outcomes():
-            reward = stats.expected_reward[k]
-            if reward > 0.0 and p > 0.0:
-                total += p * reward / (travel + stats.expected_time[k])
+        key = (d, machine, level)
+        total = self._move.get(key)
+        if total is None:
+            stats = self.repair_stats(machine)
+            total = 0.0
+            for k, p, travel in self.arrival(d, machine, level).outcomes():
+                reward = stats.expected_reward[k]
+                if reward > 0.0 and p > 0.0:
+                    total += p * reward / (travel + stats.expected_time[k])
+            self._move[key] = total
         return total
 
     def wait(self, d: int, machine: int, level: int) -> float:
-        inst = self.inst
-        stats = self.repair_stats(machine)
-        cap = inst.cap[machine - 1]
-        extra = 1.0 / inst.lam[machine - 1]
-        total = 0.0
-        for k, p, travel in self.arrival(d, machine, level).outcomes():
-            target = min(k + 1, cap)
-            reward = stats.expected_reward[target]
-            if reward > 0.0 and p > 0.0:
-                total += p * reward / (extra + travel + stats.expected_time[target])
+        key = (d, machine, level)
+        total = self._wait.get(key)
+        if total is None:
+            inst = self.inst
+            stats = self.repair_stats(machine)
+            cap = inst.cap[machine - 1]
+            extra = 1.0 / inst.lam[machine - 1]
+            total = 0.0
+            for k, p, travel in self.arrival(d, machine, level).outcomes():
+                target = min(k + 1, cap)
+                reward = stats.expected_reward[target]
+                if reward > 0.0 and p > 0.0:
+                    total += p * reward / (extra + travel + stats.expected_time[target])
+            self._wait[key] = total
         return total
 
-    def _argmax_move(self, location: int, state: SystemState, candidates) -> tuple[int, float]:
+    def _argmax_move(self, candidates, conditions: tuple[int, ...]) -> tuple[int, float]:
+        """The ``(j, d)`` candidate with the largest move index, first on ties."""
         best_j = 0
         best_value = -1.0
-        for j in candidates:
-            value = self.move(self.layout.dist(location, j), j, state.conditions[j - 1])
+        for j, d in candidates:
+            value = self.move(d, j, conditions[j - 1])
             if value > best_value:
                 best_value = value
                 best_j = j
@@ -278,25 +309,24 @@ class _IndexCalculator:
 
     def _decide(self, state: SystemState) -> int:
         i = state.location
-        if all(x == 0 for x in state.conditions):
+        conditions = state.conditions
+        if not any(conditions):
             target = self.idle_target
             return i if i == target else shortest_next_hop(self.layout, i, target)
+        targets = self.targets[i - 1]
         if self.layout.is_machine(i):
-            members = []
-            for j in self.layout.machines:
-                if j == i:
-                    continue
-                d = self.layout.dist(i, j)
-                level = state.conditions[j - 1]
-                if self.move(d, j, level) >= self.wait(d, j, level):
-                    members.append(j)
+            members = [
+                (j, d)
+                for j, d in targets
+                if self.move(d, j, conditions[j - 1]) >= self.wait(d, j, conditions[j - 1])
+            ]
             if not members:
                 return i
-            j_star, move_value = self._argmax_move(i, state, members)
-            if move_value > self.repair_stats(i).stay_ratio(state.conditions[i - 1]):
+            j_star, move_value = self._argmax_move(members, conditions)
+            if move_value > self.repair_stats(i).stay_ratio(conditions[i - 1]):
                 return shortest_next_hop(self.layout, i, j_star)
             return i
-        j_star, _ = self._argmax_move(i, state, self.layout.machines)
+        j_star, _ = self._argmax_move(targets, conditions)
         return shortest_next_hop(self.layout, i, j_star)
 
     def modified_decision(self, state: SystemState) -> int:
@@ -322,7 +352,11 @@ def _calculator(inst: InstanceParameters) -> _IndexCalculator:
 
 
 def index_table(inst: InstanceParameters, state: SystemState) -> dict:
-    """All index values at one state, for debugging and tracing."""
+    """All index values at one state, for debugging and tracing.
+
+    Raises ValueError, naming the field, for a state outside the instance.
+    """
+    validate_state(inst, state)
     calc = _calculator(inst)
     i = state.location
     table: dict = {
@@ -331,15 +365,12 @@ def index_table(inst: InstanceParameters, state: SystemState) -> dict:
         "idle_target": calc.idle_target,
         "stay": None,
         "machines": {},
-        "decision": index_decision(inst, state),
-        "modified_decision": modified_index_decision(inst, state),
+        "decision": calc.decision(state),
+        "modified_decision": calc.modified_decision(state),
     }
     if inst.layout.is_machine(i):
         table["stay"] = calc.repair_stats(i).stay_ratio(state.conditions[i - 1])
-    for j in inst.layout.machines:
-        if j == i:
-            continue
-        d = inst.layout.dist(i, j)
+    for j, d in calc.targets[i - 1]:
         level = state.conditions[j - 1]
         table["machines"][j] = {
             "distance": d,

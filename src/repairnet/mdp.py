@@ -18,7 +18,10 @@ reference.  ``simulate`` and the OPI hot loops run on StateIndexer's
 mixed-radix integers instead: ``Kernel.action_row`` memoizes, per
 state-action pair, the cost and reward rates and a successor row, so a
 step is one bisection of the uniform draw into the row's thresholds and
-one offset added to the index.
+one offset added to the index.  ``kernel_of`` keeps one Kernel per
+instance, so every ``simulate`` call (the index run and each polling
+subset) and all three OPI phases on an instance share one row memo and
+one table of decoded states.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -83,13 +87,19 @@ def with_level_change(state: SystemState, machine: int, delta: int) -> SystemSta
     return SystemState(state.location, tuple(conds))
 
 
+def _is_integer(value) -> bool:
+    # The exact type test spares plain ints the ~1 us ABC check, which
+    # dominated validating a value store of thousands of entries.
+    return type(value) is int or isinstance(value, numbers.Integral)
+
+
 def validate_state(inst: InstanceParameters, state: SystemState) -> None:
     """Raise ValueError, naming the field, unless ``state`` lies in the
     instance's state space: a location in 1..node_count and one integer
     level in 0..cap per machine."""
     n = inst.layout.node_count
     location = state.location
-    if not isinstance(location, numbers.Integral) or not 1 <= location <= n:
+    if not _is_integer(location) or not 1 <= location <= n:
         raise ValueError(f"state.location: {location!r} is not a node in 1..{n}")
     m = inst.machine_count
     if len(state.conditions) != m:
@@ -97,7 +107,7 @@ def validate_state(inst: InstanceParameters, state: SystemState) -> None:
             f"state.conditions: {len(state.conditions)} levels for {m} machines"
         )
     for j, (level, cap) in enumerate(zip(state.conditions, inst.cap)):
-        if not isinstance(level, numbers.Integral) or not 0 <= level <= cap:
+        if not _is_integer(level) or not 0 <= level <= cap:
             raise ValueError(
                 f"state.conditions[{j}]: level {level!r} of machine {j + 1} "
                 f"is not in 0..{cap}"
@@ -309,6 +319,16 @@ class Kernel:
         return row
 
 
+@lru_cache(maxsize=1)
+def kernel_of(inst: InstanceParameters) -> Kernel:
+    """The Kernel shared by every caller working on ``inst``.
+
+    One instance is kept at a time, so a batch of instances holds one
+    instance's memos in memory, not all of them.
+    """
+    return Kernel(inst)
+
+
 @dataclass
 class SimulationReport:
     """Averages and counters from one policy run."""
@@ -350,8 +370,8 @@ def simulate(
     random numbers, or ``rng`` for an independent run; ``rng`` is drawn
     ``UNIFORM_CHUNK`` uniforms at a time.  Stateful decision rules are
     supported; the rule is queried once per step with the start-of-step
-    state.  The chain itself runs on state indices and the kernel's
-    memoized action rows.
+    state.  The chain itself runs on state indices and the action rows
+    memoized in the instance's shared kernel (``kernel_of``).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -361,7 +381,7 @@ def simulate(
         raise ValueError("either crn or rng must be supplied")
     validate_state(inst, x0)
 
-    kernel = Kernel(inst)
+    kernel = kernel_of(inst)
     block = kernel.indexer.conditions_per_location
     states = kernel.states
     intern = kernel.state

@@ -16,15 +16,19 @@ between transitions funds nested simulations that sharpen the estimates
 around the states the system is about to visit.
 
 The hot loops work on StateIndexer's mixed-radix integers, not on state
-tuples.  A step under an action is a successor row from ``Kernel.row``:
-one bisection of the uniform draw into the row's thresholds picks an
-offset to add to the index.  Base-policy actions, rows, neighborhoods and
-action forms are memoized per index, the online run's rows come from
-``Kernel.action_row``'s memo as in ``simulate``, and an int-keyed index
-of the store shares its entry objects.  Every action's delta is one
-coefficient (mu_i for a repair, tau for a switch, 0 for idling) times a
-difference of two values, so the pairwise confidence test is closed-form
-interval arithmetic over at most three values.
+tuples.  A step under an action is a successor row from
+``Kernel.action_row``: one bisection of the uniform draw into the row's
+thresholds picks an offset to add to the index.  All three phases use
+the instance's shared kernel (``kernel_of``), the same one ``simulate``
+uses, so a state-action row is built and checked for availability once
+per instance, and each index is decoded to a state tuple once.
+Base-policy actions, neighborhoods and action forms are memoized per
+index, and an int-keyed index of the store shares its entry objects.
+Every action's delta is one coefficient (mu_i for a repair, tau for a
+switch, 0 for idling) times a difference of two values, so the pairwise
+confidence test is closed-form interval arithmetic over at most three
+values.  A store handed to any phase must be keyed by states of the
+instance (``validate_store``).
 
 Budgets run in two modes.  Wall-clock mode reproduces the real-time
 regime (seconds per decision); step-count mode swaps every clock for a
@@ -43,13 +47,13 @@ import numpy as np
 
 from .instance import InstanceParameters
 from .mdp import (
+    ActionRow,
     DecisionRule,
-    Kernel,
-    Row,
     SimulationReport,
     StateIndexer,
     SystemState,
     actions_of,
+    kernel_of,
     pristine_state,
     validate_state,
     with_level_change,
@@ -158,6 +162,16 @@ def parse_state_key(key: str) -> SystemState:
     return SystemState(int(loc), tuple(int(c) for c in conds.split(",")))
 
 
+def validate_store(inst: InstanceParameters, store: ValueStore) -> None:
+    """Raise ValueError, naming the entry's key, unless every state in
+    ``store`` lies in ``inst``'s state space."""
+    for state in store.entries:
+        try:
+            validate_state(inst, state)
+        except ValueError as exc:
+            raise ValueError(f"store entry {state_key(state)!r}: {exc}") from None
+
+
 def save_store(store: ValueStore, path) -> None:
     payload = {
         "reference": state_key(store.reference),
@@ -238,27 +252,31 @@ def _action_forms(
 
 
 class _Runtime:
-    """One phase's kernel and lazily filled memos, all keyed by state index.
+    """One phase's lazily filled memos over the instance's shared kernel,
+    all keyed by state index.
 
-    ``values`` indexes ``store.entries`` by state index and shares its
-    entry objects; ``add_entry`` puts a new entry into both dicts.
+    ``base_rows`` maps an index to the kernel's action row under the base
+    action.  ``values`` indexes ``store.entries`` by state index and
+    shares its entry objects; ``add_entry`` puts a new entry into both
+    dicts.  A given store is validated against the instance first.
     """
 
     def __init__(
         self, inst: InstanceParameters, base: DecisionRule, store: ValueStore | None = None
     ):
         self.inst = inst
-        self.kernel = Kernel(inst)
+        self.kernel = kernel_of(inst)
         self.indexer = self.kernel.indexer
         self.block = self.indexer.conditions_per_location
         self.base = base
         self.store = store
         self.values: dict[int, ValueStoreEntry] = {}
         if store is not None:
+            validate_store(inst, store)
             index = self.indexer.index
             self.reference = index(store.reference)
             self.values.update((index(s), e) for s, e in store.entries.items())
-        self.base_rows: dict[int, Row] = {}
+        self.base_rows: dict[int, ActionRow] = {}
         self._actions: dict[int, int] = {}
         self._neighborhoods: dict[int, list[int]] = {}
         self._forms: dict[int, tuple[Form, ...]] = {}
@@ -266,37 +284,37 @@ class _Runtime:
     def base_action(self, x: int) -> int:
         action = self._actions.get(x)
         if action is None:
-            action = self._actions[x] = self.base(self.indexer.state(x))
+            action = self._actions[x] = self.base(self.kernel.state(x))
         return action
 
-    def base_row(self, x: int) -> Row:
+    def base_row(self, x: int) -> ActionRow:
         row = self.base_rows.get(x)
         if row is None:
-            row = self.base_rows[x] = self.kernel.row(self.indexer.state(x), self.base_action(x))
+            row = self.base_rows[x] = self.kernel.action_row(x, self.base_action(x))
         return row
 
     def base_step(self, x: int, u: float) -> int:
-        _, thresholds, offsets = self.base_row(x)
+        _, thresholds, offsets, _ = self.base_row(x)
         return x + offsets[bisect_right(thresholds, u)]
 
     def neighborhood(self, x: int) -> list[int]:
         members = self._neighborhoods.get(x)
         if members is None:
             index = self.indexer.index
-            members = [index(s) for s in neighborhood(self.inst, self.indexer.state(x))]
+            members = [index(s) for s in neighborhood(self.inst, self.kernel.state(x))]
             self._neighborhoods[x] = members
         return members
 
     def forms(self, x: int) -> tuple[Form, ...]:
         forms = self._forms.get(x)
         if forms is None:
-            forms = _action_forms(self.inst, self.indexer, self.indexer.state(x), x)
+            forms = _action_forms(self.inst, self.indexer, self.kernel.state(x), x)
             self._forms[x] = forms
         return forms
 
     def add_entry(self, x: int) -> ValueStoreEntry:
         entry = ValueStoreEntry()
-        self.store.entries[self.indexer.state(x)] = entry
+        self.store.entries[self.kernel.state(x)] = entry
         self.values[x] = entry
         return entry
 
@@ -335,7 +353,7 @@ def _sample_trajectory(
     room = p - 1 if p > 1 else 0
     seen = {z} if room else None
     while True:
-        cost, thresholds, offsets = rows.get(current) or base_row(current)
+        cost, thresholds, offsets, _ = rows.get(current) or base_row(current)
         total_cost += cost
         steps += 1
         if pos == end:
@@ -352,7 +370,7 @@ def _sample_trajectory(
             room -= 1
         if steps >= cap:
             raise RuntimeError(
-                f"trajectory from {runtime.indexer.state(z)} exceeded {cap} "
+                f"trajectory from {runtime.kernel.state(z)} exceeded {cap} "
                 "steps without reaching a stored state; is the base policy unichain?"
             )
     uniforms.pos = pos
@@ -388,7 +406,7 @@ def sample_trajectory(
     stop, elapsed = _sample_trajectory(
         runtime, runtime.indexer.index(z), p, _Uniforms(rng), mode
     )
-    return runtime.indexer.state(stop), elapsed
+    return runtime.kernel.state(stop), elapsed
 
 
 @dataclass
@@ -431,7 +449,7 @@ def offline_preparatory(
             # Most frequent; ties go to the smallest index, which is the
             # lexicographically smallest state.
             best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-            z_core.append(runtime.indexer.state(best[0]))
+            z_core.append(runtime.kernel.state(best[0]))
         else:
             z_core.append(pristine_state(inst, location=i))
 
@@ -441,7 +459,7 @@ def offline_preparatory(
     total_cost = 0.0
     visits = [0] * m
     for _ in range(budget.r2):
-        cost, thresholds, offsets = rows.get(state) or runtime.base_row(state)
+        cost, thresholds, offsets, _ = rows.get(state) or runtime.base_row(state)
         total_cost += cost
         if pos == _BUFFER:
             buffer = uniforms.refill()
@@ -718,8 +736,11 @@ def run_opi(
     store: ValueStore | None = None,
 ) -> OpiResult:
     """Offline preparation and estimation followed by the online run."""
+    # Before the offline phases, not after them.
     if x0 is not None:
-        validate_state(inst, x0)  # before the offline phases, not after them
+        validate_state(inst, x0)
+    if store is not None:
+        validate_store(inst, store)
     prep = offline_preparatory(inst, base, budget, offline_rng)
     if store is None:
         store = offline_main(inst, base, prep, budget, offline_rng)
