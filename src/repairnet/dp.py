@@ -8,8 +8,13 @@ every sweep; this subtracts a constant, leaves every g+(x) untouched, and
 keeps the iterates bounded for unichain policies.
 
 Policy iteration alternates evaluation with a greedy improvement step.
-Only the action-dependent part of the lookahead differs between actions,
-so improvement reduces to minimizing rate * (v(target) - v(x)) per state.
+Only the action-dependent event (one repair level, or arrival at a
+neighbour) differs between actions, so improvement reduces to minimizing
+rate * (v(target) - v(x)) per state; ``DpModel._action_parts`` writes that
+event once for the transition matrix and the improvement step alike.  A
+state keeps its action unless a rival is better by more than a margin
+above the evaluation error, so the loop ends when the policy reproduces
+itself.  Cost and reward rates come from the instance's kernel tables.
 """
 
 from __future__ import annotations
@@ -22,10 +27,12 @@ import scipy.sparse as sp
 from .instance import InstanceParameters
 from .mdp import (
     DEFAULT_STATE_BOUND,
+    CapacityError,
     DecisionRule,
     StateIndexer,
     SystemState,
     enumerate_states,
+    kernel_of,
     pristine_state,
 )
 
@@ -86,30 +93,27 @@ class DpModel:
         self.indexer = StateIndexer(inst)
         n = self.indexer.count
         if n > bound:
-            from .mdp import CapacityError
-
             raise CapacityError(f"state space has {n} states, above the bound of {bound}")
         self.n = n
         self.block = self.indexer.conditions_per_location
         m = inst.machine_count
-        self.m = m
         delta = inst.step_length
 
         idx = np.arange(n, dtype=np.int64)
+        self.idx = idx
         self.loc = idx // self.block + 1
         rem = idx % self.block
         caps = np.array(inst.cap, dtype=np.int64)
         strides = np.array(self.indexer.strides, dtype=np.int64)
-        self.cond = np.empty((n, m), dtype=np.int64)
+        cond = np.empty((n, m), dtype=np.int64)
         for j in range(m):
-            self.cond[:, j] = (rem // strides[j]) % (caps[j] + 1)
-        self.strides = strides
+            cond[:, j] = (rem // strides[j]) % (caps[j] + 1)
 
         # Degradation transitions are action-independent.
         rows_list, cols_list, data_list = [], [], []
         deg_sum = np.zeros(n)
         for j in range(m):
-            mask = self.cond[:, j] < caps[j]
+            mask = cond[:, j] < caps[j]
             p = inst.lam[j] * delta
             rows_list.append(idx[mask])
             cols_list.append(idx[mask] + strides[j])
@@ -119,114 +123,87 @@ class DpModel:
         self.deg_cols = np.concatenate(cols_list) if cols_list else np.empty(0, np.int64)
         self.deg_data = np.concatenate(data_list) if data_list else np.empty(0)
         self.deg_sum = deg_sum
-        self.idx = idx
 
-        self.mu_delta = np.array(inst.mu) * delta
-        self.tau_delta = inst.tau * delta
-
+        kernel = kernel_of(inst)
+        self.tau_delta = kernel.tau_delta
         self.cost = np.zeros(n)
         for j in range(m):
-            table = np.array(
-                [inst.cost.rate(j + 1, level, inst.cap[j]) for level in range(inst.cap[j] + 1)]
-            )
-            self.cost += table[self.cond[:, j]]
+            self.cost += np.array(kernel.cost_rate[j])[cond[:, j]]
 
-        # Reward for repairing machine i at level x; zero at level 0.
-        self.reward_table = []
-        for i in range(1, m + 1):
-            cap = inst.cap[i - 1]
-            top = inst.cost.rate(i, cap, cap)
-            row = [0.0] + [
-                (inst.mu[i - 1] / inst.lam[i - 1]) * (top - inst.cost.rate(i, x - 1, cap))
-                for x in range(1, cap + 1)
-            ]
-            self.reward_table.append(np.array(row))
+        # Staying at a damaged machine repairs one level with probability
+        # mu * step and earns the kernel's reward rate; staying anywhere
+        # else has no event, which target = the state itself encodes.
+        self.repair_target = idx.copy()
+        self.repair_prob = np.zeros(n)
+        self.repair_reward = np.zeros(n)
+        for j in range(m):
+            at = (self.loc == j + 1) & (cond[:, j] >= 1)
+            self.repair_target[at] -= strides[j]
+            self.repair_prob[at] = kernel.mu_delta[j]
+            self.repair_reward[at] = np.array(kernel.reward_rate[j])[cond[at, j]]
 
-    def _action_parts(self, actions: np.ndarray):
-        """Masks, targets, and probabilities of the action-dependent event."""
-        stay = actions == self.loc
-        at_machine = self.loc <= self.m
-        cond_here = np.zeros(self.n, dtype=np.int64)
-        machine_states = at_machine
-        cond_here[machine_states] = self.cond[
-            machine_states, self.loc[machine_states] - 1
+        # Each location's available actions in id order, padded to a common
+        # width by repeating the last one.
+        layout = inst.layout
+        choices = [
+            sorted((loc,) + layout.neighbors(loc)) for loc in range(1, layout.node_count + 1)
         ]
-        repair = stay & at_machine & (cond_here >= 1)
-        switch = ~stay
-
-        repair_rows = self.idx[repair]
-        repair_cols = repair_rows - self.strides[self.loc[repair] - 1]
-        repair_data = self.mu_delta[self.loc[repair] - 1]
-
-        switch_rows = self.idx[switch]
-        switch_cols = switch_rows + (actions[switch] - self.loc[switch]) * self.block
-        switch_data = np.full(switch_rows.shape[0], self.tau_delta)
-        return repair, (repair_rows, repair_cols, repair_data), (
-            switch_rows,
-            switch_cols,
-            switch_data,
+        width = max(len(c) for c in choices)
+        self.candidates = np.array(
+            [c + c[-1:] * (width - len(c)) for c in choices], dtype=np.int64
         )
 
+    def _action_parts(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Target and probability of each state's action-dependent event:
+        a repair when staying, an arrival at the chosen neighbour when
+        moving.  A state without one targets itself with probability 0."""
+        stay = actions == self.loc
+        target = np.where(stay, self.repair_target, self.idx + (actions - self.loc) * self.block)
+        prob = np.where(stay, self.repair_prob, self.tau_delta)
+        return target, prob
+
     def transition_matrix(self, policy: StationaryPolicy) -> sp.csr_matrix:
-        actions = np.asarray(policy.actions, dtype=np.int64)
-        repair, rep, swi, = self._action_parts(actions)
-        action_prob = np.zeros(self.n)
-        action_prob[rep[0]] = rep[2]
-        action_prob[swi[0]] = swi[2]
-        self_loop = 1.0 - self.deg_sum - action_prob
-        rows = np.concatenate([self.deg_rows, rep[0], swi[0], self.idx])
-        cols = np.concatenate([self.deg_cols, rep[1], swi[1], self.idx])
-        data = np.concatenate([self.deg_data, rep[2], swi[2], self_loop])
+        target, prob = self._action_parts(np.asarray(policy.actions, dtype=np.int64))
+        event = target != self.idx
+        self_loop = 1.0 - self.deg_sum - prob
+        rows = np.concatenate([self.deg_rows, self.idx[event], self.idx])
+        cols = np.concatenate([self.deg_cols, target[event], self.idx])
+        data = np.concatenate([self.deg_data, prob[event], self_loop])
         return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def stage_vector(self, policy: StationaryPolicy, objective: str) -> np.ndarray:
         if objective == "cost":
             return self.cost
-        actions = np.asarray(policy.actions, dtype=np.int64)
-        repair, _, _ = self._action_parts(actions)
-        reward = np.zeros(self.n)
-        rows = self.idx[repair]
-        locs = self.loc[repair]
-        levels = self.cond[repair, locs - 1]
-        for i in range(1, self.m + 1):
-            mask = locs == i
-            reward[rows[mask]] = self.reward_table[i - 1][levels[mask]]
+        stay = np.asarray(policy.actions, dtype=np.int64) == self.loc
+        reward = np.where(stay, self.repair_reward, 0.0)
         if objective == "reward":
             return reward
         if objective == "shifted_cost":
             return self.inst.failed_cost_total() - reward
         raise ValueError(f"unknown objective {objective!r}")
 
-    def improve(self, v: np.ndarray, previous: StationaryPolicy) -> StationaryPolicy:
-        """Greedy improvement; per-state smallest-id tie-break."""
-        inst = self.inst
-        block = self.block
-        new_actions = np.empty(self.n, dtype=np.int64)
-        for loc in range(1, inst.layout.node_count + 1):
-            lo = (loc - 1) * block
-            hi = loc * block
-            v_block = v[lo:hi]
-            candidates = sorted((loc,) + inst.layout.neighbors(loc))
-            q = np.empty((len(candidates), block))
-            for row, a in enumerate(candidates):
-                if a == loc:
-                    if loc <= self.m:
-                        cond_here = self.cond[lo:hi, loc - 1]
-                        stride = self.strides[loc - 1]
-                        targets = np.where(cond_here >= 1, np.arange(lo, hi) - stride, lo)
-                        q[row] = np.where(
-                            cond_here >= 1,
-                            self.mu_delta[loc - 1] * (v[targets] - v_block),
-                            0.0,
-                        )
-                    else:
-                        q[row] = 0.0
-                else:
-                    shift = (a - loc) * block
-                    q[row] = self.tau_delta * (v[lo + shift : hi + shift] - v_block)
-            best = np.argmin(q, axis=0)  # first minimum: smallest action id
-            new_actions[lo:hi] = np.array(candidates, dtype=np.int64)[best]
-        return StationaryPolicy(tuple(int(a) for a in new_actions))
+    def improve(
+        self, v: np.ndarray, previous: StationaryPolicy, margin: float = 0.0
+    ) -> StationaryPolicy:
+        """Greedy step that keeps ``previous``'s action unless a rival's Q
+        is lower by more than ``margin``; the best rival is the one with
+        the smallest id among those tied at the minimum.
+
+        Only the action-dependent event differs between actions, so Q(x, a)
+        reduces to prob * (v(target) - v(x)).  Each pass scores one rank
+        of every state's padded candidate list.
+        """
+
+        def q(actions: np.ndarray) -> np.ndarray:
+            target, prob = self._action_parts(actions)
+            return prob * (v[target] - v)
+
+        ranks = self.candidates[self.loc - 1].T
+        scores = np.array([q(actions) for actions in ranks])
+        pick = np.argmin(scores, axis=0)  # first minimum: smallest action id
+        incumbent = np.asarray(previous.actions, dtype=np.int64)
+        switch = scores[pick, self.idx] < q(incumbent) - margin
+        return StationaryPolicy(tuple(np.where(switch, ranks[pick, self.idx], incumbent).tolist()))
 
 
 DENSE_STATE_LIMIT = 1024
@@ -294,10 +271,11 @@ def policy_iteration(
 ) -> DpSolution:
     """Exact policy iteration from a unichain base policy.
 
-    The default base is the modified index policy.  Improvement repeats
-    until the policy reproduces itself; if a cycle over equally good
-    policies appears (a floating-point tie artifact), the best policy
-    seen is returned.
+    The default base is the modified index policy.  Improvement keeps a
+    state's action unless a rival's Q is lower by more than 10 * tol
+    (Puterman 1994, section 8.6), so evaluation error cannot make policies
+    of equal gain take turns; iteration stops when the improved policy
+    equals the evaluated one, whose g and v are returned.
     """
     from .index_policy import ModifiedIndexPolicy
 
@@ -308,11 +286,8 @@ def policy_iteration(
         base = StationaryPolicy.from_rule(inst, ModifiedIndexPolicy(inst))
 
     policy = base
-    seen: set[tuple[int, ...]] = set()
-    best: tuple[float, StationaryPolicy, np.ndarray] | None = None
     v_start: np.ndarray | None = None
     history: list[float] = []
-    stalls = 0
     for iteration in range(1, max_improvements + 1):
         evaluation = evaluate_policy(
             inst,
@@ -326,18 +301,8 @@ def policy_iteration(
         )
         v_start = evaluation.v
         history.append(evaluation.g)
-        # Approximate evaluation can shuffle near-tied policies forever;
-        # once g stops improving beyond the evaluation noise for several
-        # consecutive rounds, the best policy seen is the answer.
-        if best is not None and evaluation.g >= best[0] - 10 * tol:
-            stalls += 1
-        else:
-            stalls = 0
-        if best is None or evaluation.g < best[0]:
-            best = (evaluation.g, policy, evaluation.v)
-        improved = model.improve(evaluation.v, policy)
-        done = improved.actions == policy.actions
-        if done and evaluation.g <= best[0] + 10 * tol:
+        improved = model.improve(evaluation.v, policy, 10 * tol)
+        if improved.actions == policy.actions:
             return DpSolution(
                 g_star=evaluation.g,
                 v=evaluation.v,
@@ -346,17 +311,6 @@ def policy_iteration(
                 reference=reference,
                 g_history=tuple(history),
             )
-        if done or improved.actions in seen or stalls >= 10:
-            g_best, policy_best, v_best = best
-            return DpSolution(
-                g_star=g_best,
-                v=v_best,
-                policy=policy_best,
-                iterations=iteration,
-                reference=reference,
-                g_history=tuple(history),
-            )
-        seen.add(improved.actions)
         policy = improved
     raise RuntimeError(f"policy iteration did not settle within {max_improvements} improvements")
 

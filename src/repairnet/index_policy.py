@@ -175,7 +175,6 @@ class _IndexCalculator:
         self._move: dict[tuple[int, int, int], float] = {}
         self._wait: dict[tuple[int, int, int], float] = {}
         self._decisions: dict[SystemState, int] = {}
-        self._modified: dict[SystemState, int] = {}
         total_lam = sum(inst.lam)
         self.psi_table = tuple(
             sum(
@@ -193,6 +192,17 @@ class _IndexCalculator:
         # Per location: every other machine with its distance, in id order.
         self.targets = tuple(
             tuple((j, self.layout.dist(i, j)) for j in self.layout.machines if j != i)
+            for i in range(1, self.layout.node_count + 1)
+        )
+        # The modified policy's action per location when every machine is
+        # at its cap: head for the smallest-id machine with the best
+        # full-repair reward rate.
+        failed_target = max(
+            self.layout.machines,
+            key=lambda j: (self.repair_stats(j).stay_ratio(inst.cap[j - 1]), -j),
+        )
+        self.failed_actions = tuple(
+            i if i == failed_target else shortest_next_hop(self.layout, i, failed_target)
             for i in range(1, self.layout.node_count + 1)
         )
 
@@ -330,23 +340,12 @@ class _IndexCalculator:
         return shortest_next_hop(self.layout, i, j_star)
 
     def modified_decision(self, state: SystemState) -> int:
-        action = self._modified.get(state)
-        if action is not None:
-            return action
         if state.conditions == self.inst.cap:
-            j_star = max(
-                self.layout.machines,
-                key=lambda j: (self.repair_stats(j).stay_ratio(self.inst.cap[j - 1]), -j),
-            )
-            i = state.location
-            action = i if i == j_star else shortest_next_hop(self.layout, i, j_star)
-        else:
-            action = self.decision(state)
-        self._modified[state] = action
-        return action
+            return self.failed_actions[state.location - 1]
+        return self.decision(state)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _calculator(inst: InstanceParameters) -> _IndexCalculator:
     return _IndexCalculator(inst)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -77,7 +78,8 @@ class InstanceParameters:
         m = self.layout.machine_count
         if not (len(self.lam) == len(self.mu) == len(self.cap) == len(self.cost.c) == m):
             raise ValueError("per-machine parameter lengths must match the machine count")
-        if any(x <= 0 for x in self.lam + self.mu) or self.tau <= 0:
+        # ``not x > 0`` also rejects NaN, which compares false either way.
+        if any(not x > 0 for x in self.lam + self.mu) or not self.tau > 0:
             raise ValueError("all rates must be strictly positive")
         if any(k < 1 for k in self.cap):
             raise ValueError("all degradation caps must be >= 1")
@@ -355,9 +357,12 @@ def instance_from_dict(data: dict) -> InstanceParameters:
         if not isinstance(raw, str):
             raise InstanceFormatError(f"{path}: rates must be decimal strings")
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise InstanceFormatError(f"{path}: {exc}") from None
+        if not math.isfinite(value):
+            raise InstanceFormatError(f"{path}: {raw!r} is not a finite number")
+        return value
 
     try:
         kind = CostKind(kind_raw)
@@ -371,7 +376,7 @@ def instance_from_dict(data: dict) -> InstanceParameters:
         mu=tuple(parse_rate(x, f"root.mu[{i}]") for i, x in enumerate(mu_raw)),
         tau=parse_rate(_require(data, "tau", str, "root"), "root.tau"),
         cap=tuple(
-            k if isinstance(k, int) and k >= 1 else _bad_cap(i)
+            k if type(k) is int and k >= 1 else _bad_cap(i)
             for i, k in enumerate(cap_raw)
         ),
         cost=CostModel(

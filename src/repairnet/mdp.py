@@ -214,6 +214,17 @@ class Kernel:
             [inst.cost.rate(i, level, inst.cap[i - 1]) for level in range(inst.cap[i - 1] + 1)]
             for i in range(1, m + 1)
         ]
+        # Reward rate of repairing machine i from each level: (mu_i /
+        # lambda_i) times the cost headroom between the cap and the level
+        # below; zero at level 0, where there is nothing to repair.
+        self.reward_rate = [
+            [0.0]
+            + [
+                (inst.mu[i] / inst.lam[i]) * (rates[-1] - rates[level - 1])
+                for level in range(1, len(rates))
+            ]
+            for i, rates in enumerate(self.cost_rate)
+        ]
         self.indexer = StateIndexer(inst)
         self._thresholds: dict[tuple[float, ...], tuple[float, ...]] = {}
         self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -227,11 +238,7 @@ class Kernel:
         i = state.location
         if action != i or i > self.machine_count:
             return 0.0
-        x = state.conditions[i - 1]
-        if x < 1:
-            return 0.0
-        rates = self.cost_rate[i - 1]
-        return (self.inst.mu[i - 1] / self.inst.lam[i - 1]) * (rates[-1] - rates[x - 1])
+        return self.reward_rate[i - 1][state.conditions[i - 1]]
 
     def step(self, state: SystemState, action: Action, u: float) -> SystemState:
         """Advance one uniformized step driven by the uniform draw ``u``."""

@@ -474,21 +474,8 @@ def offline_preparatory(
     reference = z_core[j_star - 1]
     ordered_core = [z_core[j_star - 1]] + [z for k, z in enumerate(z_core, 1) if k != j_star]
 
-    z_all: list[SystemState] = []
-    seen: set[SystemState] = set()
-
-    def add(s: SystemState) -> None:
-        if s not in seen:
-            seen.add(s)
-            z_all.append(s)
-
-    for z in ordered_core:
-        add(z)
-        for j in inst.layout.neighbors(z.location):
-            add(with_location(z, j))
-        i = z.location
-        if i <= m and z.conditions[i - 1] >= 1:
-            add(with_level_change(z, i, -1))
+    # The core states' neighbourhoods, in order, each state once.
+    z_all = list(dict.fromkeys(s for z in ordered_core for s in neighborhood(inst, z)))
 
     return OfflinePreparation(g_base=g_base, reference=reference, z_core=ordered_core, z_all=z_all)
 

@@ -206,3 +206,48 @@ def test_capacity_gate():
     inst = generate_instance(2, m=4, cap=5)
     with pytest.raises(CapacityError):
         DpModel(inst, bound=100)
+
+
+@pytest.mark.parametrize("seed", [20001, 20003])
+def test_policy_iteration_returns_a_solution_of_the_optimality_equation(seed):
+    # Policies of equal gain used to take turns here until a stall counter
+    # returned one of them with another one's v (residuals 0.21 and 0.16).
+    # Without the margin they take turns for over 500 rounds, until the
+    # warm-started evaluations agree to the last bit.
+    inst = generate_instance(seed)
+    tol = 1e-9
+    model = DpModel(inst)
+    solution = policy_iteration(inst, tol=tol)
+    assert solution.iterations <= 20
+    assert optimality_residual(inst, solution, model) <= 1e-6
+    assert model.improve(solution.v, solution.policy, 10 * tol).actions == solution.policy.actions
+
+
+def test_improve_keeps_the_incumbent_on_ties():
+    # Complete graph on three machines, the repairer at machine 1 with
+    # machine 1 pristine: staying has no event (Q = 0), and with v equal at
+    # the switch targets both moves tie with each other.
+    inst = homogeneous_complete_instance(3, 0.1, 0.5, 1.0, 0.3)
+    model = DpModel(inst)
+    indexer = model.indexer
+    x = indexer.index(SystemState(1, (0, 1, 1)))
+    to_2 = indexer.index(SystemState(2, (0, 1, 1)))
+    to_3 = indexer.index(SystemState(3, (0, 1, 1)))
+    stay = StationaryPolicy.from_rule(inst, lambda s: s.location)
+    to_machine_3 = StationaryPolicy(stay.actions[:x] + (3,) + stay.actions[x + 1 :])
+
+    v = np.zeros(model.n)
+    # An exact tie among all three actions: every incumbent is kept.
+    for previous in (stay, to_machine_3):
+        assert model.improve(v, previous).actions[x] == previous.actions[x]
+
+    # Both moves beat staying by the same amount: the smallest id wins
+    # over a strictly worse incumbent, and a tied incumbent is kept.
+    v[to_2] = v[to_3] = -1.0
+    assert model.improve(v, stay).actions[x] == 2
+    assert model.improve(v, to_machine_3).actions[x] == 3
+
+    # Within the margin the incumbent stays; beyond it the rival wins.
+    gap = model.tau_delta
+    assert model.improve(v, stay, margin=2 * gap).actions[x] == 1
+    assert model.improve(v, stay, margin=0.5 * gap).actions[x] == 2

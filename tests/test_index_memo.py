@@ -16,6 +16,7 @@ from repairnet.index_policy import (
     IndexPolicy,
     ModifiedIndexPolicy,
     _IndexCalculator,
+    _calculator,
     index_decision,
     index_table,
     modified_index_decision,
@@ -142,6 +143,16 @@ def test_kernel_of_keeps_one_instance():
     assert other is not kernel and other.inst is second
     assert kernel_of.cache_info().currsize == 1
     assert kernel_of(first) is not kernel
+
+
+def test_index_calculator_keeps_one_instance():
+    first, second = generate_instance(4, m=2, cap=2), generate_instance(6, m=3, cap=1)
+    calc = _calculator(first)
+    assert _calculator(first) is calc and calc.inst is first
+    other = _calculator(second)
+    assert other is not calc and other.inst is second
+    assert _calculator.cache_info().currsize == 1
+    assert _calculator(first) is not calc
 
 
 def teleporting_star():

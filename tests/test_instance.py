@@ -138,3 +138,44 @@ def test_instance_rejects_bad_parameters(two_machines):
         replace(two_machines, cap=(0, 2))
     with pytest.raises(ValueError):
         replace(two_machines, lam=(0.4,))
+
+
+@pytest.mark.parametrize(
+    "field, path",
+    [
+        (("lambda", 0), r"root\.lambda\[0\]"),
+        (("mu", 1), r"root\.mu\[1\]"),
+        (("tau",), r"root\.tau"),
+        (("cost", "c", 0), r"root\.cost\.c\[0\]"),
+        (("rho_nominal",), r"root\.rho_nominal"),
+    ],
+)
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_loader_rejects_non_finite_values(field, path, text):
+    data = instance_to_dict(generate_instance(5, m=2, cap=2))
+    *parents, leaf = field
+    owner = data
+    for key in parents:
+        owner = owner[key]
+    owner[leaf] = text
+    with pytest.raises(InstanceFormatError, match=path):
+        instance_from_dict(data)
+
+
+def test_loader_rejects_boolean_caps():
+    data = instance_to_dict(generate_instance(5, m=2, cap=2))
+    data["K"][0] = True
+    with pytest.raises(InstanceFormatError, match=r"root\.K\[0\]"):
+        instance_from_dict(data)
+
+
+def test_instance_rejects_nan_rates(two_machines):
+    from dataclasses import replace
+
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        replace(two_machines, tau=nan)
+    with pytest.raises(ValueError):
+        replace(two_machines, lam=(nan, 0.4))
+    with pytest.raises(ValueError):
+        replace(two_machines, mu=(1.1, nan))
