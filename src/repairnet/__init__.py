@@ -42,9 +42,6 @@ from .mdp import (
     SystemState,
     enumerate_states,
     simulate,
-    step_cost,
-    step_probabilities,
-    step_reward,
     validate_state,
 )
 from .network import (

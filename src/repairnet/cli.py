@@ -40,7 +40,6 @@ from .opi import (
     WALL_CLOCK,
     OpiBudget,
     desk_scale_budget,
-    full_scale_budget,
     load_store,
     parse_state_key,
     run_opi,
@@ -51,7 +50,7 @@ from .polling import PollingPolicy, best_tour
 
 
 def _budget_from_args(args) -> OpiBudget:
-    budget = full_scale_budget() if args.paper_scale else desk_scale_budget()
+    budget = OpiBudget() if args.paper_scale else desk_scale_budget()
     if args.budget_mode:
         mode = STEP_COUNT if args.budget_mode == "step-count" else WALL_CLOCK
         budget.mode = mode

@@ -14,7 +14,8 @@ rate * (v(target) - v(x)) per state; ``DpModel._action_parts`` writes that
 event once for the transition matrix and the improvement step alike.  A
 state keeps its action unless a rival is better by more than a margin
 above the evaluation error, so the loop ends when the policy reproduces
-itself.  Cost and reward rates come from the instance's kernel tables.
+itself.  The state index, the per-step probabilities and the cost and
+reward rates come from the instance's kernel (``mdp.kernel_of``).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .mdp import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_SWEEPS = 10_000_000
+# Policy iteration raises after this many rounds without a fixed point.
+MAX_IMPROVEMENTS = 1000
 
 
 class EvaluationDidNotConverge(RuntimeError):
@@ -90,14 +93,14 @@ class DpModel:
 
     def __init__(self, inst: InstanceParameters, bound: int = DEFAULT_STATE_BOUND):
         self.inst = inst
-        self.indexer = StateIndexer(inst)
+        kernel = kernel_of(inst)
+        self.indexer = kernel.indexer
         n = self.indexer.count
         if n > bound:
             raise CapacityError(f"state space has {n} states, above the bound of {bound}")
         self.n = n
         self.block = self.indexer.conditions_per_location
         m = inst.machine_count
-        delta = inst.step_length
 
         idx = np.arange(n, dtype=np.int64)
         self.idx = idx
@@ -114,7 +117,7 @@ class DpModel:
         deg_sum = np.zeros(n)
         for j in range(m):
             mask = cond[:, j] < caps[j]
-            p = inst.lam[j] * delta
+            p = kernel.lam_delta[j]
             rows_list.append(idx[mask])
             cols_list.append(idx[mask] + strides[j])
             data_list.append(np.full(mask.sum(), p))
@@ -124,7 +127,6 @@ class DpModel:
         self.deg_data = np.concatenate(data_list) if data_list else np.empty(0)
         self.deg_sum = deg_sum
 
-        kernel = kernel_of(inst)
         self.tau_delta = kernel.tau_delta
         self.cost = np.zeros(n)
         for j in range(m):
@@ -265,8 +267,6 @@ def policy_iteration(
     base: StationaryPolicy | None = None,
     reference: SystemState | None = None,
     tol: float = DEFAULT_TOL,
-    max_improvements: int = 1000,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
     span_target: float | None = None,
 ) -> DpSolution:
     """Exact policy iteration from a unichain base policy.
@@ -288,14 +288,13 @@ def policy_iteration(
     policy = base
     v_start: np.ndarray | None = None
     history: list[float] = []
-    for iteration in range(1, max_improvements + 1):
+    for iteration in range(1, MAX_IMPROVEMENTS + 1):
         evaluation = evaluate_policy(
             inst,
             policy,
             reference,
             tol=tol,
             model=model,
-            max_sweeps=max_sweeps,
             v0=v_start,
             span_target=span_target,
         )
@@ -312,7 +311,7 @@ def policy_iteration(
                 g_history=tuple(history),
             )
         policy = improved
-    raise RuntimeError(f"policy iteration did not settle within {max_improvements} improvements")
+    raise RuntimeError(f"policy iteration did not settle within {MAX_IMPROVEMENTS} improvements")
 
 
 def reward_optimum(inst: InstanceParameters, solution: DpSolution) -> float:

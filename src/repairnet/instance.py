@@ -274,7 +274,8 @@ def _require(data: dict, field: str, types, path: str):
     if field not in data:
         raise InstanceFormatError(f"{path}.{field}: missing required field")
     value = data[field]
-    if not isinstance(value, types):
+    # JSON true and false parse as bool, an int subclass; no field is one.
+    if not isinstance(value, types) or isinstance(value, bool):
         raise InstanceFormatError(
             f"{path}.{field}: expected {types}, got {type(value).__name__}"
         )
@@ -323,14 +324,20 @@ def instance_from_dict(data: dict) -> InstanceParameters:
     m = len(lam_raw)
     adjacency = []
     for i, nbrs in enumerate(adjacency_raw):
-        if not isinstance(nbrs, list) or not all(isinstance(v, int) for v in nbrs):
+        if not isinstance(nbrs, list) or not all(type(v) is int for v in nbrs):
             raise InstanceFormatError(f"root.adjacency[{i}]: expected a list of ints")
         adjacency.append(tuple(nbrs))
     n = len(adjacency)
+    if m > n:
+        raise InstanceFormatError(f"root.lambda: {m} machines for {n} nodes")
     for i, nbrs in enumerate(adjacency):
+        if len(set(nbrs)) != len(nbrs):
+            raise InstanceFormatError(f"root.adjacency[{i}]: duplicate neighbour")
         for v in nbrs:
             if not (1 <= v <= n):
                 raise InstanceFormatError(f"root.adjacency[{i}]: node id {v} out of range")
+            if v == i + 1:
+                raise InstanceFormatError(f"root.adjacency[{i}]: self-loop on node {v}")
             if (i + 1) not in adjacency[v - 1]:
                 raise InstanceFormatError(
                     f"root.adjacency[{i}]: edge to {v} is not symmetric"

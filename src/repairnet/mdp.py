@@ -13,20 +13,20 @@ then the repair-or-switch slot, then the self-loop remainder.  A capped
 machine's slot degenerates to a self-loop instead of being reassigned, so
 degradation draws coincide across policies sharing the same uniforms.
 
-``Kernel.step`` applies that layout to a state tuple and is the readable
-reference.  ``simulate`` and the OPI hot loops run on StateIndexer's
-mixed-radix integers instead: ``Kernel.action_row`` memoizes, per
-state-action pair, the cost and reward rates and a successor row, so a
-step is one bisection of the uniform draw into the row's thresholds and
-one offset added to the index.  ``kernel_of`` keeps one Kernel per
-instance, so every ``simulate`` call (the index run and each polling
-subset) and all three OPI phases on an instance share one row memo and
-one table of decoded states.
+``Kernel`` encodes that law once.  ``Kernel.event`` gives the
+action-dependent event (a repair, an arrival, or none) as a rate and an
+index offset, ``Kernel.row`` lays a successor row out from it over
+StateIndexer's mixed-radix integers, and ``Kernel.moves`` lists it for
+every available action, for OPI's confidence gate.  ``Kernel.action_row``
+memoizes, per state-action pair, the cost and reward rates and a
+successor row, so a step is one bisection of the uniform draw into the
+row's thresholds and one offset added to the index.  ``kernel_of`` keeps
+one Kernel per instance, shared by every ``simulate`` call (the index run
+and each polling subset), all three OPI phases and ``DpModel``.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import json
 import numbers
@@ -51,18 +51,8 @@ DecisionRule = Callable[[SystemState], Action]
 Row = tuple[float, tuple[float, ...], tuple[int, ...]]
 # Row with the pair's reward rate appended; see Kernel.action_row.
 ActionRow = tuple[float, tuple[float, ...], tuple[int, ...], float]
-
-
-class EventKind(enum.Enum):
-    DEGRADE = "degrade"
-    REPAIR_STEP = "repair_step"
-    SWITCH_ARRIVE = "switch_arrive"
-    SELF_LOOP = "self_loop"
-
-
-class TransitionEvent(NamedTuple):
-    kind: EventKind
-    node: int | None = None
+# (action, rate, target): one available action's event; see Kernel.moves.
+Move = tuple[Action, float, int]
 
 
 class CapacityError(RuntimeError):
@@ -75,16 +65,6 @@ def pristine_state(inst: InstanceParameters, location: int = 1) -> SystemState:
 
 def all_failed_state(inst: InstanceParameters, location: int = 1) -> SystemState:
     return SystemState(location, tuple(inst.cap))
-
-
-def with_location(state: SystemState, node: int) -> SystemState:
-    return SystemState(node, state.conditions)
-
-
-def with_level_change(state: SystemState, machine: int, delta: int) -> SystemState:
-    conds = list(state.conditions)
-    conds[machine - 1] += delta
-    return SystemState(state.location, tuple(conds))
 
 
 def _is_integer(value) -> bool:
@@ -119,96 +99,23 @@ def actions_of(inst: InstanceParameters, state: SystemState) -> tuple[Action, ..
     return (state.location,) + inst.layout.neighbors(state.location)
 
 
-def step_cost(inst: InstanceParameters, state: SystemState) -> float:
-    """Cost rate of a state: sum of per-machine cost rates."""
-    total = 0.0
-    for i, level in enumerate(state.conditions, start=1):
-        total += inst.cost.rate(i, level, inst.cap[i - 1])
-    return total
-
-
-def step_reward(inst: InstanceParameters, state: SystemState, action: Action) -> float:
-    """Reward rate: positive only while actively repairing.
-
-    Repairing machine i at level x earns (mu_i / lambda_i) times the cost
-    headroom between the failed state and the post-repair level; every
-    other state-action pair earns zero.
-    """
-    i = state.location
-    if action != i or not inst.layout.is_machine(i):
-        return 0.0
-    x = state.conditions[i - 1]
-    if x < 1:
-        return 0.0
-    cap = inst.cap[i - 1]
-    headroom = inst.cost.rate(i, cap, cap) - inst.cost.rate(i, x - 1, cap)
-    return (inst.mu[i - 1] / inst.lam[i - 1]) * headroom
-
-
-def step_probabilities(
-    inst: InstanceParameters, state: SystemState, action: Action
-) -> list[tuple[TransitionEvent, float]]:
-    """Transition distribution of one uniformized step.
-
-    Each machine below its cap degrades with probability lambda_j * step;
-    staying at a damaged machine completes one repair level with
-    probability mu_i * step; heading to an adjacent node arrives with
-    probability tau * step; the remainder is a self-loop.  Zero-probability
-    events are omitted and the probabilities sum to one exactly.
-    """
-    if action not in actions_of(inst, state):
-        raise ValueError(f"action {action} not available in state {state}")
-    delta = inst.step_length
-    events: list[tuple[TransitionEvent, float]] = []
-    total = 0.0
-    for j in range(1, inst.machine_count + 1):
-        if state.conditions[j - 1] < inst.cap[j - 1]:
-            p = inst.lam[j - 1] * delta
-            events.append((TransitionEvent(EventKind.DEGRADE, j), p))
-            total += p
-    i = state.location
-    if action == i:
-        if inst.layout.is_machine(i) and state.conditions[i - 1] >= 1:
-            p = inst.mu[i - 1] * delta
-            events.append((TransitionEvent(EventKind.REPAIR_STEP, i), p))
-            total += p
-    else:
-        p = inst.tau * delta
-        events.append((TransitionEvent(EventKind.SWITCH_ARRIVE, action), p))
-        total += p
-    residual = 1.0 - total
-    if residual > 0.0:
-        events.append((TransitionEvent(EventKind.SELF_LOOP), residual))
-    return events
-
-
-def apply_event(state: SystemState, event: TransitionEvent) -> SystemState:
-    if event.kind is EventKind.DEGRADE:
-        return with_level_change(state, event.node, +1)
-    if event.kind is EventKind.REPAIR_STEP:
-        return with_level_change(state, event.node, -1)
-    if event.kind is EventKind.SWITCH_ARRIVE:
-        return with_location(state, event.node)
-    return state
-
-
 class Kernel:
     """Per-instance tables for fast stepping and state indexing."""
 
     def __init__(self, inst: InstanceParameters):
         self.inst = inst
-        delta = inst.step_length
+        self.step_length = delta = inst.step_length
         m = inst.machine_count
         self.machine_count = m
         self.cap = inst.cap
-        # Reserved degradation slots: machine j owns
-        # [cum_lambda[j-1], cum_lambda[j]); a draw there at cap self-loops.
-        self.cum_lambda = [0.0] * (m + 1)
-        for j in range(m):
-            self.cum_lambda[j + 1] = self.cum_lambda[j] + inst.lam[j] * delta
-        self.degrade_upper = self.cum_lambda[m]
+        # Per-step event probabilities: rate times step length.
+        self.lam_delta = [lam_j * delta for lam_j in inst.lam]
         self.mu_delta = [mu_i * delta for mu_i in inst.mu]
         self.tau_delta = inst.tau * delta
+        # Reserved degradation slots: machine j owns
+        # [cum_lambda[j-1], cum_lambda[j]); a draw there at cap self-loops.
+        self.cum_lambda = list(itertools.accumulate(self.lam_delta, initial=0.0))
+        self.degrade_upper = self.cum_lambda[m]
         # Cost-rate lookup per machine and level.
         self.cost_rate = [
             [inst.cost.rate(i, level, inst.cap[i - 1]) for level in range(inst.cap[i - 1] + 1)]
@@ -228,6 +135,7 @@ class Kernel:
         self.indexer = StateIndexer(inst)
         self._thresholds: dict[tuple[float, ...], tuple[float, ...]] = {}
         self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._moves: dict[int, tuple[Move, ...]] = {}
         self.states: dict[int, SystemState] = {}
         self.action_rows: dict[tuple[int, Action], ActionRow] = {}
 
@@ -240,58 +148,38 @@ class Kernel:
             return 0.0
         return self.reward_rate[i - 1][state.conditions[i - 1]]
 
-    def step(self, state: SystemState, action: Action, u: float) -> SystemState:
-        """Advance one uniformized step driven by the uniform draw ``u``."""
-        if u < self.degrade_upper:
-            lo, hi = 0, self.machine_count
-            cum = self.cum_lambda
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if u < cum[mid]:
-                    hi = mid
-                else:
-                    lo = mid
-            j = lo  # 0-based machine whose slot contains u
-            if state.conditions[j] < self.cap[j]:
-                return with_level_change(state, j + 1, +1)
-            return state
-        threshold = self.degrade_upper
+    def event(self, state: SystemState, action: Action) -> tuple[float, int]:
+        """The action-dependent event as ``(rate, offset)`` over StateIndexer
+        indices: staying at a damaged machine i repairs one level, (mu_i,
+        -stride_i); heading to a neighbour arrives there, (tau, the
+        location move); staying anywhere else has no event, (0.0, 0)."""
         i = state.location
-        if action == i:
-            if i <= self.machine_count and state.conditions[i - 1] >= 1:
-                threshold += self.mu_delta[i - 1]
-                if u < threshold:
-                    return with_level_change(state, i, -1)
-        else:
-            threshold += self.tau_delta
-            if u < threshold:
-                return with_location(state, action)
-        return state
+        if action != i:
+            return self.inst.tau, (action - i) * self.indexer.conditions_per_location
+        if i <= self.machine_count and state.conditions[i - 1] >= 1:
+            return self.inst.mu[i - 1], -self.indexer.strides[i - 1]
+        return 0.0, 0
 
     def row(self, state: SystemState, action: Action) -> Row:
-        """``step`` as a successor row over StateIndexer indices.
+        """One uniformized step of ``state`` under ``action`` as a successor
+        row over StateIndexer indices.
 
         Returns ``(cost, thresholds, offsets)``: the draw ``u`` moves index
-        ``x`` of ``state`` to ``x + offsets[bisect_right(thresholds, u)]``,
-        which is the index of ``step(state, action, u)``.  The thresholds
-        are the degradation slot ends, then the repair or switch slot's end
-        when the action has one; the offsets are one stride per machine (0
-        at its cap), the repair or switch move, and 0 for the self-loop.
-        Rows hold relative moves, so equal tuples are shared across states.
+        ``x`` of ``state`` to ``x + offsets[bisect_right(thresholds, u)]``.
+        The thresholds are the degradation slot ends, then the end of the
+        ``event`` slot when the action has one; the offsets are one stride
+        per machine (0 at its cap), the event's offset, and 0 for the
+        self-loop.  Rows hold relative moves, so equal tuples are shared
+        across states.
         """
-        m = self.machine_count
         strides = self.indexer.strides
         conds = state.conditions
         thresholds = self.cum_lambda[1:]
-        offsets = [strides[j] if conds[j] < self.cap[j] else 0 for j in range(m)]
-        i = state.location
-        if action == i:
-            if i <= m and conds[i - 1] >= 1:
-                thresholds.append(self.degrade_upper + self.mu_delta[i - 1])
-                offsets.append(-strides[i - 1])
-        else:
-            thresholds.append(self.degrade_upper + self.tau_delta)
-            offsets.append((action - i) * self.indexer.conditions_per_location)
+        offsets = [strides[j] if conds[j] < self.cap[j] else 0 for j in range(self.machine_count)]
+        rate, offset = self.event(state, action)
+        if rate:
+            thresholds.append(self.degrade_upper + rate * self.step_length)
+            offsets.append(offset)
         offsets.append(0)
         thresholds, offsets = tuple(thresholds), tuple(offsets)
         return (
@@ -299,6 +187,20 @@ class Kernel:
             self._thresholds.setdefault(thresholds, thresholds),
             self._offsets.setdefault(offsets, offsets),
         )
+
+    def moves(self, x: int) -> tuple[Move, ...]:
+        """Every available action's ``event`` at the state with index ``x``,
+        as ``(action, rate, x + offset)`` in ``actions_of`` order (staying
+        first); idling is ``(action, 0.0, x)``.  Memoized per index."""
+        moves = self._moves.get(x)
+        if moves is None:
+            state = self.state(x)
+            moves = []
+            for action in actions_of(self.inst, state):
+                rate, offset = self.event(state, action)
+                moves.append((action, rate, x + offset))
+            moves = self._moves[x] = tuple(moves)
+        return moves
 
     def state(self, x: int) -> SystemState:
         """The state with index ``x``, interned: one tuple per index, kept

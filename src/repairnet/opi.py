@@ -22,13 +22,15 @@ thresholds picks an offset to add to the index.  All three phases use
 the instance's shared kernel (``kernel_of``), the same one ``simulate``
 uses, so a state-action row is built and checked for availability once
 per instance, and each index is decoded to a state tuple once.
-Base-policy actions, neighborhoods and action forms are memoized per
-index, and an int-keyed index of the store shares its entry objects.
-Every action's delta is one coefficient (mu_i for a repair, tau for a
-switch, 0 for idling) times a difference of two values, so the pairwise
-confidence test is closed-form interval arithmetic over at most three
-values.  A store handed to any phase must be keyed by states of the
-instance (``validate_store``).
+Base-policy actions and neighborhoods are memoized per index, and an
+int-keyed index of the store shares its entry objects.  The kernel's
+``moves`` give each action's event as ``(action, rate, target)`` (mu_i
+for a repair, tau for a switch, 0 for idling), so every action's delta is
+rate * (h[target] - h[x]), the pairwise confidence test is closed-form
+interval arithmetic over at most three values, and a state's
+neighborhood is the state plus its move targets; this module does no
+rate or index arithmetic of its own.  A store handed to any phase must be
+keyed by states of the instance (``validate_store``).
 
 Budgets run in two modes.  Wall-clock mode reproduces the real-time
 regime (seconds per decision); step-count mode swaps every clock for a
@@ -49,15 +51,13 @@ from .instance import InstanceParameters
 from .mdp import (
     ActionRow,
     DecisionRule,
+    Kernel,
+    Move,
     SimulationReport,
-    StateIndexer,
     SystemState,
-    actions_of,
     kernel_of,
     pristine_state,
     validate_state,
-    with_level_change,
-    with_location,
 )
 
 Z_CRITICAL = 1.96
@@ -93,10 +93,6 @@ class OpiBudget:
             raise ValueError("tau_max and delta must be positive")
         if self.mode not in (WALL_CLOCK, STEP_COUNT):
             raise ValueError(f"unknown budget mode {self.mode!r}")
-
-
-def full_scale_budget() -> OpiBudget:
-    return OpiBudget()
 
 
 def desk_scale_budget(r_on: int = 50_000) -> OpiBudget:
@@ -228,27 +224,14 @@ class _Uniforms:
         return u
 
 
-# (action, c, t): the action's value delta c * (h[t] - h[x]); see _action_forms.
-Form = tuple[int, float, int]
-
-
-def _action_forms(
-    inst: InstanceParameters, indexer: StateIndexer, state: SystemState, x: int
-) -> tuple[Form, ...]:
-    """Each action's value delta as ``(action, c, t)``, meaning
-    ``c * (h[t] - h[x])`` over state indices: c is mu_i for a repair and
-    tau for a switch.  Idling has the exact zero delta, written c = 0.0
-    with t = x."""
-    i = state.location
-    forms = []
-    for a in actions_of(inst, state):
-        if a != i:
-            forms.append((a, inst.tau, x + (a - i) * indexer.conditions_per_location))
-        elif inst.layout.is_machine(i) and state.conditions[i - 1] >= 1:
-            forms.append((a, inst.mu[i - 1], x - indexer.strides[i - 1]))
-        else:
-            forms.append((a, 0.0, x))
-    return tuple(forms)
+def _neighborhood(kernel: Kernel, x: int) -> list[int]:
+    """Index form of ``neighborhood``: ``x``, then the targets of its
+    switches in neighbour order, then its repair target if it has one."""
+    stay, *switches = kernel.moves(x)
+    members = [x] + [target for _, _, target in switches]
+    if stay[1]:
+        members.append(stay[2])
+    return members
 
 
 class _Runtime:
@@ -264,7 +247,6 @@ class _Runtime:
     def __init__(
         self, inst: InstanceParameters, base: DecisionRule, store: ValueStore | None = None
     ):
-        self.inst = inst
         self.kernel = kernel_of(inst)
         self.indexer = self.kernel.indexer
         self.block = self.indexer.conditions_per_location
@@ -279,7 +261,6 @@ class _Runtime:
         self.base_rows: dict[int, ActionRow] = {}
         self._actions: dict[int, int] = {}
         self._neighborhoods: dict[int, list[int]] = {}
-        self._forms: dict[int, tuple[Form, ...]] = {}
 
     def base_action(self, x: int) -> int:
         action = self._actions.get(x)
@@ -300,17 +281,8 @@ class _Runtime:
     def neighborhood(self, x: int) -> list[int]:
         members = self._neighborhoods.get(x)
         if members is None:
-            index = self.indexer.index
-            members = [index(s) for s in neighborhood(self.inst, self.kernel.state(x))]
-            self._neighborhoods[x] = members
+            members = self._neighborhoods[x] = _neighborhood(self.kernel, x)
         return members
-
-    def forms(self, x: int) -> tuple[Form, ...]:
-        forms = self._forms.get(x)
-        if forms is None:
-            forms = _action_forms(self.inst, self.indexer, self.kernel.state(x), x)
-            self._forms[x] = forms
-        return forms
 
     def add_entry(self, x: int) -> ValueStoreEntry:
         entry = ValueStoreEntry()
@@ -538,18 +510,13 @@ def neighborhood(inst: InstanceParameters, state: SystemState) -> list[SystemSta
     the state itself, each one-switch variant, and the one-repair variant.
     Degradation successors are excluded; they occur with the same
     probability under every action."""
-    members = [state]
-    i = state.location
-    for j in inst.layout.neighbors(i):
-        members.append(with_location(state, j))
-    if inst.layout.is_machine(i) and state.conditions[i - 1] >= 1:
-        members.append(with_level_change(state, i, -1))
-    return members
+    kernel = kernel_of(inst)
+    return [kernel.state(y) for y in _neighborhood(kernel, kernel.indexer.index(state))]
 
 
 def _gate(
     x: int,
-    forms: tuple[Form, ...],
+    moves: tuple[Move, ...],
     values: dict[int, ValueStoreEntry],
 ) -> int | None:
     """The action whose delta beats every rival's for all values inside
@@ -563,7 +530,7 @@ def _gate(
     infinite term defeats the test, and terms add in the order x, t_a, t_b.
     """
     lo_x, hi_x = confidence_interval(values.get(x))
-    bounds = [(a, c) + confidence_interval(values.get(t)) for a, c, t in forms]
+    bounds = [(a, c) + confidence_interval(values.get(t)) for a, c, t in moves]
     for a, ca, _, hi_a in bounds:
         for b, cb, lo_b, _ in bounds:
             if b == a:
@@ -603,12 +570,14 @@ def improving_action(
     all interval-consistent value assignments, with safe_flag False; if no
     action separates, returns the base action with safe_flag True.
     """
-    indexer = StateIndexer(inst)
-    x = indexer.index(state)
-    values = {
-        indexer.index(s): store.entries[s] for s in neighborhood(inst, state) if s in store.entries
-    }
-    action = _gate(x, _action_forms(inst, indexer, state, x), values)
+    kernel = kernel_of(inst)
+    x = kernel.indexer.index(state)
+    values = {}
+    for y in _neighborhood(kernel, x):
+        entry = store.get(kernel.state(y))
+        if entry is not None:
+            values[y] = entry
+    action = _gate(x, kernel.moves(x), values)
     if action is None:
         return base_action, True
     return action, False
@@ -639,7 +608,12 @@ def online_run(
     values = runtime.values
     block = runtime.block
     action_row = runtime.kernel.action_row
+    moves = runtime.kernel.moves
     mode = budget.mode
+    # Nested rollouts per decision: step-count mode charges one per
+    # trajectory against int(delta), wall-clock mode its seconds.
+    per_trajectory = mode == STEP_COUNT
+    limit = int(budget.delta) if per_trajectory else budget.delta
 
     state = runtime.indexer.index(start)
     total_cost = 0.0
@@ -655,7 +629,7 @@ def online_run(
     for step_index in range(budget.r_on):
         visits[state // block] += 1
         base_action = runtime.base_action(state)
-        action = _gate(state, runtime.forms(state), values)
+        action = _gate(state, moves(state), values)
         if action is None:
             action = base_action
             safe_count += 1
@@ -664,24 +638,14 @@ def online_run(
         total_cost += cost
         total_reward += reward
 
-        if mode == STEP_COUNT:
-            remaining = int(budget.delta)
-            while remaining > 0:
-                hypothetical = state + offsets[bisect_right(thresholds, uniforms.take())]
-                for y in runtime.neighborhood(hypothetical):
-                    if remaining <= 0:
-                        break
-                    _sample_trajectory(runtime, y, 1, uniforms, mode)
-                    remaining -= 1
-        else:
-            used = 0.0
-            while used < budget.delta:
-                hypothetical = state + offsets[bisect_right(thresholds, uniforms.take())]
-                for y in runtime.neighborhood(hypothetical):
-                    if used >= budget.delta:
-                        break
-                    _, elapsed = _sample_trajectory(runtime, y, 1, uniforms, mode)
-                    used += elapsed
+        used = 0.0
+        while used < limit:
+            hypothetical = state + offsets[bisect_right(thresholds, uniforms.take())]
+            for y in runtime.neighborhood(hypothetical):
+                if used >= limit:
+                    break
+                _, elapsed = _sample_trajectory(runtime, y, 1, uniforms, mode)
+                used += 1 if per_trajectory else elapsed
 
         if crn is not None:
             u = crn[crn_pos]

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import enum
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from repairnet.dp import DpModel, StationaryPolicy
 from repairnet.instance import CostKind, CostModel, InstanceParameters
+from repairnet.mdp import SystemState
 from repairnet.network import build_complete_layout, build_star_layout
 
 
@@ -38,6 +42,164 @@ def homogeneous_star_instance(
         cap=(1,) * m,
         cost=CostModel(kind=CostKind.LINEAR, c=(f1,) * m),
     )
+
+
+# The uniformized transition law on state tuples, written from the
+# instance's raw rates.  The library encodes it once, in ``mdp.Kernel``;
+# these are the readable references that encoding is checked against.
+
+
+class EventKind(enum.Enum):
+    DEGRADE = "degrade"
+    REPAIR_STEP = "repair_step"
+    SWITCH_ARRIVE = "switch_arrive"
+    SELF_LOOP = "self_loop"
+
+
+class TransitionEvent(NamedTuple):
+    kind: EventKind
+    node: int | None = None
+
+
+def with_location(state: SystemState, node: int) -> SystemState:
+    return SystemState(node, state.conditions)
+
+
+def with_level_change(state: SystemState, machine: int, delta: int) -> SystemState:
+    conds = list(state.conditions)
+    conds[machine - 1] += delta
+    return SystemState(state.location, tuple(conds))
+
+
+def available_actions(inst: InstanceParameters, state: SystemState) -> tuple[int, ...]:
+    return (state.location,) + inst.layout.neighbors(state.location)
+
+
+def step_cost(inst: InstanceParameters, state: SystemState) -> float:
+    """Cost rate of a state: sum of per-machine cost rates."""
+    total = 0.0
+    for i, level in enumerate(state.conditions, start=1):
+        total += inst.cost.rate(i, level, inst.cap[i - 1])
+    return total
+
+
+def step_reward(inst: InstanceParameters, state: SystemState, action: int) -> float:
+    """Reward rate: positive only while actively repairing.
+
+    Repairing machine i at level x earns (mu_i / lambda_i) times the cost
+    headroom between the failed state and the post-repair level; every
+    other state-action pair earns zero.
+    """
+    i = state.location
+    if action != i or not inst.layout.is_machine(i):
+        return 0.0
+    x = state.conditions[i - 1]
+    if x < 1:
+        return 0.0
+    cap = inst.cap[i - 1]
+    headroom = inst.cost.rate(i, cap, cap) - inst.cost.rate(i, x - 1, cap)
+    return (inst.mu[i - 1] / inst.lam[i - 1]) * headroom
+
+
+def step_probabilities(
+    inst: InstanceParameters, state: SystemState, action: int
+) -> list[tuple[TransitionEvent, float]]:
+    """Transition distribution of one uniformized step.
+
+    Each machine below its cap degrades with probability lambda_j * step;
+    staying at a damaged machine completes one repair level with
+    probability mu_i * step; heading to an adjacent node arrives with
+    probability tau * step; the remainder is a self-loop.  Zero-probability
+    events are omitted and the probabilities sum to one exactly.
+    """
+    if action not in available_actions(inst, state):
+        raise ValueError(f"action {action} not available in state {state}")
+    delta = inst.step_length
+    events: list[tuple[TransitionEvent, float]] = []
+    total = 0.0
+    for j in range(1, inst.machine_count + 1):
+        if state.conditions[j - 1] < inst.cap[j - 1]:
+            p = inst.lam[j - 1] * delta
+            events.append((TransitionEvent(EventKind.DEGRADE, j), p))
+            total += p
+    i = state.location
+    if action == i:
+        if inst.layout.is_machine(i) and state.conditions[i - 1] >= 1:
+            p = inst.mu[i - 1] * delta
+            events.append((TransitionEvent(EventKind.REPAIR_STEP, i), p))
+            total += p
+    else:
+        p = inst.tau * delta
+        events.append((TransitionEvent(EventKind.SWITCH_ARRIVE, action), p))
+        total += p
+    residual = 1.0 - total
+    if residual > 0.0:
+        events.append((TransitionEvent(EventKind.SELF_LOOP), residual))
+    return events
+
+
+def apply_event(state: SystemState, event: TransitionEvent) -> SystemState:
+    if event.kind is EventKind.DEGRADE:
+        return with_level_change(state, event.node, +1)
+    if event.kind is EventKind.REPAIR_STEP:
+        return with_level_change(state, event.node, -1)
+    if event.kind is EventKind.SWITCH_ARRIVE:
+        return with_location(state, event.node)
+    return state
+
+
+def uniform_step(
+    inst: InstanceParameters, state: SystemState, action: int, u: float
+) -> SystemState:
+    """One uniformized step driven by the uniform draw ``u``: machine j's
+    degradation slot, in machine order, then the repair-or-switch slot,
+    then the self-loop.  A draw in a capped machine's slot self-loops."""
+    delta = inst.step_length
+    upper = 0.0
+    for j in range(inst.machine_count):
+        upper += inst.lam[j] * delta
+        if u < upper:
+            if state.conditions[j] < inst.cap[j]:
+                return with_level_change(state, j + 1, +1)
+            return state
+    i = state.location
+    if action != i:
+        if u < upper + inst.tau * delta:
+            return with_location(state, action)
+    elif inst.layout.is_machine(i) and state.conditions[i - 1] >= 1:
+        if u < upper + inst.mu[i - 1] * delta:
+            return with_level_change(state, i, -1)
+    return state
+
+
+def action_events(
+    inst: InstanceParameters, state: SystemState
+) -> list[tuple[int, float, SystemState]]:
+    """Each available action's event as ``(action, rate, successor)``,
+    staying first: a repair at rate mu_i, an arrival at rate tau, or, for
+    idling, no event (rate 0.0, the state itself)."""
+    i = state.location
+    events = []
+    for a in available_actions(inst, state):
+        if a != i:
+            events.append((a, inst.tau, with_location(state, a)))
+        elif inst.layout.is_machine(i) and state.conditions[i - 1] >= 1:
+            events.append((a, inst.mu[i - 1], with_level_change(state, i, -1)))
+        else:
+            events.append((a, 0.0, state))
+    return events
+
+
+def oracle_neighborhood(inst: InstanceParameters, state: SystemState) -> list[SystemState]:
+    """The state, each one-switch variant in neighbour order, then the
+    one-repair variant when the state has one."""
+    members = [state]
+    i = state.location
+    for j in inst.layout.neighbors(i):
+        members.append(with_location(state, j))
+    if inst.layout.is_machine(i) and state.conditions[i - 1] >= 1:
+        members.append(with_level_change(state, i, -1))
+    return members
 
 
 def floyd_warshall(adjacency) -> list[list[float]]:

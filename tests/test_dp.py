@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    apply_event,
     homogeneous_complete_instance,
     homogeneous_star_instance,
     limiting_average,
     random_unichain_policy,
+    step_probabilities,
 )
 from repairnet.dp import (
     DpModel,
@@ -26,7 +28,6 @@ from repairnet.mdp import (
     all_failed_state,
     enumerate_states,
     pristine_state,
-    step_probabilities,
 )
 
 
@@ -39,8 +40,6 @@ def test_transition_matrix_matches_step_probabilities(two_machines):
     for state in states:
         row = matrix[indexer.index(state)]
         expected = np.zeros(len(states))
-        from repairnet.mdp import apply_event
-
         for event, p in step_probabilities(two_machines, state, policy.actions[indexer.index(state)]):
             expected[indexer.index(apply_event(state, event))] += p
         assert np.allclose(row, expected, atol=1e-15)

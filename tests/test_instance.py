@@ -179,3 +179,43 @@ def test_instance_rejects_nan_rates(two_machines):
         replace(two_machines, lam=(nan, 0.4))
     with pytest.raises(ValueError):
         replace(two_machines, mu=(1.1, nan))
+
+
+def _self_loop(data):
+    data["adjacency"][0].append(1)
+
+
+def _duplicate_neighbour(data):
+    data["adjacency"][0].append(data["adjacency"][0][0])
+
+
+def _three_machines_on_two_nodes(data):
+    data["adjacency"] = [[2], [1]]
+    for owner, key in ((data, "lambda"), (data, "mu"), (data, "K"), (data["cost"], "c")):
+        owner[key].append(owner[key][0])
+
+
+@pytest.mark.parametrize(
+    "probe, path",
+    [
+        (_self_loop, r"root\.adjacency\[0\]"),
+        (_duplicate_neighbour, r"root\.adjacency\[0\]"),
+        (_three_machines_on_two_nodes, r"root\.lambda"),
+    ],
+    ids=["self-loop", "duplicate-neighbour", "more-machines-than-nodes"],
+)
+def test_loader_rejects_malformed_graphs(probe, path):
+    # Without machine coordinates the adjacency is taken as given.
+    data = instance_to_dict(generate_instance(5, m=2, cap=2))
+    data["machine_coords"] = None
+    probe(data)
+    with pytest.raises(InstanceFormatError, match=path):
+        instance_from_dict(data)
+
+
+@pytest.mark.parametrize("field", ["schema_version", "grid"])
+def test_loader_rejects_booleans_for_integers(field):
+    data = instance_to_dict(generate_instance(5, m=2, cap=2))
+    data[field] = True
+    with pytest.raises(InstanceFormatError, match=rf"root\.{field}"):
+        instance_from_dict(data)

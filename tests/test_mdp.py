@@ -1,24 +1,28 @@
 import math
+from bisect import bisect_right
 
 import pytest
 
-from conftest import homogeneous_star_instance, rng
+from conftest import (
+    EventKind,
+    apply_event,
+    homogeneous_star_instance,
+    rng,
+    step_cost,
+    step_probabilities,
+    step_reward,
+)
 from repairnet.instance import counterexample_instances, generate_instance
 from repairnet.mdp import (
     CapacityError,
-    EventKind,
     Kernel,
     StateIndexer,
     SystemState,
     actions_of,
     all_failed_state,
-    apply_event,
     enumerate_states,
     pristine_state,
     simulate,
-    step_cost,
-    step_probabilities,
-    step_reward,
 )
 
 
@@ -87,40 +91,49 @@ def test_invalid_action_rejected(two_machines):
 
 
 def test_step_cost_examples(two_machines):
-    assert step_cost(two_machines, pristine_state(two_machines)) == 0.0
-    assert step_cost(two_machines, SystemState(1, (2, 1))) == 3.0
     c3 = counterexample_instances()[4]
-    assert step_cost(c3, all_failed_state(c3)) == pytest.approx(29.7)
+    for inst, state, expected in [
+        (two_machines, pristine_state(two_machines), 0.0),
+        (two_machines, SystemState(1, (2, 1)), 3.0),
+        (c3, all_failed_state(c3), 29.7),
+    ]:
+        assert step_cost(inst, state) == pytest.approx(expected)
+        assert Kernel(inst).cost(state) == pytest.approx(expected)
 
 
 def test_step_reward_examples(two_machines):
     a = counterexample_instances()[0]
-    assert step_reward(a, SystemState(1, (1, 0, 0)), 1) == pytest.approx(3.0)
-    assert step_reward(a, SystemState(1, (1, 0, 0)), 2) == 0.0
-    assert step_reward(two_machines, SystemState(1, (2, 0)), 1) == pytest.approx(
-        (1.1 / 0.4) * (2 - 1)
-    )
     # At a stage or at a pristine machine there is nothing to earn.
     star = homogeneous_star_instance(3, 1, 0.04, 0.12, 1.0, 0.024)
-    assert step_reward(star, SystemState(4, (1, 1, 1)), 4) == 0.0
-    assert step_reward(star, SystemState(1, (0, 1, 1)), 1) == 0.0
+    for inst, state, action, expected in [
+        (a, SystemState(1, (1, 0, 0)), 1, 3.0),
+        (a, SystemState(1, (1, 0, 0)), 2, 0.0),
+        (two_machines, SystemState(1, (2, 0)), 1, (1.1 / 0.4) * (2 - 1)),
+        (star, SystemState(4, (1, 1, 1)), 4, 0.0),
+        (star, SystemState(1, (0, 1, 1)), 1, 0.0),
+    ]:
+        assert step_reward(inst, state, action) == pytest.approx(expected)
+        assert Kernel(inst).reward(state, action) == pytest.approx(expected)
 
 
 def test_kernel_step_matches_event_distribution(two_machines):
-    # The single-uniform event layout must reproduce the kernel's
-    # distribution: scan a fine grid of uniforms and compare frequencies.
+    # The kernel's single-uniform event layout must reproduce the event
+    # distribution: scan a fine grid of uniforms through a successor row
+    # and compare frequencies.
+    kernel = Kernel(two_machines)
     for state, action in [
         (SystemState(1, (1, 0)), 1),
         (SystemState(1, (2, 2)), 2),
         (SystemState(2, (0, 2)), 2),
     ]:
-        kernel = Kernel(two_machines)
+        x = kernel.indexer.index(state)
+        _, thresholds, offsets = kernel.row(state, action)
         grid = 2_000_001
-        counts: dict[SystemState, int] = {}
+        moved: dict[int, int] = {}
         for i in range(0, grid, 1):
-            u = i / grid
-            nxt = kernel.step(state, action, u)
-            counts[nxt] = counts.get(nxt, 0) + 1
+            y = x + offsets[bisect_right(thresholds, i / grid)]
+            moved[y] = moved.get(y, 0) + 1
+        counts = {kernel.state(y): count for y, count in moved.items()}
         expected: dict[SystemState, float] = {}
         for event, p in step_probabilities(two_machines, state, action):
             nxt = apply_event(state, event)
@@ -168,11 +181,14 @@ def test_crn_degradation_times_coincide_across_policies():
     uniforms = rng(3).random(steps)
 
     def degradation_log(policy):
+        # Stepped on the kernel's successor rows, as ``simulate`` steps.
         kernel = Kernel(inst)
         state = pristine_state(inst)
         log = []
         for t in range(steps):
-            nxt = kernel.step(state, policy(state), uniforms[t])
+            x = kernel.indexer.index(state)
+            _, thresholds, offsets, _ = kernel.action_row(x, policy(state))
+            nxt = kernel.state(x + offsets[bisect_right(thresholds, uniforms[t])])
             if nxt.conditions != state.conditions and sum(nxt.conditions) > sum(state.conditions):
                 machine = next(
                     j + 1

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from conftest import homogeneous_star_instance, rng
+from conftest import homogeneous_star_instance, rng, with_level_change, with_location
 from repairnet.dp import StationaryPolicy, evaluate_policy
 from repairnet.index_policy import ModifiedIndexPolicy
 from repairnet.instance import generate_instance
-from repairnet.mdp import SystemState, pristine_state, with_level_change, with_location
+from repairnet.mdp import SystemState, pristine_state
 from repairnet.opi import (
     STEP_COUNT,
     OpiBudget,

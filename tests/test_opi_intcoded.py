@@ -1,6 +1,6 @@
 """The int-coded OPI path against its references.
 
-Successor rows are checked against ``Kernel.step`` and ``Kernel.cost``,
+Successor rows are checked against the tuple-level step and cost oracles,
 the closed-form confidence gate against a vertex-enumeration oracle, and
 a fixed-seed offline-plus-online run against digests pinned from the
 state-tuple implementation the int-coded path replaced.
@@ -15,7 +15,15 @@ from bisect import bisect_right
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rng
+from conftest import (
+    action_events,
+    oracle_neighborhood,
+    rng,
+    step_cost,
+    uniform_step,
+    with_level_change,
+    with_location,
+)
 from repairnet.index_policy import ModifiedIndexPolicy
 from repairnet.instance import generate_instance
 from repairnet.mdp import (
@@ -24,8 +32,6 @@ from repairnet.mdp import (
     SystemState,
     actions_of,
     pristine_state,
-    with_level_change,
-    with_location,
 )
 from repairnet.opi import (
     STEP_COUNT,
@@ -38,6 +44,7 @@ from repairnet.opi import (
     offline_main,
     offline_preparatory,
     online_run,
+    save_store,
     state_key,
 )
 
@@ -61,7 +68,7 @@ def test_row_matches_kernel_step_and_cost(case, draws):
     x = indexer.index(state)
     for action in actions_of(inst, state):
         cost, thresholds, offsets = kernel.row(state, action)
-        assert cost == kernel.cost(state)
+        assert cost == step_cost(inst, state)
         assert len(offsets) == len(thresholds) + 1
         # Every slot boundary and the float just below it, plus random draws.
         edges = [v for t in thresholds for v in (t, math.nextafter(t, 0.0))]
@@ -69,7 +76,20 @@ def test_row_matches_kernel_step_and_cost(case, draws):
             if u >= 1.0:
                 continue
             moved = x + offsets[bisect_right(thresholds, u)]
-            assert moved == indexer.index(kernel.step(state, action, u))
+            assert moved == indexer.index(uniform_step(inst, state, action, u))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances_and_states())
+def test_moves_and_neighborhood_match_the_oracle(case):
+    inst, state = case
+    kernel = Kernel(inst)
+    index = kernel.indexer.index
+    x = index(state)
+    expected = [(a, rate, index(s)) for a, rate, s in action_events(inst, state)]
+    assert list(kernel.moves(x)) == expected
+    assert kernel.moves(x) is kernel.moves(x)
+    assert neighborhood(inst, state) == oracle_neighborhood(inst, state)
 
 
 def test_rows_share_interned_tuples():
@@ -87,7 +107,7 @@ def tight(h, width):
 
 def vertex_oracle(inst, state, store, base_action):
     """Pairwise domination by enumerating every vertex of the intervals."""
-    members = neighborhood(inst, state)
+    members = oracle_neighborhood(inst, state)
     intervals = {s: confidence_interval(store.get(s)) for s in members}
     i = state.location
 
@@ -127,7 +147,7 @@ def test_closed_form_gate_matches_vertex_oracle():
         conditions = tuple(int(generator.integers(0, k + 1)) for k in inst.cap)
         state = SystemState(location, conditions)
         store = ValueStore(reference=pristine_state(inst), g_base=0.0)
-        for s in neighborhood(inst, state):
+        for s in oracle_neighborhood(inst, state):
             if generator.random() < 0.1:
                 continue  # leave an unbounded interval now and then
             h = float(generator.normal(0.0, 5.0))
@@ -204,3 +224,23 @@ def test_safe_by_quarter_reports_empty_quarters_as_none():
         sizes = [quarter] * 3 + [r_on - 3 * quarter]
         fallbacks = sum(q * n for q, n in zip(quarters, sizes) if q is not None)
         assert round(fallbacks) == round(report.safe_action_fraction * r_on)
+
+
+def test_step_count_delta_counts_whole_trajectories(tmp_path):
+    # Step-count mode runs int(delta) nested trajectories per decision, so
+    # delta=2.5 repeats the delta=2.0 run byte for byte and 3.0 does not.
+    inst = generate_instance(5, m=2, cap=2)
+    base = ModifiedIndexPolicy(inst)
+    outputs = {}
+    for delta in (2.0, 2.5, 3.0):
+        budget = OpiBudget(
+            r1=200, r2=5_000, r_off=100, tau_max=1e9, r_on=1_000, delta=delta, mode=STEP_COUNT
+        )
+        prep = offline_preparatory(inst, base, budget, rng(1))
+        store = offline_main(inst, base, prep, budget, rng(2))
+        report = online_run(inst, base, store, budget, rng(3), x0=pristine_state(inst))
+        path = tmp_path / f"store-{delta}.json"
+        save_store(store, path)
+        outputs[delta] = (report.to_json(), path.read_bytes())
+    assert outputs[2.5] == outputs[2.0]
+    assert outputs[3.0] != outputs[2.0]

@@ -1,4 +1,4 @@
-"""The int-coded ``simulate`` against a reference loop over ``Kernel.step``,
+"""The int-coded ``simulate`` against a reference loop over tuple-level steps,
 and the checks that keep out-of-range states and unavailable actions from
 turning into plausible averages."""
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_star_instance, rng
+from conftest import homogeneous_star_instance, rng, uniform_step
 from repairnet.cli import main
 from repairnet.dp import StationaryPolicy
 from repairnet.index_policy import IndexPolicy, ModifiedIndexPolicy
@@ -39,7 +39,7 @@ def reference_simulate(inst, policy, x0, steps, uniforms):
         action = policy(state)
         total_cost += kernel.cost(state)
         total_reward += kernel.reward(state, action)
-        state = kernel.step(state, action, uniforms[t])
+        state = uniform_step(inst, state, action, uniforms[t])
     return total_cost / steps, total_reward / steps, tuple(visits)
 
 
