@@ -510,6 +510,7 @@ def neighborhood(inst: InstanceParameters, state: SystemState) -> list[SystemSta
     the state itself, each one-switch variant, and the one-repair variant.
     Degradation successors are excluded; they occur with the same
     probability under every action."""
+    validate_state(inst, state)
     kernel = kernel_of(inst)
     return [kernel.state(y) for y in _neighborhood(kernel, kernel.indexer.index(state))]
 
@@ -570,6 +571,7 @@ def improving_action(
     all interval-consistent value assignments, with safe_flag False; if no
     action separates, returns the base action with safe_flag True.
     """
+    validate_state(inst, state)
     kernel = kernel_of(inst)
     x = kernel.indexer.index(state)
     values = {}

@@ -86,34 +86,31 @@ def test_degradation_probabilities_action_invariant():
 
 
 def test_invalid_action_rejected(two_machines):
+    kernel = Kernel(two_machines)
     with pytest.raises(ValueError):
-        step_probabilities(two_machines, SystemState(1, (0, 0)), 7)
+        kernel.action_row(kernel.indexer.index(SystemState(1, (0, 0))), 7)
 
 
 def test_step_cost_examples(two_machines):
     c3 = counterexample_instances()[4]
-    for inst, state, expected in [
-        (two_machines, pristine_state(two_machines), 0.0),
-        (two_machines, SystemState(1, (2, 1)), 3.0),
-        (c3, all_failed_state(c3), 29.7),
-    ]:
-        assert step_cost(inst, state) == pytest.approx(expected)
-        assert Kernel(inst).cost(state) == pytest.approx(expected)
+    for cost in (step_cost, lambda inst, state: Kernel(inst).cost(state)):
+        assert cost(two_machines, pristine_state(two_machines)) == 0.0
+        assert cost(two_machines, SystemState(1, (2, 1))) == 3.0
+        assert cost(c3, all_failed_state(c3)) == pytest.approx(29.7)
 
 
 def test_step_reward_examples(two_machines):
     a = counterexample_instances()[0]
     # At a stage or at a pristine machine there is nothing to earn.
     star = homogeneous_star_instance(3, 1, 0.04, 0.12, 1.0, 0.024)
-    for inst, state, action, expected in [
-        (a, SystemState(1, (1, 0, 0)), 1, 3.0),
-        (a, SystemState(1, (1, 0, 0)), 2, 0.0),
-        (two_machines, SystemState(1, (2, 0)), 1, (1.1 / 0.4) * (2 - 1)),
-        (star, SystemState(4, (1, 1, 1)), 4, 0.0),
-        (star, SystemState(1, (0, 1, 1)), 1, 0.0),
-    ]:
-        assert step_reward(inst, state, action) == pytest.approx(expected)
-        assert Kernel(inst).reward(state, action) == pytest.approx(expected)
+    for reward in (step_reward, lambda inst, state, action: Kernel(inst).reward(state, action)):
+        assert reward(a, SystemState(1, (1, 0, 0)), 1) == pytest.approx(3.0)
+        assert reward(a, SystemState(1, (1, 0, 0)), 2) == 0.0
+        assert reward(two_machines, SystemState(1, (2, 0)), 1) == pytest.approx(
+            (1.1 / 0.4) * (2 - 1)
+        )
+        assert reward(star, SystemState(4, (1, 1, 1)), 4) == 0.0
+        assert reward(star, SystemState(1, (0, 1, 1)), 1) == 0.0
 
 
 def test_kernel_step_matches_event_distribution(two_machines):

@@ -24,7 +24,15 @@ from repairnet.mdp import (
     simulate,
     validate_state,
 )
-from repairnet.opi import STEP_COUNT, OpiBudget, ValueStore, online_run, run_opi
+from repairnet.opi import (
+    STEP_COUNT,
+    OpiBudget,
+    ValueStore,
+    improving_action,
+    neighborhood,
+    online_run,
+    run_opi,
+)
 from repairnet.polling import PollingPolicy, best_tour
 
 
@@ -159,6 +167,18 @@ def test_online_run_and_run_opi_reject_states_outside_the_instance():
     store = ValueStore(reference=SystemState(0, zeros), g_base=0.0)
     with pytest.raises(ValueError, match="state.location"):
         online_run(inst, base, store, budget, rng(1))
+
+
+def test_neighborhood_and_improving_action_reject_states_outside_the_instance():
+    # With caps (2, 2) the over-cap state (1, (3, 0)) shares its kernel
+    # index with (2, (0, 0)); it must be refused, not answered for that state.
+    inst = generate_instance(5, m=2, cap=2)
+    store = ValueStore(reference=pristine_state(inst), g_base=0.0)
+    for state, field in bad_states(inst) + [(SystemState(1, (3, 0)), r"state.conditions\[0\]")]:
+        with pytest.raises(ValueError, match=field):
+            neighborhood(inst, state)
+        with pytest.raises(ValueError, match=field):
+            improving_action(inst, state, store, 1)
 
 
 @pytest.mark.parametrize(
