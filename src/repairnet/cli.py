@@ -82,12 +82,18 @@ def cmd_solve_dp(args) -> int:
     print(f"g* = {solution.g_star:.9f}")
     print(f"u* = {u_star:.9f}")
     print(f"policy-iteration rounds: {solution.iterations}")
+    print(f"g* error bound: {solution.g_bound:.3e}")
     if args.out:
         table = {
             f"{s.location}:{','.join(map(str, s.conditions))}": a
             for s, a in solution.policy_table(inst).items()
         }
-        payload = {"g_star": solution.g_star, "u_star": u_star, "policy": table}
+        payload = {
+            "g_star": solution.g_star,
+            "u_star": u_star,
+            "g_bound": solution.g_bound,
+            "policy": table,
+        }
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     return 0

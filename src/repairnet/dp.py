@@ -1,11 +1,18 @@
 """Exact average-cost dynamic programming for small instances.
 
-Policy evaluation follows the successive-approximation scheme: sweep
-v+(x) = stage(x) + sum_y p_xy v(y) with the self-loop residual folded into
-the kernel, read off g+(x) = v+(x) - v(x), and stop once the per-state g
-estimates settle.  Values are re-anchored at the reference state after
-every sweep; this subtracts a constant, leaves every g+(x) untouched, and
-keeps the iterates bounded for unichain policies.
+Policy evaluation solves g + v = stage + P v with v(reference) = 0, one
+sparse linear system per policy (Puterman 1994, section 8.2), in two
+phases.  A warm-started BiCGSTAB (van der Vorst 1992) solves the bordered
+system first; it needs only the ``matrix.dot`` a sweep does.  The
+successive-approximation sweeps follow: v+(x) = stage(x) + sum_y p_xy v(y)
+with the self-loop residual folded into the kernel, read off
+g+(x) = v+(x) - v(x), and stop once the per-state g estimates settle.
+Values are re-anchored at the reference state after every sweep; this
+subtracts a constant, leaves every g+(x) untouched, and keeps the iterates
+bounded for unichain policies.  After a Krylov solve the sweeps only
+verify it, in about two sweeps.  They stay because policy iteration passes
+through multichain policies, whose bordered matrix is singular: there the
+Krylov phase gives up and the sweeps start from the warm start alone.
 
 Policy iteration alternates evaluation with a greedy improvement step.
 Only the action-dependent event (one repair level, or arrival at a
@@ -82,6 +89,9 @@ class DpSolution:
     policy: StationaryPolicy
     iterations: int
     reference: SystemState
+    # span(g+) of the final evaluation: bounds |g_star - g| for the
+    # returned policy's true average g when that policy is unichain.
+    g_bound: float
     g_history: tuple[float, ...] = ()
 
     def policy_table(self, inst: InstanceParameters) -> dict[SystemState, int]:
@@ -224,9 +234,14 @@ def evaluate_policy(
 ) -> PolicyEvaluation:
     """Average cost (or reward) and relative values of a stationary policy.
 
-    Sweeps until max_x |g+(x) - g(x)| < tol.  Returns g at the reference
+    Solves the bordered system by BiCGSTAB from ``v0`` until the per-state
+    estimates g+ are within tol / 4 of g, then sweeps until
+    max_x |g+(x) - g(x)| < tol between sweeps, from the Krylov solution or,
+    when the Krylov phase gives up (a singular, multichain matrix), from
+    ``v0``.  ``max_sweeps`` caps the Krylov matrix products plus the
+    sweeps, and ``sweeps`` reports that total.  Returns g at the reference
     state and v normalized to zero there.  Raises EvaluationDidNotConverge
-    at the sweep cap, which usually means the policy is multichain and has
+    at the cap, which usually means the policy is multichain and has
     class-dependent averages that no single sweep limit can reconcile.
 
     For a unichain policy the true average is a stationary-weighted mean
@@ -244,9 +259,12 @@ def evaluate_policy(
         matrix = matrix.toarray()
     stage = model.stage_vector(policy, objective)
 
-    v = np.zeros(model.n) if v0 is None else v0.copy()
+    v_start = np.zeros(model.n) if v0 is None else v0
+    solved, matvecs = _bordered_bicgstab(matrix, stage, ref, v_start, tol / 4, max_sweeps)
+    v = v_start if solved is None else solved
     g_prev = np.zeros(model.n)
-    for sweep in range(1, max_sweeps + 1):
+    err = float("inf")
+    for sweep in range(matvecs + 1, max_sweeps + 1):
         v_plus = stage + matrix.dot(v)
         g_new = v_plus - v
         err = float(np.max(np.abs(g_new - g_prev)))
@@ -260,6 +278,60 @@ def evaluate_policy(
         f"policy evaluation did not converge within {max_sweeps} sweeps "
         f"(last change {err:.3e}); the policy may be multichain"
     )
+
+
+def _bordered_bicgstab(
+    matrix, stage: np.ndarray, ref: int, v0: np.ndarray, target: float, budget: int
+) -> tuple[np.ndarray | None, int]:
+    """BiCGSTAB (van der Vorst 1992) on g + v = stage + P v with v(ref) = 0.
+
+    The unknowns are v with g stored at ``ref``: the matrix is I - P with
+    column ``ref`` replaced by ones.  The residual stage - A x is then
+    g+ - g, the per-state estimates of one sweep from v less g, so the
+    solve stops once max |g+ - g| <= target.  Returns the solution's v
+    (zero at ``ref``), or None after a breakdown, a residual that is not
+    finite or has grown 1e4-fold, or ``budget`` matrix products; and the
+    number of products used.
+    """
+
+    def bordered(x: np.ndarray) -> np.ndarray:
+        w = x.copy()
+        w[ref] = 0.0
+        return w - matrix.dot(w) + x[ref]
+
+    x = v0 - v0[ref]
+    r = stage + matrix.dot(x) - x  # g+ under v0; its value at ref is the start g
+    x[ref] = r[ref]
+    r -= r[ref]
+    matvecs = 1
+    start = float(np.max(np.abs(r)))
+    r_hat = r.copy()
+    p = a_p = np.zeros_like(r)
+    rho = alpha = omega = 1.0
+    while True:
+        size = float(np.max(np.abs(r)))
+        if size <= target:
+            x[ref] = 0.0
+            return x, matvecs
+        if not size <= 1e4 * start or matvecs + 2 > budget:
+            return None, matvecs
+        rho_next = float(r_hat @ r)
+        if rho_next == 0.0 or omega == 0.0:
+            return None, matvecs
+        p = r + (rho_next / rho) * (alpha / omega) * (p - omega * a_p)
+        rho = rho_next
+        a_p = bordered(p)
+        denominator = float(r_hat @ a_p)
+        if denominator == 0.0:
+            return None, matvecs + 1
+        alpha = rho / denominator
+        s = r - alpha * a_p
+        a_s = bordered(s)
+        matvecs += 2
+        norm = float(a_s @ a_s)
+        omega = float(a_s @ s) / norm if norm > 0.0 else 0.0
+        x += alpha * p + omega * s
+        r = s - omega * a_s
 
 
 def policy_iteration(
@@ -308,6 +380,7 @@ def policy_iteration(
                 policy=policy,
                 iterations=iteration,
                 reference=reference,
+                g_bound=evaluation.g_span,
                 g_history=tuple(history),
             )
         policy = improved

@@ -322,6 +322,11 @@ def instance_from_dict(data: dict) -> InstanceParameters:
     c_raw = _require(cost_raw, "c", list, "root.cost")
 
     m = len(lam_raw)
+    if m == 0:
+        raise InstanceFormatError("root.lambda: expected at least one machine")
+    for path, values in (("root.mu", mu_raw), ("root.K", cap_raw), ("root.cost.c", c_raw)):
+        if len(values) != m:
+            raise InstanceFormatError(f"{path}: {len(values)} entries for {m} in root.lambda")
     adjacency = []
     for i, nbrs in enumerate(adjacency_raw):
         if not isinstance(nbrs, list) or not all(type(v) is int for v in nbrs):
@@ -342,6 +347,9 @@ def instance_from_dict(data: dict) -> InstanceParameters:
                 raise InstanceFormatError(
                     f"root.adjacency[{i}]: edge to {v} is not symmetric"
                 )
+        # Next hops take the first qualifying neighbour as the smallest id.
+        if list(nbrs) != sorted(nbrs):
+            raise InstanceFormatError(f"root.adjacency[{i}]: neighbours not in ascending order")
 
     coords = None
     if data.get("machine_coords") is not None:
@@ -371,6 +379,12 @@ def instance_from_dict(data: dict) -> InstanceParameters:
             raise InstanceFormatError(f"{path}: {raw!r} is not a finite number")
         return value
 
+    def parse_positive_rate(raw, path: str) -> float:
+        value = parse_rate(raw, path)
+        if not value > 0:
+            raise InstanceFormatError(f"{path}: rates must be strictly positive, got {raw!r}")
+        return value
+
     try:
         kind = CostKind(kind_raw)
     except ValueError:
@@ -379,9 +393,9 @@ def instance_from_dict(data: dict) -> InstanceParameters:
     rho_nominal = data.get("rho_nominal")
     return InstanceParameters(
         layout=layout,
-        lam=tuple(parse_rate(x, f"root.lambda[{i}]") for i, x in enumerate(lam_raw)),
-        mu=tuple(parse_rate(x, f"root.mu[{i}]") for i, x in enumerate(mu_raw)),
-        tau=parse_rate(_require(data, "tau", str, "root"), "root.tau"),
+        lam=tuple(parse_positive_rate(x, f"root.lambda[{i}]") for i, x in enumerate(lam_raw)),
+        mu=tuple(parse_positive_rate(x, f"root.mu[{i}]") for i, x in enumerate(mu_raw)),
+        tau=parse_positive_rate(_require(data, "tau", str, "root"), "root.tau"),
         cap=tuple(
             k if type(k) is int and k >= 1 else _bad_cap(i)
             for i, k in enumerate(cap_raw)

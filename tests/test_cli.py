@@ -35,8 +35,10 @@ def test_solve_dp_command(two_machine_file, tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "g* = 1.17" in printed
+    assert "g* error bound: " in printed
     payload = json.loads(out.read_text())
     assert payload["policy"]["1:2,1"] == 2
+    assert 0.0 <= payload["g_bound"] <= 1e-8
 
 
 def test_simulate_command(two_machine_file, capsys):

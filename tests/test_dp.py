@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     apply_event,
@@ -250,3 +252,51 @@ def test_improve_keeps_the_incumbent_on_ties():
     gap = model.tau_delta
     assert model.improve(v, stay, margin=2 * gap).actions[x] == 1
     assert model.improve(v, stay, margin=0.5 * gap).actions[x] == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 2), st.integers(0, 10_000)
+)
+def test_evaluation_matches_a_dense_solve_of_the_bordered_system(seed, m, cap, policy_seed):
+    # g + v = c + P v with v(ref) = 0: the unknowns are v with g at ref,
+    # and the matrix is I - P with column ref replaced by ones.
+    inst = generate_instance(seed, m=m, cap=cap)
+    policy = random_unichain_policy(inst, policy_seed)
+    model = DpModel(inst)
+    ref = model.indexer.index(pristine_state(inst))
+    bordered = np.eye(model.n) - model.transition_matrix(policy).toarray()
+    bordered[:, ref] = 1.0
+    exact = np.linalg.solve(bordered, model.cost)
+    g, v = exact[ref], exact.copy()
+    v[ref] = 0.0
+    # The span target makes g's error at most 1e-11 also where the Krylov
+    # phase gives up (about one draw in 150).  v reaches 1e3 on these
+    # draws and the condition number 1e5, so v is compared relative to
+    # its scale: a dense solve's own error is about cond * eps * max|v|.
+    result = evaluate_policy(inst, policy, tol=1e-12, model=model, span_target=1e-11)
+    assert result.g == pytest.approx(g, abs=1e-10)
+    assert np.max(np.abs(result.v - v)) <= 1e-10 * max(1.0, np.max(np.abs(v)))
+
+
+def test_policy_iteration_through_multichain_rounds():
+    # perfbench's tol-1e-12 reference value.  PI's second to fourth rounds
+    # on this seed evaluate multichain policies, whose bordered matrix is
+    # singular, so the Krylov phase gives up and the sweeps evaluate them.
+    solution = policy_iteration(generate_instance(30001), tol=1e-9)
+    assert solution.g_star == pytest.approx(12.43490872637883, abs=1e-9)
+
+
+def test_policy_iteration_is_bit_reproducible():
+    inst = generate_instance(20009)
+    first, second = policy_iteration(inst), policy_iteration(inst)
+    assert first.g_star == second.g_star
+    assert np.array_equal(first.v, second.v)
+    assert first.policy == second.policy
+
+
+@pytest.mark.parametrize("seed", [None, 20001], ids=["two-machine", "20001"])
+def test_policy_iteration_reports_a_certified_bound(seed):
+    inst = two_machine_instance() if seed is None else generate_instance(seed)
+    solution = policy_iteration(inst)
+    assert solution.g_bound <= 1e-8

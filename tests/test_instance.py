@@ -195,14 +195,21 @@ def _three_machines_on_two_nodes(data):
         owner[key].append(owner[key][0])
 
 
+def _unsorted_neighbours(data):
+    # Node 9's neighbours [4, 8, 10, 14] reversed: the smallest-id next-hop
+    # rule would then pick a different neighbour for 16 of 24 targets.
+    data["adjacency"][8].reverse()
+
+
 @pytest.mark.parametrize(
     "probe, path",
     [
         (_self_loop, r"root\.adjacency\[0\]"),
         (_duplicate_neighbour, r"root\.adjacency\[0\]"),
         (_three_machines_on_two_nodes, r"root\.lambda"),
+        (_unsorted_neighbours, r"root\.adjacency\[8\]: neighbours not in ascending order"),
     ],
-    ids=["self-loop", "duplicate-neighbour", "more-machines-than-nodes"],
+    ids=["self-loop", "duplicate-neighbour", "more-machines-than-nodes", "unsorted-neighbours"],
 )
 def test_loader_rejects_malformed_graphs(probe, path):
     # Without machine coordinates the adjacency is taken as given.
@@ -218,4 +225,62 @@ def test_loader_rejects_booleans_for_integers(field):
     data = instance_to_dict(generate_instance(5, m=2, cap=2))
     data[field] = True
     with pytest.raises(InstanceFormatError, match=rf"root\.{field}"):
+        instance_from_dict(data)
+
+
+def _set(field, value):
+    def probe(data):
+        *parents, leaf = field
+        owner = data
+        for key in parents:
+            owner = owner[key]
+        owner[leaf] = value
+
+    return probe
+
+
+def _append(field):
+    def probe(data):
+        owner = data
+        for key in field:
+            owner = owner[key]
+        owner.append(owner[0])
+
+    return probe
+
+
+def _no_machines(data):
+    for owner, key in ((data, "lambda"), (data, "mu"), (data, "K"), (data["cost"], "c")):
+        owner[key].clear()
+
+
+@pytest.mark.parametrize(
+    "probe, path",
+    [
+        (_set(("mu", 1), "-0.5"), r"root\.mu\[1\]"),
+        (_set(("lambda", 0), "0"), r"root\.lambda\[0\]"),
+        (_set(("tau",), "-1.5"), r"root\.tau"),
+        (_append(("lambda",)), r"root\.lambda"),
+        (_append(("mu",)), r"root\.mu"),
+        (_append(("K",)), r"root\.K"),
+        (_append(("cost", "c")), r"root\.cost\.c"),
+        (_no_machines, r"root\.lambda: expected at least one machine"),
+    ],
+    ids=[
+        "negative-mu",
+        "zero-lambda",
+        "negative-tau",
+        "long-lambda",
+        "long-mu",
+        "long-K",
+        "long-c",
+        "no-machines",
+    ],
+)
+def test_loader_rejects_values_the_parameters_reject(probe, path):
+    # InstanceParameters, or the first rate computed from it, would reject
+    # each of these with a bare ValueError; the loader names the field first.
+    data = instance_to_dict(generate_instance(5, m=2, cap=2))
+    probe(data)
+    with pytest.raises(InstanceFormatError, match=path):
         instance_from_dict(data)
