@@ -134,13 +134,23 @@ def _import_store(inst, path: str):
     return store
 
 
+def _polling_tour(inst, subset: str | None):
+    """The best tour over ``--subset`` (every machine when not given);
+    exits naming the option when a part does not parse or is not a machine."""
+    if not subset:
+        return best_tour(inst.layout, inst.layout.machines)
+    try:
+        return best_tour(inst.layout, [int(part) for part in subset.split(",")])
+    except ValueError as exc:
+        raise SystemExit(f"repairnet: error: --subset {subset!r}: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
     x0 = _start_state(inst, args.start)
     crn = _generator(args.seed, STREAM_CRN).random(args.steps)
     if args.policy == "polling":
-        tour = best_tour(inst.layout, inst.layout.machines if not args.subset
-                         else [int(x) for x in args.subset.split(",")])
+        tour = _polling_tour(inst, args.subset)
         policy = PollingPolicy(inst, tour)
         print(f"tour: {tour.sequence} (cycle length {tour.cycle_length})")
     else:

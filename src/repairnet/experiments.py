@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .dp import policy_iteration
-from .index_policy import IndexPolicy
+from .index_policy import IndexPolicy, ModifiedIndexPolicy
 from .instance import (
     STREAM_CRN,
     STREAM_OPI_OFFLINE,
@@ -121,8 +121,6 @@ def run_instance_benchmark(
         pol_report = best_polling_report(inst, steps, crn, x0=x0, subset_limit=config.polling_limit)
         record.g_pol = pol_report.average_cost
         record.u_pol = pol_report.average_reward
-
-    from .index_policy import ModifiedIndexPolicy
 
     budget = replace(config.budget, r_on=steps)
     opi_result = run_opi(

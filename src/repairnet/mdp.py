@@ -23,6 +23,9 @@ successor row, so a step is one bisection of the uniform draw into the
 row's thresholds and one offset added to the index.  ``kernel_of`` keeps
 one Kernel per instance, shared by every ``simulate`` call (the index run
 and each polling subset), all three OPI phases and ``DpModel``.
+``simulate`` steps on the index plus a multiple of ``indexer.count`` for
+the decision rule's memory (the polling tour position), and decides once
+per distinct such key in a call.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -46,7 +49,21 @@ class SystemState(NamedTuple):
 
 
 Action = int
+# A decision rule that is a function of the state alone.
 DecisionRule = Callable[[SystemState], Action]
+
+
+class FiniteMemoryRule(Protocol):
+    """A decision rule that also reads a memory: a non-negative integer
+    (the polling tour position, say) that only its own decisions change.
+    ``decide(state, memory)`` returns ``(action, memory after the step)``;
+    ``memory`` is the rule's current value, read and written by ``simulate``."""
+
+    memory: int
+
+    def decide(self, state: SystemState, memory: int) -> tuple[Action, int]: ...
+
+
 # (cost, thresholds, offsets): one state-action pair's successors; see Kernel.row.
 Row = tuple[float, tuple[float, ...], tuple[int, ...]]
 # Row with the pair's reward rate appended; see Kernel.action_row.
@@ -213,10 +230,9 @@ class Kernel:
     def action_row(self, x: int, action: Action) -> ActionRow:
         """``row`` of the state with index ``x`` with the reward rate appended.
 
-        Memoized in ``action_rows`` under ``(x, action)``, which hot loops
-        may read directly before calling this.  Raises ValueError when
-        ``action`` is not available in the state, which is checked once
-        per memoized pair.
+        Memoized in ``action_rows`` under ``(x, action)``.  Raises
+        ValueError when ``action`` is not available in the state, which is
+        checked once per memoized pair.
         """
         row = self.action_rows.get((x, action))
         if row is None:
@@ -267,7 +283,7 @@ UNIFORM_CHUNK = 4096
 
 def simulate(
     inst: InstanceParameters,
-    policy: DecisionRule,
+    policy: DecisionRule | FiniteMemoryRule,
     x0: SystemState,
     steps: int,
     crn: Sequence[float] | None = None,
@@ -277,10 +293,18 @@ def simulate(
 
     Supply ``crn`` (one uniform per step) to compare policies under common
     random numbers, or ``rng`` for an independent run; ``rng`` is drawn
-    ``UNIFORM_CHUNK`` uniforms at a time.  Stateful decision rules are
-    supported; the rule is queried once per step with the start-of-step
-    state.  The chain itself runs on state indices and the action rows
-    memoized in the instance's shared kernel (``kernel_of``).
+    ``UNIFORM_CHUNK`` uniforms at a time.
+
+    The rule is a function of the state, or a ``FiniteMemoryRule``, whose
+    decision depends on the state and its memory only.  The chain runs on
+    keys ``x + memory * indexer.count`` (``x`` a state index; memory is 0
+    for a function of the state), and the rule is queried once per
+    distinct key in a call, not once per step: each key's entry holds the
+    action's row from the instance's shared kernel (``kernel_of``), its
+    offsets moved to the next memory's keys, so a step is one lookup, one
+    bisection of the uniform draw and one addition.  A finite-memory rule
+    starts from its ``memory`` and has the final memory written back, so a
+    rule reused across calls carries on where the last call stopped.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -291,15 +315,33 @@ def simulate(
     validate_state(inst, x0)
 
     kernel = kernel_of(inst)
+    count = kernel.indexer.count
     block = kernel.indexer.conditions_per_location
-    states = kernel.states
-    intern = kernel.state
-    rows = kernel.action_rows
-    action_row = kernel.action_row
+    decide = getattr(policy, "decide", None)
+    # key -> (location index, cost, reward, thresholds, key offsets).
+    entries: dict[int, tuple[int, float, float, tuple[float, ...], tuple[int, ...]]] = {}
+
+    def entry(key: int):
+        memory, x = divmod(key, count)
+        state = kernel.state(x)
+        if decide is None:
+            action, after = policy(state), 0
+        else:
+            action, after = decide(state, memory)
+            _check_memory(after)
+        cost, thresholds, offsets, reward = kernel.action_row(x, action)
+        if after != memory:
+            offsets = tuple(offset + (after - memory) * count for offset in offsets)
+        found = entries[key] = (x // block, cost, reward, thresholds, offsets)
+        return found
+
     visits = [0] * inst.layout.node_count
     total_cost = 0.0
     total_reward = 0.0
-    x = kernel.indexer.index(x0)
+    key = kernel.indexer.index(x0)
+    if decide is not None:
+        _check_memory(policy.memory)
+        key += policy.memory * count
     for start in range(0, steps, UNIFORM_CHUNK):
         stop = min(start + UNIFORM_CHUNK, steps)
         if crn is None:
@@ -307,12 +349,13 @@ def simulate(
         else:
             chunk = np.asarray(crn[start:stop], dtype=np.float64).tolist()
         for u in chunk:
-            visits[x // block] += 1
-            action = policy(states.get(x) or intern(x))
-            cost, thresholds, offsets, reward = rows.get((x, action)) or action_row(x, action)
+            location, cost, reward, thresholds, offsets = entries.get(key) or entry(key)
+            visits[location] += 1
             total_cost += cost
             total_reward += reward
-            x += offsets[bisect_right(thresholds, u)]
+            key += offsets[bisect_right(thresholds, u)]
+    if decide is not None:
+        policy.memory = key // count
 
     return SimulationReport(
         average_cost=total_cost / steps,
@@ -320,6 +363,11 @@ def simulate(
         steps=steps,
         visit_counts=tuple(visits),
     )
+
+
+def _check_memory(memory) -> None:
+    if not _is_integer(memory) or memory < 0:
+        raise ValueError(f"rule memory {memory!r} is not a non-negative integer")
 
 
 DEFAULT_STATE_BOUND = 5_000_000

@@ -5,16 +5,22 @@ before moving on, regardless of what the rest of the system is doing.
 The tour order minimizes the round-trip distance (brute force; subsets
 are small), and the benchmark reports the best average cost over every
 non-empty subset, simulated on a shared random-number list.
+
+The tour position is the rule's memory (``PollingPolicy.decide`` maps a
+state and position to an action and the next position), so ``simulate``
+steps each tour on (state, tour position) keys and makes one decision per
+distinct key rather than one per step.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .instance import InstanceParameters
-from .mdp import SimulationReport, SystemState, simulate
+from .mdp import SimulationReport, SystemState, pristine_state, simulate
 from .network import NetworkLayout, shortest_next_hop
 
 DEFAULT_SUBSET_LIMIT = 4
@@ -39,10 +45,16 @@ def best_tour(layout: NetworkLayout, subset: Iterable[int]) -> PollingTour:
 
     Brute force over permutations anchored at the smallest machine id;
     among tied lengths the lexicographically smallest sequence wins.
+    Raises ValueError, naming the id, for an id that is not a machine.
     """
     machines = sorted(set(subset))
     if not machines:
         raise ValueError("polling subset must be non-empty")
+    for machine in machines:
+        if not isinstance(machine, numbers.Integral) or machine not in layout.machines:
+            raise ValueError(
+                f"polling subset: {machine!r} is not a machine id in 1..{len(layout.machines)}"
+            )
     if len(machines) > 8:
         raise ValueError(f"brute-force tour search limited to 8 machines, got {len(machines)}")
     first, rest = machines[0], machines[1:]
@@ -79,15 +91,23 @@ def polling_decision(
 
 
 class PollingPolicy:
-    """Stateful decision rule tracking the tour position."""
+    """Exhaustive-service rule whose memory is the tour position.
+
+    A ``FiniteMemoryRule``: ``simulate`` steps on (state, tour position)
+    keys through ``decide`` and writes the final position back to
+    ``memory``; calling the rule on a state advances ``memory`` the same way.
+    """
 
     def __init__(self, inst: InstanceParameters, tour: PollingTour):
         self.layout = inst.layout
         self.tour = tour
-        self.progress = 0
+        self.memory = 0
+
+    def decide(self, state: SystemState, progress: int) -> tuple[int, int]:
+        return polling_decision(self.layout, self.tour, state, progress)
 
     def __call__(self, state: SystemState) -> int:
-        action, self.progress = polling_decision(self.layout, self.tour, state, self.progress)
+        action, self.memory = self.decide(state, self.memory)
         return action
 
 
@@ -109,8 +129,6 @@ def best_polling_report(
     Every subset's tour is simulated on the same random-number list.  The
     returned report carries a per-subset table in ``metadata`` for audit.
     """
-    from .mdp import pristine_state
-
     m = inst.machine_count
     if m > subset_limit and not allow_large:
         raise ValueError(

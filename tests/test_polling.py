@@ -4,7 +4,8 @@ import pytest
 
 from conftest import homogeneous_complete_instance, rng
 from repairnet.dp import policy_iteration
-from repairnet.instance import generate_instance
+from repairnet.cli import main
+from repairnet.instance import generate_instance, save_instance
 from repairnet.mdp import SystemState, pristine_state, simulate
 from repairnet.network import build_lattice_layout
 from repairnet.polling import (
@@ -48,6 +49,31 @@ def test_best_tour_matches_full_permutation_oracle():
 def test_best_tour_rejects_empty():
     with pytest.raises(ValueError):
         best_tour(FIG3, [])
+
+
+@pytest.mark.parametrize("subset, bad", [([9], "9"), ([0], "0"), ([1, 2, 3], "3"), ([1.5], "1.5")])
+def test_best_tour_rejects_ids_that_are_not_machines(subset, bad):
+    inst = generate_instance(5, m=2, cap=2)
+    assert inst.layout.machines == (1, 2)
+    with pytest.raises(ValueError, match=f"polling subset: {bad} is not a machine id in 1..2"):
+        best_tour(inst.layout, subset)
+
+
+def test_cli_rejects_polling_subsets_that_are_not_machines(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    save_instance(generate_instance(5, m=2, cap=2), path)
+    for text, reason in (("9", "not a machine id"), ("1,0", "not a machine id"),
+                         ("1,,2", "invalid literal"), ("x", "invalid literal"),
+                         ("1.5", "invalid literal")):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--instance", str(path), "--policy", "polling",
+                  "--subset", text, "--steps", "3"])
+        message = str(exc.value)
+        assert message.startswith(f"repairnet: error: --subset {text!r}: ") and reason in message
+    code = main(["simulate", "--instance", str(path), "--policy", "polling",
+                 "--subset", "2", "--steps", "50"])
+    assert code == 0
+    assert "tour: (2,)" in capsys.readouterr().out
 
 
 def test_polling_decision_rules():

@@ -3,6 +3,7 @@ and the checks that keep out-of-range states and unavailable actions from
 turning into plausible averages."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -101,6 +102,108 @@ def test_simulate_matches_reference_loop(case, use_crn):
         assert generator_state(generator) == generator_state(parent)
     assert report.steps == steps
     assert (report.average_cost, report.average_reward, report.visit_counts) == expected
+
+
+def reference_end_state(inst, policy, x0, uniforms):
+    """The state the tuple-stepping loop ends in after ``uniforms``."""
+    state = x0
+    for u in uniforms:
+        state = uniform_step(inst, state, policy(state), u)
+    return state
+
+
+@pytest.mark.parametrize("start", [0, 2])
+def test_polling_memory_carries_across_simulate_calls(start):
+    inst = generate_instance(20001)
+    tour = best_tour(inst.layout, inst.layout.machines)
+    assert len(tour.sequence) == 4
+
+    def polling_at(progress):
+        policy = PollingPolicy(inst, tour)
+        policy.memory = progress
+        return policy
+
+    x0 = pristine_state(inst)
+    first_steps, second_steps = UNIFORM_CHUNK + 914, 2_000
+    uniforms = rng(5).random(first_steps + second_steps)
+    head, tail = uniforms[:first_steps], uniforms[first_steps:]
+
+    policy = polling_at(start)
+    first = simulate(inst, policy, x0, first_steps, crn=head)
+    oracle = polling_at(start)
+    assert (first.average_cost, first.average_reward, first.visit_counts) == (
+        reference_simulate(inst, oracle, x0, first_steps, head)
+    )
+    # The tour position after the first call is written back, and the run
+    # must not have come back round to where it started for the check to bite.
+    assert policy.memory == oracle.memory != start
+
+    tracker = polling_at(start)
+    x1 = reference_end_state(inst, tracker, x0, head)
+    second = simulate(inst, policy, x1, second_steps, crn=tail)
+    assert (second.average_cost, second.average_reward, second.visit_counts) == (
+        reference_simulate(inst, tracker, x1, second_steps, tail)
+    )
+
+    # Both calls together are one run over the concatenated uniforms.
+    whole = polling_at(start)
+    cost, reward, visits = reference_simulate(inst, whole, x0, len(uniforms), uniforms)
+    assert policy.memory == whole.memory
+    assert tuple(a + b for a, b in zip(first.visit_counts, second.visit_counts)) == visits
+    total = first_steps + second_steps
+    assert first.average_cost * first_steps + second.average_cost * second_steps == (
+        pytest.approx(cost * total, rel=1e-12)
+    )
+    assert first.average_reward * first_steps + second.average_reward * second_steps == (
+        pytest.approx(reward * total, rel=1e-12)
+    )
+
+
+def test_a_function_of_the_state_is_queried_once_per_distinct_state_per_call():
+    inst = generate_instance(4, m=3, cap=2)
+    picks = rng(11)
+    table = StationaryPolicy(
+        tuple(int(picks.choice(actions_of(inst, state))) for state in enumerate_states(inst))
+    )
+    rule = table.as_rule(inst)
+    queried = Counter()
+
+    def counted(state):
+        queried[state] += 1
+        return rule(state)
+
+    x0 = pristine_state(inst)
+    steps = 2 * UNIFORM_CHUNK + 77
+    for seed in (1, 2):
+        queried.clear()
+        crn = rng(seed).random(steps)
+        report = simulate(inst, counted, x0, steps, crn=crn)
+        assert queried and max(queried.values()) == 1
+        visited = Counter()
+
+        def recorded(state):
+            visited[state] += 1
+            return rule(state)
+
+        expected = reference_simulate(inst, recorded, x0, steps, crn)
+        assert (report.average_cost, report.average_reward, report.visit_counts) == expected
+        assert set(queried) == set(visited)
+        assert sum(visited.values()) == steps > len(visited)
+
+
+class _BadMemory:
+    def __init__(self, memory, after):
+        self.memory, self.after = memory, after
+
+    def decide(self, state, memory):
+        return state.location, self.after
+
+
+@pytest.mark.parametrize("memory, after, bad", [(-1, 0, "-1"), (0, -2, "-2"), (0, 0.5, "0.5")])
+def test_simulate_rejects_a_memory_that_is_not_a_non_negative_integer(memory, after, bad):
+    inst = generate_instance(5, m=2, cap=2)
+    with pytest.raises(ValueError, match=f"rule memory {bad} is not a non-negative integer"):
+        simulate(inst, _BadMemory(memory, after), pristine_state(inst), 10, rng=rng(0))
 
 
 def test_simulate_accepts_a_plain_list_of_uniforms():
