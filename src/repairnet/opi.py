@@ -23,14 +23,27 @@ the instance's shared kernel (``kernel_of``), the same one ``simulate``
 uses, so a state-action row is built and checked for availability once
 per instance, and each index is decoded to a state tuple once.
 Base-policy actions and neighborhoods are memoized per index, and an
-int-keyed index of the store shares its entry objects.  The kernel's
-``moves`` give each action's event as ``(action, rate, target)`` (mu_i
-for a repair, tau for a switch, 0 for idling), so every action's delta is
-rate * (h[target] - h[x]), the pairwise confidence test is closed-form
-interval arithmetic over at most three values, and a state's
-neighborhood is the state plus its move targets; this module does no
-rate or index arithmetic of its own.  A store handed to any phase must be
-keyed by states of the instance (``validate_store``).
+int-keyed index of the store shares its entry objects.
+
+Rollouts are short (about two steps each online), so their cost is the
+per-call setup, not the stepping.  One function, ``_rollouts``, runs them
+back to back in one frame from an iterable of start states until a
+trajectory count or a budget is used up: one call per offline start
+state (the chained core phase appends each stop as the next start), one
+per hypothetical successor online (its neighborhood is the starts), and
+one for the public ``sample_trajectory``.  Only the chained phase records
+more than the start state: its set-up and updates sit behind a check per
+trajectory, and the step loop tests one counter that is 0 otherwise.
+
+The kernel's ``moves`` give each action's event as ``(action, rate,
+target)`` (mu_i for a repair, tau for a switch, 0 for idling), so every
+action's delta is rate * (h[target] - h[x]), the pairwise confidence test
+is closed-form interval arithmetic over at most three values, and a
+state's neighborhood is the state plus its move targets; this module does
+no rate or index arithmetic of its own.  An unbounded interval that the
+test needs defeats every pair, so the gate stops at the first one.  A
+store handed to any phase must be keyed by states of the instance
+(``validate_store``).
 
 Budgets run in two modes.  Wall-clock mode reproduces the real-time
 regime (seconds per decision); step-count mode swaps every clock for a
@@ -39,10 +52,12 @@ deterministic counter so runs are exactly reproducible.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +82,10 @@ WALL_CLOCK = "wall_clock"
 STEP_COUNT = "step_count"
 
 UNBOUNDED = (-math.inf, math.inf)
+
+# Why the online gate fell back to the base action; see _gate.
+UNBOUNDED_CAUSE = "unbounded"
+OVERLAP_CAUSE = "overlap"
 
 
 @dataclass
@@ -294,72 +313,105 @@ class _Runtime:
 TRAJECTORY_CAP = 50_000_000
 
 
-def _sample_trajectory(
+def _rollouts(
     runtime: _Runtime,
-    z: int,
+    starts: Iterable[int],
     p: int,
     uniforms: _Uniforms,
     mode: str,
-) -> tuple[int, float]:
-    """One variable-length rollout from index ``z`` under the base policy.
+    count: float,
+    budget: float,
+) -> tuple[int, int, float]:
+    """Variable-length rollouts under the base policy, back to back in one
+    frame, one per index in ``starts``.
 
-    Runs until hitting a stored state other than ``z`` itself (returning
-    to the reference state always stops).  The first ``p`` distinct states
-    receive a bootstrapped excess-cost observation; the elapsed budget is
-    returned in the active mode's unit.
+    A rollout from ``z`` runs until hitting a stored state other than ``z``
+    itself (returning to the reference state always stops).  The first
+    ``p`` distinct states receive a bootstrapped excess-cost observation.
+    With ``p > 1`` rollouts chain: each stop is appended to ``starts`` (a
+    list), so the next rollout starts where this one stopped.  Rollouts
+    end when ``starts`` runs out, or once ``count`` have run or ``budget``
+    is used up (simulated steps in step-count mode, seconds in wall-clock
+    mode), both checked after each one, so at least one runs.  Returns
+    the last stop, the number run and the budget used.
     """
-    started = time.perf_counter() if mode == WALL_CLOCK else 0.0
+    clock = time.perf_counter if mode == WALL_CLOCK else None
+    started = clock() if clock else 0.0
     values = runtime.values
     rows = runtime.base_rows
     base_row = runtime.base_row
+    add_entry = runtime.add_entry
     reference = runtime.reference
     g_base = runtime.store.g_base
     bisect, end, cap = bisect_right, _BUFFER, TRAJECTORY_CAP
     buffer, pos = uniforms.buffer, uniforms.pos
+    chain = p > 1
+    room = 0  # distinct states still to record; never above 0 unless chain
+    done = total_steps = 0
+    used = 0.0
 
-    total_cost = 0.0
-    steps = 0
-    current = z
-    records = [(z, 0.0, 0)]
-    # Distinct states still to record; once none are left, no bookkeeping.
-    room = p - 1 if p > 1 else 0
-    seen = {z} if room else None
-    while True:
-        cost, thresholds, offsets, _ = rows.get(current) or base_row(current)
-        total_cost += cost
-        steps += 1
-        if pos == end:
-            buffer = uniforms.refill()
-            pos = 0
-        stop = current + offsets[bisect(thresholds, buffer[pos])]
-        pos += 1
-        if (stop != z or stop == reference) and stop in values:
+    for z in starts:
+        total_cost = 0.0
+        steps = 0
+        current = z
+        if chain:
+            records = [(z, 0.0, 0)]
+            room = p - 1
+            seen = {z}
+        while True:
+            cost, thresholds, offsets, _ = rows.get(current) or base_row(current)
+            total_cost += cost
+            steps += 1
+            if pos == end:
+                buffer = uniforms.refill()
+                pos = 0
+            stop = current + offsets[bisect(thresholds, buffer[pos])]
+            pos += 1
+            if (stop != z or stop == reference) and stop in values:
+                break
+            current = stop
+            if room and stop not in seen:
+                seen.add(stop)
+                records.append((stop, total_cost, steps))
+                room -= 1
+            if steps >= cap:
+                raise RuntimeError(
+                    f"trajectory from {runtime.kernel.state(z)} exceeded {cap} "
+                    "steps without reaching a stored state; is the base policy unichain?"
+                )
+
+        if chain:
+            # values[stop] is read per record: when the start is also the
+            # stop (the reference), later records bootstrap through its
+            # freshly updated value.
+            for x, cost_at, steps_at in records:
+                entry = values.get(x) or add_entry(x)
+                entry.s += 1
+                alpha = LEARNING_SCALE / (LEARNING_SCALE + entry.s - 1)
+                observation = (
+                    (total_cost - cost_at) + values[stop].h - g_base * (steps - steps_at)
+                )
+                entry.h = (1.0 - alpha) * entry.h + alpha * observation
+                entry.ss = (1.0 - alpha) * entry.ss + alpha * observation * observation
+                entry.w = (1.0 - alpha) ** 2 * entry.w + alpha * alpha
+            starts.append(stop)
+        else:
+            entry = values.get(z) or add_entry(z)
+            entry.s += 1
+            alpha = LEARNING_SCALE / (LEARNING_SCALE + entry.s - 1)
+            observation = total_cost + values[stop].h - g_base * steps
+            entry.h = (1.0 - alpha) * entry.h + alpha * observation
+            entry.ss = (1.0 - alpha) * entry.ss + alpha * observation * observation
+            entry.w = (1.0 - alpha) ** 2 * entry.w + alpha * alpha
+
+        done += 1
+        total_steps += steps
+        used = total_steps if clock is None else clock() - started
+        if done >= count or used >= budget:
             break
-        current = stop
-        if room and stop not in seen:
-            seen.add(stop)
-            records.append((stop, total_cost, steps))
-            room -= 1
-        if steps >= cap:
-            raise RuntimeError(
-                f"trajectory from {runtime.kernel.state(z)} exceeded {cap} "
-                "steps without reaching a stored state; is the base policy unichain?"
-            )
+
     uniforms.pos = pos
-
-    for x, cost_at, steps_at in records:
-        entry = values.get(x)
-        if entry is None:
-            entry = runtime.add_entry(x)
-        entry.s += 1
-        alpha = LEARNING_SCALE / (LEARNING_SCALE + entry.s - 1)
-        observation = (total_cost - cost_at) + values[stop].h - g_base * (steps - steps_at)
-        entry.h = (1.0 - alpha) * entry.h + alpha * observation
-        entry.ss = (1.0 - alpha) * entry.ss + alpha * observation * observation
-        entry.w = (1.0 - alpha) ** 2 * entry.w + alpha * alpha
-
-    elapsed = (time.perf_counter() - started) if mode == WALL_CLOCK else float(steps)
-    return stop, elapsed
+    return stop, done, used
 
 
 def sample_trajectory(
@@ -371,14 +423,15 @@ def sample_trajectory(
     rng: np.random.Generator,
     mode: str = STEP_COUNT,
 ) -> tuple[SystemState, float]:
-    """Public single-trajectory entry point (see _sample_trajectory)."""
+    """One rollout from ``z`` (see _rollouts): its stop state and the
+    budget it used, in steps or seconds."""
     if store.reference not in store.entries:
         raise ValueError("store is missing its reference entry")
     runtime = _Runtime(inst, base, store)
-    stop, elapsed = _sample_trajectory(
-        runtime, runtime.indexer.index(z), p, _Uniforms(rng), mode
+    stop, _, used = _rollouts(
+        runtime, [runtime.indexer.index(z)], p, _Uniforms(rng), mode, 1, math.inf
     )
-    return runtime.kernel.state(stop), elapsed
+    return runtime.kernel.state(stop), float(used)
 
 
 @dataclass
@@ -459,30 +512,21 @@ def offline_main(
     budget: OpiBudget,
     rng: np.random.Generator,
 ) -> ValueStore:
-    """Populate the value store from repeated and chained trajectories."""
+    """Populate the value store from repeated and chained trajectories.
+
+    Each start state gets up to ``r_off`` rollouts within ``tau_max``: every
+    state of ``z_all`` repeated, recording the start only, then a chain
+    from every core state recording five states a rollout.
+    """
     store = ValueStore(reference=prep.reference, g_base=prep.g_base)
     runtime = _Runtime(inst, base, store)
     uniforms = _Uniforms(rng)
     index = runtime.indexer.index
-
+    limits = (budget.mode, budget.r_off, budget.tau_max)
     for z in prep.z_all:
-        start = index(z)
-        done = 0
-        used = 0.0
-        while done < budget.r_off and used < budget.tau_max:
-            _, elapsed = _sample_trajectory(runtime, start, 1, uniforms, budget.mode)
-            done += 1
-            used += elapsed
-
+        _rollouts(runtime, itertools.repeat(index(z)), 1, uniforms, *limits)
     for z in prep.z_core:
-        start = index(z)
-        done = 0
-        used = 0.0
-        while done < budget.r_off and used < budget.tau_max:
-            start, elapsed = _sample_trajectory(runtime, start, 5, uniforms, budget.mode)
-            done += 1
-            used += elapsed
-
+        _rollouts(runtime, [index(z)], 5, uniforms, *limits)
     return store
 
 
@@ -519,44 +563,49 @@ def _gate(
     x: int,
     moves: tuple[Move, ...],
     values: dict[int, ValueStoreEntry],
-) -> int | None:
-    """The action whose delta beats every rival's for all values inside
-    the confidence intervals, or None when no action does.
+) -> tuple[int | None, str | None]:
+    """``(action, None)`` for the action whose delta beats every rival's for
+    all values inside the confidence intervals, or ``(None, cause)`` when
+    no action does: ``UNBOUNDED_CAUSE`` when an interval the comparison
+    needs is unbounded (a cold or unvisited state), ``OVERLAP_CAUSE``
+    when all are bounded but overlap.
 
     Action a beats b when the worst case of
     c_a * (h[t_a] - h[x]) - c_b * (h[t_b] - h[x]) is negative.  That is
     closed-form: h[x] enters with coefficient c_b - c_a (which equals
     (-c_a) - (-c_b)) at whichever endpoint maximizes, h[t_a] at its upper
-    endpoint and h[t_b] at its lower one.  Zero coefficients drop out, any
-    infinite term defeats the test, and terms add in the order x, t_a, t_b.
+    endpoint and h[t_b] at its lower one, and terms add in the order x,
+    t_a, t_b.  An unbounded h[t] of a move with nonzero rate defeats every
+    pair it is in, and so does an unbounded h[x] unless every rate is the
+    same (then it drops out of every pair); either ends the test at once.
+    A single available action wins vacuously.
     """
+    if len(moves) < 2:
+        return moves[0][0], None
+    bounds = []
+    for a, c, t in moves:
+        lo, hi = confidence_interval(values.get(t))
+        if c and not -math.inf < lo <= hi < math.inf:
+            return None, UNBOUNDED_CAUSE
+        bounds.append((a, c, lo, hi))
     lo_x, hi_x = confidence_interval(values.get(x))
-    bounds = [(a, c) + confidence_interval(values.get(t)) for a, c, t in moves]
+    if not -math.inf < lo_x <= hi_x < math.inf:
+        rate = moves[0][1]
+        if any(c != rate for _, c, _ in moves):
+            return None, UNBOUNDED_CAUSE
     for a, ca, _, hi_a in bounds:
         for b, cb, lo_b, _ in bounds:
             if b == a:
                 continue
-            worst = 0.0
             k = cb - ca
-            if k != 0.0:
-                worst = k * hi_x if k > 0.0 else k * lo_x
-                if not -math.inf < worst < math.inf:
-                    break
-            if ca != 0.0:
-                term = ca * hi_a
-                if not -math.inf < term < math.inf:
-                    break
-                worst += term
-            if cb != 0.0:
-                term = -cb * lo_b
-                if not -math.inf < term < math.inf:
-                    break
-                worst += term
+            worst = k * hi_x if k > 0.0 else k * lo_x if k < 0.0 else 0.0
+            worst += ca * hi_a
+            worst -= cb * lo_b
             if not worst < 0.0:
                 break
         else:
-            return a
-    return None
+            return a, None
+    return None, OVERLAP_CAUSE
 
 
 def improving_action(
@@ -579,7 +628,7 @@ def improving_action(
         entry = store.get(kernel.state(y))
         if entry is not None:
             values[y] = entry
-    action = _gate(x, kernel.moves(x), values)
+    action, _ = _gate(x, kernel.moves(x), values)
     if action is None:
         return base_action, True
     return action, False
@@ -597,11 +646,20 @@ def online_run(
     """Run the improving policy for r_on steps, refining the store as it goes.
 
     Each step: pick the confidence-gated action, spend the per-decision
-    budget on nested rollouts around a hypothetical successor, then
-    realize the actual transition (from the shared random-number list
-    when one is supplied, so runs are comparable across policies).
+    budget on nested rollouts, then realize the actual transition (from
+    the shared random-number list when one is supplied, so runs are
+    comparable across policies).  The budget is ``int(delta)`` rollouts in
+    step-count mode and ``delta`` seconds in wall-clock mode.  It is spent
+    one hypothetical successor at a time: draw a successor under the
+    chosen action, then run one rollout from each state of its
+    neighborhood in one ``_rollouts`` call, stopping mid-neighborhood when
+    the budget runs out, and repeat until it does.
+
     ``safe_by_quarter`` holds the fallback share of each quarter of the
-    run, None for a quarter with no steps (r_on < 4).
+    run, None for a quarter with no steps (r_on < 4).  ``fallback_causes``
+    counts the fallbacks by cause: ``unbounded`` when an interval the
+    gate needed was unbounded (a cold or unvisited state), ``overlap``
+    when all were bounded but overlapped.
     """
     start = store.reference if x0 is None else x0
     validate_state(inst, start)
@@ -611,17 +669,22 @@ def online_run(
     block = runtime.block
     action_row = runtime.kernel.action_row
     moves = runtime.kernel.moves
+    neighborhood = runtime.neighborhood
     mode = budget.mode
-    # Nested rollouts per decision: step-count mode charges one per
-    # trajectory against int(delta), wall-clock mode its seconds.
-    per_trajectory = mode == STEP_COUNT
-    limit = int(budget.delta) if per_trajectory else budget.delta
+    # Nested rollouts per decision: int(delta) of them in step-count mode,
+    # delta seconds of them in wall-clock mode.  With seconds infinite, the
+    # steps _rollouts reports as used in step-count mode never bind.
+    if mode == STEP_COUNT:
+        count, seconds = int(budget.delta), math.inf
+    else:
+        count, seconds = math.inf, budget.delta
 
     state = runtime.indexer.index(start)
     total_cost = 0.0
     total_reward = 0.0
     safe_count = 0
     safe_by_quarter = [0, 0, 0, 0]
+    causes = {UNBOUNDED_CAUSE: 0, OVERLAP_CAUSE: 0}
     quarter = max(1, budget.r_on // 4)
     visits = [0] * inst.layout.node_count
     crn_pos = 0
@@ -631,23 +694,26 @@ def online_run(
     for step_index in range(budget.r_on):
         visits[state // block] += 1
         base_action = runtime.base_action(state)
-        action = _gate(state, moves(state), values)
+        action, cause = _gate(state, moves(state), values)
         if action is None:
             action = base_action
             safe_count += 1
             safe_by_quarter[min(step_index // quarter, 3)] += 1
+            causes[cause] += 1
         cost, thresholds, offsets, reward = action_row(state, action)
         total_cost += cost
         total_reward += reward
 
+        done = 0
         used = 0.0
-        while used < limit:
+        while done < count and used < seconds:
             hypothetical = state + offsets[bisect_right(thresholds, uniforms.take())]
-            for y in runtime.neighborhood(hypothetical):
-                if used >= limit:
-                    break
-                _, elapsed = _sample_trajectory(runtime, y, 1, uniforms, mode)
-                used += 1 if per_trajectory else elapsed
+            _, ran, spent = _rollouts(
+                runtime, neighborhood(hypothetical), 1, uniforms, mode,
+                count - done, seconds - used,
+            )
+            done += ran
+            used += spent
 
         if crn is not None:
             u = crn[crn_pos]
@@ -668,6 +734,7 @@ def online_run(
     report.metadata["safe_by_quarter"] = [
         c / n if n else None for c, n in zip(safe_by_quarter, sizes)
     ]
+    report.metadata["fallback_causes"] = causes
     return report
 
 

@@ -1,4 +1,6 @@
 import math
+import re
+from bisect import bisect_right
 
 import pytest
 
@@ -6,9 +8,10 @@ from conftest import homogeneous_star_instance, rng, with_level_change, with_loc
 from repairnet.dp import StationaryPolicy, evaluate_policy
 from repairnet.index_policy import ModifiedIndexPolicy
 from repairnet.instance import generate_instance
-from repairnet.mdp import SystemState, pristine_state
+from repairnet.mdp import SystemState, kernel_of, pristine_state
 from repairnet.opi import (
     STEP_COUNT,
+    OfflinePreparation,
     OpiBudget,
     ValueStore,
     ValueStoreEntry,
@@ -162,6 +165,68 @@ def test_sample_trajectory_updates_first_p_states():
     # The start state itself is always among the updated records.
     assert store.entries[u0].s >= 2  # pinned initial observation plus one
     assert len(store.entries) >= 2
+
+
+def test_chained_records_bootstrap_through_the_updated_reference():
+    # A p=5 rollout from the reference, with nothing else stored, stops
+    # back at the reference.  The start's record is updated first, so every
+    # later record bootstraps through the reference's new h, not the
+    # pinned 0.
+    inst = fast_switch_instance()
+    base = ModifiedIndexPolicy(inst)
+    reference = SystemState(1, (1, 1))
+    store = make_store(inst, reference)
+    seed = 4  # a 250-step rollout through four other states
+    stop, steps = sample_trajectory(inst, base, store, reference, p=5, rng=rng(seed))
+    assert stop == reference
+
+    # Replay the rollout on the same draws: the cost accrued before each of
+    # the first four distinct states after the start (g_base is 0).
+    kernel = kernel_of(inst)
+    draws = iter(rng(seed).random(8192).tolist())
+    x = ref = kernel.indexer.index(reference)
+    total, count, records = 0.0, 0, {}
+    while True:
+        cost, thresholds, offsets, _ = kernel.action_row(x, base(kernel.state(x)))
+        total += cost
+        count += 1
+        x += offsets[bisect_right(thresholds, next(draws))]
+        if x == ref:
+            break
+        if len(records) < 4 and kernel.state(x) not in records:
+            records[kernel.state(x)] = total
+    assert count == steps and len(records) >= 2
+
+    alpha = LEARNING_SCALE / (LEARNING_SCALE + 1)
+    h_reference = alpha * total  # (1 - alpha) * 0 + alpha * (total - 0 * count)
+    assert store.entries[reference].h == pytest.approx(h_reference, rel=1e-12)
+    assert h_reference > 0.1
+    assert set(store.entries) == {reference, *records}
+    for state, cost_at in records.items():
+        # A new entry's first observation is its value.
+        expected = (total - cost_at) + h_reference
+        assert store.entries[state].h == pytest.approx(expected, rel=1e-12)
+
+
+def never_leaves(state):
+    # Stay put: the location never changes.
+    return state.location
+
+
+def test_trajectory_cap_names_the_start_state(monkeypatch):
+    import repairnet.opi as opi_module
+
+    monkeypatch.setattr(opi_module, "TRAJECTORY_CAP", 200)
+    inst = generate_instance(12, m=2, cap=1)
+    reference = pristine_state(inst, location=2)
+    start = SystemState(1, (1, 0))
+    message = re.escape(f"trajectory from {start} exceeded 200 steps") + ".*unichain"
+    with pytest.raises(RuntimeError, match=message):
+        sample_trajectory(inst, never_leaves, make_store(inst, reference), start, 1, rng(0))
+    prep = OfflinePreparation(g_base=0.0, reference=reference, z_core=[reference], z_all=[start])
+    budget = OpiBudget(r1=10, r2=10, r_off=5, tau_max=1e9, r_on=10, delta=1, mode=STEP_COUNT)
+    with pytest.raises(RuntimeError, match=message):
+        offline_main(inst, never_leaves, prep, budget, rng(0))
 
 
 def test_offline_preparatory_core_sets():

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from conftest import (
     with_location,
 )
 from repairnet.index_policy import ModifiedIndexPolicy
-from repairnet.instance import generate_instance
+from repairnet.instance import CostKind, CostModel, InstanceParameters, generate_instance
 from repairnet.mdp import (
     Kernel,
     StateIndexer,
@@ -33,6 +34,7 @@ from repairnet.mdp import (
     actions_of,
     pristine_state,
 )
+from repairnet.network import build_lattice_layout
 from repairnet.opi import (
     STEP_COUNT,
     OpiBudget,
@@ -138,11 +140,10 @@ def vertex_oracle(inst, state, store, base_action):
     return base_action, True
 
 
-def test_closed_form_gate_matches_vertex_oracle():
+def random_gate_cases(count):
     generator = rng(606)
     inst = generate_instance(12, m=4, cap=2)
-    checked = confident = 0
-    for _ in range(300):
+    for _ in range(count):
         location = int(generator.integers(1, inst.layout.node_count + 1))
         conditions = tuple(int(generator.integers(0, k + 1)) for k in inst.cap)
         state = SystemState(location, conditions)
@@ -152,12 +153,51 @@ def test_closed_form_gate_matches_vertex_oracle():
                 continue  # leave an unbounded interval now and then
             h = float(generator.normal(0.0, 5.0))
             store.entries[s] = tight(h, float(generator.uniform(0.01, 2.0)))
+        yield inst, state, store
+
+
+def edge_gate_cases():
+    # One node, one machine: staying (a repair) is the only action, so it
+    # wins vacuously although its target, the reference, is unbounded.
+    lone = InstanceParameters(
+        layout=build_lattice_layout(1, [(1, 1)]),
+        lam=(0.2,),
+        mu=(1.0,),
+        tau=1.0,
+        cap=(2,),
+        cost=CostModel(kind=CostKind.LINEAR, c=(1.0,)),
+    )
+    yield lone, SystemState(1, (1,)), ValueStore(reference=pristine_state(lone), g_base=0.0)
+    # mu_i == tau at a damaged machine: every action has the same rate, so
+    # h[x] drops out of every pair and the gate decides whether or not x
+    # itself is stored.
+    inst = generate_instance(12, m=4, cap=2)
+    inst = replace(inst, mu=(inst.tau,) * inst.machine_count)
+    state = SystemState(1, (1, 0, 2, 1))
+    for x_stored in (False, True):
+        store = ValueStore(reference=pristine_state(inst), g_base=0.0)
+        for k, s in enumerate(oracle_neighborhood(inst, state)):
+            if x_stored or s != state:
+                store.entries[s] = tight(float(k), 0.1)
+        yield inst, state, store
+
+
+def test_closed_form_gate_matches_vertex_oracle():
+    checked = confident = 0
+    for inst, state, store in random_gate_cases(300):
         base = actions_of(inst, state)[0]
         got = improving_action(inst, state, store, base)
         assert got == vertex_oracle(inst, state, store, base)
         checked += 1
         confident += not got[1]
     assert checked == 300 and 0 < confident < checked
+    edges = list(edge_gate_cases())
+    for inst, state, store in edges:
+        base = actions_of(inst, state)[0]
+        got = improving_action(inst, state, store, base)
+        assert got == vertex_oracle(inst, state, store, base)
+        assert got[1] is False
+    assert len(edges) == 3
 
 
 def run_digest(inst, budget, seed, use_crn):
@@ -184,6 +224,8 @@ def run_digest(inst, budget, seed, use_crn):
         ],
     }
     digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    causes = report.metadata["fallback_causes"]
+    assert sum(causes.values()) == round(report.safe_action_fraction * report.steps)
     return digest, report.safe_action_fraction
 
 
@@ -224,6 +266,20 @@ def test_safe_by_quarter_reports_empty_quarters_as_none():
         sizes = [quarter] * 3 + [r_on - 3 * quarter]
         fallbacks = sum(q * n for q, n in zip(quarters, sizes) if q is not None)
         assert round(fallbacks) == round(report.safe_action_fraction * r_on)
+
+
+def test_cold_store_fallback_is_counted_as_unbounded():
+    # The gate runs before the decision's nested rollouts, so with only
+    # the reference stored the one decision finds its targets unvisited.
+    inst = generate_instance(5, m=2, cap=2)
+    base = ModifiedIndexPolicy(inst)
+    budget = OpiBudget(r1=50, r2=500, r_off=5, tau_max=1e9, r_on=1, delta=8, mode=STEP_COUNT)
+    prep = offline_preparatory(inst, base, budget, rng(1))
+    store = ValueStore(reference=prep.reference, g_base=prep.g_base)
+    report = online_run(inst, base, store, budget, rng(3))
+    assert report.safe_action_fraction == 1.0
+    assert report.metadata["fallback_causes"] == {"unbounded": 1, "overlap": 0}
+    assert len(store.entries) > 1  # the rollouts did run, after the gate
 
 
 def test_step_count_delta_counts_whole_trajectories(tmp_path):
