@@ -44,7 +44,7 @@ from .opi import (
     parse_state_key,
     run_opi,
     save_store,
-    validate_store,
+    state_key,
 )
 from .polling import PollingPolicy, best_tour
 
@@ -84,10 +84,7 @@ def cmd_solve_dp(args) -> int:
     print(f"policy-iteration rounds: {solution.iterations}")
     print(f"g* error bound: {solution.g_bound:.3e}")
     if args.out:
-        table = {
-            f"{s.location}:{','.join(map(str, s.conditions))}": a
-            for s, a in solution.policy_table(inst).items()
-        }
+        table = {state_key(s): a for s, a in solution.policy_table(inst).items()}
         payload = {
             "g_star": solution.g_star,
             "u_star": u_star,
@@ -124,14 +121,13 @@ def _start_state(inst, text: str | None):
 
 
 def _import_store(inst, path: str):
-    """The ``--import-store`` store; exits naming the offending entry when
-    it does not parse or lies outside the instance."""
+    """The ``--import-store`` store; exits naming the offending field when
+    it was exported for another instance, or an entry does not parse or
+    lies outside the instance."""
     try:
-        store = load_store(path)
-        validate_store(inst, store)
+        return load_store(path, inst)
     except ValueError as exc:
         raise SystemExit(f"repairnet: error: --import-store {path!r}: {exc}") from None
-    return store
 
 
 def _polling_tour(inst, subset: str | None):

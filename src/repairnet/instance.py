@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
 
-from .network import NetworkLayout, build_lattice_layout
+from .network import LayoutError, NetworkLayout, build_lattice_layout, layout_from_adjacency
 
 SCHEMA_VERSION = 1
 
@@ -26,7 +26,6 @@ STREAM_INSTANCE = 0
 STREAM_CRN = 1
 STREAM_OPI_OFFLINE = 2
 STREAM_OPI_ONLINE = 3
-STREAM_SIM = 4
 
 
 class CostKind(enum.Enum):
@@ -351,22 +350,27 @@ def instance_from_dict(data: dict) -> InstanceParameters:
         if list(nbrs) != sorted(nbrs):
             raise InstanceFormatError(f"root.adjacency[{i}]: neighbours not in ascending order")
 
-    coords = None
     if data.get("machine_coords") is not None:
         grid = _require(data, "grid", int, "root")
-        mc = data["machine_coords"]
+        mc = _require(data, "machine_coords", list, "root")
         if len(mc) != m:
             raise InstanceFormatError("root.machine_coords: length must match lambda")
-        rebuilt = build_lattice_layout(grid, [tuple(pair) for pair in mc])
-        if rebuilt.adjacency != tuple(adjacency):
+        for i, pair in enumerate(mc):
+            if not isinstance(pair, list) or [type(v) for v in pair] != [int, int]:
+                raise InstanceFormatError(f"root.machine_coords[{i}]: expected [a, b] integers")
+        try:
+            layout = build_lattice_layout(grid, [tuple(pair) for pair in mc])
+        except LayoutError as exc:
+            raise InstanceFormatError(f"root.machine_coords: {exc}") from None
+        if layout.adjacency != tuple(adjacency):
             raise InstanceFormatError(
                 "root.adjacency: inconsistent with grid/machine_coords"
             )
-        layout = rebuilt
     else:
-        from .network import layout_from_adjacency
-
-        layout = layout_from_adjacency(tuple(adjacency), tuple(range(1, m + 1)), coords)
+        try:
+            layout = layout_from_adjacency(tuple(adjacency), tuple(range(1, m + 1)), None)
+        except LayoutError as exc:
+            raise InstanceFormatError(f"root.adjacency: {exc}") from None
 
     def parse_rate(raw, path: str) -> float:
         if not isinstance(raw, str):
@@ -390,6 +394,9 @@ def instance_from_dict(data: dict) -> InstanceParameters:
     except ValueError:
         raise InstanceFormatError(f"root.cost.kind: unknown kind {kind_raw!r}") from None
 
+    seed = data.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise InstanceFormatError(f"root.seed: expected an integer or null, got {seed!r}")
     rho_nominal = data.get("rho_nominal")
     return InstanceParameters(
         layout=layout,
@@ -403,7 +410,7 @@ def instance_from_dict(data: dict) -> InstanceParameters:
         cost=CostModel(
             kind=kind, c=tuple(parse_rate(x, f"root.cost.c[{i}]") for i, x in enumerate(c_raw))
         ),
-        seed=data.get("seed"),
+        seed=seed,
         rho_nominal=None if rho_nominal is None else parse_rate(rho_nominal, "root.rho_nominal"),
     )
 

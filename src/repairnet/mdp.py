@@ -277,23 +277,18 @@ class SimulationReport:
         return json.dumps(payload, indent=2)
 
 
-# Uniforms are drawn and converted to Python floats this many at a time.
-UNIFORM_CHUNK = 4096
-
-
 def simulate(
     inst: InstanceParameters,
     policy: DecisionRule | FiniteMemoryRule,
     x0: SystemState,
     steps: int,
-    crn: Sequence[float] | None = None,
-    rng: np.random.Generator | None = None,
+    crn: Sequence[float],
 ) -> SimulationReport:
     """Run the uniformized chain for ``steps`` steps under ``policy``.
 
-    Supply ``crn`` (one uniform per step) to compare policies under common
-    random numbers, or ``rng`` for an independent run; ``rng`` is drawn
-    ``UNIFORM_CHUNK`` uniforms at a time.
+    ``crn`` holds at least one uniform per step, and the first ``steps``
+    drive the run, so policies given the same list are compared under
+    common random numbers.
 
     The rule is a function of the state, or a ``FiniteMemoryRule``, whose
     decision depends on the state and its memory only.  The chain runs on
@@ -308,10 +303,8 @@ def simulate(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if crn is not None and len(crn) < steps:
+    if len(crn) < steps:
         raise ValueError(f"CRN list of length {len(crn)} is shorter than {steps} steps")
-    if crn is None and rng is None:
-        raise ValueError("either crn or rng must be supplied")
     validate_state(inst, x0)
 
     kernel = kernel_of(inst)
@@ -342,18 +335,12 @@ def simulate(
     if decide is not None:
         _check_memory(policy.memory)
         key += policy.memory * count
-    for start in range(0, steps, UNIFORM_CHUNK):
-        stop = min(start + UNIFORM_CHUNK, steps)
-        if crn is None:
-            chunk = rng.random(UNIFORM_CHUNK).tolist()[: stop - start]
-        else:
-            chunk = np.asarray(crn[start:stop], dtype=np.float64).tolist()
-        for u in chunk:
-            location, cost, reward, thresholds, offsets = entries.get(key) or entry(key)
-            visits[location] += 1
-            total_cost += cost
-            total_reward += reward
-            key += offsets[bisect_right(thresholds, u)]
+    for u in np.asarray(crn[:steps], dtype=np.float64).tolist():
+        location, cost, reward, thresholds, offsets = entries.get(key) or entry(key)
+        visits[location] += 1
+        total_cost += cost
+        total_reward += reward
+        key += offsets[bisect_right(thresholds, u)]
     if decide is not None:
         policy.memory = key // count
 

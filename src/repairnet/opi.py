@@ -22,8 +22,15 @@ thresholds picks an offset to add to the index.  All three phases use
 the instance's shared kernel (``kernel_of``), the same one ``simulate``
 uses, so a state-action row is built and checked for availability once
 per instance, and each index is decoded to a state tuple once.
-Base-policy actions and neighborhoods are memoized per index, and an
-int-keyed index of the store shares its entry objects.
+Base-policy actions and neighborhoods are memoized per index.
+
+The value store belongs to one instance and keeps one dict of entries,
+keyed by the same state index; the phases read and grow that dict
+directly.  States appear only at its edges: a small state-level surface
+that validates every state it is given, and the JSON files, which are
+stamped with the instance they were exported for.  Every public entry
+point that takes a store refuses one built for another instance before
+it spends any budget.
 
 Rollouts are short (about two steps each online), so their cost is the
 per-call setup, not the stepping.  One function, ``_rollouts``, runs them
@@ -41,9 +48,7 @@ action's delta is rate * (h[target] - h[x]), the pairwise confidence test
 is closed-form interval arithmetic over at most three values, and a
 state's neighborhood is the state plus its move targets; this module does
 no rate or index arithmetic of its own.  An unbounded interval that the
-test needs defeats every pair, so the gate stops at the first one.  A
-store handed to any phase must be keyed by states of the instance
-(``validate_store``).
+test needs defeats every pair, so the gate stops at the first one.
 
 Budgets run in two modes.  Wall-clock mode reproduces the real-time
 regime (seconds per decision); step-count mode swaps every clock for a
@@ -52,23 +57,25 @@ deterministic counter so runs are exactly reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import time
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import InstanceParameters
+from .instance import InstanceParameters, instance_to_dict
 from .mdp import (
     ActionRow,
     DecisionRule,
     Kernel,
     Move,
     SimulationReport,
+    StateIndexer,
     SystemState,
     kernel_of,
     pristine_state,
@@ -141,7 +148,14 @@ class ValueStoreEntry:
 
 @dataclass
 class ValueStore:
-    """Relative-value statistics for visited states.
+    """Relative-value statistics for visited states of one instance.
+
+    ``entries`` maps a state's index (``StateIndexer``, the numbering of
+    ``kernel_of(inst).indexer``) to its entry; the OPI phases read and
+    grow it directly.  ``get``, ``in``, ``store[state] = entry`` and
+    ``items`` (index order, which is state order) are the state-level
+    surface; each raises ValueError, naming the entry's key and the field,
+    for a state outside the instance.
 
     The reference state starts with the pinned entry (0, 0, 1, 1), as if
     one exact zero observation had been recorded; later trajectories keep
@@ -153,19 +167,40 @@ class ValueStore:
     common drift leaves untouched.
     """
 
+    inst: InstanceParameters
     reference: SystemState
     g_base: float
-    entries: dict[SystemState, ValueStoreEntry] = field(default_factory=dict)
+    entries: dict[int, ValueStoreEntry] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.reference not in self.entries:
-            self.entries[self.reference] = ValueStoreEntry(h=0.0, ss=0.0, w=1.0, s=1)
+        self._indexer = StateIndexer(self.inst)
+        self[self.reference] = ValueStoreEntry(h=0.0, ss=0.0, w=1.0, s=1)
+
+    def _index(self, state: SystemState) -> int:
+        try:
+            validate_state(self.inst, state)
+        except ValueError as exc:
+            raise ValueError(f"store entry {state_key(state)!r}: {exc}") from None
+        return self._indexer.index(state)
 
     def __contains__(self, state: SystemState) -> bool:
-        return state in self.entries
+        return self._index(state) in self.entries
 
     def get(self, state: SystemState) -> ValueStoreEntry | None:
-        return self.entries.get(state)
+        return self.entries.get(self._index(state))
+
+    def __setitem__(self, state: SystemState, entry: ValueStoreEntry) -> None:
+        self.entries[self._index(state)] = entry
+
+    def items(self) -> Iterator[tuple[SystemState, ValueStoreEntry]]:
+        state = self._indexer.state
+        for x in sorted(self.entries):
+            yield state(x), self.entries[x]
+
+
+def _check_store(inst: InstanceParameters, store: ValueStore) -> None:
+    if store.inst != inst:
+        raise ValueError("value store belongs to another instance")
 
 
 def state_key(state: SystemState) -> str:
@@ -177,41 +212,44 @@ def parse_state_key(key: str) -> SystemState:
     return SystemState(int(loc), tuple(int(c) for c in conds.split(",")))
 
 
-def validate_store(inst: InstanceParameters, store: ValueStore) -> None:
-    """Raise ValueError, naming the entry's key, unless every state in
-    ``store`` lies in ``inst``'s state space."""
-    for state in store.entries:
-        try:
-            validate_state(inst, state)
-        except ValueError as exc:
-            raise ValueError(f"store entry {state_key(state)!r}: {exc}") from None
+def _fingerprint(inst: InstanceParameters) -> str:
+    text = json.dumps(instance_to_dict(inst), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def save_store(store: ValueStore, path) -> None:
+    """Write ``store`` as JSON, stamped with its instance's fingerprint."""
     payload = {
+        "instance": _fingerprint(store.inst),
         "reference": state_key(store.reference),
         "g_base": store.g_base,
-        "entries": {
-            state_key(s): [e.h, e.ss, e.w, e.s] for s, e in sorted(store.entries.items())
-        },
+        "entries": {state_key(s): [e.h, e.ss, e.w, e.s] for s, e in store.items()},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def load_store(path) -> ValueStore:
+def load_store(path, inst: InstanceParameters) -> ValueStore:
+    """Read a store written by ``save_store`` for ``inst``.
+
+    Raises ValueError naming ``root.instance`` when the file carries no
+    fingerprint or another instance's, and naming the entry's key when a
+    state lies outside ``inst``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    entries = {
-        parse_state_key(key): ValueStoreEntry(h=vals[0], ss=vals[1], w=vals[2], s=int(vals[3]))
-        for key, vals in payload["entries"].items()
-    }
-    return ValueStore(
-        reference=parse_state_key(payload["reference"]),
-        g_base=payload["g_base"],
-        entries=entries,
-    )
+    stamp = payload.get("instance")
+    if stamp is None:
+        raise ValueError("root.instance: missing instance fingerprint")
+    if stamp != _fingerprint(inst):
+        raise ValueError("root.instance: the store was exported for another instance")
+    store = ValueStore(inst, parse_state_key(payload["reference"]), payload["g_base"])
+    for key, vals in payload["entries"].items():
+        store[parse_state_key(key)] = ValueStoreEntry(
+            h=vals[0], ss=vals[1], w=vals[2], s=int(vals[3])
+        )
+    return store
 
 
 _BUFFER = 8192
@@ -258,9 +296,7 @@ class _Runtime:
     all keyed by state index.
 
     ``base_rows`` maps an index to the kernel's action row under the base
-    action.  ``values`` indexes ``store.entries`` by state index and
-    shares its entry objects; ``add_entry`` puts a new entry into both
-    dicts.  A given store is validated against the instance first.
+    action.  ``reference`` is the store's reference index.
     """
 
     def __init__(
@@ -271,12 +307,8 @@ class _Runtime:
         self.block = self.indexer.conditions_per_location
         self.base = base
         self.store = store
-        self.values: dict[int, ValueStoreEntry] = {}
         if store is not None:
-            validate_store(inst, store)
-            index = self.indexer.index
-            self.reference = index(store.reference)
-            self.values.update((index(s), e) for s, e in store.entries.items())
+            self.reference = self.indexer.index(store.reference)
         self.base_rows: dict[int, ActionRow] = {}
         self._actions: dict[int, int] = {}
         self._neighborhoods: dict[int, list[int]] = {}
@@ -302,12 +334,6 @@ class _Runtime:
         if members is None:
             members = self._neighborhoods[x] = _neighborhood(self.kernel, x)
         return members
-
-    def add_entry(self, x: int) -> ValueStoreEntry:
-        entry = ValueStoreEntry()
-        self.store.entries[self.kernel.state(x)] = entry
-        self.values[x] = entry
-        return entry
 
 
 TRAJECTORY_CAP = 50_000_000
@@ -337,10 +363,9 @@ def _rollouts(
     """
     clock = time.perf_counter if mode == WALL_CLOCK else None
     started = clock() if clock else 0.0
-    values = runtime.values
+    values = runtime.store.entries
     rows = runtime.base_rows
     base_row = runtime.base_row
-    add_entry = runtime.add_entry
     reference = runtime.reference
     g_base = runtime.store.g_base
     bisect, end, cap = bisect_right, _BUFFER, TRAJECTORY_CAP
@@ -385,7 +410,9 @@ def _rollouts(
             # stop (the reference), later records bootstrap through its
             # freshly updated value.
             for x, cost_at, steps_at in records:
-                entry = values.get(x) or add_entry(x)
+                entry = values.get(x)
+                if entry is None:
+                    entry = values[x] = ValueStoreEntry()
                 entry.s += 1
                 alpha = LEARNING_SCALE / (LEARNING_SCALE + entry.s - 1)
                 observation = (
@@ -396,7 +423,9 @@ def _rollouts(
                 entry.w = (1.0 - alpha) ** 2 * entry.w + alpha * alpha
             starts.append(stop)
         else:
-            entry = values.get(z) or add_entry(z)
+            entry = values.get(z)
+            if entry is None:
+                entry = values[z] = ValueStoreEntry()
             entry.s += 1
             alpha = LEARNING_SCALE / (LEARNING_SCALE + entry.s - 1)
             observation = total_cost + values[stop].h - g_base * steps
@@ -425,7 +454,8 @@ def sample_trajectory(
 ) -> tuple[SystemState, float]:
     """One rollout from ``z`` (see _rollouts): its stop state and the
     budget it used, in steps or seconds."""
-    if store.reference not in store.entries:
+    _check_store(inst, store)
+    if store.reference not in store:
         raise ValueError("store is missing its reference entry")
     runtime = _Runtime(inst, base, store)
     stop, _, used = _rollouts(
@@ -518,7 +548,7 @@ def offline_main(
     state of ``z_all`` repeated, recording the start only, then a chain
     from every core state recording five states a rollout.
     """
-    store = ValueStore(reference=prep.reference, g_base=prep.g_base)
+    store = ValueStore(inst, prep.reference, prep.g_base)
     runtime = _Runtime(inst, base, store)
     uniforms = _Uniforms(rng)
     index = runtime.indexer.index
@@ -620,15 +650,11 @@ def improving_action(
     all interval-consistent value assignments, with safe_flag False; if no
     action separates, returns the base action with safe_flag True.
     """
+    _check_store(inst, store)
     validate_state(inst, state)
     kernel = kernel_of(inst)
     x = kernel.indexer.index(state)
-    values = {}
-    for y in _neighborhood(kernel, x):
-        entry = store.get(kernel.state(y))
-        if entry is not None:
-            values[y] = entry
-    action, _ = _gate(x, kernel.moves(x), values)
+    action, _ = _gate(x, kernel.moves(x), store.entries)
     if action is None:
         return base_action, True
     return action, False
@@ -661,11 +687,12 @@ def online_run(
     gate needed was unbounded (a cold or unvisited state), ``overlap``
     when all were bounded but overlapped.
     """
+    _check_store(inst, store)
     start = store.reference if x0 is None else x0
     validate_state(inst, start)
     runtime = _Runtime(inst, base, store)
     uniforms = _Uniforms(rng)
-    values = runtime.values
+    values = store.entries
     block = runtime.block
     action_row = runtime.kernel.action_row
     moves = runtime.kernel.moves
@@ -760,7 +787,7 @@ def run_opi(
     if x0 is not None:
         validate_state(inst, x0)
     if store is not None:
-        validate_store(inst, store)
+        _check_store(inst, store)
     prep = offline_preparatory(inst, base, budget, offline_rng)
     if store is None:
         store = offline_main(inst, base, prep, budget, offline_rng)

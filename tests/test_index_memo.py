@@ -30,6 +30,7 @@ from repairnet.opi import (
     OpiBudget,
     ValueStore,
     ValueStoreEntry,
+    improving_action,
     offline_main,
     offline_preparatory,
     online_run,
@@ -171,36 +172,53 @@ def test_base_rows_reject_unavailable_actions():
     inst, rule = teleporting_star()
     with pytest.raises(ValueError, match="not available"):
         offline_preparatory(inst, rule, SMALL_BUDGET, rng(0))
-    store = ValueStore(reference=pristine_state(inst, location=2), g_base=1.0)
+    store = ValueStore(inst, pristine_state(inst, location=2), 1.0)
     with pytest.raises(ValueError, match="not available"):
         sample_trajectory(inst, rule, store, pristine_state(inst, location=1), 1, rng(0))
 
 
-def aliasing_store(inst):
-    """A store with a key whose level lies above its machine's cap; its
-    mixed-radix index would alias a valid state's."""
-    store = ValueStore(reference=pristine_state(inst), g_base=1.0)
-    store.entries[SystemState(1, (0, 5))] = ValueStoreEntry(h=1.0, ss=2.0, w=0.5, s=3)
-    return store
-
-
 def test_stores_with_keys_outside_the_instance_are_rejected():
+    # A level above its machine's cap: the mixed-radix index of (1, (0, 5))
+    # would alias a valid state's, so every state-level access refuses it.
     inst = generate_instance(5, m=2, cap=2)
-    base = ModifiedIndexPolicy(inst)
+    aliasing = SystemState(1, (0, 5))
     field = r"store entry '1:0,5': state.conditions\[1\]"
+    store = ValueStore(inst, pristine_state(inst), 1.0)
     with pytest.raises(ValueError, match=field):
-        online_run(inst, base, aliasing_store(inst), SMALL_BUDGET, rng(1))
+        store[aliasing] = ValueStoreEntry(h=1.0, ss=2.0, w=0.5, s=3)
+    with pytest.raises(ValueError, match=field):
+        store.get(aliasing)
+    with pytest.raises(ValueError, match=field):
+        aliasing in store
+    with pytest.raises(ValueError, match=field):
+        ValueStore(inst, aliasing, 1.0)
+    assert list(store.items()) == [(pristine_state(inst), ValueStoreEntry(0.0, 0.0, 1.0, 1))]
+
+
+def test_stores_built_for_another_instance_are_refused():
+    # Seeds 5 and 6 share m, the caps and the layout size, so their state
+    # indices coincide; only the instance check tells the stores apart.
+    inst, other = generate_instance(5, m=2, cap=2), generate_instance(6, m=2, cap=2)
+    assert Kernel(inst).indexer.count == Kernel(other).indexer.count
+    base = ModifiedIndexPolicy(inst)
     decided = []
 
     def rule(state):
         decided.append(state)
         return base(state)
 
-    with pytest.raises(ValueError, match=field):
-        run_opi(inst, rule, SMALL_BUDGET, rng(1), rng(2), store=aliasing_store(inst))
-    assert decided == []  # rejected before the offline phases spend their budget
-    with pytest.raises(ValueError, match=field):
-        sample_trajectory(inst, base, aliasing_store(inst), pristine_state(inst), 1, rng(0))
+    foreign = ValueStore(other, pristine_state(other), 1.0)
+    message = "value store belongs to another instance"
+    with pytest.raises(ValueError, match=message):
+        run_opi(inst, rule, SMALL_BUDGET, rng(1), rng(2), store=foreign)
+    with pytest.raises(ValueError, match=message):
+        online_run(inst, rule, foreign, SMALL_BUDGET, rng(1))
+    with pytest.raises(ValueError, match=message):
+        sample_trajectory(inst, rule, foreign, pristine_state(inst), 1, rng(0))
+    with pytest.raises(ValueError, match=message):
+        improving_action(inst, pristine_state(inst), foreign, 1)
+    assert decided == []  # refused before any budget was spent
+    assert len(foreign.entries) == 1
 
 
 def test_cli_rejects_an_imported_store_outside_the_instance(tmp_path, capsys):
@@ -220,6 +238,28 @@ def test_cli_rejects_an_imported_store_outside_the_instance(tmp_path, capsys):
     message = str(exc.value)
     assert message.startswith(f"repairnet: error: --import-store {str(store_path)!r}: ")
     assert "store entry '1:0,5': state.conditions[1]" in message
+
+
+def test_cli_refuses_a_store_exported_for_another_instance(tmp_path, capsys):
+    paths = {seed: tmp_path / f"inst-{seed}.json" for seed in (5, 6)}
+    for seed, path in paths.items():
+        save_instance(generate_instance(seed, m=2, cap=2), path)
+    store_path = tmp_path / "store.json"
+    budget = ["--budget-mode", "step-count", "--r1", "100", "--r2", "1000", "--r-off", "10",
+              "--tau-max", "1e9", "--r-on", "200", "--delta", "1"]
+    assert main(["opi", "--instance", str(paths[5]), "--export-store", str(store_path)]
+                + budget) == 0
+    capsys.readouterr()
+    prefix = f"repairnet: error: --import-store {str(store_path)!r}: root.instance: "
+    with pytest.raises(SystemExit) as exc:
+        main(["opi", "--instance", str(paths[6]), "--import-store", str(store_path)] + budget)
+    assert str(exc.value) == prefix + "the store was exported for another instance"
+    payload = json.loads(store_path.read_text())
+    del payload["instance"]
+    store_path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["opi", "--instance", str(paths[5]), "--import-store", str(store_path)] + budget)
+    assert str(exc.value) == prefix + "missing instance fingerprint"
 
 
 @pytest.mark.parametrize("entry", [index_table, index_decision, modified_index_decision])

@@ -1,4 +1,8 @@
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repairnet.instance import (
     CostKind,
@@ -254,6 +258,15 @@ def _no_machines(data):
         owner[key].clear()
 
 
+def _disconnected(data):
+    data["machine_coords"] = None
+    data["adjacency"] = [[2], [1], [4], [3]]
+
+
+def _repeated_coordinate(data):
+    data["machine_coords"][1] = list(data["machine_coords"][0])
+
+
 @pytest.mark.parametrize(
     "probe, path",
     [
@@ -265,6 +278,14 @@ def _no_machines(data):
         (_append(("K",)), r"root\.K"),
         (_append(("cost", "c")), r"root\.cost\.c"),
         (_no_machines, r"root\.lambda: expected at least one machine"),
+        (_set(("machine_coords",), 3), r"root\.machine_coords: expected"),
+        (_set(("machine_coords", 0), [1]), r"root\.machine_coords\[0\]: expected \[a, b\]"),
+        (_set(("machine_coords", 1), ["1", 2]), r"root\.machine_coords\[1\]: expected"),
+        (_set(("machine_coords", 0, 0), 0), r"root\.machine_coords: coordinate \(0, "),
+        (_repeated_coordinate, r"root\.machine_coords: duplicate machine coordinates"),
+        (_set(("grid",), 0), r"root\.machine_coords: grid_side must be >= 1"),
+        (_disconnected, r"root\.adjacency: graph is not connected"),
+        (_set(("seed",), {"a": 1}), r"root\.seed: expected an integer or null"),
     ],
     ids=[
         "negative-mu",
@@ -275,12 +296,101 @@ def _no_machines(data):
         "long-K",
         "long-c",
         "no-machines",
+        "coords-not-a-list",
+        "short-pair",
+        "string-coordinate",
+        "coordinate-off-grid",
+        "repeated-coordinate",
+        "zero-grid",
+        "disconnected",
+        "unhashable-seed",
     ],
 )
 def test_loader_rejects_values_the_parameters_reject(probe, path):
-    # InstanceParameters, or the first rate computed from it, would reject
-    # each of these with a bare ValueError; the loader names the field first.
+    # InstanceParameters, the first rate computed from it, or the layout
+    # builders would reject each of these with a bare ValueError or
+    # TypeError, and a seed that is not an integer loads an instance that
+    # cannot be hashed; the loader names the field first.
     data = instance_to_dict(generate_instance(5, m=2, cap=2))
     probe(data)
     with pytest.raises(InstanceFormatError, match=path):
         instance_from_dict(data)
+
+
+# Payloads for the mutation property: lattice instances (grid and machine
+# coordinates present) and one complete graph (no coordinates).
+def _payloads():
+    from repairnet.instance import CostModel, InstanceParameters
+    from repairnet.network import build_complete_layout
+
+    complete = InstanceParameters(
+        layout=build_complete_layout(3),
+        lam=(0.05, 0.07, 0.06),
+        mu=(0.9, 0.8, 0.7),
+        tau=0.5,
+        cap=(2, 1, 3),
+        cost=CostModel(kind=CostKind.QUADRATIC, c=(1.0, 2.5, 0.5)),
+    )
+    return [instance_to_dict(i) for i in (generate_instance(3), generate_instance(11), complete)]
+
+
+PAYLOADS = _payloads()
+
+WRONG_VALUES = [None, True, False, 0, -1, 2, 1.5, "", "x", "1", [], [1], ["1"], {}, {"a": 1}]
+BAD_RATES = ["nan", "inf", "-inf", "-0.5", "0", "-0", "1e400", float("nan"), -1.0, 0.0]
+
+
+def _paths(value, path=()):
+    """Every key path into a JSON value, the root excluded."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_payloads(draw):
+    payload = copy.deepcopy(draw(st.sampled_from(PAYLOADS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(payload))
+        if not paths:
+            break
+        # A top-level field first, so the long adjacency lists do not
+        # crowd out the short fields.
+        top = draw(st.sampled_from(sorted({path[0] for path in paths})))
+        *parent_path, key = draw(st.sampled_from([p for p in paths if p[0] == top]))
+        parent = payload
+        for part in parent_path:
+            parent = parent[part]
+        kind = draw(st.sampled_from(["delete", "wrong type", "bad rate", "resize"]))
+        if kind == "delete":
+            del parent[key]
+        elif kind == "wrong type":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+        elif kind == "bad rate":
+            parent[key] = draw(st.sampled_from(BAD_RATES))
+        elif isinstance(parent[key], list):
+            items = parent[key]
+            if items and draw(st.booleans()):
+                del items[draw(st.integers(0, len(items) - 1))]
+            else:
+                items.append(copy.deepcopy(items[-1]) if items else 1)
+    return payload
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_payloads())
+def test_mutated_payloads_load_or_raise_instance_format_errors(payload):
+    try:
+        inst = instance_from_dict(payload)
+    except InstanceFormatError:
+        return
+    # What loads is a usable instance: it hashes (the kernel cache keys on
+    # it) and writes back out.
+    hash(inst)
+    instance_from_dict(instance_to_dict(inst))

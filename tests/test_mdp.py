@@ -21,6 +21,7 @@ from repairnet.mdp import (
     actions_of,
     all_failed_state,
     enumerate_states,
+    kernel_of,
     pristine_state,
     simulate,
 )
@@ -53,17 +54,34 @@ def test_switch_probability_independent_of_conditions(two_machines):
 
 
 def test_probabilities_sum_to_one_randomized():
+    # A sampled index decodes to the state enumerate_states lists at that
+    # position, so the sample needs no enumeration of the state space.
     generator = rng(5)
     for seed in range(20):
         inst = generate_instance(seed)
-        states = enumerate_states(inst, bound=10_000_000)
+        kernel = kernel_of(inst)
         for _ in range(30):
-            state = states[generator.integers(0, len(states))]
+            x = int(generator.integers(0, kernel.indexer.count))
+            state = kernel.state(x)
             for action in actions_of(inst, state):
                 events = step_probabilities(inst, state, action)
                 total = sum(p for _, p in events)
                 assert total == pytest.approx(1.0, abs=1e-12)
                 assert all(0.0 <= p <= 1.0 for _, p in events)
+                expected: dict[SystemState, float] = {}
+                for event, p in events:
+                    nxt = apply_event(state, event)
+                    expected[nxt] = expected.get(nxt, 0.0) + p
+                # The kernel's row: each offset owns the gap up to its threshold.
+                _, thresholds, offsets = kernel.row(state, action)
+                got: dict[SystemState, float] = {}
+                for offset, lo, hi in zip(offsets, (0.0, *thresholds), (*thresholds, 1.0)):
+                    nxt = kernel.state(x + offset)
+                    got[nxt] = got.get(nxt, 0.0) + (hi - lo)
+                for nxt in expected.keys() | got.keys():
+                    assert got.get(nxt, 0.0) == pytest.approx(
+                        expected.get(nxt, 0.0), abs=1e-12
+                    )
 
 
 def test_degradation_probabilities_action_invariant():
@@ -144,7 +162,7 @@ def test_simulate_passive_policy_all_failed():
     inst = homogeneous_star_instance(3, 1, 0.04, 0.12, 1.0, 0.024)
     center = 4
     stay = lambda state: state.location
-    report = simulate(inst, stay, all_failed_state(inst, center), steps=500, rng=rng(0))
+    report = simulate(inst, stay, all_failed_state(inst, center), steps=500, crn=rng(0).random(500))
     assert report.average_cost == pytest.approx(inst.failed_cost_total())
     assert report.visit_counts[center - 1] == 500
 
@@ -152,10 +170,10 @@ def test_simulate_passive_policy_all_failed():
 def test_simulate_rejects_bad_arguments(two_machines):
     stay = lambda state: state.location
     with pytest.raises(ValueError):
-        simulate(two_machines, stay, pristine_state(two_machines), steps=0, rng=rng(0))
+        simulate(two_machines, stay, pristine_state(two_machines), steps=0, crn=rng(0).random(0))
     with pytest.raises(ValueError):
         simulate(two_machines, stay, pristine_state(two_machines), steps=10, crn=[0.5] * 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         simulate(two_machines, stay, pristine_state(two_machines), steps=10)
 
 
@@ -205,7 +223,7 @@ def test_long_run_cost_reward_identity():
     from repairnet.index_policy import IndexPolicy
 
     inst = counterexample_instances()[0]
-    report = simulate(inst, IndexPolicy(inst), pristine_state(inst), 300_000, rng=rng(7))
+    report = simulate(inst, IndexPolicy(inst), pristine_state(inst), 300_000, crn=rng(7).random(300_000))
     total = inst.failed_cost_total()
     assert abs(report.average_cost + report.average_reward - total) < 0.05
 
@@ -228,7 +246,7 @@ def test_state_indexer_round_trip(two_machines):
 
 def test_report_json_round_trips(two_machines):
     stay = lambda state: state.location
-    report = simulate(two_machines, stay, pristine_state(two_machines), 50, rng=rng(1))
+    report = simulate(two_machines, stay, pristine_state(two_machines), 50, crn=rng(1).random(50))
     payload = report.to_json()
     assert '"average_cost"' in payload
     assert math.isfinite(report.average_reward)

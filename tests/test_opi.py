@@ -118,7 +118,7 @@ def test_confidence_interval_degenerate_cases():
 
 
 def make_store(inst, reference, g_base=0.0):
-    return ValueStore(reference=reference, g_base=g_base)
+    return ValueStore(inst, reference, g_base)
 
 
 def fast_switch_instance():
@@ -135,14 +135,14 @@ def test_sample_trajectory_runs_at_least_one_step():
     u0 = pristine_state(inst)
     store = make_store(inst, u0)
     other = with_location(u0, 2)
-    store.entries[other] = ValueStoreEntry(h=3.0, ss=9.0, w=1.0, s=1)
+    store[other] = ValueStoreEntry(h=3.0, ss=9.0, w=1.0, s=1)
     # Starting from a state already stored: the stopping test runs only
     # after the first transition, so at least one step always elapses.
     stop, elapsed = sample_trajectory(
         inst, ModifiedIndexPolicy(inst), store, other, p=1, rng=rng(0), mode=STEP_COUNT
     )
     assert elapsed >= 1
-    assert stop in store.entries
+    assert stop in store
 
 
 def test_sample_trajectory_stop_state_membership():
@@ -153,7 +153,7 @@ def test_sample_trajectory_stop_state_membership():
         stop, elapsed = sample_trajectory(
             inst, ModifiedIndexPolicy(inst), store, u0, p=5, rng=rng(seed), mode=STEP_COUNT
         )
-        assert stop in store.entries
+        assert stop in store
         assert elapsed >= 1
 
 
@@ -163,7 +163,7 @@ def test_sample_trajectory_updates_first_p_states():
     store = make_store(inst, u0)
     sample_trajectory(inst, ModifiedIndexPolicy(inst), store, u0, p=3, rng=rng(1))
     # The start state itself is always among the updated records.
-    assert store.entries[u0].s >= 2  # pinned initial observation plus one
+    assert store.get(u0).s >= 2  # pinned initial observation plus one
     assert len(store.entries) >= 2
 
 
@@ -199,13 +199,13 @@ def test_chained_records_bootstrap_through_the_updated_reference():
 
     alpha = LEARNING_SCALE / (LEARNING_SCALE + 1)
     h_reference = alpha * total  # (1 - alpha) * 0 + alpha * (total - 0 * count)
-    assert store.entries[reference].h == pytest.approx(h_reference, rel=1e-12)
+    assert store.get(reference).h == pytest.approx(h_reference, rel=1e-12)
     assert h_reference > 0.1
-    assert set(store.entries) == {reference, *records}
+    assert {state for state, _ in store.items()} == {reference, *records}
     for state, cost_at in records.items():
         # A new entry's first observation is its value.
         expected = (total - cost_at) + h_reference
-        assert store.entries[state].h == pytest.approx(expected, rel=1e-12)
+        assert store.get(state).h == pytest.approx(expected, rel=1e-12)
 
 
 def never_leaves(state):
@@ -262,10 +262,10 @@ def test_offline_main_budget_semantics():
     budget = OpiBudget(r1=300, r2=3_000, r_off=25, tau_max=1e12, r_on=10, delta=1, mode=STEP_COUNT)
     prep = offline_preparatory(inst, base, budget, rng(3))
     store = offline_main(inst, base, prep, budget, rng(4))
-    assert prep.reference in store.entries
+    assert prep.reference in store
     # Stage 1 alone gives every start state r_off observations.
     for z in prep.z_all:
-        assert store.entries[z].s >= budget.r_off
+        assert store.get(z).s >= budget.r_off
 
 
 def gauge_ci_hits(inst, store, min_count=50):
@@ -286,7 +286,7 @@ def gauge_ci_hits(inst, store, min_count=50):
     )
     indexer = StateIndexer(inst)
     offsets = []
-    for state, entry in store.entries.items():
+    for state, entry in store.items():
         if entry.s < min_count:
             continue
         lo, hi = confidence_interval(entry)
@@ -347,9 +347,9 @@ def test_improving_action_stage_separation():
     store = make_store(inst, u0)
     neighbors = inst.layout.neighbors(stage)
     a1, a2 = neighbors[0], neighbors[1]
-    store.entries[state] = tight(10.0, 0.1)
-    store.entries[with_location(state, a1)] = tight(1.0, 0.1)
-    store.entries[with_location(state, a2)] = tight(5.0, 0.1)
+    store[state] = tight(10.0, 0.1)
+    store[with_location(state, a1)] = tight(1.0, 0.1)
+    store[with_location(state, a2)] = tight(5.0, 0.1)
     action, safe = improving_action(inst, state, store, base_action=a2)
     assert action == a1
     assert safe is False
@@ -389,7 +389,8 @@ def test_repair_versus_switch_matches_paper_inequality():
                 width = float(generator.uniform(0.01, 3.0))
                 entries[s] = tight(h, width)
             store = make_store(inst, pristine_state(inst))
-            store.entries.update(entries)
+            for s, entry in entries.items():
+                store[s] = entry
             action, safe = improving_action(inst, state, store, base_action=2)
 
             iv = {s: _interval_of(e) for s, e in entries.items()}
@@ -429,8 +430,8 @@ def test_improving_action_translation_invariant():
                 continue  # leave some entries missing
             h = float(generator.normal(0, 5))
             width = float(generator.uniform(0.0, 2.0))
-            store.entries[s] = tight(h, width)
-            shifted.entries[s] = tight(h + offset, width)
+            store[s] = tight(h, width)
+            shifted[s] = tight(h + offset, width)
         base = 1
         assert improving_action(inst, state, store, base) == improving_action(
             inst, state, shifted, base
@@ -455,8 +456,8 @@ def test_online_run_reproducible_and_reports():
     assert r1.average_cost == r2.average_cost
     assert r1.average_reward == r2.average_reward
     assert r1.safe_action_fraction == r2.safe_action_fraction
-    assert {state_key(k): (e.h, e.ss, e.w, e.s) for k, e in s1.entries.items()} == {
-        state_key(k): (e.h, e.ss, e.w, e.s) for k, e in s2.entries.items()
+    assert {state_key(k): (e.h, e.ss, e.w, e.s) for k, e in s1.items()} == {
+        state_key(k): (e.h, e.ss, e.w, e.s) for k, e in s2.items()
     }
     assert 0.0 <= r1.safe_action_fraction <= 1.0
     assert "safe_by_quarter" in r1.metadata
@@ -512,10 +513,15 @@ def test_store_round_trip(tmp_path):
     store = offline_main(inst, base, prep, budget, rng(6))
     path = tmp_path / "store.json"
     save_store(store, path)
-    loaded = load_store(path)
+    loaded = load_store(path, inst)
     assert loaded.reference == store.reference
     assert loaded.g_base == store.g_base
     assert loaded.entries == store.entries
+    # Index order is state order, so the file lists its keys sorted by state.
+    states = [state for state, _ in loaded.items()]
+    assert states == sorted(states) and len(states) == len(store.entries)
+    with pytest.raises(ValueError, match="root.instance: the store was exported for another"):
+        load_store(path, generate_instance(30, m=2, cap=1))
 
 
 def test_run_opi_smoke_with_crn():
@@ -532,4 +538,4 @@ def test_run_opi_smoke_with_crn():
         crn=crn,
     )
     assert result.report.steps == 500
-    assert result.store.reference in result.store.entries
+    assert result.store.reference in result.store

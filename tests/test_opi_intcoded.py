@@ -147,12 +147,12 @@ def random_gate_cases(count):
         location = int(generator.integers(1, inst.layout.node_count + 1))
         conditions = tuple(int(generator.integers(0, k + 1)) for k in inst.cap)
         state = SystemState(location, conditions)
-        store = ValueStore(reference=pristine_state(inst), g_base=0.0)
+        store = ValueStore(inst, pristine_state(inst), 0.0)
         for s in oracle_neighborhood(inst, state):
             if generator.random() < 0.1:
                 continue  # leave an unbounded interval now and then
             h = float(generator.normal(0.0, 5.0))
-            store.entries[s] = tight(h, float(generator.uniform(0.01, 2.0)))
+            store[s] = tight(h, float(generator.uniform(0.01, 2.0)))
         yield inst, state, store
 
 
@@ -167,7 +167,7 @@ def edge_gate_cases():
         cap=(2,),
         cost=CostModel(kind=CostKind.LINEAR, c=(1.0,)),
     )
-    yield lone, SystemState(1, (1,)), ValueStore(reference=pristine_state(lone), g_base=0.0)
+    yield lone, SystemState(1, (1,)), ValueStore(lone, pristine_state(lone), 0.0)
     # mu_i == tau at a damaged machine: every action has the same rate, so
     # h[x] drops out of every pair and the gate decides whether or not x
     # itself is stored.
@@ -175,10 +175,10 @@ def edge_gate_cases():
     inst = replace(inst, mu=(inst.tau,) * inst.machine_count)
     state = SystemState(1, (1, 0, 2, 1))
     for x_stored in (False, True):
-        store = ValueStore(reference=pristine_state(inst), g_base=0.0)
+        store = ValueStore(inst, pristine_state(inst), 0.0)
         for k, s in enumerate(oracle_neighborhood(inst, state)):
             if x_stored or s != state:
-                store.entries[s] = tight(float(k), 0.1)
+                store[s] = tight(float(k), 0.1)
         yield inst, state, store
 
 
@@ -220,7 +220,7 @@ def run_digest(inst, budget, seed, use_crn):
             report.metadata["safe_by_quarter"],
         ],
         "entries": [
-            [state_key(s), e.h, e.ss, e.w, e.s] for s, e in sorted(store.entries.items())
+            [state_key(s), e.h, e.ss, e.w, e.s] for s, e in store.items()
         ],
     }
     digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
@@ -275,7 +275,7 @@ def test_cold_store_fallback_is_counted_as_unbounded():
     base = ModifiedIndexPolicy(inst)
     budget = OpiBudget(r1=50, r2=500, r_off=5, tau_max=1e9, r_on=1, delta=8, mode=STEP_COUNT)
     prep = offline_preparatory(inst, base, budget, rng(1))
-    store = ValueStore(reference=prep.reference, g_base=prep.g_base)
+    store = ValueStore(inst, prep.reference, prep.g_base)
     report = online_run(inst, base, store, budget, rng(3))
     assert report.safe_action_fraction == 1.0
     assert report.metadata["fallback_causes"] == {"unbounded": 1, "overlap": 0}

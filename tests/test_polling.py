@@ -131,6 +131,6 @@ def test_polling_never_beats_optimum():
 def test_polling_policy_runs_under_simulate():
     inst = generate_instance(8, m=3, cap=2)
     tour = best_tour(inst.layout, inst.layout.machines)
-    report = simulate(inst, PollingPolicy(inst, tour), pristine_state(inst), 5_000, rng=rng(3))
+    report = simulate(inst, PollingPolicy(inst, tour), pristine_state(inst), 5_000, crn=rng(3).random(5_000))
     assert report.steps == 5_000
     assert sum(report.visit_counts) == 5_000

@@ -5,7 +5,6 @@ turning into plausible averages."""
 import json
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +15,6 @@ from repairnet.dp import StationaryPolicy
 from repairnet.index_policy import IndexPolicy, ModifiedIndexPolicy
 from repairnet.instance import generate_instance, save_instance
 from repairnet.mdp import (
-    UNIFORM_CHUNK,
     Kernel,
     SystemState,
     actions_of,
@@ -52,11 +50,6 @@ def reference_simulate(inst, policy, x0, steps, uniforms):
     return total_cost / steps, total_reward / steps, tuple(visits)
 
 
-def generator_state(generator):
-    # Philox keeps its counter, key and buffer as arrays.
-    return json.dumps(generator.bit_generator.state, default=np.ndarray.tolist)
-
-
 @st.composite
 def simulation_cases(draw):
     inst = generate_instance(
@@ -79,27 +72,18 @@ def simulation_cases(draw):
             )
         )
         make_policy = lambda: table.as_rule(inst)
-    edges = [UNIFORM_CHUNK - 1, UNIFORM_CHUNK, UNIFORM_CHUNK + 1, 2 * UNIFORM_CHUNK + 1]
-    steps = draw(st.one_of(st.integers(1, 2 * UNIFORM_CHUNK + 50), st.sampled_from(edges)))
+    steps = draw(st.integers(1, 8_242))
     return inst, x0, make_policy, steps, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
-@given(simulation_cases(), st.booleans())
-def test_simulate_matches_reference_loop(case, use_crn):
+@given(simulation_cases())
+def test_simulate_matches_reference_loop(case):
     inst, x0, make_policy, steps, seed = case
-    if use_crn:
-        crn = rng(seed).random(steps + 7)
-        report = simulate(inst, make_policy(), x0, steps, crn=crn)
-        expected = reference_simulate(inst, make_policy(), x0, steps, crn)
-    else:
-        generator, parent = rng(seed), rng(seed)
-        report = simulate(inst, make_policy(), x0, steps, rng=generator)
-        # The loop this replaced drew UNIFORM_CHUNK uniforms per refill.
-        chunks = -(-steps // UNIFORM_CHUNK)
-        uniforms = np.concatenate([parent.random(UNIFORM_CHUNK) for _ in range(chunks)])
-        expected = reference_simulate(inst, make_policy(), x0, steps, uniforms)
-        assert generator_state(generator) == generator_state(parent)
+    # A list longer than the run: only its first ``steps`` uniforms are used.
+    crn = rng(seed).random(steps + 7)
+    report = simulate(inst, make_policy(), x0, steps, crn=crn)
+    expected = reference_simulate(inst, make_policy(), x0, steps, crn)
     assert report.steps == steps
     assert (report.average_cost, report.average_reward, report.visit_counts) == expected
 
@@ -124,7 +108,7 @@ def test_polling_memory_carries_across_simulate_calls(start):
         return policy
 
     x0 = pristine_state(inst)
-    first_steps, second_steps = UNIFORM_CHUNK + 914, 2_000
+    first_steps, second_steps = 5_010, 2_000
     uniforms = rng(5).random(first_steps + second_steps)
     head, tail = uniforms[:first_steps], uniforms[first_steps:]
 
@@ -173,7 +157,7 @@ def test_a_function_of_the_state_is_queried_once_per_distinct_state_per_call():
         return rule(state)
 
     x0 = pristine_state(inst)
-    steps = 2 * UNIFORM_CHUNK + 77
+    steps = 8_269
     for seed in (1, 2):
         queried.clear()
         crn = rng(seed).random(steps)
@@ -203,7 +187,7 @@ class _BadMemory:
 def test_simulate_rejects_a_memory_that_is_not_a_non_negative_integer(memory, after, bad):
     inst = generate_instance(5, m=2, cap=2)
     with pytest.raises(ValueError, match=f"rule memory {bad} is not a non-negative integer"):
-        simulate(inst, _BadMemory(memory, after), pristine_state(inst), 10, rng=rng(0))
+        simulate(inst, _BadMemory(memory, after), pristine_state(inst), 10, crn=rng(0).random(10))
 
 
 def test_simulate_accepts_a_plain_list_of_uniforms():
@@ -245,7 +229,7 @@ def test_simulate_rejects_states_outside_the_instance():
     inst = generate_instance(20018)
     for state, field in bad_states(inst):
         with pytest.raises(ValueError, match=field):
-            simulate(inst, IndexPolicy(inst), state, 100, rng=rng(0))
+            simulate(inst, IndexPolicy(inst), state, 100, crn=rng(0).random(100))
         with pytest.raises(ValueError, match=field):
             validate_state(inst, state)
 
@@ -260,23 +244,22 @@ def test_online_run_and_run_opi_reject_states_outside_the_instance():
         (SystemState(0, zeros), "state.location"),
     ]
     for state, field in cases:
-        store = ValueStore(reference=pristine_state(inst), g_base=0.0)
+        store = ValueStore(inst, pristine_state(inst), 0.0)
         with pytest.raises(ValueError, match=field):
             online_run(inst, base, store, budget, rng(1), x0=state)
         with pytest.raises(ValueError, match=field):
             run_opi(inst, base, budget, rng(1), rng(2), x0=state)
-    # A store whose reference lies outside the instance is the start state
-    # when no x0 is given.
-    store = ValueStore(reference=SystemState(0, zeros), g_base=0.0)
-    with pytest.raises(ValueError, match="state.location"):
-        online_run(inst, base, store, budget, rng(1))
+    # A reference outside the instance, the start state when no x0 is
+    # given, is refused when the store is built.
+    with pytest.raises(ValueError, match=r"store entry '0:[0,]+': state.location"):
+        ValueStore(inst, SystemState(0, zeros), 0.0)
 
 
 def test_neighborhood_and_improving_action_reject_states_outside_the_instance():
     # With caps (2, 2) the over-cap state (1, (3, 0)) shares its kernel
     # index with (2, (0, 0)); it must be refused, not answered for that state.
     inst = generate_instance(5, m=2, cap=2)
-    store = ValueStore(reference=pristine_state(inst), g_base=0.0)
+    store = ValueStore(inst, pristine_state(inst), 0.0)
     for state, field in bad_states(inst) + [(SystemState(1, (3, 0)), r"state.conditions\[0\]")]:
         with pytest.raises(ValueError, match=field):
             neighborhood(inst, state)
@@ -309,7 +292,7 @@ def test_unavailable_action_is_rejected():
         kernel.action_row(x, 2)
     assert kernel.action_rows == {}
     with pytest.raises(ValueError, match="not available"):
-        simulate(inst, lambda state: 2, pristine_state(inst, location=1), 10, rng=rng(0))
+        simulate(inst, lambda state: 2, pristine_state(inst, location=1), 10, crn=rng(0).random(10))
     # The center and staying put are available and memoized once each.
     for action in (1, 4, 1):
         kernel.action_row(x, action)
