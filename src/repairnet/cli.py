@@ -8,6 +8,7 @@ makes opi and benchmark runs exactly reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,12 +16,11 @@ from pathlib import Path
 from .dp import policy_iteration, reward_optimum
 from .experiments import (
     ExperimentConfig,
-    aggregate_records,
     read_records_csv,
     records_csv_text,
     render_tables,
     run_benchmark,
-    write_aggregate_csv,
+    write_aggregates,
 )
 from .fixtures import verify_all
 from .index_policy import IndexPolicy, ModifiedIndexPolicy, index_table
@@ -50,15 +50,20 @@ from .polling import PollingPolicy, best_tour
 
 
 def _budget_from_args(args) -> OpiBudget:
+    """The budget the options give; exits naming the field that
+    ``OpiBudget`` rejects."""
     budget = OpiBudget() if args.paper_scale else desk_scale_budget()
+    changes = {
+        name: getattr(args, name)
+        for name in ("r1", "r2", "r_off", "tau_max", "r_on", "delta")
+        if getattr(args, name, None) is not None
+    }
     if args.budget_mode:
-        mode = STEP_COUNT if args.budget_mode == "step-count" else WALL_CLOCK
-        budget.mode = mode
-    for name in ("r1", "r2", "r_off", "tau_max", "r_on", "delta"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(budget, name, value)
-    return budget
+        changes["mode"] = STEP_COUNT if args.budget_mode == "step-count" else WALL_CLOCK
+    try:
+        return dataclasses.replace(budget, **changes)
+    except ValueError as exc:
+        raise SystemExit(f"repairnet: error: {exc}") from None
 
 
 def cmd_generate(args) -> int:
@@ -198,10 +203,7 @@ def cmd_benchmark(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "records.csv").write_text(records_csv_text(records), encoding="utf-8")
-    for dimension in ("m", "rho", "eta", "cost_kind", "K"):
-        rows = aggregate_records(records, dimension)
-        with open(out / f"aggregate_{dimension}.csv", "w", encoding="utf-8", newline="") as fh:
-            write_aggregate_csv(rows, fh)
+    write_aggregates(records, out)
     tables = render_tables(records)
     (out / "tables.txt").write_text(tables, encoding="utf-8")
     print(tables)
@@ -219,10 +221,7 @@ def cmd_report(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        for dimension in ("m", "rho", "eta", "cost_kind", "K"):
-            rows = aggregate_records(records, dimension)
-            with open(out / f"aggregate_{dimension}.csv", "w", encoding="utf-8", newline="") as fh:
-                write_aggregate_csv(rows, fh)
+        write_aggregates(records, out)
     print(render_tables(records))
     return 0
 

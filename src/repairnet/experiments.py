@@ -16,6 +16,7 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from .dp import policy_iteration
 from .index_policy import IndexPolicy, ModifiedIndexPolicy
@@ -316,6 +317,15 @@ def write_aggregate_csv(rows: list[dict], stream) -> None:
             else:
                 out.extend([repr(cell[0]), repr(cell[1]), cell[2]])
         writer.writerow(out)
+
+
+def write_aggregates(records: list[SuboptimalityRecord], out_dir: Path) -> None:
+    """``aggregate_<dimension>.csv`` in ``out_dir`` for every dimension of
+    ``BUCKET_SPECS``."""
+    for dimension in BUCKET_SPECS:
+        rows = aggregate_records(records, dimension)
+        with open(out_dir / f"aggregate_{dimension}.csv", "w", encoding="utf-8", newline="") as fh:
+            write_aggregate_csv(rows, fh)
 
 
 def render_tables(records: list[SuboptimalityRecord]) -> str:

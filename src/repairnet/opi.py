@@ -38,9 +38,17 @@ back to back in one frame from an iterable of start states until a
 trajectory count or a budget is used up: one call per offline start
 state (the chained core phase appends each stop as the next start), one
 per hypothetical successor online (its neighborhood is the starts), and
-one for the public ``sample_trajectory``.  Only the chained phase records
-more than the start state: its set-up and updates sit behind a check per
-trajectory, and the step loop tests one counter that is 0 otherwise.
+one for the public ``sample_trajectory``.  Every rollout keeps a list of
+records, its start first, and one loop updates their entries; only the
+chained phase records more than the start, so its set-up sits behind a
+check per trajectory and the step loop tests one counter that is 0
+otherwise.
+
+Each phase reads its generator as one stream of uniforms, one per
+simulated step, drawn 8192 at a time (``_uniforms``), so the phases that
+share the offline generator read it back to back.  Online, the realized
+transitions come from the CRN list when one is given and from the same
+stream otherwise.
 
 The kernel's ``moves`` give each action's event as ``(action, rate,
 target)`` (mu_i for a repair, tau for a switch, 0 for idling), so every
@@ -113,12 +121,16 @@ class OpiBudget:
     mode: str = WALL_CLOCK
 
     def __post_init__(self) -> None:
-        if min(self.r1, self.r2, self.r_off, self.r_on) < 1:
-            raise ValueError("all iteration budgets must be positive")
-        if self.tau_max <= 0 or self.delta <= 0:
-            raise ValueError("tau_max and delta must be positive")
+        for name in ("r1", "r2", "r_off", "r_on"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name}: {getattr(self, name)!r} is not a positive count")
+        if not self.tau_max > 0:
+            raise ValueError(f"tau_max: {self.tau_max!r} is not positive")
+        # An infinite delta would never end a decision's nested rollouts.
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta: {self.delta!r} is not a positive finite number")
         if self.mode not in (WALL_CLOCK, STEP_COUNT):
-            raise ValueError(f"unknown budget mode {self.mode!r}")
+            raise ValueError(f"mode: unknown budget mode {self.mode!r}")
 
 
 def desk_scale_budget(r_on: int = 50_000) -> OpiBudget:
@@ -230,55 +242,73 @@ def save_store(store: ValueStore, path) -> None:
         fh.write("\n")
 
 
+def _finite(value) -> bool:
+    """A JSON number (not a boolean) that is finite."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def load_store(path, inst: InstanceParameters) -> ValueStore:
     """Read a store written by ``save_store`` for ``inst``.
 
-    Raises ValueError naming ``root.instance`` when the file carries no
-    fingerprint or another instance's, and naming the entry's key when a
-    state lies outside ``inst``.
+    Raises ValueError naming the field (``root``, ``root.instance``,
+    ``root.reference``, ``root.g_base``, ``root.entries`` or
+    ``root.entries['<key>']``) when the file is not such a store: the
+    fingerprint is missing or another instance's, g_base is not a finite
+    number, a state key does not parse or lies outside ``inst``, or an
+    entry is not four finite numbers [h, ss, w, s] with s a non-negative
+    integer.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"root: expected an object, got {type(payload).__name__}")
     stamp = payload.get("instance")
     if stamp is None:
         raise ValueError("root.instance: missing instance fingerprint")
     if stamp != _fingerprint(inst):
         raise ValueError("root.instance: the store was exported for another instance")
-    store = ValueStore(inst, parse_state_key(payload["reference"]), payload["g_base"])
-    for key, vals in payload["entries"].items():
-        store[parse_state_key(key)] = ValueStoreEntry(
-            h=vals[0], ss=vals[1], w=vals[2], s=int(vals[3])
-        )
+    g_base = payload.get("g_base")
+    if not _finite(g_base):
+        raise ValueError(f"root.g_base: {g_base!r} is not a finite number")
+    entries = payload.get("entries")
+    if not isinstance(entries, dict):
+        raise ValueError(f"root.entries: expected an object, got {type(entries).__name__}")
+    reference = payload.get("reference")
+    try:
+        if not isinstance(reference, str):
+            raise ValueError(f"{reference!r} is not a state key")
+        store = ValueStore(inst, parse_state_key(reference), g_base)
+    except ValueError as exc:
+        raise ValueError(f"root.reference: {exc}") from None
+    for key, vals in entries.items():
+        try:
+            if not (
+                isinstance(vals, list)
+                and len(vals) == 4
+                and all(map(_finite, vals))
+                and type(vals[3]) is int
+                and vals[3] >= 0
+            ):
+                raise ValueError(
+                    f"{vals!r} is not four finite numbers [h, ss, w, s] "
+                    "with s a non-negative integer"
+                )
+            store[parse_state_key(key)] = ValueStoreEntry(
+                h=vals[0], ss=vals[1], w=vals[2], s=vals[3]
+            )
+        except ValueError as exc:
+            raise ValueError(f"root.entries[{key!r}]: {exc}") from None
     return store
 
 
 _BUFFER = 8192
 
 
-class _Uniforms:
-    """Sequential uniforms from a generator, drawn 8192 at a time.
-
-    Hot loops copy ``buffer`` and ``pos`` into locals, call ``refill``
-    when ``pos`` reaches the end, and write ``pos`` back when done.
-    """
-
-    __slots__ = ("_rng", "buffer", "pos")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self.refill()
-
-    def refill(self) -> list[float]:
-        self.buffer = self._rng.random(_BUFFER).tolist()
-        self.pos = 0
-        return self.buffer
-
-    def take(self) -> float:
-        if self.pos >= _BUFFER:
-            self.refill()
-        u = self.buffer[self.pos]
-        self.pos += 1
-        return u
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """``rng``'s uniforms one at a time, drawn 8192 at a time when the first
+    of each chunk is needed, so a phase that takes over a generator reads
+    on where the previous phase's last chunk ended."""
+    return itertools.chain.from_iterable(iter(lambda: rng.random(_BUFFER).tolist(), None))
 
 
 def _neighborhood(kernel: Kernel, x: int) -> list[int]:
@@ -325,10 +355,6 @@ class _Runtime:
             row = self.base_rows[x] = self.kernel.action_row(x, self.base_action(x))
         return row
 
-    def base_step(self, x: int, u: float) -> int:
-        _, thresholds, offsets, _ = self.base_row(x)
-        return x + offsets[bisect_right(thresholds, u)]
-
     def neighborhood(self, x: int) -> list[int]:
         members = self._neighborhoods.get(x)
         if members is None:
@@ -343,18 +369,20 @@ def _rollouts(
     runtime: _Runtime,
     starts: Iterable[int],
     p: int,
-    uniforms: _Uniforms,
+    uniforms: Iterator[float],
     mode: str,
     count: float,
     budget: float,
 ) -> tuple[int, int, float]:
     """Variable-length rollouts under the base policy, back to back in one
-    frame, one per index in ``starts``.
+    frame, one per index in ``starts``, each step driven by one uniform.
 
     A rollout from ``z`` runs until hitting a stored state other than ``z``
-    itself (returning to the reference state always stops).  The first
-    ``p`` distinct states receive a bootstrapped excess-cost observation.
-    With ``p > 1`` rollouts chain: each stop is appended to ``starts`` (a
+    itself (returning to the reference state always stops).  It records
+    the first ``p`` distinct states it visits, ``z`` first, and each
+    record receives a bootstrapped excess-cost observation: the cost from
+    the record on, plus the stop's value, minus g_base per step.  With
+    ``p > 1`` rollouts chain: each stop is appended to ``starts`` (a
     list), so the next rollout starts where this one stopped.  Rollouts
     end when ``starts`` runs out, or once ``count`` have run or ``budget``
     is used up (simulated steps in step-count mode, seconds in wall-clock
@@ -368,8 +396,7 @@ def _rollouts(
     base_row = runtime.base_row
     reference = runtime.reference
     g_base = runtime.store.g_base
-    bisect, end, cap = bisect_right, _BUFFER, TRAJECTORY_CAP
-    buffer, pos = uniforms.buffer, uniforms.pos
+    bisect, cap = bisect_right, TRAJECTORY_CAP
     chain = p > 1
     room = 0  # distinct states still to record; never above 0 unless chain
     done = total_steps = 0
@@ -379,19 +406,15 @@ def _rollouts(
         total_cost = 0.0
         steps = 0
         current = z
+        records = [(z, 0.0, 0)]
         if chain:
-            records = [(z, 0.0, 0)]
             room = p - 1
             seen = {z}
         while True:
             cost, thresholds, offsets, _ = rows.get(current) or base_row(current)
             total_cost += cost
             steps += 1
-            if pos == end:
-                buffer = uniforms.refill()
-                pos = 0
-            stop = current + offsets[bisect(thresholds, buffer[pos])]
-            pos += 1
+            stop = current + offsets[bisect(thresholds, next(uniforms))]
             if (stop != z or stop == reference) and stop in values:
                 break
             current = stop
@@ -405,33 +428,21 @@ def _rollouts(
                     "steps without reaching a stored state; is the base policy unichain?"
                 )
 
-        if chain:
-            # values[stop] is read per record: when the start is also the
-            # stop (the reference), later records bootstrap through its
-            # freshly updated value.
-            for x, cost_at, steps_at in records:
-                entry = values.get(x)
-                if entry is None:
-                    entry = values[x] = ValueStoreEntry()
-                entry.s += 1
-                alpha = LEARNING_SCALE / (LEARNING_SCALE + entry.s - 1)
-                observation = (
-                    (total_cost - cost_at) + values[stop].h - g_base * (steps - steps_at)
-                )
-                entry.h = (1.0 - alpha) * entry.h + alpha * observation
-                entry.ss = (1.0 - alpha) * entry.ss + alpha * observation * observation
-                entry.w = (1.0 - alpha) ** 2 * entry.w + alpha * alpha
-            starts.append(stop)
-        else:
-            entry = values.get(z)
+        # values[stop] is read per record: when the start is also the stop
+        # (the reference), later records bootstrap through its freshly
+        # updated value.
+        for x, cost_at, steps_at in records:
+            entry = values.get(x)
             if entry is None:
-                entry = values[z] = ValueStoreEntry()
+                entry = values[x] = ValueStoreEntry()
             entry.s += 1
             alpha = LEARNING_SCALE / (LEARNING_SCALE + entry.s - 1)
-            observation = total_cost + values[stop].h - g_base * steps
+            observation = (total_cost - cost_at) + values[stop].h - g_base * (steps - steps_at)
             entry.h = (1.0 - alpha) * entry.h + alpha * observation
             entry.ss = (1.0 - alpha) * entry.ss + alpha * observation * observation
             entry.w = (1.0 - alpha) ** 2 * entry.w + alpha * alpha
+        if chain:
+            starts.append(stop)
 
         done += 1
         total_steps += steps
@@ -439,7 +450,6 @@ def _rollouts(
         if done >= count or used >= budget:
             break
 
-    uniforms.pos = pos
     return stop, done, used
 
 
@@ -455,11 +465,12 @@ def sample_trajectory(
     """One rollout from ``z`` (see _rollouts): its stop state and the
     budget it used, in steps or seconds."""
     _check_store(inst, store)
+    validate_state(inst, z)
     if store.reference not in store:
         raise ValueError("store is missing its reference entry")
     runtime = _Runtime(inst, base, store)
     stop, _, used = _rollouts(
-        runtime, [runtime.indexer.index(z)], p, _Uniforms(rng), mode, 1, math.inf
+        runtime, [runtime.indexer.index(z)], p, _uniforms(rng), mode, 1, math.inf
     )
     return runtime.kernel.state(stop), float(used)
 
@@ -487,7 +498,8 @@ def offline_preparatory(
     neighbors, which the online part will need intervals for.
     """
     runtime = _Runtime(inst, base)
-    uniforms = _Uniforms(rng)
+    uniforms = _uniforms(rng)
+    rows, base_row = runtime.base_rows, runtime.base_row
     index, block = runtime.indexer.index, runtime.block
     m = inst.machine_count
 
@@ -497,7 +509,8 @@ def offline_preparatory(
         at_i = range((i - 1) * block, i * block)
         counts: dict[int, int] = {}
         for _ in range(budget.r1):
-            state = runtime.base_step(state, uniforms.take())
+            _, thresholds, offsets, _ = rows.get(state) or base_row(state)
+            state += offsets[bisect_right(thresholds, next(uniforms))]
             if state in at_i:
                 counts[state] = counts.get(state, 0) + 1
         if counts:
@@ -508,19 +521,13 @@ def offline_preparatory(
         else:
             z_core.append(pristine_state(inst, location=i))
 
-    rows = runtime.base_rows
-    buffer, pos = uniforms.buffer, uniforms.pos
     state = index(pristine_state(inst, location=1))
     total_cost = 0.0
     visits = [0] * m
     for _ in range(budget.r2):
-        cost, thresholds, offsets, _ = rows.get(state) or runtime.base_row(state)
+        cost, thresholds, offsets, _ = rows.get(state) or base_row(state)
         total_cost += cost
-        if pos == _BUFFER:
-            buffer = uniforms.refill()
-            pos = 0
-        state += offsets[bisect_right(thresholds, buffer[pos])]
-        pos += 1
+        state += offsets[bisect_right(thresholds, next(uniforms))]
         location = state // block
         if location < m:
             visits[location] += 1
@@ -546,11 +553,19 @@ def offline_main(
 
     Each start state gets up to ``r_off`` rollouts within ``tau_max``: every
     state of ``z_all`` repeated, recording the start only, then a chain
-    from every core state recording five states a rollout.
+    from every core state recording five states a rollout.  Raises
+    ValueError naming the field, before any rollout, for a start state
+    outside ``inst``.
     """
+    for name, states in (("z_all", prep.z_all), ("z_core", prep.z_core)):
+        for k, z in enumerate(states):
+            try:
+                validate_state(inst, z)
+            except ValueError as exc:
+                raise ValueError(f"prep.{name}[{k}]: {exc}") from None
     store = ValueStore(inst, prep.reference, prep.g_base)
     runtime = _Runtime(inst, base, store)
-    uniforms = _Uniforms(rng)
+    uniforms = _uniforms(rng)
     index = runtime.indexer.index
     limits = (budget.mode, budget.r_off, budget.tau_max)
     for z in prep.z_all:
@@ -674,12 +689,13 @@ def online_run(
     Each step: pick the confidence-gated action, spend the per-decision
     budget on nested rollouts, then realize the actual transition (from
     the shared random-number list when one is supplied, so runs are
-    comparable across policies).  The budget is ``int(delta)`` rollouts in
-    step-count mode and ``delta`` seconds in wall-clock mode.  It is spent
-    one hypothetical successor at a time: draw a successor under the
-    chosen action, then run one rollout from each state of its
-    neighborhood in one ``_rollouts`` call, stopping mid-neighborhood when
-    the budget runs out, and repeat until it does.
+    comparable across policies, else from the rollouts' uniform stream).
+    The budget is ``int(delta)`` rollouts in step-count mode and ``delta``
+    seconds in wall-clock mode.  It is spent one hypothetical successor at
+    a time: draw a successor under the chosen action, then run one rollout
+    from each state of its neighborhood in one ``_rollouts`` call,
+    stopping mid-neighborhood when the budget runs out, and repeat until
+    it does.
 
     ``safe_by_quarter`` holds the fallback share of each quarter of the
     run, None for a quarter with no steps (r_on < 4).  ``fallback_causes``
@@ -691,7 +707,7 @@ def online_run(
     start = store.reference if x0 is None else x0
     validate_state(inst, start)
     runtime = _Runtime(inst, base, store)
-    uniforms = _Uniforms(rng)
+    uniforms = _uniforms(rng)
     values = store.entries
     block = runtime.block
     action_row = runtime.kernel.action_row
@@ -714,9 +730,9 @@ def online_run(
     causes = {UNBOUNDED_CAUSE: 0, OVERLAP_CAUSE: 0}
     quarter = max(1, budget.r_on // 4)
     visits = [0] * inst.layout.node_count
-    crn_pos = 0
     if crn is not None and len(crn) < budget.r_on:
         raise ValueError(f"CRN list of length {len(crn)} is shorter than r_on={budget.r_on}")
+    realized = uniforms if crn is None else iter(crn)
 
     for step_index in range(budget.r_on):
         visits[state // block] += 1
@@ -734,7 +750,7 @@ def online_run(
         done = 0
         used = 0.0
         while done < count and used < seconds:
-            hypothetical = state + offsets[bisect_right(thresholds, uniforms.take())]
+            hypothetical = state + offsets[bisect_right(thresholds, next(uniforms))]
             _, ran, spent = _rollouts(
                 runtime, neighborhood(hypothetical), 1, uniforms, mode,
                 count - done, seconds - used,
@@ -742,12 +758,7 @@ def online_run(
             done += ran
             used += spent
 
-        if crn is not None:
-            u = crn[crn_pos]
-            crn_pos += 1
-        else:
-            u = uniforms.take()
-        state += offsets[bisect_right(thresholds, u)]
+        state += offsets[bisect_right(thresholds, next(realized))]
 
     report = SimulationReport(
         average_cost=total_cost / budget.r_on,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from repairnet.cli import main
+from repairnet.experiments import BUCKET_SPECS
 from repairnet.instance import two_machine_instance, load_instance, save_instance
 
 
@@ -73,6 +74,40 @@ def test_opi_command_with_store_export(two_machine_file, tmp_path, capsys):
     assert store_path.exists()
     payload = json.loads(store_path.read_text())
     assert "entries" in payload
+    del payload["entries"]
+    store_path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["opi", "--instance", two_machine_file, "--import-store", str(store_path)])
+    assert str(exc.value).startswith(
+        f"repairnet: error: --import-store {str(store_path)!r}: root.entries: "
+    )
+
+
+@pytest.mark.parametrize("command", ["opi", "benchmark"])
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--r1", "0", "r1"),
+        ("--r2", "0", "r2"),
+        ("--r-off", "-1", "r_off"),
+        ("--r-on", "0", "r_on"),
+        ("--tau-max", "0", "tau_max"),
+        ("--tau-max", "nan", "tau_max"),
+        ("--delta", "-1", "delta"),
+        ("--delta", "nan", "delta"),
+        ("--delta", "inf", "delta"),
+    ],
+)
+def test_budget_flags_are_checked(two_machine_file, tmp_path, command, flag, value, field):
+    args = [command, "--budget-mode", "step-count", flag, value]
+    if command == "opi":
+        args += ["--instance", two_machine_file]
+    else:
+        args += ["--instances", two_machine_file, "--out", str(tmp_path / "bench")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert str(exc.value).startswith(f"repairnet: error: {field}: ")
+    assert not (tmp_path / "bench").exists()
 
 
 def test_indices_command(two_machine_file, capsys):
@@ -97,6 +132,10 @@ def test_benchmark_and_report_commands(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--records", str(records_path), "--out", str(out / "re")]) == 0
     assert "bucketed by m" in capsys.readouterr().out
+    # Both commands write every dimension's aggregates, byte for byte alike.
+    for dimension in BUCKET_SPECS:
+        name = f"aggregate_{dimension}.csv"
+        assert (out / "re" / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_benchmark_failed_instance_exit_code(tmp_path, capsys):

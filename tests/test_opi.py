@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from bisect import bisect_right
@@ -522,6 +523,60 @@ def test_store_round_trip(tmp_path):
     assert states == sorted(states) and len(states) == len(store.entries)
     with pytest.raises(ValueError, match="root.instance: the store was exported for another"):
         load_store(path, generate_instance(30, m=2, cap=1))
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        ((), [], "root: "),
+        (("instance",), DELETE, "root.instance: "),
+        (("entries",), DELETE, "root.entries: "),
+        (("entries",), [[0.0, 0.0, 1.0, 1]], "root.entries: "),
+        (("reference",), DELETE, "root.reference: "),
+        (("reference",), "x:0", "root.reference: "),
+        (("reference",), "0:0,0", "root.reference: store entry '0:0,0': state.location"),
+        (("g_base",), DELETE, "root.g_base: "),
+        (("g_base",), "nan", "root.g_base: "),
+        (("g_base",), math.nan, "root.g_base: "),
+        (("g_base",), True, "root.g_base: "),
+        (("entries", "x:0,0"), [0.0, 0.0, 1.0, 1], "root.entries['x:0,0']: "),
+        (("entries", "1:0,5"), [0.0, 0.0, 1.0, 1],
+         "root.entries['1:0,5']: store entry '1:0,5': state.conditions[1]"),
+        (("entries", "2:1,0"), [1.0], "root.entries['2:1,0']: "),
+        (("entries", "2:1,0"), [0.5, 1.0, 0.25, 4, 0], "root.entries['2:1,0']: "),
+        (("entries", "2:1,0"), {"h": 0.5}, "root.entries['2:1,0']: "),
+        (("entries", "2:1,0", 0), "a", "root.entries['2:1,0']: "),
+        (("entries", "2:1,0", 1), math.inf, "root.entries['2:1,0']: "),
+        (("entries", "2:1,0", 2), None, "root.entries['2:1,0']: "),
+        (("entries", "2:1,0", 3), -1, "root.entries['2:1,0']: "),
+        (("entries", "2:1,0", 3), 2.5, "root.entries['2:1,0']: "),
+    ],
+)
+def test_load_store_names_the_malformed_field(tmp_path, path, value, field):
+    inst = generate_instance(29, m=2, cap=1)
+    store = ValueStore(inst, pristine_state(inst), 1.5)
+    store[SystemState(2, (1, 0))] = ValueStoreEntry(h=0.5, ss=1.0, w=0.25, s=4)
+    file = tmp_path / "store.json"
+    save_store(store, file)
+    payload = json.loads(file.read_text())
+    if path:
+        *parents, last = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    else:
+        payload = value
+    file.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_store(file, inst)
+    assert str(exc.value).startswith(field)
 
 
 def test_run_opi_smoke_with_crn():

@@ -6,6 +6,7 @@ a fixed-seed offline-plus-online run against digests pinned from the
 state-tuple implementation the int-coded path replaced.
 """
 
+import copy
 import hashlib
 import itertools
 import json
@@ -13,6 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -246,6 +248,45 @@ def test_golden_run_four_machines_with_crn():
     digest, safe = run_digest(inst, GOLDEN_BUDGET, 11, use_crn=True)
     assert 0.0 < safe < 1.0
     assert digest == "c61bbba0f7d739f54c9dd027f42de1a2565c7d32b0d5d6c6e7205313ac33ae51"
+
+
+def next_draws(generator):
+    return copy.deepcopy(generator).random(4).tolist()
+
+
+@pytest.mark.parametrize("r1, r2", [(50, 500), (3_000, 2_192), (3_000, 2_193), (4_000, 9_000)])
+def test_offline_phases_read_one_stream_in_chunks(r1, r2):
+    # offline_preparatory takes one uniform per step, m * r1 + r2 of them,
+    # and draws 8192 at a time, each chunk when its first uniform is
+    # needed; offline_main then reads on from the same generator.
+    inst = generate_instance(5, m=2, cap=2)
+    base = ModifiedIndexPolicy(inst)
+    budget = OpiBudget(r1=r1, r2=r2, r_off=20, tau_max=1e9, r_on=1, delta=1, mode=STEP_COUNT)
+    generator = rng(7)
+    prep = offline_preparatory(inst, base, budget, generator)
+    used = inst.machine_count * r1 + r2
+    fresh = rng(7)
+    fresh.random(math.ceil(used / 8192) * 8192)
+    assert next_draws(generator) == next_draws(fresh)
+    store = offline_main(inst, base, prep, budget, generator)
+    again = offline_main(inst, base, prep, budget, fresh)
+    assert store.entries == again.entries
+
+
+def test_online_run_draws_nothing_it_does_not_use():
+    # With a CRN list and int(delta) == 0 online_run takes no uniform, so
+    # its generator is left as it was: a chunk is drawn only when its first
+    # uniform is needed.  No output depends on it, since online_run's
+    # results come only from the uniforms it reads and every caller gives
+    # it a generator of its own.
+    inst = generate_instance(5, m=2, cap=2)
+    base = ModifiedIndexPolicy(inst)
+    budget = OpiBudget(r1=50, r2=500, r_off=5, tau_max=1e9, r_on=20, delta=0.5, mode=STEP_COUNT)
+    store = ValueStore(inst, pristine_state(inst), 1.0)
+    generator = rng(3)
+    online_run(inst, base, store, budget, generator, crn=rng(4).random(20))
+    assert next_draws(generator) == next_draws(rng(3))
+    assert len(store.entries) == 1
 
 
 def test_safe_by_quarter_reports_empty_quarters_as_none():

@@ -4,6 +4,7 @@ turning into plausible averages."""
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +28,14 @@ from repairnet.opi import (
     STEP_COUNT,
     OpiBudget,
     ValueStore,
+    ValueStoreEntry,
     improving_action,
     neighborhood,
+    offline_main,
+    offline_preparatory,
     online_run,
     run_opi,
+    sample_trajectory,
 )
 from repairnet.polling import PollingPolicy, best_tour
 
@@ -265,6 +270,33 @@ def test_neighborhood_and_improving_action_reject_states_outside_the_instance():
             neighborhood(inst, state)
         with pytest.raises(ValueError, match=field):
             improving_action(inst, state, store, 1)
+
+
+def test_sample_trajectory_and_offline_main_reject_start_states_outside_the_instance():
+    # With caps (2, 2), (1, (3, 0)) and (0, (0, 0)) share their kernel
+    # indices with other states, and a start state was never checked: such
+    # a rollout stepped from the wrong state, or ran to the trajectory cap.
+    inst = generate_instance(5, m=2, cap=2)
+    base = ModifiedIndexPolicy(inst)
+    decided = []
+
+    def rule(state):
+        decided.append(state)
+        return base(state)
+
+    budget = OpiBudget(r1=50, r2=500, r_off=5, tau_max=1e9, r_on=1, delta=1, mode=STEP_COUNT)
+    prep = offline_preparatory(inst, base, budget, rng(1))
+    store = ValueStore(inst, pristine_state(inst), 0.0)
+    for state, field in bad_states(inst):
+        with pytest.raises(ValueError, match=field):
+            sample_trajectory(inst, rule, store, state, 1, rng(0))
+        # A bad state last: refused before the good ones' rollouts run.
+        for name in ("z_all", "z_core"):
+            bad = replace(prep, **{name: getattr(prep, name) + [state]})
+            with pytest.raises(ValueError, match=rf"prep\.{name}\[\d+\]: {field}"):
+                offline_main(inst, rule, bad, budget, rng(2))
+    assert list(store.items()) == [(pristine_state(inst), ValueStoreEntry(0.0, 0.0, 1.0, 1))]
+    assert decided == []
 
 
 @pytest.mark.parametrize(
