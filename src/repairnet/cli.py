@@ -81,7 +81,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve_dp(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load("--instance", args.instance, load_instance)
     solution = policy_iteration(inst, tol=args.tol)
     u_star = reward_optimum(inst, solution)
     print(f"g* = {solution.g_star:.9f}")
@@ -125,14 +125,19 @@ def _start_state(inst, text: str | None):
     return _state_option(inst, "--start", text) if text else pristine_state(inst)
 
 
-def _import_store(inst, path: str):
-    """The ``--import-store`` store; exits naming the offending field when
-    it was exported for another instance, or an entry does not parse or
-    lies outside the instance."""
+def _load(option: str, path: str, load, *args):
+    """``load(path, *args)``; exits naming ``option`` and ``path`` when the
+    file cannot be read or does not hold what the option takes (the
+    loaders' ValueError names the offending field)."""
     try:
-        return load_store(path, inst)
-    except ValueError as exc:
-        raise SystemExit(f"repairnet: error: --import-store {path!r}: {exc}") from None
+        return load(path, *args)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"repairnet: error: {option} {path!r}: {exc}") from None
+
+
+def _read_records(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return read_records_csv(fh)
 
 
 def _polling_tour(inst, subset: str | None):
@@ -147,7 +152,7 @@ def _polling_tour(inst, subset: str | None):
 
 
 def cmd_simulate(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load("--instance", args.instance, load_instance)
     x0 = _start_state(inst, args.start)
     crn = _generator(args.seed, STREAM_CRN).random(args.steps)
     if args.policy == "polling":
@@ -162,10 +167,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_opi(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load("--instance", args.instance, load_instance)
     budget = _budget_from_args(args)
     base = ModifiedIndexPolicy(inst)
-    store = _import_store(inst, args.import_store) if args.import_store else None
+    store = None
+    if args.import_store:
+        store = _load("--import-store", args.import_store, load_store, inst)
     x0 = _start_state(inst, args.start)
     crn = _generator(args.seed, STREAM_CRN).random(budget.r_on)
     result = run_opi(
@@ -213,8 +220,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.records, "r", encoding="utf-8") as fh:
-        records = read_records_csv(fh)
+    records = _load("--records", args.records, _read_records)
     if not records:
         print("no records found", file=sys.stderr)
         return 1
@@ -227,7 +233,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_indices(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load("--instance", args.instance, load_instance)
     state = _state_option(inst, "--state", args.state)
     print(json.dumps(index_table(inst, state), indent=2))
     return 0

@@ -32,7 +32,7 @@ from .instance import (
 )
 from .mdp import pristine_state, simulate
 from .opi import OpiBudget, desk_scale_budget, run_opi
-from .polling import best_polling_report
+from .polling import DEFAULT_SUBSET_LIMIT, best_polling_report
 
 DEFAULT_DP_STATE_BOUND = 200_000
 
@@ -52,7 +52,6 @@ class ExperimentConfig:
     budget: OpiBudget = field(default_factory=desk_scale_budget)
     dp_state_bound: int = DEFAULT_DP_STATE_BOUND
     run_dp: bool = True
-    polling_limit: int = 4
     dp_tol: float = 1e-9
     jobs: int = 1
 
@@ -118,8 +117,8 @@ def run_instance_benchmark(
     record.g_ind = ind_report.average_cost
     record.u_ind = ind_report.average_reward
 
-    if inst.machine_count <= config.polling_limit:
-        pol_report = best_polling_report(inst, steps, crn, x0=x0, subset_limit=config.polling_limit)
+    if inst.machine_count <= DEFAULT_SUBSET_LIMIT:
+        pol_report = best_polling_report(inst, steps, crn, x0=x0)
         record.g_pol = pol_report.average_cost
         record.u_pol = pol_report.average_reward
 

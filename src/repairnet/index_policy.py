@@ -163,15 +163,14 @@ class ModifiedIndexPolicy:
 
 
 class _IndexCalculator:
-    """Per-instance caches: repair statistics, arrival distributions,
-    idle scores, move and wait indices, and memoized decisions."""
+    """Per-instance caches: repair statistics, idle scores, move and wait
+    indices, and memoized decisions."""
 
     def __init__(self, inst: InstanceParameters):
         self.inst = inst
         self.layout = inst.layout
         self.m = inst.machine_count
         self._repair: dict[int, RepairStatistics] = {}
-        self._arrival: dict[tuple[int, int, int], ArrivalDistribution] = {}
         self._move: dict[tuple[int, int, int], float] = {}
         self._wait: dict[tuple[int, int, int], float] = {}
         self._decisions: dict[SystemState, int] = {}
@@ -240,34 +239,30 @@ class _IndexCalculator:
         return stats
 
     def arrival(self, d: int, machine: int, level: int) -> ArrivalDistribution:
-        key = (d, machine, level)
-        dist = self._arrival.get(key)
-        if dist is None:
-            inst = self.inst
-            lam = inst.lam[machine - 1]
-            tau = inst.tau
-            cap = inst.cap[machine - 1]
-            pmf = []
-            travel = []
-            switch_p = tau / (lam + tau)
-            degrade_p = lam / (lam + tau)
-            mass = 0.0
-            weighted_travel = 0.0
-            for k in range(level, cap):
-                p = math.comb(d + k - level - 1, d - 1) * switch_p**d * degrade_p ** (k - level)
-                t = (d + k - level) / (tau + lam)
-                pmf.append(p)
-                travel.append(t)
-                mass += p
-                weighted_travel += p * t
-            tail = 1.0 if level == cap else max(0.0, 1.0 - mass)
-            # Total expectation pins the unconditional travel time at d/tau.
-            tail_travel = (d / tau - weighted_travel) / tail if tail > 0 else 0.0
-            pmf.append(tail)
-            travel.append(tail_travel)
-            dist = ArrivalDistribution(offset=level, pmf=tuple(pmf), expected_travel=tuple(travel))
-            self._arrival[key] = dist
-        return dist
+        # Not memoized: its readers, move and wait, memoize on the same key.
+        inst = self.inst
+        lam = inst.lam[machine - 1]
+        tau = inst.tau
+        cap = inst.cap[machine - 1]
+        pmf = []
+        travel = []
+        switch_p = tau / (lam + tau)
+        degrade_p = lam / (lam + tau)
+        mass = 0.0
+        weighted_travel = 0.0
+        for k in range(level, cap):
+            p = math.comb(d + k - level - 1, d - 1) * switch_p**d * degrade_p ** (k - level)
+            t = (d + k - level) / (tau + lam)
+            pmf.append(p)
+            travel.append(t)
+            mass += p
+            weighted_travel += p * t
+        tail = 1.0 if level == cap else max(0.0, 1.0 - mass)
+        # Total expectation pins the unconditional travel time at d/tau.
+        tail_travel = (d / tau - weighted_travel) / tail if tail > 0 else 0.0
+        pmf.append(tail)
+        travel.append(tail_travel)
+        return ArrivalDistribution(offset=level, pmf=tuple(pmf), expected_travel=tuple(travel))
 
     def move(self, d: int, machine: int, level: int) -> float:
         key = (d, machine, level)

@@ -16,11 +16,13 @@ degradation draws coincide across policies sharing the same uniforms.
 ``Kernel`` encodes that law once.  ``Kernel.event`` gives the
 action-dependent event (a repair, an arrival, or none) as a rate and an
 index offset, ``Kernel.row`` lays a successor row out from it over
-StateIndexer's mixed-radix integers, and ``Kernel.moves`` lists it for
-every available action, for OPI's confidence gate.  ``Kernel.action_row``
-memoizes, per state-action pair, the cost and reward rates and a
-successor row, so a step is one bisection of the uniform draw into the
-row's thresholds and one offset added to the index.  ``kernel_of`` keeps
+StateIndexer's mixed-radix integers, ``Kernel.moves`` lists it for
+every available action, for OPI's confidence gate, and
+``Kernel.neighborhood`` lists the indices the gate reads.
+``Kernel.action_row`` memoizes, per state-action pair, the cost and
+reward rates and a successor row, so a step is one bisection of the
+uniform draw into the row's thresholds and one offset added to the
+index.  ``kernel_of`` keeps
 one Kernel per instance, shared by every ``simulate`` call (the index run
 and each polling subset), all three OPI phases and ``DpModel``.
 ``simulate`` steps on the index plus a multiple of ``indexer.count`` for
@@ -153,6 +155,7 @@ class Kernel:
         self._thresholds: dict[tuple[float, ...], tuple[float, ...]] = {}
         self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._moves: dict[int, tuple[Move, ...]] = {}
+        self._neighborhoods: dict[int, tuple[int, ...]] = {}
         self.states: dict[int, SystemState] = {}
         self.action_rows: dict[tuple[int, Action], ActionRow] = {}
 
@@ -218,6 +221,20 @@ class Kernel:
                 moves.append((action, rate, x + offset))
             moves = self._moves[x] = tuple(moves)
         return moves
+
+    def neighborhood(self, x: int) -> tuple[int, ...]:
+        """The indices the gate reads at index ``x``: ``x``, then the
+        targets of its switches in neighbour order, then its repair target
+        if it has one (the ``moves`` targets with a nonzero rate).
+        Memoized per index."""
+        members = self._neighborhoods.get(x)
+        if members is None:
+            stay, *switches = self.moves(x)
+            members = (x, *(target for _, _, target in switches))
+            if stay[1]:
+                members += (stay[2],)
+            self._neighborhoods[x] = members
+        return members
 
     def state(self, x: int) -> SystemState:
         """The state with index ``x``, interned: one tuple per index, kept

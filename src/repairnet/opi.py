@@ -21,8 +21,9 @@ tuples.  A step under an action is a successor row from
 thresholds picks an offset to add to the index.  All three phases use
 the instance's shared kernel (``kernel_of``), the same one ``simulate``
 uses, so a state-action row is built and checked for availability once
-per instance, and each index is decoded to a state tuple once.
-Base-policy actions and neighborhoods are memoized per index.
+per instance, and each index is decoded to a state tuple once.  Each
+phase call looks its base-policy rows up in one table (``_BaseRows``),
+which asks the base policy once per index it reaches.
 
 The value store belongs to one instance and keeps one dict of entries,
 keyed by the same state index; the phases read and grow that dict
@@ -54,9 +55,10 @@ The kernel's ``moves`` give each action's event as ``(action, rate,
 target)`` (mu_i for a repair, tau for a switch, 0 for idling), so every
 action's delta is rate * (h[target] - h[x]), the pairwise confidence test
 is closed-form interval arithmetic over at most three values, and a
-state's neighborhood is the state plus its move targets; this module does
-no rate or index arithmetic of its own.  An unbounded interval that the
-test needs defeats every pair, so the gate stops at the first one.
+state's neighborhood (``Kernel.neighborhood``) is the state plus its move
+targets; this module does no rate or index arithmetic of its own.  An
+unbounded interval that the test needs defeats every pair, so the gate
+stops at the first one.
 
 Budgets run in two modes.  Wall-clock mode reproduces the real-time
 regime (seconds per decision); step-count mode swaps every clock for a
@@ -311,62 +313,28 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
     return itertools.chain.from_iterable(iter(lambda: rng.random(_BUFFER).tolist(), None))
 
 
-def _neighborhood(kernel: Kernel, x: int) -> list[int]:
-    """Index form of ``neighborhood``: ``x``, then the targets of its
-    switches in neighbour order, then its repair target if it has one."""
-    stay, *switches = kernel.moves(x)
-    members = [x] + [target for _, _, target in switches]
-    if stay[1]:
-        members.append(stay[2])
-    return members
+class _BaseRows(dict):
+    """Index -> ``kernel``'s action row under ``base``'s action there,
+    filled on first lookup."""
 
-
-class _Runtime:
-    """One phase's lazily filled memos over the instance's shared kernel,
-    all keyed by state index.
-
-    ``base_rows`` maps an index to the kernel's action row under the base
-    action.  ``reference`` is the store's reference index.
-    """
-
-    def __init__(
-        self, inst: InstanceParameters, base: DecisionRule, store: ValueStore | None = None
-    ):
-        self.kernel = kernel_of(inst)
-        self.indexer = self.kernel.indexer
-        self.block = self.indexer.conditions_per_location
+    def __init__(self, kernel: Kernel, base: DecisionRule):
+        super().__init__()
+        self.kernel = kernel
         self.base = base
-        self.store = store
-        if store is not None:
-            self.reference = self.indexer.index(store.reference)
-        self.base_rows: dict[int, ActionRow] = {}
-        self._actions: dict[int, int] = {}
-        self._neighborhoods: dict[int, list[int]] = {}
 
-    def base_action(self, x: int) -> int:
-        action = self._actions.get(x)
-        if action is None:
-            action = self._actions[x] = self.base(self.kernel.state(x))
-        return action
-
-    def base_row(self, x: int) -> ActionRow:
-        row = self.base_rows.get(x)
-        if row is None:
-            row = self.base_rows[x] = self.kernel.action_row(x, self.base_action(x))
+    def __missing__(self, x: int) -> ActionRow:
+        kernel = self.kernel
+        row = self[x] = kernel.action_row(x, self.base(kernel.state(x)))
         return row
-
-    def neighborhood(self, x: int) -> list[int]:
-        members = self._neighborhoods.get(x)
-        if members is None:
-            members = self._neighborhoods[x] = _neighborhood(self.kernel, x)
-        return members
 
 
 TRAJECTORY_CAP = 50_000_000
 
 
 def _rollouts(
-    runtime: _Runtime,
+    rows: _BaseRows,
+    store: ValueStore,
+    reference: int,
     starts: Iterable[int],
     p: int,
     uniforms: Iterator[float],
@@ -378,24 +346,22 @@ def _rollouts(
     frame, one per index in ``starts``, each step driven by one uniform.
 
     A rollout from ``z`` runs until hitting a stored state other than ``z``
-    itself (returning to the reference state always stops).  It records
-    the first ``p`` distinct states it visits, ``z`` first, and each
-    record receives a bootstrapped excess-cost observation: the cost from
-    the record on, plus the stop's value, minus g_base per step.  With
-    ``p > 1`` rollouts chain: each stop is appended to ``starts`` (a
-    list), so the next rollout starts where this one stopped.  Rollouts
-    end when ``starts`` runs out, or once ``count`` have run or ``budget``
-    is used up (simulated steps in step-count mode, seconds in wall-clock
-    mode), both checked after each one, so at least one runs.  Returns
-    the last stop, the number run and the budget used.
+    itself (returning to ``reference``, the index of the store's reference
+    state, always stops).  It records the first ``p`` distinct states it
+    visits, ``z`` first, and each record receives a bootstrapped
+    excess-cost observation: the cost from the record on, plus the stop's
+    value, minus g_base per step.  With ``p > 1`` rollouts chain: each
+    stop is appended to ``starts`` (a list), so the next rollout starts
+    where this one stopped.  Rollouts end when ``starts`` runs out, or
+    once ``count`` have run or ``budget`` is used up (simulated steps in
+    step-count mode, seconds in wall-clock mode), both checked after each
+    one, so at least one runs.  Returns the last stop, the number run and
+    the budget used.
     """
     clock = time.perf_counter if mode == WALL_CLOCK else None
     started = clock() if clock else 0.0
-    values = runtime.store.entries
-    rows = runtime.base_rows
-    base_row = runtime.base_row
-    reference = runtime.reference
-    g_base = runtime.store.g_base
+    values = store.entries
+    g_base = store.g_base
     bisect, cap = bisect_right, TRAJECTORY_CAP
     chain = p > 1
     room = 0  # distinct states still to record; never above 0 unless chain
@@ -411,7 +377,7 @@ def _rollouts(
             room = p - 1
             seen = {z}
         while True:
-            cost, thresholds, offsets, _ = rows.get(current) or base_row(current)
+            cost, thresholds, offsets, _ = rows[current]
             total_cost += cost
             steps += 1
             stop = current + offsets[bisect(thresholds, next(uniforms))]
@@ -424,7 +390,7 @@ def _rollouts(
                 room -= 1
             if steps >= cap:
                 raise RuntimeError(
-                    f"trajectory from {runtime.kernel.state(z)} exceeded {cap} "
+                    f"trajectory from {rows.kernel.state(z)} exceeded {cap} "
                     "steps without reaching a stored state; is the base policy unichain?"
                 )
 
@@ -468,11 +434,13 @@ def sample_trajectory(
     validate_state(inst, z)
     if store.reference not in store:
         raise ValueError("store is missing its reference entry")
-    runtime = _Runtime(inst, base, store)
+    kernel = kernel_of(inst)
+    index = kernel.indexer.index
     stop, _, used = _rollouts(
-        runtime, [runtime.indexer.index(z)], p, _uniforms(rng), mode, 1, math.inf
+        _BaseRows(kernel, base), store, index(store.reference), [index(z)], p,
+        _uniforms(rng), mode, 1, math.inf,
     )
-    return runtime.kernel.state(stop), float(used)
+    return kernel.state(stop), float(used)
 
 
 @dataclass
@@ -497,10 +465,10 @@ def offline_preparatory(
     start set is the core states plus their one-switch and one-repair
     neighbors, which the online part will need intervals for.
     """
-    runtime = _Runtime(inst, base)
+    kernel = kernel_of(inst)
+    rows = _BaseRows(kernel, base)
     uniforms = _uniforms(rng)
-    rows, base_row = runtime.base_rows, runtime.base_row
-    index, block = runtime.indexer.index, runtime.block
+    index, block = kernel.indexer.index, kernel.indexer.conditions_per_location
     m = inst.machine_count
 
     z_core: list[SystemState] = []
@@ -509,7 +477,7 @@ def offline_preparatory(
         at_i = range((i - 1) * block, i * block)
         counts: dict[int, int] = {}
         for _ in range(budget.r1):
-            _, thresholds, offsets, _ = rows.get(state) or base_row(state)
+            _, thresholds, offsets, _ = rows[state]
             state += offsets[bisect_right(thresholds, next(uniforms))]
             if state in at_i:
                 counts[state] = counts.get(state, 0) + 1
@@ -517,7 +485,7 @@ def offline_preparatory(
             # Most frequent; ties go to the smallest index, which is the
             # lexicographically smallest state.
             best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-            z_core.append(runtime.kernel.state(best[0]))
+            z_core.append(kernel.state(best[0]))
         else:
             z_core.append(pristine_state(inst, location=i))
 
@@ -525,7 +493,7 @@ def offline_preparatory(
     total_cost = 0.0
     visits = [0] * m
     for _ in range(budget.r2):
-        cost, thresholds, offsets, _ = rows.get(state) or base_row(state)
+        cost, thresholds, offsets, _ = rows[state]
         total_cost += cost
         state += offsets[bisect_right(thresholds, next(uniforms))]
         location = state // block
@@ -564,14 +532,15 @@ def offline_main(
             except ValueError as exc:
                 raise ValueError(f"prep.{name}[{k}]: {exc}") from None
     store = ValueStore(inst, prep.reference, prep.g_base)
-    runtime = _Runtime(inst, base, store)
+    kernel = kernel_of(inst)
+    index = kernel.indexer.index
+    rows, reference = _BaseRows(kernel, base), index(store.reference)
     uniforms = _uniforms(rng)
-    index = runtime.indexer.index
     limits = (budget.mode, budget.r_off, budget.tau_max)
     for z in prep.z_all:
-        _rollouts(runtime, itertools.repeat(index(z)), 1, uniforms, *limits)
+        _rollouts(rows, store, reference, itertools.repeat(index(z)), 1, uniforms, *limits)
     for z in prep.z_core:
-        _rollouts(runtime, [index(z)], 5, uniforms, *limits)
+        _rollouts(rows, store, reference, [index(z)], 5, uniforms, *limits)
     return store
 
 
@@ -601,7 +570,7 @@ def neighborhood(inst: InstanceParameters, state: SystemState) -> list[SystemSta
     probability under every action."""
     validate_state(inst, state)
     kernel = kernel_of(inst)
-    return [kernel.state(y) for y in _neighborhood(kernel, kernel.indexer.index(state))]
+    return [kernel.state(y) for y in kernel.neighborhood(kernel.indexer.index(state))]
 
 
 def _gate(
@@ -706,13 +675,16 @@ def online_run(
     _check_store(inst, store)
     start = store.reference if x0 is None else x0
     validate_state(inst, start)
-    runtime = _Runtime(inst, base, store)
+    kernel = kernel_of(inst)
+    index = kernel.indexer.index
+    rows = _BaseRows(kernel, base)
+    reference = index(store.reference)
     uniforms = _uniforms(rng)
     values = store.entries
-    block = runtime.block
-    action_row = runtime.kernel.action_row
-    moves = runtime.kernel.moves
-    neighborhood = runtime.neighborhood
+    block = kernel.indexer.conditions_per_location
+    action_row = kernel.action_row
+    moves = kernel.moves
+    neighborhood = kernel.neighborhood
     mode = budget.mode
     # Nested rollouts per decision: int(delta) of them in step-count mode,
     # delta seconds of them in wall-clock mode.  With seconds infinite, the
@@ -722,7 +694,7 @@ def online_run(
     else:
         count, seconds = math.inf, budget.delta
 
-    state = runtime.indexer.index(start)
+    state = index(start)
     total_cost = 0.0
     total_reward = 0.0
     safe_count = 0
@@ -736,14 +708,14 @@ def online_run(
 
     for step_index in range(budget.r_on):
         visits[state // block] += 1
-        base_action = runtime.base_action(state)
         action, cause = _gate(state, moves(state), values)
         if action is None:
-            action = base_action
+            cost, thresholds, offsets, reward = rows[state]
             safe_count += 1
             safe_by_quarter[min(step_index // quarter, 3)] += 1
             causes[cause] += 1
-        cost, thresholds, offsets, reward = action_row(state, action)
+        else:
+            cost, thresholds, offsets, reward = action_row(state, action)
         total_cost += cost
         total_reward += reward
 
@@ -752,7 +724,7 @@ def online_run(
         while done < count and used < seconds:
             hypothetical = state + offsets[bisect_right(thresholds, next(uniforms))]
             _, ran, spent = _rollouts(
-                runtime, neighborhood(hypothetical), 1, uniforms, mode,
+                rows, store, reference, neighborhood(hypothetical), 1, uniforms, mode,
                 count - done, seconds - used,
             )
             done += ran

@@ -121,20 +121,16 @@ def best_polling_report(
     steps: int,
     crn: Sequence[float],
     x0: SystemState | None = None,
-    subset_limit: int = DEFAULT_SUBSET_LIMIT,
-    allow_large: bool = False,
 ) -> SimulationReport:
     """Best average cost over all non-empty machine subsets.
 
     Every subset's tour is simulated on the same random-number list.  The
     returned report carries a per-subset table in ``metadata`` for audit.
+    Raises ValueError for more than ``DEFAULT_SUBSET_LIMIT`` machines.
     """
     m = inst.machine_count
-    if m > subset_limit and not allow_large:
-        raise ValueError(
-            f"polling benchmark covers m <= {subset_limit} by default "
-            f"(got m={m}); pass allow_large=True to override"
-        )
+    if m > DEFAULT_SUBSET_LIMIT:
+        raise ValueError(f"polling benchmark covers m <= {DEFAULT_SUBSET_LIMIT} (got m={m})")
     if x0 is None:
         x0 = pristine_state(inst)
 

@@ -110,6 +110,39 @@ def test_budget_flags_are_checked(two_machine_file, tmp_path, command, flag, val
     assert not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize(
+    "command, option, content, reason",
+    [
+        (["simulate"], "--instance", None, "No such file"),
+        (["simulate"], "--instance", '{"schema_version": 1}', "root.adjacency: missing"),
+        (["solve-dp"], "--instance", None, "No such file"),
+        (["opi"], "--instance", "[]", "root: expected a JSON object"),
+        (["indices", "--state", "1:0,0"], "--instance", None, "No such file"),
+        (["opi", "--instance", "INSTANCE"], "--import-store", None, "No such file"),
+        (["opi", "--instance", "INSTANCE"], "--import-store", "{", "Expecting"),
+        (["report"], "--records", None, "No such file"),
+        (["report"], "--records", "m\nx\n", "invalid literal for int()"),
+    ],
+    ids=[
+        "simulate-missing", "simulate-malformed", "solve-dp-missing", "opi-malformed",
+        "indices-missing", "import-store-missing", "import-store-malformed",
+        "records-missing", "records-malformed",
+    ],
+)
+def test_file_options_exit_naming_the_option(
+    two_machine_file, tmp_path, command, option, content, reason
+):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    argv = [two_machine_file if arg == "INSTANCE" else arg for arg in command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, str(path)])
+    message = str(exc.value)
+    assert message.startswith(f"repairnet: error: {option} {str(path)!r}: ")
+    assert reason in message
+
+
 def test_indices_command(two_machine_file, capsys):
     code = main(["indices", "--instance", two_machine_file, "--state", "1:2,1"])
     assert code == 0

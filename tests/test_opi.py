@@ -209,6 +209,30 @@ def test_chained_records_bootstrap_through_the_updated_reference():
         assert store.get(state).h == pytest.approx(expected, rel=1e-12)
 
 
+def test_rollouts_read_a_reassigned_reference():
+    # The phases read store.reference when they are called, not when the
+    # store is built: a store whose reference moved after construction
+    # rolls out and runs online like one built with that reference.
+    inst = fast_switch_instance()
+    base = ModifiedIndexPolicy(inst)
+    old, new = pristine_state(inst), SystemState(1, (1, 1))
+    moved = make_store(inst, old)
+    moved[new] = ValueStoreEntry(h=0.0, ss=0.0, w=1.0, s=1)
+    moved.reference = new
+    built = make_store(inst, new)
+    built[old] = ValueStoreEntry(h=0.0, ss=0.0, w=1.0, s=1)
+    budget = OpiBudget(r1=10, r2=10, r_off=5, tau_max=1e9, r_on=300, delta=2, mode=STEP_COUNT)
+    runs = [
+        (
+            sample_trajectory(inst, base, store, new, p=1, rng=rng(4)),
+            online_run(inst, base, store, budget, rng(5)).to_json(),
+        )
+        for store in (moved, built)
+    ]
+    assert runs[0] == runs[1]
+    assert moved.entries == built.entries
+
+
 def never_leaves(state):
     # Stay put: the location never changes.
     return state.location

@@ -94,6 +94,8 @@ def test_moves_and_neighborhood_match_the_oracle(case):
     assert list(kernel.moves(x)) == expected
     assert kernel.moves(x) is kernel.moves(x)
     assert neighborhood(inst, state) == oracle_neighborhood(inst, state)
+    assert kernel.neighborhood(x) is kernel.neighborhood(x)
+    assert list(kernel.neighborhood(x)) == [index(s) for s in oracle_neighborhood(inst, state)]
 
 
 def test_rows_share_interned_tuples():

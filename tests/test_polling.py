@@ -111,13 +111,11 @@ def test_best_polling_report_subset_count_and_argmin():
     assert report.average_cost == best_g
 
 
-def test_best_polling_limit_and_override():
+def test_best_polling_limit():
     inst = generate_instance(3, m=5, cap=1)
     crn = rng(2).random(200)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m <= 4"):
         best_polling_report(inst, 200, crn)
-    report = best_polling_report(inst, 200, crn, allow_large=True)
-    assert len(report.metadata["subsets"]) == 2**5 - 1
 
 
 def test_polling_never_beats_optimum():
