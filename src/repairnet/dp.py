@@ -27,6 +27,7 @@ reward rates come from the instance's kernel (``mdp.kernel_of``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ import scipy.sparse as sp
 
 from .instance import InstanceParameters
 from .mdp import (
-    DEFAULT_STATE_BOUND,
+    STATE_BOUND,
     CapacityError,
     DecisionRule,
     StateIndexer,
@@ -101,13 +102,13 @@ class DpSolution:
 class DpModel:
     """Vectorized transition structure shared by evaluation and improvement."""
 
-    def __init__(self, inst: InstanceParameters, bound: int = DEFAULT_STATE_BOUND):
+    def __init__(self, inst: InstanceParameters):
         self.inst = inst
         kernel = kernel_of(inst)
         self.indexer = kernel.indexer
         n = self.indexer.count
-        if n > bound:
-            raise CapacityError(f"state space has {n} states, above the bound of {bound}")
+        if n > STATE_BOUND:
+            raise CapacityError(f"state space has {n} states, above the bound of {STATE_BOUND}")
         self.n = n
         self.block = self.indexer.conditions_per_location
         m = inst.machine_count
@@ -291,7 +292,9 @@ def _bordered_bicgstab(
     solve stops once max |g+ - g| <= target.  Returns the solution's v
     (zero at ``ref``), or None after a breakdown, a residual that is not
     finite or has grown 1e4-fold, or ``budget`` matrix products; and the
-    number of products used.
+    number of products used.  A near-breakdown, where the shadow residual
+    r_hat turns nearly orthogonal to r (|r_hat . r| <= 1e-12 |r_hat| |r|),
+    restarts the method with r_hat = r.
     """
 
     def bordered(x: np.ndarray) -> np.ndarray:
@@ -305,9 +308,8 @@ def _bordered_bicgstab(
     r -= r[ref]
     matvecs = 1
     start = float(np.max(np.abs(r)))
-    r_hat = r.copy()
-    p = a_p = np.zeros_like(r)
-    rho = alpha = omega = 1.0
+    # A zero shadow residual makes the first pass start the method below.
+    r_hat, r_hat_norm = np.zeros_like(r), 0.0
     while True:
         size = float(np.max(np.abs(r)))
         if size <= target:
@@ -316,6 +318,14 @@ def _bordered_bicgstab(
         if not size <= 1e4 * start or matvecs + 2 > budget:
             return None, matvecs
         rho_next = float(r_hat @ r)
+        if abs(rho_next) <= 1e-12 * r_hat_norm * math.sqrt(float(r @ r)):
+            # The start, or a near-breakdown (r_hat nearly orthogonal to
+            # r): restart with the current residual as the shadow residual.
+            r_hat = r.copy()
+            r_hat_norm = math.sqrt(float(r @ r))
+            p = a_p = np.zeros_like(r)
+            rho = alpha = omega = 1.0
+            rho_next = float(r_hat @ r)
         if rho_next == 0.0 or omega == 0.0:
             return None, matvecs
         p = r + (rho_next / rho) * (alpha / omega) * (p - omega * a_p)

@@ -34,7 +34,8 @@ from .mdp import pristine_state, simulate
 from .opi import OpiBudget, desk_scale_budget, run_opi
 from .polling import DEFAULT_SUBSET_LIMIT, best_polling_report
 
-DEFAULT_DP_STATE_BOUND = 200_000
+# run_instance_benchmark solves DP only at or below this many states.
+DP_STATE_BOUND = 200_000
 
 RHO_BINS = ((0.1, 0.3), (0.3, 0.5), (0.5, 0.7), (0.7, 0.9), (0.9, 1.1), (1.1, 1.3), (1.3, 1.5))
 ETA_BINS = ((0.1, 0.4), (0.4, 0.7), (0.7, 1.0), (1.0, 4.0), (4.0, 7.0), (7.0, 10.0))
@@ -50,7 +51,6 @@ class ExperimentConfig:
     cost_kind: CostKind | None = None
     steps: int = 50_000
     budget: OpiBudget = field(default_factory=desk_scale_budget)
-    dp_state_bound: int = DEFAULT_DP_STATE_BOUND
     run_dp: bool = True
     dp_tol: float = 1e-9
     jobs: int = 1
@@ -136,7 +136,7 @@ def run_instance_benchmark(
     record.u_opi = opi_result.report.average_reward
     record.safe_fraction = opi_result.report.safe_action_fraction
 
-    if config.run_dp and inst.state_count() <= config.dp_state_bound:
+    if config.run_dp and inst.state_count() <= DP_STATE_BOUND:
         solution = policy_iteration(inst, tol=config.dp_tol)
         record.g_star = solution.g_star
         record.u_star = inst.failed_cost_total() - solution.g_star

@@ -170,7 +170,8 @@ class _IndexCalculator:
         self.inst = inst
         self.layout = inst.layout
         self.m = inst.machine_count
-        self._repair: dict[int, RepairStatistics] = {}
+        # Every machine's: the failed-state target below reads them all.
+        self._repair_stats = tuple(map(self._repair_statistics, range(1, self.m + 1)))
         self._move: dict[tuple[int, int, int], float] = {}
         self._wait: dict[tuple[int, int, int], float] = {}
         self._decisions: dict[SystemState, int] = {}
@@ -209,34 +210,33 @@ class _IndexCalculator:
         return self.psi_table[node - 1]
 
     def repair_stats(self, machine: int) -> RepairStatistics:
-        stats = self._repair.get(machine)
-        if stats is None:
-            inst = self.inst
-            lam = inst.lam[machine - 1]
-            mu = inst.mu[machine - 1]
-            cap = inst.cap[machine - 1]
-            s = [0.0] * (cap + 1)
-            for k in range(1, cap + 1):
-                s[k] = (
-                    mu
-                    * (inst.cost.rate(machine, cap, cap) - inst.cost.rate(machine, k - 1, cap))
-                    / lam
-                )
-            reward_inc = [0.0] * (cap + 1)
-            time_inc = [0.0] * (cap + 1)
-            reward_inc[cap] = s[cap] / mu
-            time_inc[cap] = 1.0 / mu
-            for k in range(cap - 1, 0, -1):
-                reward_inc[k] = (s[k] + lam * reward_inc[k + 1]) / mu
-                time_inc[k] = (1.0 + lam * time_inc[k + 1]) / mu
-            rewards = [0.0]
-            times = [0.0]
-            for k in range(1, cap + 1):
-                rewards.append(rewards[-1] + reward_inc[k])
-                times.append(times[-1] + time_inc[k])
-            stats = RepairStatistics(tuple(rewards), tuple(times))
-            self._repair[machine] = stats
-        return stats
+        return self._repair_stats[machine - 1]
+
+    def _repair_statistics(self, machine: int) -> RepairStatistics:
+        inst = self.inst
+        lam = inst.lam[machine - 1]
+        mu = inst.mu[machine - 1]
+        cap = inst.cap[machine - 1]
+        s = [0.0] * (cap + 1)
+        for k in range(1, cap + 1):
+            s[k] = (
+                mu
+                * (inst.cost.rate(machine, cap, cap) - inst.cost.rate(machine, k - 1, cap))
+                / lam
+            )
+        reward_inc = [0.0] * (cap + 1)
+        time_inc = [0.0] * (cap + 1)
+        reward_inc[cap] = s[cap] / mu
+        time_inc[cap] = 1.0 / mu
+        for k in range(cap - 1, 0, -1):
+            reward_inc[k] = (s[k] + lam * reward_inc[k + 1]) / mu
+            time_inc[k] = (1.0 + lam * time_inc[k + 1]) / mu
+        rewards = [0.0]
+        times = [0.0]
+        for k in range(1, cap + 1):
+            rewards.append(rewards[-1] + reward_inc[k])
+            times.append(times[-1] + time_inc[k])
+        return RepairStatistics(tuple(rewards), tuple(times))
 
     def arrival(self, d: int, machine: int, level: int) -> ArrivalDistribution:
         # Not memoized: its readers, move and wait, memoize on the same key.

@@ -15,19 +15,20 @@ degradation draws coincide across policies sharing the same uniforms.
 
 ``Kernel`` encodes that law once.  ``Kernel.event`` gives the
 action-dependent event (a repair, an arrival, or none) as a rate and an
-index offset, ``Kernel.row`` lays a successor row out from it over
-StateIndexer's mixed-radix integers, ``Kernel.moves`` lists it for
-every available action, for OPI's confidence gate, and
+index offset over StateIndexer's mixed-radix integers, ``Kernel.moves``
+lists it for every available action, for OPI's confidence gate, and
 ``Kernel.neighborhood`` lists the indices the gate reads.
-``Kernel.action_row`` memoizes, per state-action pair, the cost and
-reward rates and a successor row, so a step is one bisection of the
+``Kernel.action_row``, the kernel's one row builder, memoizes per
+state-action pair the location, the cost and reward rates and a
+successor row laid out from the event, so a step is one bisection of the
 uniform draw into the row's thresholds and one offset added to the
-index.  ``kernel_of`` keeps
-one Kernel per instance, shared by every ``simulate`` call (the index run
-and each polling subset), all three OPI phases and ``DpModel``.
-``simulate`` steps on the index plus a multiple of ``indexer.count`` for
-the decision rule's memory (the polling tour position), and decides once
-per distinct such key in a call.
+index.  ``kernel_of`` keeps one Kernel per instance, shared by every
+``simulate`` call (the index run and each polling subset), all three OPI
+phases and ``DpModel``.  ``RuleRows`` turns a decision rule into rows:
+key -> the rule's action row, asked once per key.  ``simulate`` and
+every OPI phase step through one; ``simulate``'s keys are the index plus
+a multiple of ``indexer.count`` for the rule's memory (the polling tour
+position).
 """
 
 from __future__ import annotations
@@ -66,16 +67,15 @@ class FiniteMemoryRule(Protocol):
     def decide(self, state: SystemState, memory: int) -> tuple[Action, int]: ...
 
 
-# (cost, thresholds, offsets): one state-action pair's successors; see Kernel.row.
-Row = tuple[float, tuple[float, ...], tuple[int, ...]]
-# Row with the pair's reward rate appended; see Kernel.action_row.
-ActionRow = tuple[float, tuple[float, ...], tuple[int, ...], float]
+# (location - 1, cost, reward, thresholds, offsets): one step of a
+# state-action pair; see Kernel.action_row.
+Row = tuple[int, float, float, tuple[float, ...], tuple[int, ...]]
 # (action, rate, target): one available action's event; see Kernel.moves.
 Move = tuple[Action, float, int]
 
 
 class CapacityError(RuntimeError):
-    """State space larger than the configured enumeration bound."""
+    """State space larger than the enumeration bound, ``STATE_BOUND``."""
 
 
 def pristine_state(inst: InstanceParameters, location: int = 1) -> SystemState:
@@ -157,7 +157,7 @@ class Kernel:
         self._moves: dict[int, tuple[Move, ...]] = {}
         self._neighborhoods: dict[int, tuple[int, ...]] = {}
         self.states: dict[int, SystemState] = {}
-        self.action_rows: dict[tuple[int, Action], ActionRow] = {}
+        self.action_rows: dict[tuple[int, Action], Row] = {}
 
     def cost(self, state: SystemState) -> float:
         return sum(self.cost_rate[j][level] for j, level in enumerate(state.conditions))
@@ -179,34 +179,6 @@ class Kernel:
         if i <= self.machine_count and state.conditions[i - 1] >= 1:
             return self.inst.mu[i - 1], -self.indexer.strides[i - 1]
         return 0.0, 0
-
-    def row(self, state: SystemState, action: Action) -> Row:
-        """One uniformized step of ``state`` under ``action`` as a successor
-        row over StateIndexer indices.
-
-        Returns ``(cost, thresholds, offsets)``: the draw ``u`` moves index
-        ``x`` of ``state`` to ``x + offsets[bisect_right(thresholds, u)]``.
-        The thresholds are the degradation slot ends, then the end of the
-        ``event`` slot when the action has one; the offsets are one stride
-        per machine (0 at its cap), the event's offset, and 0 for the
-        self-loop.  Rows hold relative moves, so equal tuples are shared
-        across states.
-        """
-        strides = self.indexer.strides
-        conds = state.conditions
-        thresholds = self.cum_lambda[1:]
-        offsets = [strides[j] if conds[j] < self.cap[j] else 0 for j in range(self.machine_count)]
-        rate, offset = self.event(state, action)
-        if rate:
-            thresholds.append(self.degrade_upper + rate * self.step_length)
-            offsets.append(offset)
-        offsets.append(0)
-        thresholds, offsets = tuple(thresholds), tuple(offsets)
-        return (
-            self.cost(state),
-            self._thresholds.setdefault(thresholds, thresholds),
-            self._offsets.setdefault(offsets, offsets),
-        )
 
     def moves(self, x: int) -> tuple[Move, ...]:
         """Every available action's ``event`` at the state with index ``x``,
@@ -244,20 +216,40 @@ class Kernel:
             state = self.states[x] = self.indexer.state(x)
         return state
 
-    def action_row(self, x: int, action: Action) -> ActionRow:
-        """``row`` of the state with index ``x`` with the reward rate appended.
+    def action_row(self, x: int, action: Action) -> Row:
+        """One uniformized step of the state with index ``x`` under
+        ``action``, as ``(location - 1, cost, reward, thresholds,
+        offsets)``: the cost and reward rates and a successor row, so the
+        draw ``u`` moves ``x`` to ``x + offsets[bisect_right(thresholds, u)]``.
 
-        Memoized in ``action_rows`` under ``(x, action)``.  Raises
-        ValueError when ``action`` is not available in the state, which is
-        checked once per memoized pair.
+        The thresholds are the degradation slot ends, then the end of the
+        ``event`` slot when the action has one; the offsets are one stride
+        per machine (0 at its cap), the event's offset, and 0 for the
+        self-loop.  Rows hold relative moves, so equal thresholds and
+        offsets tuples are shared across states.  Memoized in
+        ``action_rows`` under ``(x, action)``.  Raises ValueError when
+        ``action`` is not available in the state, which is checked once
+        per memoized pair.
         """
         row = self.action_rows.get((x, action))
         if row is None:
             state = self.state(x)
             if action not in actions_of(self.inst, state):
                 raise ValueError(f"action {action!r} not available in state {state}")
-            row = self.row(state, action) + (self.reward(state, action),)
-            self.action_rows[(x, action)] = row
+            thresholds = self.cum_lambda[1:]
+            levels = zip(self.indexer.strides, state.conditions, self.cap)
+            offsets = [stride if level < cap else 0 for stride, level, cap in levels]
+            rate, offset = self.event(state, action)
+            if rate:
+                thresholds.append(self.degrade_upper + rate * self.step_length)
+                offsets.append(offset)
+            offsets.append(0)
+            thresholds, offsets = tuple(thresholds), tuple(offsets)
+            row = self.action_rows[(x, action)] = (
+                state.location - 1, self.cost(state), self.reward(state, action),
+                self._thresholds.setdefault(thresholds, thresholds),
+                self._offsets.setdefault(offsets, offsets),
+            )
         return row
 
 
@@ -269,6 +261,40 @@ def kernel_of(inst: InstanceParameters) -> Kernel:
     instance's memos in memory, not all of them.
     """
     return Kernel(inst)
+
+
+class RuleRows(dict):
+    """Key -> ``kernel``'s action row under ``rule``'s action there, filled
+    on first lookup, so the rule is asked once per key.
+
+    For a function of the state the key is the state index and the row is
+    the kernel's own tuple.  For a ``FiniteMemoryRule`` the key is
+    ``x + memory * count`` (``count`` is ``indexer.count``), the memory
+    after the step is checked, and the row's offsets are moved to the next
+    memory's keys, so a step adds one offset to the key either way.
+    """
+
+    def __init__(self, kernel: Kernel, rule: DecisionRule | FiniteMemoryRule):
+        super().__init__()
+        self.kernel = kernel
+        self.rule = rule
+        self.decide = getattr(rule, "decide", None)
+        self.count = kernel.indexer.count
+
+    def __missing__(self, key: int) -> Row:
+        kernel = self.kernel
+        if self.decide is None:
+            row = self[key] = kernel.action_row(key, self.rule(kernel.state(key)))
+            return row
+        memory, x = divmod(key, self.count)
+        action, after = self.decide(kernel.state(x), memory)
+        _check_memory(after)
+        row = kernel.action_row(x, action)
+        if after != memory:
+            shift = (after - memory) * self.count
+            row = row[:4] + (tuple(offset + shift for offset in row[4]),)
+        self[key] = row
+        return row
 
 
 @dataclass
@@ -311,12 +337,12 @@ def simulate(
     decision depends on the state and its memory only.  The chain runs on
     keys ``x + memory * indexer.count`` (``x`` a state index; memory is 0
     for a function of the state), and the rule is queried once per
-    distinct key in a call, not once per step: each key's entry holds the
-    action's row from the instance's shared kernel (``kernel_of``), its
-    offsets moved to the next memory's keys, so a step is one lookup, one
-    bisection of the uniform draw and one addition.  A finite-memory rule
-    starts from its ``memory`` and has the final memory written back, so a
-    rule reused across calls carries on where the last call stopped.
+    distinct key in a call, not once per step: the call's ``RuleRows``
+    holds each key's row from the instance's shared kernel
+    (``kernel_of``), so a step is one lookup, one bisection of the uniform
+    draw and one addition.  A finite-memory rule starts from its
+    ``memory`` and has the final memory written back, so a rule reused
+    across calls carries on where the last call stopped.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -325,40 +351,22 @@ def simulate(
     validate_state(inst, x0)
 
     kernel = kernel_of(inst)
-    count = kernel.indexer.count
-    block = kernel.indexer.conditions_per_location
-    decide = getattr(policy, "decide", None)
-    # key -> (location index, cost, reward, thresholds, key offsets).
-    entries: dict[int, tuple[int, float, float, tuple[float, ...], tuple[int, ...]]] = {}
-
-    def entry(key: int):
-        memory, x = divmod(key, count)
-        state = kernel.state(x)
-        if decide is None:
-            action, after = policy(state), 0
-        else:
-            action, after = decide(state, memory)
-            _check_memory(after)
-        cost, thresholds, offsets, reward = kernel.action_row(x, action)
-        if after != memory:
-            offsets = tuple(offset + (after - memory) * count for offset in offsets)
-        found = entries[key] = (x // block, cost, reward, thresholds, offsets)
-        return found
-
+    rows = RuleRows(kernel, policy)
+    get, fill, count = rows.get, rows.__missing__, rows.count
     visits = [0] * inst.layout.node_count
     total_cost = 0.0
     total_reward = 0.0
     key = kernel.indexer.index(x0)
-    if decide is not None:
+    if rows.decide is not None:
         _check_memory(policy.memory)
         key += policy.memory * count
     for u in np.asarray(crn[:steps], dtype=np.float64).tolist():
-        location, cost, reward, thresholds, offsets = entries.get(key) or entry(key)
+        location, cost, reward, thresholds, offsets = get(key) or fill(key)
         visits[location] += 1
         total_cost += cost
         total_reward += reward
         key += offsets[bisect_right(thresholds, u)]
-    if decide is not None:
+    if rows.decide is not None:
         policy.memory = key // count
 
     return SimulationReport(
@@ -374,18 +382,18 @@ def _check_memory(memory) -> None:
         raise ValueError(f"rule memory {memory!r} is not a non-negative integer")
 
 
-DEFAULT_STATE_BOUND = 5_000_000
+# The most states enumerate_states and DpModel lay out.
+STATE_BOUND = 5_000_000
 
 
-def enumerate_states(
-    inst: InstanceParameters, bound: int = DEFAULT_STATE_BOUND
-) -> list[SystemState]:
+def enumerate_states(inst: InstanceParameters) -> list[SystemState]:
     """All states in deterministic order: location major, conditions minor
-    (last machine's level varies fastest)."""
+    (last machine's level varies fastest).  Raises CapacityError above
+    ``STATE_BOUND`` states."""
     count = inst.state_count()
-    if count > bound:
+    if count > STATE_BOUND:
         raise CapacityError(
-            f"state space has {count} states, above the bound of {bound}"
+            f"state space has {count} states, above the bound of {STATE_BOUND}"
         )
     ranges = [range(k + 1) for k in inst.cap]
     return [

@@ -16,14 +16,14 @@ between transitions funds nested simulations that sharpen the estimates
 around the states the system is about to visit.
 
 The hot loops work on StateIndexer's mixed-radix integers, not on state
-tuples.  A step under an action is a successor row from
-``Kernel.action_row``: one bisection of the uniform draw into the row's
-thresholds picks an offset to add to the index.  All three phases use
-the instance's shared kernel (``kernel_of``), the same one ``simulate``
-uses, so a state-action row is built and checked for availability once
-per instance, and each index is decoded to a state tuple once.  Each
-phase call looks its base-policy rows up in one table (``_BaseRows``),
-which asks the base policy once per index it reaches.
+tuples.  A step under an action is a row from ``Kernel.action_row``: one
+bisection of the uniform draw into the row's thresholds picks an offset
+to add to the index.  All three phases use the instance's shared kernel
+(``kernel_of``), the same one ``simulate`` uses, so a state-action row is
+built and checked for availability once per instance, and each index is
+decoded to a state tuple once.  Each phase call steps the base policy
+through one ``mdp.RuleRows``, as ``simulate`` steps its rule, which asks
+the base policy once per index it reaches.
 
 The value store belongs to one instance and keeps one dict of entries,
 keyed by the same state index; the phases read and grow that dict
@@ -38,12 +38,13 @@ per-call setup, not the stepping.  One function, ``_rollouts``, runs them
 back to back in one frame from an iterable of start states until a
 trajectory count or a budget is used up: one call per offline start
 state (the chained core phase appends each stop as the next start), one
-per hypothetical successor online (its neighborhood is the starts), and
-one for the public ``sample_trajectory``.  Every rollout keeps a list of
-records, its start first, and one loop updates their entries; only the
-chained phase records more than the start, so its set-up sits behind a
-check per trajectory and the step loop tests one counter that is 0
-otherwise.
+per online decision (the neighborhoods of successive hypothetical
+successors are the starts, each successor drawn when the previous
+neighborhood is used up), and one for the public ``sample_trajectory``.
+Every rollout keeps a list of records, its start first, and one loop
+updates their entries; only the chained phase records more than the
+start, so its set-up sits behind a check per trajectory and the step
+loop tests one counter that is 0 otherwise.
 
 Each phase reads its generator as one stream of uniforms, one per
 simulated step, drawn 8192 at a time (``_uniforms``), so the phases that
@@ -80,10 +81,9 @@ import numpy as np
 
 from .instance import InstanceParameters, instance_to_dict
 from .mdp import (
-    ActionRow,
     DecisionRule,
-    Kernel,
     Move,
+    RuleRows,
     SimulationReport,
     StateIndexer,
     SystemState,
@@ -135,7 +135,7 @@ class OpiBudget:
             raise ValueError(f"mode: unknown budget mode {self.mode!r}")
 
 
-def desk_scale_budget(r_on: int = 50_000) -> OpiBudget:
+def desk_scale_budget() -> OpiBudget:
     """Deterministic budgets sized for desk experiments.
 
     Large enough that the value store separates actions on instances with
@@ -146,7 +146,7 @@ def desk_scale_budget(r_on: int = 50_000) -> OpiBudget:
         r2=300_000,
         r_off=2_000,
         tau_max=200_000.0,
-        r_on=r_on,
+        r_on=50_000,
         delta=4.0,
         mode=STEP_COUNT,
     )
@@ -313,26 +313,11 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
     return itertools.chain.from_iterable(iter(lambda: rng.random(_BUFFER).tolist(), None))
 
 
-class _BaseRows(dict):
-    """Index -> ``kernel``'s action row under ``base``'s action there,
-    filled on first lookup."""
-
-    def __init__(self, kernel: Kernel, base: DecisionRule):
-        super().__init__()
-        self.kernel = kernel
-        self.base = base
-
-    def __missing__(self, x: int) -> ActionRow:
-        kernel = self.kernel
-        row = self[x] = kernel.action_row(x, self.base(kernel.state(x)))
-        return row
-
-
 TRAJECTORY_CAP = 50_000_000
 
 
 def _rollouts(
-    rows: _BaseRows,
+    rows: RuleRows,
     store: ValueStore,
     reference: int,
     starts: Iterable[int],
@@ -341,7 +326,7 @@ def _rollouts(
     mode: str,
     count: float,
     budget: float,
-) -> tuple[int, int, float]:
+) -> tuple[int, float]:
     """Variable-length rollouts under the base policy, back to back in one
     frame, one per index in ``starts``, each step driven by one uniform.
 
@@ -355,8 +340,7 @@ def _rollouts(
     where this one stopped.  Rollouts end when ``starts`` runs out, or
     once ``count`` have run or ``budget`` is used up (simulated steps in
     step-count mode, seconds in wall-clock mode), both checked after each
-    one, so at least one runs.  Returns the last stop, the number run and
-    the budget used.
+    one, so at least one runs.  Returns the last stop and the budget used.
     """
     clock = time.perf_counter if mode == WALL_CLOCK else None
     started = clock() if clock else 0.0
@@ -377,7 +361,7 @@ def _rollouts(
             room = p - 1
             seen = {z}
         while True:
-            cost, thresholds, offsets, _ = rows[current]
+            _, cost, _, thresholds, offsets = rows[current]
             total_cost += cost
             steps += 1
             stop = current + offsets[bisect(thresholds, next(uniforms))]
@@ -416,7 +400,7 @@ def _rollouts(
         if done >= count or used >= budget:
             break
 
-    return stop, done, used
+    return stop, used
 
 
 def sample_trajectory(
@@ -436,8 +420,8 @@ def sample_trajectory(
         raise ValueError("store is missing its reference entry")
     kernel = kernel_of(inst)
     index = kernel.indexer.index
-    stop, _, used = _rollouts(
-        _BaseRows(kernel, base), store, index(store.reference), [index(z)], p,
+    stop, used = _rollouts(
+        RuleRows(kernel, base), store, index(store.reference), [index(z)], p,
         _uniforms(rng), mode, 1, math.inf,
     )
     return kernel.state(stop), float(used)
@@ -466,7 +450,7 @@ def offline_preparatory(
     neighbors, which the online part will need intervals for.
     """
     kernel = kernel_of(inst)
-    rows = _BaseRows(kernel, base)
+    rows = RuleRows(kernel, base)
     uniforms = _uniforms(rng)
     index, block = kernel.indexer.index, kernel.indexer.conditions_per_location
     m = inst.machine_count
@@ -477,7 +461,7 @@ def offline_preparatory(
         at_i = range((i - 1) * block, i * block)
         counts: dict[int, int] = {}
         for _ in range(budget.r1):
-            _, thresholds, offsets, _ = rows[state]
+            _, _, _, thresholds, offsets = rows[state]
             state += offsets[bisect_right(thresholds, next(uniforms))]
             if state in at_i:
                 counts[state] = counts.get(state, 0) + 1
@@ -493,7 +477,7 @@ def offline_preparatory(
     total_cost = 0.0
     visits = [0] * m
     for _ in range(budget.r2):
-        cost, thresholds, offsets, _ = rows[state]
+        _, cost, _, thresholds, offsets = rows[state]
         total_cost += cost
         state += offsets[bisect_right(thresholds, next(uniforms))]
         location = state // block
@@ -534,7 +518,7 @@ def offline_main(
     store = ValueStore(inst, prep.reference, prep.g_base)
     kernel = kernel_of(inst)
     index = kernel.indexer.index
-    rows, reference = _BaseRows(kernel, base), index(store.reference)
+    rows, reference = RuleRows(kernel, base), index(store.reference)
     uniforms = _uniforms(rng)
     limits = (budget.mode, budget.r_off, budget.tau_max)
     for z in prep.z_all:
@@ -660,11 +644,11 @@ def online_run(
     the shared random-number list when one is supplied, so runs are
     comparable across policies, else from the rollouts' uniform stream).
     The budget is ``int(delta)`` rollouts in step-count mode and ``delta``
-    seconds in wall-clock mode.  It is spent one hypothetical successor at
-    a time: draw a successor under the chosen action, then run one rollout
-    from each state of its neighborhood in one ``_rollouts`` call,
-    stopping mid-neighborhood when the budget runs out, and repeat until
-    it does.
+    seconds in wall-clock mode, spent in one ``_rollouts`` call: one
+    rollout from each state of a hypothetical successor's neighborhood,
+    then the next successor's, each successor drawn under the chosen
+    action only once the previous neighborhood is used up, stopping
+    mid-neighborhood when the budget runs out.
 
     ``safe_by_quarter`` holds the fallback share of each quarter of the
     run, None for a quarter with no steps (r_on < 4).  ``fallback_causes``
@@ -677,18 +661,18 @@ def online_run(
     validate_state(inst, start)
     kernel = kernel_of(inst)
     index = kernel.indexer.index
-    rows = _BaseRows(kernel, base)
+    rows = RuleRows(kernel, base)
     reference = index(store.reference)
     uniforms = _uniforms(rng)
     values = store.entries
-    block = kernel.indexer.conditions_per_location
     action_row = kernel.action_row
     moves = kernel.moves
     neighborhood = kernel.neighborhood
     mode = budget.mode
-    # Nested rollouts per decision: int(delta) of them in step-count mode,
-    # delta seconds of them in wall-clock mode.  With seconds infinite, the
-    # steps _rollouts reports as used in step-count mode never bind.
+    # Nested rollouts per decision: int(delta) of them in step-count mode
+    # (none when delta < 1), delta seconds of them in wall-clock mode.
+    # With seconds infinite, the steps _rollouts reports as used in
+    # step-count mode never bind.
     if mode == STEP_COUNT:
         count, seconds = int(budget.delta), math.inf
     else:
@@ -707,28 +691,24 @@ def online_run(
     realized = uniforms if crn is None else iter(crn)
 
     for step_index in range(budget.r_on):
-        visits[state // block] += 1
         action, cause = _gate(state, moves(state), values)
         if action is None:
-            cost, thresholds, offsets, reward = rows[state]
+            location, cost, reward, thresholds, offsets = rows[state]
             safe_count += 1
             safe_by_quarter[min(step_index // quarter, 3)] += 1
             causes[cause] += 1
         else:
-            cost, thresholds, offsets, reward = action_row(state, action)
+            location, cost, reward, thresholds, offsets = action_row(state, action)
+        visits[location] += 1
         total_cost += cost
         total_reward += reward
 
-        done = 0
-        used = 0.0
-        while done < count and used < seconds:
-            hypothetical = state + offsets[bisect_right(thresholds, next(uniforms))]
-            _, ran, spent = _rollouts(
-                rows, store, reference, neighborhood(hypothetical), 1, uniforms, mode,
-                count - done, seconds - used,
-            )
-            done += ran
-            used += spent
+        if count:
+            # Each hypothetical successor is drawn once the previous one's
+            # neighborhood is used up.
+            successors = (state + offsets[bisect_right(thresholds, u)] for u in uniforms)
+            starts = itertools.chain.from_iterable(map(neighborhood, successors))
+            _rollouts(rows, store, reference, starts, 1, uniforms, mode, count, seconds)
 
         state += offsets[bisect_right(thresholds, next(realized))]
 

@@ -204,9 +204,10 @@ def test_g_star_independent_of_reference(two_machines):
 def test_capacity_gate():
     from repairnet.mdp import CapacityError
 
-    inst = generate_instance(2, m=4, cap=5)
-    with pytest.raises(CapacityError):
-        DpModel(inst, bound=100)
+    # 41,990,400 states, above mdp.STATE_BOUND: refused before any array is built.
+    inst = generate_instance(2, m=8, cap=5)
+    with pytest.raises(CapacityError, match="41990400"):
+        DpModel(inst)
 
 
 @pytest.mark.parametrize("seed", [20001, 20003])
@@ -271,12 +272,28 @@ def test_evaluation_matches_a_dense_solve_of_the_bordered_system(seed, m, cap, p
     g, v = exact[ref], exact.copy()
     v[ref] = 0.0
     # The span target makes g's error at most 1e-11 also where the Krylov
-    # phase gives up (about one draw in 150).  v reaches 1e3 on these
+    # phase gives up.  v reaches 1e3 on these
     # draws and the condition number 1e5, so v is compared relative to
     # its scale: a dense solve's own error is about cond * eps * max|v|.
     result = evaluate_policy(inst, policy, tol=1e-12, model=model, span_target=1e-11)
     assert result.g == pytest.approx(g, abs=1e-10)
     assert np.max(np.abs(result.v - v)) <= 1e-10 * max(1.0, np.max(np.abs(v)))
+
+
+def test_evaluation_restarts_bicgstab_on_a_near_breakdown():
+    # On this unichain policy r_hat . r falls to about 1e-19 (r_hat nearly
+    # orthogonal to r).  Without a restart the Krylov phase gave up after
+    # 647 products and the sweeps took 2,398 more; with one, 124 in all.
+    inst = generate_instance(7637, m=3, cap=1)
+    policy = random_unichain_policy(inst, 9136)
+    model = DpModel(inst)
+    ref = model.indexer.index(pristine_state(inst))
+    bordered = np.eye(model.n) - model.transition_matrix(policy).toarray()
+    bordered[:, ref] = 1.0
+    g = np.linalg.solve(bordered, model.cost)[ref]
+    result = evaluate_policy(inst, policy, tol=1e-12, model=model)
+    assert result.sweeps < 500
+    assert result.g == pytest.approx(g, abs=1e-10)
 
 
 def test_policy_iteration_through_multichain_rounds():

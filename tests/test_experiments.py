@@ -114,7 +114,8 @@ def test_parallel_jobs_match_sequential(tiny_records):
 
 
 def test_dp_gating_by_state_count():
-    config = tiny_config(count=1, dp_state_bound=10)
+    # 390,625 states, above experiments.DP_STATE_BOUND.
+    config = tiny_config(count=1, m=6, cap=4)
     records = run_benchmark(config)
     record = records[0]
     assert record.error is None

@@ -73,7 +73,7 @@ def test_probabilities_sum_to_one_randomized():
                     nxt = apply_event(state, event)
                     expected[nxt] = expected.get(nxt, 0.0) + p
                 # The kernel's row: each offset owns the gap up to its threshold.
-                _, thresholds, offsets = kernel.row(state, action)
+                *_, thresholds, offsets = kernel.action_row(x, action)
                 got: dict[SystemState, float] = {}
                 for offset, lo, hi in zip(offsets, (0.0, *thresholds), (*thresholds, 1.0)):
                     nxt = kernel.state(x + offset)
@@ -142,7 +142,7 @@ def test_kernel_step_matches_event_distribution(two_machines):
         (SystemState(2, (0, 2)), 2),
     ]:
         x = kernel.indexer.index(state)
-        _, thresholds, offsets = kernel.row(state, action)
+        *_, thresholds, offsets = kernel.action_row(x, action)
         grid = 2_000_001
         moved: dict[int, int] = {}
         for i in range(0, grid, 1):
@@ -202,7 +202,7 @@ def test_crn_degradation_times_coincide_across_policies():
         log = []
         for t in range(steps):
             x = kernel.indexer.index(state)
-            _, thresholds, offsets, _ = kernel.action_row(x, policy(state))
+            *_, thresholds, offsets = kernel.action_row(x, policy(state))
             nxt = kernel.state(x + offsets[bisect_right(thresholds, uniforms[t])])
             if nxt.conditions != state.conditions and sum(nxt.conditions) > sum(state.conditions):
                 machine = next(
@@ -232,8 +232,8 @@ def test_enumerate_states_counts(two_machines):
     assert len(enumerate_states(two_machines)) == 18
     star = homogeneous_star_instance(3, 1, 0.04, 0.12, 1.0, 0.024)
     assert len(enumerate_states(star)) == 32
-    with pytest.raises(CapacityError, match="18"):
-        enumerate_states(two_machines, bound=10)
+    with pytest.raises(CapacityError, match="41990400"):
+        enumerate_states(generate_instance(2, m=8, cap=5))
 
 
 def test_state_indexer_round_trip(two_machines):

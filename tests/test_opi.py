@@ -2,6 +2,7 @@ import json
 import math
 import re
 from bisect import bisect_right
+from dataclasses import replace
 
 import pytest
 
@@ -188,7 +189,7 @@ def test_chained_records_bootstrap_through_the_updated_reference():
     x = ref = kernel.indexer.index(reference)
     total, count, records = 0.0, 0, {}
     while True:
-        cost, thresholds, offsets, _ = kernel.action_row(x, base(kernel.state(x)))
+        _, cost, _, thresholds, offsets = kernel.action_row(x, base(kernel.state(x)))
         total += cost
         count += 1
         x += offsets[bisect_right(thresholds, next(draws))]
@@ -532,7 +533,7 @@ def test_budget_validation():
 def test_store_round_trip(tmp_path):
     inst = generate_instance(29, m=2, cap=1)
     base = ModifiedIndexPolicy(inst)
-    budget = desk_scale_budget(r_on=10)
+    budget = replace(desk_scale_budget(), r_on=10)
     budget.r1, budget.r2, budget.r_off, budget.tau_max = 100, 1_000, 20, 1e12
     prep = offline_preparatory(inst, base, budget, rng(5))
     store = offline_main(inst, base, prep, budget, rng(6))

@@ -23,6 +23,7 @@ from conftest import (
     oracle_neighborhood,
     rng,
     step_cost,
+    step_reward,
     uniform_step,
     with_level_change,
     with_location,
@@ -71,8 +72,9 @@ def test_row_matches_kernel_step_and_cost(case, draws):
     indexer = StateIndexer(inst)
     x = indexer.index(state)
     for action in actions_of(inst, state):
-        cost, thresholds, offsets = kernel.row(state, action)
-        assert cost == step_cost(inst, state)
+        location, cost, reward, thresholds, offsets = kernel.action_row(x, action)
+        assert (location, cost) == (state.location - 1, step_cost(inst, state))
+        assert reward == step_reward(inst, state, action)
         assert len(offsets) == len(thresholds) + 1
         # Every slot boundary and the float just below it, plus random draws.
         edges = [v for t in thresholds for v in (t, math.nextafter(t, 0.0))]
@@ -101,9 +103,10 @@ def test_moves_and_neighborhood_match_the_oracle(case):
 def test_rows_share_interned_tuples():
     inst = generate_instance(3, m=3, cap=2)
     kernel = Kernel(inst)
-    a = kernel.row(SystemState(1, (1, 0, 0)), 1)
-    b = kernel.row(SystemState(1, (1, 1, 1)), 1)
-    assert a[1] is b[1] and a[2] is b[2]
+    index = kernel.indexer.index
+    a = kernel.action_row(index(SystemState(1, (1, 0, 0))), 1)
+    b = kernel.action_row(index(SystemState(1, (1, 1, 1))), 1)
+    assert a[3] is b[3] and a[4] is b[4]
 
 
 def tight(h, width):
@@ -284,11 +287,17 @@ def test_online_run_draws_nothing_it_does_not_use():
     inst = generate_instance(5, m=2, cap=2)
     base = ModifiedIndexPolicy(inst)
     budget = OpiBudget(r1=50, r2=500, r_off=5, tau_max=1e9, r_on=20, delta=0.5, mode=STEP_COUNT)
-    store = ValueStore(inst, pristine_state(inst), 1.0)
+    prep = offline_preparatory(inst, base, budget, rng(1))
+    store = offline_main(inst, base, prep, budget, rng(2))
+    before = copy.deepcopy(store.entries)
+    assert len(before) > 1
     generator = rng(3)
     online_run(inst, base, store, budget, generator, crn=rng(4).random(20))
     assert next_draws(generator) == next_draws(rng(3))
-    assert len(store.entries) == 1
+    # No nested rollout runs, with or without a CRN list, so every entry,
+    # the reference's included, keeps its statistics.
+    online_run(inst, base, store, budget, rng(3))
+    assert store.entries == before
 
 
 def test_safe_by_quarter_reports_empty_quarters_as_none():

@@ -179,6 +179,27 @@ def test_a_function_of_the_state_is_queried_once_per_distinct_state_per_call():
         assert set(queried) == set(visited)
         assert sum(visited.values()) == steps > len(visited)
 
+    # Every OPI phase call steps its base rule through the same kind of
+    # table, so it too asks the rule once per state it reaches.
+    base = ModifiedIndexPolicy(inst)
+
+    def counted_base(state):
+        queried[state] += 1
+        return base(state)
+
+    budget = OpiBudget(r1=200, r2=2_000, r_off=20, tau_max=1e9, r_on=500, delta=2, mode=STEP_COUNT)
+    offline_rng = rng(3)
+
+    def asked_once(call):
+        queried.clear()
+        result = call()
+        assert queried and max(queried.values()) == 1
+        return result
+
+    prep = asked_once(lambda: offline_preparatory(inst, counted_base, budget, offline_rng))
+    store = asked_once(lambda: offline_main(inst, counted_base, prep, budget, offline_rng))
+    asked_once(lambda: online_run(inst, counted_base, store, budget, rng(4), x0=x0))
+
 
 class _BadMemory:
     def __init__(self, memory, after):
