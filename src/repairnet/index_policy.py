@@ -22,6 +22,7 @@ not.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,8 +73,12 @@ def repair_statistics(inst: InstanceParameters, machine: int) -> RepairStatistic
     Working with per-level increments D(k) = E[value(k)] - E[value(k-1)]
     turns the tridiagonal system into a single backward sweep:
     D(cap) = s(cap)/mu and D(k) = (s(k) + lambda * D(k+1)) / mu, where
-    s(k) is the reward rate at level k (or 1 for durations).
+    s(k) is the reward rate at level k (or 1 for durations).  Raises
+    ValueError, naming the id, for an id that is not a machine.
     """
+    m = inst.machine_count
+    if not isinstance(machine, numbers.Integral) or not 1 <= machine <= m:
+        raise ValueError(f"machine: {machine!r} is not a machine id in 1..{m}")
     return _calculator(inst).repair_stats(machine)
 
 

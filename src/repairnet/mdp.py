@@ -18,17 +18,20 @@ action-dependent event (a repair, an arrival, or none) as a rate and an
 index offset over StateIndexer's mixed-radix integers, ``Kernel.moves``
 lists it for every available action, for OPI's confidence gate, and
 ``Kernel.neighborhood`` lists the indices the gate reads.
+``Kernel.grid`` is the sorted set of every slot end any row can have,
+and ``Kernel.codes`` classifies uniform draws against it in one numpy
+call: a draw's code is the gap of the grid it falls in.  Every row's
+slot ends are grid members, so a row's event is constant on each gap.
 ``Kernel.action_row``, the kernel's one row builder, memoizes per
 state-action pair the location, the cost and reward rates and a
-successor row laid out from the event, so a step is one bisection of the
-uniform draw into the row's thresholds and one offset added to the
-index.  ``kernel_of`` keeps one Kernel per instance, shared by every
-``simulate`` call (the index run and each polling subset), all three OPI
-phases and ``DpModel``.  ``RuleRows`` turns a decision rule into rows:
-key -> the rule's action row, asked once per key.  ``simulate`` and
-every OPI phase step through one; ``simulate``'s keys are the index plus
-a multiple of ``indexer.count`` for the rule's memory (the polling tour
-position).
+successor row indexed by code, so a step is one lookup of the draw's
+code in the row and one offset added to the index.  ``kernel_of`` keeps
+one Kernel per instance, shared by every ``simulate`` call (the index
+run and each polling subset), all three OPI phases and ``DpModel``.
+``RuleRows`` turns a decision rule into rows: key -> the rule's action
+row, asked once per key.  ``simulate`` and every OPI phase step through
+one; ``simulate``'s keys are the index plus a multiple of
+``indexer.count`` for the rule's memory (the polling tour position).
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Protocol, Sequence
@@ -67,9 +69,9 @@ class FiniteMemoryRule(Protocol):
     def decide(self, state: SystemState, memory: int) -> tuple[Action, int]: ...
 
 
-# (location - 1, cost, reward, thresholds, offsets): one step of a
-# state-action pair; see Kernel.action_row.
-Row = tuple[int, float, float, tuple[float, ...], tuple[int, ...]]
+# (location - 1, cost, reward, offsets): one step of a state-action pair,
+# offsets[c] the index move for a draw of code c; see Kernel.action_row.
+Row = tuple[int, float, float, tuple[int, ...]]
 # (action, rate, target): one available action's event; see Kernel.moves.
 Move = tuple[Action, float, int]
 
@@ -135,6 +137,15 @@ class Kernel:
         # [cum_lambda[j-1], cum_lambda[j]); a draw there at cap self-loops.
         self.cum_lambda = list(itertools.accumulate(self.lam_delta, initial=0.0))
         self.degrade_upper = self.cum_lambda[m]
+        # Every slot end a row can have: the m degradation ends, then the
+        # distinct ends of the event slots, one per rate (tau, mu_i).  A
+        # draw's code is the number of ends at or below it: codes 0..m-1
+        # are the degradation slots, and the event of rate r owns codes
+        # m.._event_code[r].
+        ends = {rate: self.degrade_upper + rate * delta for rate in (inst.tau, *inst.mu)}
+        event_ends = sorted(set(ends.values()))
+        self.grid = np.array(self.cum_lambda[1:] + event_ends)
+        self._event_code = {rate: m + event_ends.index(end) for rate, end in ends.items()}
         # Cost-rate lookup per machine and level.
         self.cost_rate = [
             [inst.cost.rate(i, level, inst.cap[i - 1]) for level in range(inst.cap[i - 1] + 1)]
@@ -152,7 +163,6 @@ class Kernel:
             for i, rates in enumerate(self.cost_rate)
         ]
         self.indexer = StateIndexer(inst)
-        self._thresholds: dict[tuple[float, ...], tuple[float, ...]] = {}
         self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._moves: dict[int, tuple[Move, ...]] = {}
         self._neighborhoods: dict[int, tuple[int, ...]] = {}
@@ -216,17 +226,26 @@ class Kernel:
             state = self.states[x] = self.indexer.state(x)
         return state
 
+    def codes(self, uniforms) -> list[int]:
+        """The code of each uniform draw: the number of ``grid`` ends at or
+        below it, so code c covers the draws in ``[grid[c-1], grid[c])``.
+        One numpy call; the comparisons are a bisection's."""
+        draws = np.asarray(uniforms, dtype=np.float64)
+        return np.searchsorted(self.grid, draws, side="right").tolist()
+
     def action_row(self, x: int, action: Action) -> Row:
         """One uniformized step of the state with index ``x`` under
-        ``action``, as ``(location - 1, cost, reward, thresholds,
-        offsets)``: the cost and reward rates and a successor row, so the
-        draw ``u`` moves ``x`` to ``x + offsets[bisect_right(thresholds, u)]``.
+        ``action``, as ``(location - 1, cost, reward, offsets)``: the cost
+        and reward rates and a successor row, so a draw of code ``c``
+        (see ``codes``) moves ``x`` to ``x + offsets[c]``.
 
-        The thresholds are the degradation slot ends, then the end of the
-        ``event`` slot when the action has one; the offsets are one stride
-        per machine (0 at its cap), the event's offset, and 0 for the
-        self-loop.  Rows hold relative moves, so equal thresholds and
-        offsets tuples are shared across states.  Memoized in
+        The row has one offset per code: machine j's stride (0 at its cap)
+        for code j < m, the ``event``'s offset for codes m up to the grid
+        position of the event's slot end when the action has one, and 0,
+        the self-loop, for the rest.  Each row's slot ends are grid
+        members, so that is the move a bisection of the draw into the
+        row's own slot ends would pick.  Rows hold relative moves, so
+        equal offsets tuples are shared across states.  Memoized in
         ``action_rows`` under ``(x, action)``.  Raises ValueError when
         ``action`` is not available in the state, which is checked once
         per memoized pair.
@@ -236,18 +255,15 @@ class Kernel:
             state = self.state(x)
             if action not in actions_of(self.inst, state):
                 raise ValueError(f"action {action!r} not available in state {state}")
-            thresholds = self.cum_lambda[1:]
             levels = zip(self.indexer.strides, state.conditions, self.cap)
             offsets = [stride if level < cap else 0 for stride, level, cap in levels]
             rate, offset = self.event(state, action)
             if rate:
-                thresholds.append(self.degrade_upper + rate * self.step_length)
-                offsets.append(offset)
-            offsets.append(0)
-            thresholds, offsets = tuple(thresholds), tuple(offsets)
+                offsets += [offset] * (self._event_code[rate] + 1 - self.machine_count)
+            offsets += [0] * (len(self.grid) + 1 - len(offsets))
+            offsets = tuple(offsets)
             row = self.action_rows[(x, action)] = (
                 state.location - 1, self.cost(state), self.reward(state, action),
-                self._thresholds.setdefault(thresholds, thresholds),
                 self._offsets.setdefault(offsets, offsets),
             )
         return row
@@ -292,7 +308,7 @@ class RuleRows(dict):
         row = kernel.action_row(x, action)
         if after != memory:
             shift = (after - memory) * self.count
-            row = row[:4] + (tuple(offset + shift for offset in row[4]),)
+            row = row[:3] + (tuple(offset + shift for offset in row[3]),)
         self[key] = row
         return row
 
@@ -331,7 +347,9 @@ def simulate(
 
     ``crn`` holds at least one uniform per step, and the first ``steps``
     drive the run, so policies given the same list are compared under
-    common random numbers.
+    common random numbers.  They are classified into codes
+    (``crn_codes``) before the first step, which raises ValueError naming
+    ``crn[i]`` for a draw that is NaN or outside [0, 1).
 
     The rule is a function of the state, or a ``FiniteMemoryRule``, whose
     decision depends on the state and its memory only.  The chain runs on
@@ -339,10 +357,10 @@ def simulate(
     for a function of the state), and the rule is queried once per
     distinct key in a call, not once per step: the call's ``RuleRows``
     holds each key's row from the instance's shared kernel
-    (``kernel_of``), so a step is one lookup, one bisection of the uniform
-    draw and one addition.  A finite-memory rule starts from its
-    ``memory`` and has the final memory written back, so a rule reused
-    across calls carries on where the last call stopped.
+    (``kernel_of``), so a step is one lookup of the key's row, one of the
+    draw's code in it and one addition.  A finite-memory rule starts from
+    its ``memory`` and has the final memory written back, so a rule
+    reused across calls carries on where the last call stopped.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -351,6 +369,7 @@ def simulate(
     validate_state(inst, x0)
 
     kernel = kernel_of(inst)
+    codes = crn_codes(kernel, crn, steps)
     rows = RuleRows(kernel, policy)
     get, fill, count = rows.get, rows.__missing__, rows.count
     visits = [0] * inst.layout.node_count
@@ -360,12 +379,12 @@ def simulate(
     if rows.decide is not None:
         _check_memory(policy.memory)
         key += policy.memory * count
-    for u in np.asarray(crn[:steps], dtype=np.float64).tolist():
-        location, cost, reward, thresholds, offsets = get(key) or fill(key)
+    for code in codes:
+        location, cost, reward, offsets = get(key) or fill(key)
         visits[location] += 1
         total_cost += cost
         total_reward += reward
-        key += offsets[bisect_right(thresholds, u)]
+        key += offsets[code]
     if rows.decide is not None:
         policy.memory = key // count
 
@@ -375,6 +394,19 @@ def simulate(
         steps=steps,
         visit_counts=tuple(visits),
     )
+
+
+def crn_codes(kernel: Kernel, crn: Sequence[float], steps: int) -> list[int]:
+    """The codes (``Kernel.codes``) of the first ``steps`` draws of a
+    common-random-number list.  Raises ValueError naming ``crn[i]`` for the
+    first draw that is NaN or outside [0, 1), which would otherwise pick
+    a plausible successor silently."""
+    draws = np.asarray(crn[:steps], dtype=np.float64)
+    bad = np.flatnonzero(~((draws >= 0.0) & (draws < 1.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"crn[{i}]: {float(draws[i])!r} is not a uniform draw in [0, 1)")
+    return kernel.codes(draws)
 
 
 def _check_memory(memory) -> None:

@@ -16,14 +16,17 @@ between transitions funds nested simulations that sharpen the estimates
 around the states the system is about to visit.
 
 The hot loops work on StateIndexer's mixed-radix integers, not on state
-tuples.  A step under an action is a row from ``Kernel.action_row``: one
-bisection of the uniform draw into the row's thresholds picks an offset
-to add to the index.  All three phases use the instance's shared kernel
+tuples.  A step under an action is a row from ``Kernel.action_row``: the
+code of the step's uniform draw (``Kernel.codes``) picks an offset to add
+to the index.  All three phases use the instance's shared kernel
 (``kernel_of``), the same one ``simulate`` uses, so a state-action row is
 built and checked for availability once per instance, and each index is
 decoded to a state tuple once.  Each phase call steps the base policy
 through one ``mdp.RuleRows``, as ``simulate`` steps its rule, which asks
-the base policy once per index it reaches.
+the base policy once per index it reaches.  The base policy must be a
+function of the state: the store is keyed by state index, and a
+finite-memory rule (one with ``decide``) is refused before any budget is
+spent.
 
 The value store belongs to one instance and keeps one dict of entries,
 keyed by the same state index; the phases read and grow that dict
@@ -46,11 +49,12 @@ updates their entries; only the chained phase records more than the
 start, so its set-up sits behind a check per trajectory and the step
 loop tests one counter that is 0 otherwise.
 
-Each phase reads its generator as one stream of uniforms, one per
-simulated step, drawn 8192 at a time (``_uniforms``), so the phases that
-share the offline generator read it back to back.  Online, the realized
-transitions come from the CRN list when one is given and from the same
-stream otherwise.
+Each phase reads its generator as one stream of codes, one per
+simulated step: uniforms are drawn 8192 at a time and classified in the
+same numpy call (``_uniforms``), so the phases that share the offline
+generator read it back to back.  Online, the realized transitions come
+from the CRN list's codes when one is given, which rejects a draw that
+is NaN or outside [0, 1), and from the same stream otherwise.
 
 The kernel's ``moves`` give each action's event as ``(action, rate,
 target)`` (mu_i for a repair, tau for a switch, 0 for idling), so every
@@ -73,7 +77,6 @@ import itertools
 import json
 import math
 import time
-from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -82,11 +85,13 @@ import numpy as np
 from .instance import InstanceParameters, instance_to_dict
 from .mdp import (
     DecisionRule,
+    Kernel,
     Move,
     RuleRows,
     SimulationReport,
     StateIndexer,
     SystemState,
+    crn_codes,
     kernel_of,
     pristine_state,
     validate_state,
@@ -306,11 +311,24 @@ def load_store(path, inst: InstanceParameters) -> ValueStore:
 _BUFFER = 8192
 
 
-def _uniforms(rng: np.random.Generator) -> Iterator[float]:
-    """``rng``'s uniforms one at a time, drawn 8192 at a time when the first
-    of each chunk is needed, so a phase that takes over a generator reads
-    on where the previous phase's last chunk ended."""
-    return itertools.chain.from_iterable(iter(lambda: rng.random(_BUFFER).tolist(), None))
+def _uniforms(kernel: Kernel, rng: np.random.Generator) -> Iterator[int]:
+    """The codes (``Kernel.codes``) of ``rng``'s uniforms one at a time,
+    drawn and classified 8192 at a time when the first of each chunk is
+    needed, so a phase that takes over a generator reads on where the
+    previous phase's last chunk ended."""
+    return itertools.chain.from_iterable(
+        iter(lambda: kernel.codes(rng.random(_BUFFER)), None)
+    )
+
+
+def _check_base(base: DecisionRule) -> None:
+    # A finite-memory rule steps on keys past indexer.count, which would
+    # land in the store as states outside the instance.
+    if hasattr(base, "decide"):
+        raise ValueError(
+            "base: a finite-memory rule (one with decide) cannot be OPI's base "
+            "policy; it must be a function of the state"
+        )
 
 
 TRAJECTORY_CAP = 50_000_000
@@ -322,13 +340,14 @@ def _rollouts(
     reference: int,
     starts: Iterable[int],
     p: int,
-    uniforms: Iterator[float],
+    uniforms: Iterator[int],
     mode: str,
     count: float,
     budget: float,
 ) -> tuple[int, float]:
     """Variable-length rollouts under the base policy, back to back in one
-    frame, one per index in ``starts``, each step driven by one uniform.
+    frame, one per index in ``starts``, each step driven by one code from
+    ``uniforms`` (see ``_uniforms``): a step adds the row's offset for it.
 
     A rollout from ``z`` runs until hitting a stored state other than ``z``
     itself (returning to ``reference``, the index of the store's reference
@@ -346,7 +365,7 @@ def _rollouts(
     started = clock() if clock else 0.0
     values = store.entries
     g_base = store.g_base
-    bisect, cap = bisect_right, TRAJECTORY_CAP
+    cap = TRAJECTORY_CAP
     chain = p > 1
     room = 0  # distinct states still to record; never above 0 unless chain
     done = total_steps = 0
@@ -361,10 +380,10 @@ def _rollouts(
             room = p - 1
             seen = {z}
         while True:
-            _, cost, _, thresholds, offsets = rows[current]
+            _, cost, _, offsets = rows[current]
             total_cost += cost
             steps += 1
-            stop = current + offsets[bisect(thresholds, next(uniforms))]
+            stop = current + offsets[next(uniforms)]
             if (stop != z or stop == reference) and stop in values:
                 break
             current = stop
@@ -413,7 +432,9 @@ def sample_trajectory(
     mode: str = STEP_COUNT,
 ) -> tuple[SystemState, float]:
     """One rollout from ``z`` (see _rollouts): its stop state and the
-    budget it used, in steps or seconds."""
+    budget it used, in steps or seconds.  Raises ValueError for a
+    finite-memory ``base``."""
+    _check_base(base)
     _check_store(inst, store)
     validate_state(inst, z)
     if store.reference not in store:
@@ -422,7 +443,7 @@ def sample_trajectory(
     index = kernel.indexer.index
     stop, used = _rollouts(
         RuleRows(kernel, base), store, index(store.reference), [index(z)], p,
-        _uniforms(rng), mode, 1, math.inf,
+        _uniforms(kernel, rng), mode, 1, math.inf,
     )
     return kernel.state(stop), float(used)
 
@@ -447,11 +468,13 @@ def offline_preparatory(
     state at that location.  A long run then estimates the average cost
     and crowns the most visited machine's state as the reference.  The
     start set is the core states plus their one-switch and one-repair
-    neighbors, which the online part will need intervals for.
+    neighbors, which the online part will need intervals for.  Raises
+    ValueError for a finite-memory ``base``.
     """
+    _check_base(base)
     kernel = kernel_of(inst)
     rows = RuleRows(kernel, base)
-    uniforms = _uniforms(rng)
+    uniforms = _uniforms(kernel, rng)
     index, block = kernel.indexer.index, kernel.indexer.conditions_per_location
     m = inst.machine_count
 
@@ -461,8 +484,8 @@ def offline_preparatory(
         at_i = range((i - 1) * block, i * block)
         counts: dict[int, int] = {}
         for _ in range(budget.r1):
-            _, _, _, thresholds, offsets = rows[state]
-            state += offsets[bisect_right(thresholds, next(uniforms))]
+            _, _, _, offsets = rows[state]
+            state += offsets[next(uniforms)]
             if state in at_i:
                 counts[state] = counts.get(state, 0) + 1
         if counts:
@@ -477,9 +500,9 @@ def offline_preparatory(
     total_cost = 0.0
     visits = [0] * m
     for _ in range(budget.r2):
-        _, cost, _, thresholds, offsets = rows[state]
+        _, cost, _, offsets = rows[state]
         total_cost += cost
-        state += offsets[bisect_right(thresholds, next(uniforms))]
+        state += offsets[next(uniforms)]
         location = state // block
         if location < m:
             visits[location] += 1
@@ -507,8 +530,9 @@ def offline_main(
     state of ``z_all`` repeated, recording the start only, then a chain
     from every core state recording five states a rollout.  Raises
     ValueError naming the field, before any rollout, for a start state
-    outside ``inst``.
+    outside ``inst`` or a finite-memory ``base``.
     """
+    _check_base(base)
     for name, states in (("z_all", prep.z_all), ("z_core", prep.z_core)):
         for k, z in enumerate(states):
             try:
@@ -519,7 +543,7 @@ def offline_main(
     kernel = kernel_of(inst)
     index = kernel.indexer.index
     rows, reference = RuleRows(kernel, base), index(store.reference)
-    uniforms = _uniforms(rng)
+    uniforms = _uniforms(kernel, rng)
     limits = (budget.mode, budget.r_off, budget.tau_max)
     for z in prep.z_all:
         _rollouts(rows, store, reference, itertools.repeat(index(z)), 1, uniforms, *limits)
@@ -643,6 +667,8 @@ def online_run(
     budget on nested rollouts, then realize the actual transition (from
     the shared random-number list when one is supplied, so runs are
     comparable across policies, else from the rollouts' uniform stream).
+    Every draw is a code (``Kernel.codes``), one lookup into the chosen
+    action's row.
     The budget is ``int(delta)`` rollouts in step-count mode and ``delta``
     seconds in wall-clock mode, spent in one ``_rollouts`` call: one
     rollout from each state of a hypothetical successor's neighborhood,
@@ -655,7 +681,12 @@ def online_run(
     counts the fallbacks by cause: ``unbounded`` when an interval the
     gate needed was unbounded (a cold or unvisited state), ``overlap``
     when all were bounded but overlapped.
+
+    Raises ValueError, before the first decision, for a finite-memory
+    ``base``, a CRN list shorter than r_on, or a CRN draw ``crn[i]`` that
+    is NaN or outside [0, 1).
     """
+    _check_base(base)
     _check_store(inst, store)
     start = store.reference if x0 is None else x0
     validate_state(inst, start)
@@ -663,7 +694,7 @@ def online_run(
     index = kernel.indexer.index
     rows = RuleRows(kernel, base)
     reference = index(store.reference)
-    uniforms = _uniforms(rng)
+    uniforms = _uniforms(kernel, rng)
     values = store.entries
     action_row = kernel.action_row
     moves = kernel.moves
@@ -688,17 +719,17 @@ def online_run(
     visits = [0] * inst.layout.node_count
     if crn is not None and len(crn) < budget.r_on:
         raise ValueError(f"CRN list of length {len(crn)} is shorter than r_on={budget.r_on}")
-    realized = uniforms if crn is None else iter(crn)
+    realized = uniforms if crn is None else iter(crn_codes(kernel, crn, budget.r_on))
 
     for step_index in range(budget.r_on):
         action, cause = _gate(state, moves(state), values)
         if action is None:
-            location, cost, reward, thresholds, offsets = rows[state]
+            location, cost, reward, offsets = rows[state]
             safe_count += 1
             safe_by_quarter[min(step_index // quarter, 3)] += 1
             causes[cause] += 1
         else:
-            location, cost, reward, thresholds, offsets = action_row(state, action)
+            location, cost, reward, offsets = action_row(state, action)
         visits[location] += 1
         total_cost += cost
         total_reward += reward
@@ -706,11 +737,11 @@ def online_run(
         if count:
             # Each hypothetical successor is drawn once the previous one's
             # neighborhood is used up.
-            successors = (state + offsets[bisect_right(thresholds, u)] for u in uniforms)
+            successors = (state + offsets[code] for code in uniforms)
             starts = itertools.chain.from_iterable(map(neighborhood, successors))
             _rollouts(rows, store, reference, starts, 1, uniforms, mode, count, seconds)
 
-        state += offsets[bisect_right(thresholds, next(realized))]
+        state += offsets[next(realized)]
 
     report = SimulationReport(
         average_cost=total_cost / budget.r_on,
@@ -746,7 +777,8 @@ def run_opi(
     store: ValueStore | None = None,
 ) -> OpiResult:
     """Offline preparation and estimation followed by the online run."""
-    # Before the offline phases, not after them.
+    # Before the offline phases, not after them; offline_preparatory
+    # checks the base before it draws.
     if x0 is not None:
         validate_state(inst, x0)
     if store is not None:

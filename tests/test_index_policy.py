@@ -102,6 +102,13 @@ def test_repair_statistics_k1_closed_form():
     assert stats.stay_ratio(1) == pytest.approx((0.12 / 0.04) * 1.0)
 
 
+@pytest.mark.parametrize("machine", [0, -1, 3])
+def test_repair_statistics_rejects_ids_that_are_not_machines(machine):
+    inst = generate_instance(5, m=2, cap=2)
+    with pytest.raises(ValueError, match=rf"^machine: {machine} is not a machine id in 1\.\.2"):
+        repair_statistics(inst, machine)
+
+
 def test_repair_statistics_boundary_and_monotonicity():
     inst = two_machine_instance()
     stats = repair_statistics(inst, 1)

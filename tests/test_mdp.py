@@ -1,7 +1,10 @@
 import math
-from bisect import bisect_right
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     EventKind,
@@ -11,6 +14,7 @@ from conftest import (
     step_cost,
     step_probabilities,
     step_reward,
+    uniform_step,
 )
 from repairnet.instance import counterexample_instances, generate_instance
 from repairnet.mdp import (
@@ -72,10 +76,13 @@ def test_probabilities_sum_to_one_randomized():
                 for event, p in events:
                     nxt = apply_event(state, event)
                     expected[nxt] = expected.get(nxt, 0.0) + p
-                # The kernel's row: each offset owns the gap up to its threshold.
-                *_, thresholds, offsets = kernel.action_row(x, action)
+                # The kernel's row: the offset of code c owns the gap
+                # [grid[c-1], grid[c]) of the kernel's grid.
+                *_, offsets = kernel.action_row(x, action)
+                grid = kernel.grid.tolist()
+                assert len(offsets) == len(grid) + 1
                 got: dict[SystemState, float] = {}
-                for offset, lo, hi in zip(offsets, (0.0, *thresholds), (*thresholds, 1.0)):
+                for offset, lo, hi in zip(offsets, (0.0, *grid), (*grid, 1.0)):
                     nxt = kernel.state(x + offset)
                     got[nxt] = got.get(nxt, 0.0) + (hi - lo)
                 for nxt in expected.keys() | got.keys():
@@ -133,8 +140,8 @@ def test_step_reward_examples(two_machines):
 
 def test_kernel_step_matches_event_distribution(two_machines):
     # The kernel's single-uniform event layout must reproduce the event
-    # distribution: scan a fine grid of uniforms through a successor row
-    # and compare frequencies.
+    # distribution: scan a fine grid of uniforms through their codes and a
+    # successor row and compare frequencies.
     kernel = Kernel(two_machines)
     for state, action in [
         (SystemState(1, (1, 0)), 1),
@@ -142,11 +149,11 @@ def test_kernel_step_matches_event_distribution(two_machines):
         (SystemState(2, (0, 2)), 2),
     ]:
         x = kernel.indexer.index(state)
-        *_, thresholds, offsets = kernel.action_row(x, action)
+        *_, offsets = kernel.action_row(x, action)
         grid = 2_000_001
         moved: dict[int, int] = {}
-        for i in range(0, grid, 1):
-            y = x + offsets[bisect_right(thresholds, i / grid)]
+        for code in kernel.codes(np.arange(grid) / grid):
+            y = x + offsets[code]
             moved[y] = moved.get(y, 0) + 1
         counts = {kernel.state(y): count for y, count in moved.items()}
         expected: dict[SystemState, float] = {}
@@ -156,6 +163,43 @@ def test_kernel_step_matches_event_distribution(two_machines):
         assert set(counts) == set(expected)
         for nxt, p in expected.items():
             assert counts[nxt] / grid == pytest.approx(p, abs=2e-6)
+
+
+@st.composite
+def shared_end_cases(draw):
+    # tau equals machine j's repair rate, so a switch and that repair end
+    # their slots at one grid value, and one machine sits at its cap.
+    m = draw(st.integers(2, 4))
+    inst = generate_instance(draw(st.integers(0, 10_000)), m=m, cap=draw(st.integers(1, 3)))
+    j = draw(st.integers(0, m - 1))
+    inst = replace(inst, tau=inst.mu[j])
+    location = draw(st.one_of(st.just(j + 1), st.integers(1, inst.layout.node_count)))
+    conditions = [draw(st.integers(0, k)) for k in inst.cap]
+    capped = draw(st.integers(0, m - 1))
+    conditions[capped] = inst.cap[capped]
+    return inst, SystemState(location, tuple(conditions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_end_cases(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_codes_and_rows_match_the_uniform_step_oracle(case, draws):
+    inst, state = case
+    kernel = Kernel(inst)
+    m = inst.machine_count
+    grid = kernel.grid.tolist()
+    # The m degradation ends, then the distinct event ends: tau's is mu_j's.
+    assert grid == sorted(grid) and m < len(grid) <= 2 * m
+    x = kernel.indexer.index(state)
+    # Every grid edge and the float just below it, plus random draws.
+    edges = [v for t in grid for v in (t, math.nextafter(t, 0.0))]
+    uniforms = [u for u in edges + draws + [0.0] if u < 1.0]
+    codes = kernel.codes(uniforms)
+    for action in actions_of(inst, state):
+        *_, offsets = kernel.action_row(x, action)
+        assert len(offsets) == len(grid) + 1
+        for u, code in zip(uniforms, codes):
+            expected = uniform_step(inst, state, action, u)
+            assert kernel.state(x + offsets[code]) == expected, (action, u, code)
 
 
 def test_simulate_passive_policy_all_failed():
@@ -177,6 +221,17 @@ def test_simulate_rejects_bad_arguments(two_machines):
         simulate(two_machines, stay, pristine_state(two_machines), steps=10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1, 1.0])
+def test_simulate_rejects_a_draw_outside_the_unit_interval(two_machines, bad):
+    stay = lambda state: state.location
+    crn = rng(0).random(10)
+    crn[6] = bad
+    with pytest.raises(ValueError, match=r"^crn\[6\]: .* is not a uniform draw in \[0, 1\)"):
+        simulate(two_machines, stay, pristine_state(two_machines), steps=10, crn=crn)
+    # Draws past the steps a run reads are not its input.
+    assert simulate(two_machines, stay, pristine_state(two_machines), steps=6, crn=crn).steps == 6
+
+
 def test_crn_degradation_times_coincide_across_policies():
     # With caps never reached, two different policies driven by the same
     # uniforms must see exactly the same degradation events.
@@ -194,6 +249,7 @@ def test_crn_degradation_times_coincide_across_policies():
     )
     steps = 3_000
     uniforms = rng(3).random(steps)
+    codes = Kernel(inst).codes(uniforms)
 
     def degradation_log(policy):
         # Stepped on the kernel's successor rows, as ``simulate`` steps.
@@ -202,8 +258,8 @@ def test_crn_degradation_times_coincide_across_policies():
         log = []
         for t in range(steps):
             x = kernel.indexer.index(state)
-            *_, thresholds, offsets = kernel.action_row(x, policy(state))
-            nxt = kernel.state(x + offsets[bisect_right(thresholds, uniforms[t])])
+            *_, offsets = kernel.action_row(x, policy(state))
+            nxt = kernel.state(x + offsets[codes[t]])
             if nxt.conditions != state.conditions and sum(nxt.conditions) > sum(state.conditions):
                 machine = next(
                     j + 1

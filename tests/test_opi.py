@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
@@ -11,6 +10,7 @@ from repairnet.dp import StationaryPolicy, evaluate_policy
 from repairnet.index_policy import ModifiedIndexPolicy
 from repairnet.instance import generate_instance
 from repairnet.mdp import SystemState, kernel_of, pristine_state
+from repairnet.polling import PollingPolicy, best_tour
 from repairnet.opi import (
     STEP_COUNT,
     OfflinePreparation,
@@ -185,14 +185,14 @@ def test_chained_records_bootstrap_through_the_updated_reference():
     # Replay the rollout on the same draws: the cost accrued before each of
     # the first four distinct states after the start (g_base is 0).
     kernel = kernel_of(inst)
-    draws = iter(rng(seed).random(8192).tolist())
+    draws = iter(kernel.codes(rng(seed).random(8192)))
     x = ref = kernel.indexer.index(reference)
     total, count, records = 0.0, 0, {}
     while True:
-        _, cost, _, thresholds, offsets = kernel.action_row(x, base(kernel.state(x)))
+        _, cost, _, offsets = kernel.action_row(x, base(kernel.state(x)))
         total += cost
         count += 1
-        x += offsets[bisect_right(thresholds, next(draws))]
+        x += offsets[next(draws)]
         if x == ref:
             break
         if len(records) < 4 and kernel.state(x) not in records:
@@ -602,6 +602,47 @@ def test_load_store_names_the_malformed_field(tmp_path, path, value, field):
     with pytest.raises(ValueError) as exc:
         load_store(file, inst)
     assert str(exc.value).startswith(field)
+
+
+def test_phases_refuse_a_finite_memory_base():
+    # A finite-memory rule steps on keys past indexer.count, which would
+    # land in the store as states outside the instance.
+    inst = generate_instance(5, m=2, cap=2)
+    base = PollingPolicy(inst, best_tour(inst.layout, (1, 2)))
+    budget = OpiBudget(r1=50, r2=500, r_off=5, tau_max=500, r_on=20, delta=2, mode=STEP_COUNT)
+    prep = offline_preparatory(inst, ModifiedIndexPolicy(inst), budget, rng(1))
+    store = make_store(inst, prep.reference)
+    generator = rng(2)
+    calls = [
+        lambda: sample_trajectory(inst, base, store, prep.reference, 1, generator),
+        lambda: offline_preparatory(inst, base, budget, generator),
+        lambda: offline_main(inst, base, prep, budget, generator),
+        lambda: online_run(inst, base, store, budget, generator),
+        lambda: run_opi(inst, base, budget, generator, generator),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^base: a finite-memory rule"):
+            call()
+    # Refused before any draw or rollout.
+    assert generator.random() == rng(2).random()
+    assert list(store.entries) == [kernel_of(inst).indexer.index(prep.reference)]
+    assert base.memory == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1, 1.0])
+def test_online_run_rejects_a_crn_draw_outside_the_unit_interval(bad):
+    inst = generate_instance(33, m=2, cap=1)
+    budget = OpiBudget(r1=200, r2=2_000, r_off=50, tau_max=1e12, r_on=50, delta=1, mode=STEP_COUNT)
+    base = ModifiedIndexPolicy(inst)
+    prep = offline_preparatory(inst, base, budget, rng(9))
+    store = offline_main(inst, base, prep, budget, rng(9))
+    before = {x: (e.h, e.s) for x, e in store.entries.items()}
+    crn = rng(8).random(50)
+    crn[17] = bad
+    with pytest.raises(ValueError, match=r"^crn\[17\]: .* is not a uniform draw in \[0, 1\)"):
+        online_run(inst, base, store, budget, rng(10), crn=crn)
+    # Refused before the first decision's rollouts.
+    assert {x: (e.h, e.s) for x, e in store.entries.items()} == before
 
 
 def test_run_opi_smoke_with_crn():

@@ -11,7 +11,6 @@ import hashlib
 import itertools
 import json
 import math
-from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
@@ -72,16 +71,16 @@ def test_row_matches_kernel_step_and_cost(case, draws):
     indexer = StateIndexer(inst)
     x = indexer.index(state)
     for action in actions_of(inst, state):
-        location, cost, reward, thresholds, offsets = kernel.action_row(x, action)
+        location, cost, reward, offsets = kernel.action_row(x, action)
         assert (location, cost) == (state.location - 1, step_cost(inst, state))
         assert reward == step_reward(inst, state, action)
-        assert len(offsets) == len(thresholds) + 1
-        # Every slot boundary and the float just below it, plus random draws.
-        edges = [v for t in thresholds for v in (t, math.nextafter(t, 0.0))]
+        assert len(offsets) == len(kernel.grid) + 1
+        # Every grid edge and the float just below it, plus random draws.
+        edges = [v for t in kernel.grid.tolist() for v in (t, math.nextafter(t, 0.0))]
         for u in edges + draws + [0.0]:
             if u >= 1.0:
                 continue
-            moved = x + offsets[bisect_right(thresholds, u)]
+            moved = x + offsets[kernel.codes([u])[0]]
             assert moved == indexer.index(uniform_step(inst, state, action, u))
 
 
@@ -106,7 +105,7 @@ def test_rows_share_interned_tuples():
     index = kernel.indexer.index
     a = kernel.action_row(index(SystemState(1, (1, 0, 0))), 1)
     b = kernel.action_row(index(SystemState(1, (1, 1, 1))), 1)
-    assert a[3] is b[3] and a[4] is b[4]
+    assert len(a) == 4 and a[3] is b[3]
 
 
 def tight(h, width):
