@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .dp import policy_iteration, reward_optimum
+from .dp import _check_positive, policy_iteration, reward_optimum
 from .experiments import (
     ExperimentConfig,
     read_records_csv,
@@ -66,6 +66,15 @@ def _budget_from_args(args) -> OpiBudget:
         raise SystemExit(f"repairnet: error: {exc}") from None
 
 
+def _tol_option(tol: float) -> float:
+    """``--tol``; exits naming it unless it is a positive finite number."""
+    try:
+        _check_positive("--tol", tol)
+    except ValueError as exc:
+        raise SystemExit(f"repairnet: error: {exc}") from None
+    return tol
+
+
 def cmd_generate(args) -> int:
     kind = CostKind(args.cost_kind) if args.cost_kind else None
     out = Path(args.out)
@@ -81,8 +90,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve_dp(args) -> int:
+    tol = _tol_option(args.tol)
     inst = _load("--instance", args.instance, load_instance)
-    solution = policy_iteration(inst, tol=args.tol)
+    solution = policy_iteration(inst, tol=tol)
     u_star = reward_optimum(inst, solution)
     print(f"g* = {solution.g_star:.9f}")
     print(f"u* = {u_star:.9f}")
@@ -240,7 +250,7 @@ def cmd_indices(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    outcomes = verify_all(tol=args.tol)
+    outcomes = verify_all(tol=_tol_option(args.tol))
     failed = False
     for outcome in outcomes:
         status = "PASS" if outcome.passed else "FAIL"

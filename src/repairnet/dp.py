@@ -28,6 +28,7 @@ reward rates come from the instance's kernel (``mdp.kernel_of``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ from .mdp import (
     enumerate_states,
     kernel_of,
     pristine_state,
+    validate_state,
 )
 
 DEFAULT_TOL = 1e-9
@@ -166,6 +168,23 @@ class DpModel:
             [c + c[-1:] * (width - len(c)) for c in choices], dtype=np.int64
         )
 
+    def check_policy(self, policy: StationaryPolicy, name: str = "policy") -> None:
+        """Raise ValueError, naming ``name.actions[k]`` and its state, unless
+        ``policy`` holds one action per state and each is available there."""
+        actions = np.asarray(policy.actions)
+        if actions.shape != (self.n,):
+            raise ValueError(f"{name}: {len(policy.actions)} actions for {self.n} states")
+        if actions.dtype.kind not in "iu":
+            raise ValueError(f"{name}.actions: {actions.dtype} entries are not node ids")
+        available = (self.candidates[self.loc - 1] == actions[:, None]).any(axis=1)
+        bad = np.flatnonzero(~available)
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"{name}.actions[{k}]: action {int(actions[k])} is not available "
+                f"in state {self.indexer.state(k)}"
+            )
+
     def _action_parts(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Target and probability of each state's action-dependent event:
         a repair when staying, an arrival at the chosen neighbour when
@@ -222,6 +241,29 @@ class DpModel:
 DENSE_STATE_LIMIT = 1024
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is a finite number
+    above zero: a negative or NaN tolerance is never met, so the sweeps
+    would run to their cap and then blame the policy."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name}: {value!r} is not a positive finite number")
+
+
+def _check_inputs(inst, reference, tol, span_target) -> SystemState:
+    """The reference state (pristine when None), after checking it and the
+    tolerances; raises ValueError naming the field."""
+    _check_positive("tol", tol)
+    if span_target is not None:
+        _check_positive("span_target", span_target)
+    if reference is None:
+        return pristine_state(inst)
+    try:
+        validate_state(inst, reference)
+    except ValueError as exc:
+        raise ValueError(f"reference: {exc}") from None
+    return reference
+
+
 def evaluate_policy(
     inst: InstanceParameters,
     policy: StationaryPolicy,
@@ -249,11 +291,16 @@ def evaluate_policy(
     of the per-state estimates g+(x), so span(g+) bounds the error of
     g+(reference).  Passing ``span_target`` keeps sweeping until that
     certified bound is met as well.
+
+    Raises ValueError, naming the field, before any solve: for a ``tol``
+    or ``span_target`` that is not a positive finite number, a
+    ``reference`` outside the instance, or a policy without one available
+    action per state (``policy.actions[k]``).
     """
+    reference = _check_inputs(inst, reference, tol, span_target)
     if model is None:
         model = DpModel(inst)
-    if reference is None:
-        reference = pristine_state(inst)
+    model.check_policy(policy)
     ref = model.indexer.index(reference)
     matrix = model.transition_matrix(policy)
     if model.n <= DENSE_STATE_LIMIT:
@@ -357,15 +404,18 @@ def policy_iteration(
     state's action unless a rival's Q is lower by more than 10 * tol
     (Puterman 1994, section 8.6), so evaluation error cannot make policies
     of equal gain take turns; iteration stops when the improved policy
-    equals the evaluated one, whose g and v are returned.
+    equals the evaluated one, whose g and v are returned.  Raises
+    ValueError as ``evaluate_policy`` does, naming ``base.actions[k]`` for
+    a base action that is not available in its state.
     """
     from .index_policy import ModifiedIndexPolicy
 
-    if reference is None:
-        reference = pristine_state(inst)
+    reference = _check_inputs(inst, reference, tol, span_target)
     model = DpModel(inst)
     if base is None:
         base = StationaryPolicy.from_rule(inst, ModifiedIndexPolicy(inst))
+    else:
+        model.check_policy(base, "base")
 
     policy = base
     v_start: np.ndarray | None = None

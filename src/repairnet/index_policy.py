@@ -10,10 +10,10 @@ duration of an uninterrupted repair episode, and the distribution of a
 machine's level at the moment the repairer would arrive.
 
 The move and wait indices depend only on the distance, the target
-machine and its level, so the per-instance calculator memoizes them per
-``(distance, machine, level)``: a state's first decision looks up one
-score per other machine instead of summing over arrival outcomes.  The
-entry points that take a state from a caller (``index_decision``,
+machine and its level, so the per-instance calculator scores every level
+of each distinct ``(distance, machine)`` once, when it is built, into one
+table per location; a decision is one pass over its location's table.
+The entry points that take a state from a caller (``index_decision``,
 ``modified_index_decision``, ``index_table``) validate it against the
 instance first; the policy objects, called once per simulated step, do
 not.
@@ -148,7 +148,8 @@ def modified_index_decision(inst: InstanceParameters, state: SystemState) -> int
 
 
 class IndexPolicy:
-    """Stationary decision rule wrapping index_decision with a memo."""
+    """Stationary decision rule wrapping index_decision, read off the
+    instance's score tables."""
 
     def __init__(self, inst: InstanceParameters):
         self._calc = _calculator(inst)
@@ -168,8 +169,9 @@ class ModifiedIndexPolicy:
 
 
 class _IndexCalculator:
-    """Per-instance caches: repair statistics, idle scores, move and wait
-    indices, and memoized decisions."""
+    """Per-instance tables, all built up front: repair statistics, idle
+    scores, and per location every other machine's move and wait scores
+    by level."""
 
     def __init__(self, inst: InstanceParameters):
         self.inst = inst
@@ -177,9 +179,6 @@ class _IndexCalculator:
         self.m = inst.machine_count
         # Every machine's: the failed-state target below reads them all.
         self._repair_stats = tuple(map(self._repair_statistics, range(1, self.m + 1)))
-        self._move: dict[tuple[int, int, int], float] = {}
-        self._wait: dict[tuple[int, int, int], float] = {}
-        self._decisions: dict[SystemState, int] = {}
         total_lam = sum(inst.lam)
         self.psi_table = tuple(
             sum(
@@ -194,11 +193,26 @@ class _IndexCalculator:
         self.idle_target = min(
             range(1, self.layout.node_count + 1), key=lambda i: (self.psi_table[i - 1], i)
         )
-        # Per location: every other machine with its distance, in id order.
-        self.targets = tuple(
-            tuple((j, self.layout.dist(i, j)) for j in self.layout.machines if j != i)
-            for i in range(1, self.layout.node_count + 1)
-        )
+        # Per location: every other machine in id order, as
+        # (j, distance, move score by level, wait score by level); each
+        # distinct (distance, machine) is scored once.
+        scores: dict[tuple[int, int], tuple[tuple[float, ...], tuple[float, ...]]] = {}
+        tables = []
+        for i in range(1, self.layout.node_count + 1):
+            table = []
+            for j in self.layout.machines:
+                if j == i:
+                    continue
+                d = self.layout.dist(i, j)
+                if (d, j) not in scores:
+                    levels = range(inst.cap[j - 1] + 1)
+                    scores[d, j] = (
+                        tuple(self.move(d, j, k) for k in levels),
+                        tuple(self.wait(d, j, k) for k in levels),
+                    )
+                table.append((j, d, *scores[d, j]))
+            tables.append(tuple(table))
+        self.tables = tuple(tables)
         # The modified policy's action per location when every machine is
         # at its cap: head for the smallest-id machine with the best
         # full-repair reward rate.
@@ -244,7 +258,6 @@ class _IndexCalculator:
         return RepairStatistics(tuple(rewards), tuple(times))
 
     def arrival(self, d: int, machine: int, level: int) -> ArrivalDistribution:
-        # Not memoized: its readers, move and wait, memoize on the same key.
         inst = self.inst
         lam = inst.lam[machine - 1]
         tau = inst.tau
@@ -270,74 +283,52 @@ class _IndexCalculator:
         return ArrivalDistribution(offset=level, pmf=tuple(pmf), expected_travel=tuple(travel))
 
     def move(self, d: int, machine: int, level: int) -> float:
-        key = (d, machine, level)
-        total = self._move.get(key)
-        if total is None:
-            stats = self.repair_stats(machine)
-            total = 0.0
-            for k, p, travel in self.arrival(d, machine, level).outcomes():
-                reward = stats.expected_reward[k]
-                if reward > 0.0 and p > 0.0:
-                    total += p * reward / (travel + stats.expected_time[k])
-            self._move[key] = total
+        stats = self.repair_stats(machine)
+        total = 0.0
+        for k, p, travel in self.arrival(d, machine, level).outcomes():
+            reward = stats.expected_reward[k]
+            if reward > 0.0 and p > 0.0:
+                total += p * reward / (travel + stats.expected_time[k])
         return total
 
     def wait(self, d: int, machine: int, level: int) -> float:
-        key = (d, machine, level)
-        total = self._wait.get(key)
-        if total is None:
-            inst = self.inst
-            stats = self.repair_stats(machine)
-            cap = inst.cap[machine - 1]
-            extra = 1.0 / inst.lam[machine - 1]
-            total = 0.0
-            for k, p, travel in self.arrival(d, machine, level).outcomes():
-                target = min(k + 1, cap)
-                reward = stats.expected_reward[target]
-                if reward > 0.0 and p > 0.0:
-                    total += p * reward / (extra + travel + stats.expected_time[target])
-            self._wait[key] = total
+        inst = self.inst
+        stats = self.repair_stats(machine)
+        cap = inst.cap[machine - 1]
+        extra = 1.0 / inst.lam[machine - 1]
+        total = 0.0
+        for k, p, travel in self.arrival(d, machine, level).outcomes():
+            target = min(k + 1, cap)
+            reward = stats.expected_reward[target]
+            if reward > 0.0 and p > 0.0:
+                total += p * reward / (extra + travel + stats.expected_time[target])
         return total
 
-    def _argmax_move(self, candidates, conditions: tuple[int, ...]) -> tuple[int, float]:
-        """The ``(j, d)`` candidate with the largest move index, first on ties."""
-        best_j = 0
-        best_value = -1.0
-        for j, d in candidates:
-            value = self.move(d, j, conditions[j - 1])
-            if value > best_value:
-                best_value = value
-                best_j = j
-        return best_j, best_value
-
     def decision(self, state: SystemState) -> int:
-        action = self._decisions.get(state)
-        if action is None:
-            action = self._decide(state)
-            self._decisions[state] = action
-        return action
-
-    def _decide(self, state: SystemState) -> int:
+        """With every level at zero, head for the idle target.  Otherwise
+        head for the first machine with the largest move score: at a
+        machine only targets whose move score is at least their wait score
+        compete, and the repairer leaves only if the best one beats
+        staying; elsewhere every target competes."""
         i = state.location
         conditions = state.conditions
         if not any(conditions):
             target = self.idle_target
             return i if i == target else shortest_next_hop(self.layout, i, target)
-        targets = self.targets[i - 1]
-        if self.layout.is_machine(i):
-            members = [
-                (j, d)
-                for j, d in targets
-                if self.move(d, j, conditions[j - 1]) >= self.wait(d, j, conditions[j - 1])
-            ]
-            if not members:
-                return i
-            j_star, move_value = self._argmax_move(members, conditions)
-            if move_value > self.repair_stats(i).stay_ratio(conditions[i - 1]):
-                return shortest_next_hop(self.layout, i, j_star)
+        at_machine = i <= self.m
+        best_j = 0
+        best_value = -1.0
+        for j, _, move, wait in self.tables[i - 1]:
+            level = conditions[j - 1]
+            value = move[level]
+            if value > best_value and (not at_machine or value >= wait[level]):
+                best_j = j
+                best_value = value
+        if at_machine and not (
+            best_j and best_value > self.repair_stats(i).stay_ratio(conditions[i - 1])
+        ):
             return i
-        j_star, _ = self._argmax_move(targets, conditions)
-        return shortest_next_hop(self.layout, i, j_star)
+        return shortest_next_hop(self.layout, i, best_j)
 
     def modified_decision(self, state: SystemState) -> int:
         if state.conditions == self.inst.cap:
@@ -369,12 +360,12 @@ def index_table(inst: InstanceParameters, state: SystemState) -> dict:
     }
     if inst.layout.is_machine(i):
         table["stay"] = calc.repair_stats(i).stay_ratio(state.conditions[i - 1])
-    for j, d in calc.targets[i - 1]:
+    for j, d, move, wait in calc.tables[i - 1]:
         level = state.conditions[j - 1]
         table["machines"][j] = {
             "distance": d,
             "level": level,
-            "move": calc.move(d, j, level),
-            "wait": calc.wait(d, j, level),
+            "move": move[level],
+            "wait": wait[level],
         }
     return table

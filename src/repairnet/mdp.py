@@ -348,8 +348,9 @@ def simulate(
     ``crn`` holds at least one uniform per step, and the first ``steps``
     drive the run, so policies given the same list are compared under
     common random numbers.  They are classified into codes
-    (``crn_codes``) before the first step, which raises ValueError naming
-    ``crn[i]`` for a draw that is NaN or outside [0, 1).
+    (``crn_codes``) before the first step, which raises ValueError for a
+    list shorter than ``steps`` and names ``crn[i]`` for a draw that is
+    NaN or outside [0, 1).
 
     The rule is a function of the state, or a ``FiniteMemoryRule``, whose
     decision depends on the state and its memory only.  The chain runs on
@@ -364,8 +365,6 @@ def simulate(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if len(crn) < steps:
-        raise ValueError(f"CRN list of length {len(crn)} is shorter than {steps} steps")
     validate_state(inst, x0)
 
     kernel = kernel_of(inst)
@@ -398,9 +397,12 @@ def simulate(
 
 def crn_codes(kernel: Kernel, crn: Sequence[float], steps: int) -> list[int]:
     """The codes (``Kernel.codes``) of the first ``steps`` draws of a
-    common-random-number list.  Raises ValueError naming ``crn[i]`` for the
-    first draw that is NaN or outside [0, 1), which would otherwise pick
-    a plausible successor silently."""
+    common-random-number list.  Raises ValueError for a list shorter than
+    ``steps``, and names ``crn[i]`` for the first draw that is NaN or
+    outside [0, 1), which would otherwise pick a plausible successor
+    silently."""
+    if len(crn) < steps:
+        raise ValueError(f"crn: a list of {len(crn)} draws is shorter than {steps} steps")
     draws = np.asarray(crn[:steps], dtype=np.float64)
     bad = np.flatnonzero(~((draws >= 0.0) & (draws < 1.0)))
     if bad.size:

@@ -180,10 +180,12 @@ class ValueStore:
     one exact zero observation had been recorded; later trajectories keep
     updating it like any other entry.  Two known biases follow from that
     bookkeeping: observations bootstrap through stop-state estimates that
-    may themselves be freshly created, and any error in g_base compounds
-    through the bootstrap into a drift that is common to every entry.
-    Action comparisons depend only on differences of entries, which the
-    common drift leaves untouched.
+    may themselves be freshly created, and every observation subtracts
+    g_base once per step.  An error eps in g_base therefore shifts h(t) by
+    about -eps times the expected number of steps from t to the reference
+    along the bootstrap chain.  That shift differs from state to state,
+    so it does not cancel when the gate compares the entries of two move
+    targets.
     """
 
     inst: InstanceParameters
@@ -717,8 +719,6 @@ def online_run(
     causes = {UNBOUNDED_CAUSE: 0, OVERLAP_CAUSE: 0}
     quarter = max(1, budget.r_on // 4)
     visits = [0] * inst.layout.node_count
-    if crn is not None and len(crn) < budget.r_on:
-        raise ValueError(f"CRN list of length {len(crn)} is shorter than r_on={budget.r_on}")
     realized = uniforms if crn is None else iter(crn_codes(kernel, crn, budget.r_on))
 
     for step_index in range(budget.r_on):
@@ -776,9 +776,15 @@ def run_opi(
     crn=None,
     store: ValueStore | None = None,
 ) -> OpiResult:
-    """Offline preparation and estimation followed by the online run."""
+    """Offline preparation and estimation followed by the online run.
+
+    An ``x0``, ``store`` or ``crn`` list that ``online_run`` would refuse
+    is refused first, before the offline phases spend their budget.
+    """
     # Before the offline phases, not after them; offline_preparatory
     # checks the base before it draws.
+    if crn is not None:
+        crn_codes(kernel_of(inst), crn, budget.r_on)
     if x0 is not None:
         validate_state(inst, x0)
     if store is not None:

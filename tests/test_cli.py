@@ -182,6 +182,15 @@ def test_benchmark_failed_instance_exit_code(tmp_path, capsys):
     assert "FAILED missing.json" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["solve-dp", "--instance", "missing.json"], ["verify"]])
+@pytest.mark.parametrize("tol", ["-1e-9", "0", "nan"])
+def test_tol_must_be_a_positive_finite_number(command, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [f"--tol={tol}"])
+    message = f"repairnet: error: --tol: {float(tol)!r} is not a positive finite number"
+    assert str(exc.value) == message
+
+
 def test_verify_command(capsys):
     code = main(["verify"])
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -317,3 +318,52 @@ def test_policy_iteration_reports_a_certified_bound(seed):
     inst = two_machine_instance() if seed is None else generate_instance(seed)
     solution = policy_iteration(inst)
     assert solution.g_bound <= 1e-8
+
+
+def test_dp_refuses_a_policy_that_is_not_one_of_the_instance():
+    inst = generate_instance(20014)
+    states = enumerate_states(inst)
+    nodes = range(1, inst.layout.node_count + 1)
+    # From every state, a node that is not adjacent to the location.
+    far = StationaryPolicy(
+        tuple(next(v for v in nodes if v not in actions_of(inst, s)) for s in states)
+    )
+    message = f"policy.actions[0]: action {far.actions[0]} is not available in state {states[0]}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_policy(inst, far)
+    index = StationaryPolicy.from_rule(inst, ModifiedIndexPolicy(inst))
+    k = 57
+    one_bad = StationaryPolicy(index.actions[:k] + far.actions[k : k + 1] + index.actions[k + 1 :])
+    field = rf"^base\.actions\[{k}\]: .* state {re.escape(str(states[k]))}$"
+    with pytest.raises(ValueError, match=field):
+        policy_iteration(inst, base=one_bad)
+    with pytest.raises(ValueError, match=rf"^policy: 1 actions for {len(states)} states"):
+        evaluate_policy(inst, StationaryPolicy((1,)))
+    with pytest.raises(ValueError, match=r"^base: 99 actions"):
+        policy_iteration(inst, base=StationaryPolicy(index.actions[:-1]))
+    with pytest.raises(ValueError, match=r"^policy\.actions: float64 entries"):
+        evaluate_policy(inst, StationaryPolicy(index.actions[:-1] + (1.5,)))
+
+
+@pytest.mark.parametrize("tol", [-1e-9, 0.0, float("nan"), float("inf"), True, "1e-9"])
+def test_dp_refuses_a_tolerance_that_cannot_be_met(two_machines, tol):
+    policy = StationaryPolicy.from_rule(two_machines, ModifiedIndexPolicy(two_machines))
+    with pytest.raises(ValueError, match=r"^tol: "):
+        policy_iteration(two_machines, tol=tol)
+    with pytest.raises(ValueError, match=r"^tol: "):
+        evaluate_policy(two_machines, policy, tol=tol)
+    with pytest.raises(ValueError, match=r"^span_target: "):
+        policy_iteration(two_machines, span_target=tol)
+    with pytest.raises(ValueError, match=r"^span_target: "):
+        evaluate_policy(two_machines, policy, span_target=tol)
+
+
+def test_dp_refuses_a_reference_outside_the_instance(two_machines):
+    policy = StationaryPolicy.from_rule(two_machines, ModifiedIndexPolicy(two_machines))
+    field = r"^reference: state\.conditions\[1\]: level 5 of machine 2"
+    with pytest.raises(ValueError, match=field):
+        policy_iteration(two_machines, reference=SystemState(1, (0, 5)))
+    with pytest.raises(ValueError, match=field):
+        evaluate_policy(two_machines, policy, reference=SystemState(1, (0, 5)))
+    with pytest.raises(ValueError, match=r"^reference: state\.location"):
+        policy_iteration(two_machines, reference=SystemState(3, (0, 0)))

@@ -1,4 +1,4 @@
-"""Memoized index scores, the one kernel per instance that ``simulate`` and
+"""Index score tables, the one kernel per instance that ``simulate`` and
 the OPI phases share, and the checks at the entry points that take a state
 or a value store from a caller."""
 
@@ -99,18 +99,17 @@ def score_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(score_cases())
-def test_memoized_move_and_wait_equal_the_closed_form(case):
+def test_score_tables_equal_the_closed_form(case):
     inst, source, machine, level = case
     d = inst.layout.dist(source, machine)
     calc = _IndexCalculator(inst)
     move = closed_form_move(calc, d, machine, level)
     wait = closed_form_wait(calc, d, machine, level)
-    # Cold, then from the memo, then through the public wrappers.
-    for _ in range(2):
-        assert calc.move(d, machine, level) == move
-        assert calc.wait(d, machine, level) == wait
-    assert calc._move[(d, machine, level)] == move
-    assert calc._wait[(d, machine, level)] == wait
+    table = calc.tables[source - 1]
+    assert [entry[0] for entry in table] == [j for j in inst.layout.machines if j != source]
+    (entry,) = [entry for entry in table if entry[0] == machine]
+    assert entry[1] == d
+    assert (entry[2][level], entry[3][level]) == (move, wait)
     assert move_index(inst, source, machine, level) == move
     assert wait_index(inst, source, machine, level) == wait
 

@@ -645,6 +645,26 @@ def test_online_run_rejects_a_crn_draw_outside_the_unit_interval(bad):
     assert {x: (e.h, e.s) for x, e in store.entries.items()} == before
 
 
+@pytest.mark.parametrize(
+    "crn, message",
+    [([math.nan] * 50, r"^crn\[0\]: nan is not a uniform draw"),
+     ([0.5] * 49, r"^crn: a list of 49 draws is shorter than 50 steps")],
+)
+def test_run_opi_checks_the_crn_list_before_the_offline_phases(crn, message):
+    inst = generate_instance(33, m=2, cap=1)
+    budget = OpiBudget(r1=200, r2=2_000, r_off=50, tau_max=1e12, r_on=50, delta=1, mode=STEP_COUNT)
+    base = ModifiedIndexPolicy(inst)
+    decided = []
+
+    def rule(state):
+        decided.append(state)
+        return base(state)
+
+    with pytest.raises(ValueError, match=message):
+        run_opi(inst, rule, budget, rng(9), rng(10), crn=crn)
+    assert decided == []  # refused before the offline phases stepped the base
+
+
 def test_run_opi_smoke_with_crn():
     inst = generate_instance(33, m=2, cap=1)
     budget = OpiBudget(r1=200, r2=2_000, r_off=50, tau_max=1e12, r_on=500, delta=1, mode=STEP_COUNT)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_star_instance, rng, uniform_step
+from conftest import homogeneous_star_instance, rng, step_cost, step_reward, uniform_step
 from repairnet.cli import main
 from repairnet.dp import StationaryPolicy
 from repairnet.index_policy import IndexPolicy, ModifiedIndexPolicy
@@ -42,15 +42,14 @@ from repairnet.polling import PollingPolicy, best_tour
 
 def reference_simulate(inst, policy, x0, steps, uniforms):
     """The tuple-stepping loop ``simulate`` replaced, one uniform per step."""
-    kernel = Kernel(inst)
     visits = [0] * inst.layout.node_count
     total_cost = total_reward = 0.0
     state = x0
     for t in range(steps):
         visits[state.location - 1] += 1
         action = policy(state)
-        total_cost += kernel.cost(state)
-        total_reward += kernel.reward(state, action)
+        total_cost += step_cost(inst, state)
+        total_reward += step_reward(inst, state, action)
         state = uniform_step(inst, state, action, uniforms[t])
     return total_cost / steps, total_reward / steps, tuple(visits)
 
