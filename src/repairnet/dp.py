@@ -48,7 +48,9 @@ from .mdp import (
 )
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_SWEEPS = 10_000_000
+# Policy evaluation raises after this many Krylov products plus sweeps;
+# read at call time.
+MAX_SWEEPS = 10_000_000
 # Policy iteration raises after this many rounds without a fixed point.
 MAX_IMPROVEMENTS = 1000
 
@@ -270,7 +272,6 @@ def evaluate_policy(
     reference: SystemState | None = None,
     tol: float = DEFAULT_TOL,
     objective: str = "cost",
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
     model: DpModel | None = None,
     v0: np.ndarray | None = None,
     span_target: float | None = None,
@@ -281,7 +282,7 @@ def evaluate_policy(
     estimates g+ are within tol / 4 of g, then sweeps until
     max_x |g+(x) - g(x)| < tol between sweeps, from the Krylov solution or,
     when the Krylov phase gives up (a singular, multichain matrix), from
-    ``v0``.  ``max_sweeps`` caps the Krylov matrix products plus the
+    ``v0``.  ``MAX_SWEEPS`` caps the Krylov matrix products plus the
     sweeps, and ``sweeps`` reports that total.  Returns g at the reference
     state and v normalized to zero there.  Raises EvaluationDidNotConverge
     at the cap, which usually means the policy is multichain and has
@@ -308,11 +309,11 @@ def evaluate_policy(
     stage = model.stage_vector(policy, objective)
 
     v_start = np.zeros(model.n) if v0 is None else v0
-    solved, matvecs = _bordered_bicgstab(matrix, stage, ref, v_start, tol / 4, max_sweeps)
+    solved, matvecs = _bordered_bicgstab(matrix, stage, ref, v_start, tol / 4, MAX_SWEEPS)
     v = v_start if solved is None else solved
     g_prev = np.zeros(model.n)
     err = float("inf")
-    for sweep in range(matvecs + 1, max_sweeps + 1):
+    for sweep in range(matvecs + 1, MAX_SWEEPS + 1):
         v_plus = stage + matrix.dot(v)
         g_new = v_plus - v
         err = float(np.max(np.abs(g_new - g_prev)))
@@ -323,7 +324,7 @@ def evaluate_policy(
             if span_target is None or span < span_target:
                 return PolicyEvaluation(g=float(g_new[ref]), v=v, sweeps=sweep, g_span=span)
     raise EvaluationDidNotConverge(
-        f"policy evaluation did not converge within {max_sweeps} sweeps "
+        f"policy evaluation did not converge within {MAX_SWEEPS} sweeps "
         f"(last change {err:.3e}); the policy may be multichain"
     )
 

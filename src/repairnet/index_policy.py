@@ -67,6 +67,29 @@ class ArrivalDistribution:
             yield self.offset + k, p, d
 
 
+def _check_id(field: str, value, count: int, kind: str = "machine") -> None:
+    """Raise ValueError, naming ``field``, unless ``value`` is an id in
+    1..count.  The public wrappers check every id and level before a tuple
+    is indexed with it, which would otherwise return a plausible number
+    (a negative id indexes from the end)."""
+    if not isinstance(value, numbers.Integral) or not 1 <= value <= count:
+        raise ValueError(f"{field}: {value!r} is not a {kind} id in 1..{count}")
+
+
+def _check_level(inst: InstanceParameters, machine, level) -> None:
+    _check_id("machine", machine, inst.machine_count)
+    cap = inst.cap[machine - 1]
+    if not isinstance(level, numbers.Integral) or not 0 <= level <= cap:
+        raise ValueError(f"level: {level!r} of machine {machine} is not in 0..{cap}")
+
+
+def _check_target(inst: InstanceParameters, source, machine, level, what: str) -> None:
+    _check_id("source", source, inst.layout.node_count, "node")
+    _check_level(inst, machine, level)
+    if source == machine:
+        raise ValueError(f"{what} requires source != machine")
+
+
 def repair_statistics(inst: InstanceParameters, machine: int) -> RepairStatistics:
     """Solve the uninterrupted-repair recursion for one machine.
 
@@ -76,9 +99,7 @@ def repair_statistics(inst: InstanceParameters, machine: int) -> RepairStatistic
     s(k) is the reward rate at level k (or 1 for durations).  Raises
     ValueError, naming the id, for an id that is not a machine.
     """
-    m = inst.machine_count
-    if not isinstance(machine, numbers.Integral) or not 1 <= machine <= m:
-        raise ValueError(f"machine: {machine!r} is not a machine id in 1..{m}")
+    _check_id("machine", machine, inst.machine_count)
     return _calculator(inst).repair_stats(machine)
 
 
@@ -87,21 +108,20 @@ def arrival_distribution(
 ) -> ArrivalDistribution:
     """Distribution of machine ``machine``'s level when the repairer,
     starting from ``source``, arrives along a shortest path."""
-    if source == machine:
-        raise ValueError("arrival distribution requires source != machine")
+    _check_target(inst, source, machine, level, "arrival distribution")
     d = inst.layout.dist(source, machine)
     return _calculator(inst).arrival(d, machine, level)
 
 
 def stay_index(inst: InstanceParameters, machine: int, level: int) -> float:
     """Index for remaining at the current machine."""
-    return repair_statistics(inst, machine).stay_ratio(level)
+    _check_level(inst, machine, level)
+    return _calculator(inst).repair_stats(machine).stay_ratio(level)
 
 
 def move_index(inst: InstanceParameters, source: int, machine: int, level: int) -> float:
     """Index for heading to ``machine`` and repairing it to pristine."""
-    if source == machine:
-        raise ValueError("move index requires source != machine")
+    _check_target(inst, source, machine, level, "move index")
     calc = _calculator(inst)
     return calc.move(inst.layout.dist(source, machine), machine, level)
 
@@ -113,8 +133,7 @@ def wait_index(inst: InstanceParameters, source: int, machine: int, level: int) 
     1/lambda is added to the horizon; at the cap the level cannot rise,
     but the wait is still paid.
     """
-    if source == machine:
-        raise ValueError("wait index requires source != machine")
+    _check_target(inst, source, machine, level, "wait index")
     calc = _calculator(inst)
     return calc.wait(inst.layout.dist(source, machine), machine, level)
 
@@ -122,6 +141,7 @@ def wait_index(inst: InstanceParameters, source: int, machine: int, level: int) 
 def idle_score(inst: InstanceParameters, node: int) -> float:
     """Expected travel time to the next machine that degrades, weighting
     each machine by its share of the total degradation rate."""
+    _check_id("node", node, inst.layout.node_count, "node")
     return _calculator(inst).psi(node)
 
 

@@ -77,9 +77,10 @@ class InstanceParameters:
         m = self.layout.machine_count
         if not (len(self.lam) == len(self.mu) == len(self.cap) == len(self.cost.c) == m):
             raise ValueError("per-machine parameter lengths must match the machine count")
-        # ``not x > 0`` also rejects NaN, which compares false either way.
-        if any(not x > 0 for x in self.lam + self.mu) or not self.tau > 0:
-            raise ValueError("all rates must be strictly positive")
+        # ``not 0 < x < inf`` also rejects NaN, which compares false
+        # either way; an infinite rate makes the step length 0.
+        if any(not 0 < x < math.inf for x in (*self.lam, *self.mu, self.tau)):
+            raise ValueError("all rates must be strictly positive and finite")
         if any(k < 1 for k in self.cap):
             raise ValueError("all degradation caps must be >= 1")
 

@@ -31,7 +31,9 @@ run and each polling subset), all three OPI phases and ``DpModel``.
 ``RuleRows`` turns a decision rule into rows: key -> the rule's action
 row, asked once per key.  ``simulate`` and every OPI phase step through
 one; ``simulate``'s keys are the index plus a multiple of
-``indexer.count`` for the rule's memory (the polling tour position).
+``indexer.count`` for the rule's memory (the polling tour position),
+which starts at 0 in every call and lives only in the keys: ``simulate``
+reads and writes nothing on the rule it is given.
 """
 
 from __future__ import annotations
@@ -61,10 +63,8 @@ DecisionRule = Callable[[SystemState], Action]
 class FiniteMemoryRule(Protocol):
     """A decision rule that also reads a memory: a non-negative integer
     (the polling tour position, say) that only its own decisions change.
-    ``decide(state, memory)`` returns ``(action, memory after the step)``;
-    ``memory`` is the rule's current value, read and written by ``simulate``."""
-
-    memory: int
+    ``decide(state, memory)`` returns ``(action, memory after the step)``.
+    The rule holds no memory of its own; ``simulate`` starts it at 0."""
 
     def decide(self, state: SystemState, memory: int) -> tuple[Action, int]: ...
 
@@ -359,9 +359,10 @@ def simulate(
     distinct key in a call, not once per step: the call's ``RuleRows``
     holds each key's row from the instance's shared kernel
     (``kernel_of``), so a step is one lookup of the key's row, one of the
-    draw's code in it and one addition.  A finite-memory rule starts from
-    its ``memory`` and has the final memory written back, so a rule
-    reused across calls carries on where the last call stopped.
+    draw's code in it and one addition.  A finite-memory rule starts
+    every call at key ``index(x0)``, memory 0, and the memory stays in
+    the keys: nothing is read from or written to the rule, so identical
+    calls return identical reports.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -370,22 +371,17 @@ def simulate(
     kernel = kernel_of(inst)
     codes = crn_codes(kernel, crn, steps)
     rows = RuleRows(kernel, policy)
-    get, fill, count = rows.get, rows.__missing__, rows.count
+    get, fill = rows.get, rows.__missing__
     visits = [0] * inst.layout.node_count
     total_cost = 0.0
     total_reward = 0.0
     key = kernel.indexer.index(x0)
-    if rows.decide is not None:
-        _check_memory(policy.memory)
-        key += policy.memory * count
     for code in codes:
         location, cost, reward, offsets = get(key) or fill(key)
         visits[location] += 1
         total_cost += cost
         total_reward += reward
         key += offsets[code]
-    if rows.decide is not None:
-        policy.memory = key // count
 
     return SimulationReport(
         average_cost=total_cost / steps,

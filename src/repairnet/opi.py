@@ -763,7 +763,8 @@ def online_run(
 class OpiResult:
     report: SimulationReport
     store: ValueStore
-    preparation: OfflinePreparation
+    # None when the store was imported: no offline phase ran.
+    preparation: OfflinePreparation | None
 
 
 def run_opi(
@@ -778,8 +779,10 @@ def run_opi(
 ) -> OpiResult:
     """Offline preparation and estimation followed by the online run.
 
-    An ``x0``, ``store`` or ``crn`` list that ``online_run`` would refuse
-    is refused first, before the offline phases spend their budget.
+    An imported ``store`` skips both offline phases: ``offline_rng`` is
+    not read and ``preparation`` is None.  An ``x0`` or ``crn`` list that
+    ``online_run`` would refuse is refused before the offline phases
+    spend their budget.
     """
     # Before the offline phases, not after them; offline_preparatory
     # checks the base before it draws.
@@ -787,10 +790,9 @@ def run_opi(
         crn_codes(kernel_of(inst), crn, budget.r_on)
     if x0 is not None:
         validate_state(inst, x0)
-    if store is not None:
-        _check_store(inst, store)
-    prep = offline_preparatory(inst, base, budget, offline_rng)
+    prep = None
     if store is None:
+        prep = offline_preparatory(inst, base, budget, offline_rng)
         store = offline_main(inst, base, prep, budget, offline_rng)
     report = online_run(inst, base, store, budget, online_rng, x0=x0, crn=crn)
     return OpiResult(report=report, store=store, preparation=prep)

@@ -8,8 +8,9 @@ non-empty subset, simulated on a shared random-number list.
 
 The tour position is the rule's memory (``PollingPolicy.decide`` maps a
 state and position to an action and the next position), so ``simulate``
-steps each tour on (state, tour position) keys and makes one decision per
-distinct key rather than one per step.
+steps each tour on (state, tour position) keys, from position 0 in every
+call, and makes one decision per distinct key rather than one per step.
+The rule itself is an immutable value, its tour plus ``decide``.
 """
 
 from __future__ import annotations
@@ -90,25 +91,21 @@ def polling_decision(
     return shortest_next_hop(layout, loc, target), progress
 
 
+@dataclass(frozen=True)
 class PollingPolicy:
     """Exhaustive-service rule whose memory is the tour position.
 
     A ``FiniteMemoryRule``: ``simulate`` steps on (state, tour position)
-    keys through ``decide`` and writes the final position back to
-    ``memory``; calling the rule on a state advances ``memory`` the same way.
+    keys through ``decide``, from position 0 in every call.  The rule
+    holds no position and is not callable, so it cannot pass for a
+    function of the state.
     """
 
-    def __init__(self, inst: InstanceParameters, tour: PollingTour):
-        self.layout = inst.layout
-        self.tour = tour
-        self.memory = 0
+    inst: InstanceParameters
+    tour: PollingTour
 
     def decide(self, state: SystemState, progress: int) -> tuple[int, int]:
-        return polling_decision(self.layout, self.tour, state, progress)
-
-    def __call__(self, state: SystemState) -> int:
-        action, self.memory = self.decide(state, self.memory)
-        return action
+        return polling_decision(self.inst.layout, self.tour, state, progress)
 
 
 def iter_subsets(machines: Sequence[int]):

@@ -14,6 +14,7 @@ from conftest import (
     random_unichain_policy,
     step_probabilities,
 )
+from repairnet import dp
 from repairnet.dp import (
     DpModel,
     EvaluationDidNotConverge,
@@ -74,10 +75,11 @@ def test_evaluate_modified_index_two_machine_regression(two_machines):
     assert result.g_span < 1e-9
 
 
-def test_evaluation_reports_nonconvergence_at_tiny_cap(two_machines):
+def test_evaluation_reports_nonconvergence_at_tiny_cap(two_machines, monkeypatch):
     policy = StationaryPolicy.from_rule(two_machines, IndexPolicy(two_machines))
+    monkeypatch.setattr(dp, "MAX_SWEEPS", 3)
     with pytest.raises(EvaluationDidNotConverge):
-        evaluate_policy(two_machines, policy, max_sweeps=3)
+        evaluate_policy(two_machines, policy)
 
 
 def test_policy_iteration_reproduces_two_machine_table(two_machines):

@@ -109,6 +109,35 @@ def test_repair_statistics_rejects_ids_that_are_not_machines(machine):
         repair_statistics(inst, machine)
 
 
+@pytest.mark.parametrize(
+    "wrapper, args, message",
+    [
+        (move_index, (1, 0, 0), "machine: 0 is not a machine id in 1..2"),
+        (move_index, (0, 2, 1), "source: 0 is not a node id in 1..25"),
+        (move_index, (1, 2, 5), "level: 5 of machine 2 is not in 0..2"),
+        (wait_index, (26, 1, 0), "source: 26 is not a node id in 1..25"),
+        (wait_index, (1, 3, 0), "machine: 3 is not a machine id in 1..2"),
+        (arrival_distribution, (3, 1, -1), "level: -1 of machine 1 is not in 0..2"),
+        (arrival_distribution, (-1, 1, 0), "source: -1 is not a node id in 1..25"),
+        (stay_index, (1, -1), "level: -1 of machine 1 is not in 0..2"),
+        (stay_index, (-1, 1), "machine: -1 is not a machine id in 1..2"),
+        (idle_score, (0,), "node: 0 is not a node id in 1..25"),
+        (idle_score, (26,), "node: 26 is not a node id in 1..25"),
+    ],
+    ids=lambda value: (
+        value.__name__ if callable(value)
+        else ",".join(map(str, value)) if isinstance(value, tuple)
+        else value.split(":")[0]
+    ),
+)
+def test_index_wrappers_reject_ids_and_levels_outside_the_instance(wrapper, args, message):
+    inst = generate_instance(5, m=2, cap=2)
+    assert inst.layout.node_count == 25
+    with pytest.raises(ValueError) as exc:
+        wrapper(inst, *args)
+    assert str(exc.value) == message
+
+
 def test_repair_statistics_boundary_and_monotonicity():
     inst = two_machine_instance()
     stats = repair_statistics(inst, 1)

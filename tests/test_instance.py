@@ -1,4 +1,5 @@
 import copy
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +184,15 @@ def test_instance_rejects_nan_rates(two_machines):
         replace(two_machines, lam=(nan, 0.4))
     with pytest.raises(ValueError):
         replace(two_machines, mu=(1.1, nan))
+
+
+@pytest.mark.parametrize("field", ["tau", "lam", "mu"])
+def test_instance_rejects_infinite_rates(two_machines, field):
+    from dataclasses import replace
+
+    value = math.inf if field == "tau" else (math.inf, 0.4)
+    with pytest.raises(ValueError, match="^all rates must be strictly positive and finite$"):
+        replace(two_machines, **{field: value})
 
 
 def _self_loop(data):

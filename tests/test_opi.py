@@ -626,7 +626,6 @@ def test_phases_refuse_a_finite_memory_base():
     # Refused before any draw or rollout.
     assert generator.random() == rng(2).random()
     assert list(store.entries) == [kernel_of(inst).indexer.index(prep.reference)]
-    assert base.memory == 0
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1, 1.0])
@@ -680,3 +679,19 @@ def test_run_opi_smoke_with_crn():
     )
     assert result.report.steps == 500
     assert result.store.reference in result.store
+
+
+def test_run_opi_with_an_imported_store_skips_the_offline_phases(tmp_path):
+    inst = generate_instance(33, m=2, cap=1)
+    budget = OpiBudget(r1=200, r2=2_000, r_off=50, tau_max=1e12, r_on=500, delta=1, mode=STEP_COUNT)
+    base = ModifiedIndexPolicy(inst)
+    path = tmp_path / "store.json"
+    save_store(run_opi(inst, base, budget, rng(9), rng(10)).store, path)
+    crn = rng(8).random(500)
+    offline = rng(11)
+    result = run_opi(inst, base, budget, offline, rng(10), crn=crn, store=load_store(path, inst))
+    assert result.preparation is None
+    assert offline.random() == rng(11).random()  # the offline generator is untouched
+    replay = load_store(path, inst)
+    assert result.report == online_run(inst, base, replay, budget, rng(10), crn=crn)
+    assert result.store.entries == replay.entries

@@ -97,8 +97,8 @@ def test_singleton_tour_camps_at_machine():
     tour = best_tour(inst.layout, [2])
     policy = PollingPolicy(inst, tour)
     # Pristine at the single tour machine: advancing wraps to itself.
-    assert policy(SystemState(2, (0, 0, 0))) == 2
-    assert policy(SystemState(2, (1, 2, 1))) == 2
+    assert policy.decide(SystemState(2, (0, 0, 0)), 0) == (2, 0)
+    assert policy.decide(SystemState(2, (1, 2, 1)), 0) == (2, 0)
 
 
 def test_best_polling_report_subset_count_and_argmin():
