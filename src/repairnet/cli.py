@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r2", type=int)
         p.add_argument("--r-off", dest="r_off", type=int)
         p.add_argument("--tau-max", dest="tau_max", type=float)
-        p.add_argument("--r-on", dest="r_on", type=int)
         p.add_argument("--delta", type=float)
 
     p = sub.add_parser("opi", help="offline estimation plus online improvement run")
@@ -310,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--import-store")
     p.add_argument("--export-store")
     add_budget_args(p)
+    # benchmark runs the online phase for --steps, so only opi takes --r-on.
+    p.add_argument("--r-on", dest="r_on", type=int)
     p.set_defaults(func=cmd_opi)
 
     p = sub.add_parser("benchmark", help="compare policies over an instance batch")

@@ -18,7 +18,8 @@ Policy iteration alternates evaluation with a greedy improvement step.
 Only the action-dependent event (one repair level, or arrival at a
 neighbour) differs between actions, so improvement reduces to minimizing
 rate * (v(target) - v(x)) per state; ``DpModel._action_parts`` writes that
-event once for the transition matrix and the improvement step alike.  A
+event once for the improvement step and for the transition matrix, which
+adds it to the model's degradation matrix, built once per model.  A
 state keeps its action unless a rival is better by more than a margin
 above the evaluation error, so the loop ends when the policy reproduces
 itself.  The state index, the per-step probabilities and the cost and
@@ -41,7 +42,6 @@ from .mdp import (
     DecisionRule,
     StateIndexer,
     SystemState,
-    enumerate_states,
     kernel_of,
     pristine_state,
     validate_state,
@@ -61,13 +61,13 @@ class EvaluationDidNotConverge(RuntimeError):
 
 @dataclass(frozen=True)
 class StationaryPolicy:
-    """Per-state action table aligned with the enumerate_states ordering."""
+    """Per-state action table in state index order."""
 
     actions: tuple[int, ...]
 
     @classmethod
     def from_rule(cls, inst: InstanceParameters, rule: DecisionRule) -> "StationaryPolicy":
-        return cls(tuple(rule(state) for state in enumerate_states(inst)))
+        return cls(tuple(map(rule, StateIndexer(inst).states())))
 
     def as_rule(self, inst: InstanceParameters) -> DecisionRule:
         indexer = StateIndexer(inst)
@@ -100,11 +100,13 @@ class DpSolution:
     g_history: tuple[float, ...] = ()
 
     def policy_table(self, inst: InstanceParameters) -> dict[SystemState, int]:
-        return dict(zip(enumerate_states(inst), self.policy.actions))
+        return dict(zip(StateIndexer(inst).states(), self.policy.actions))
 
 
 class DpModel:
-    """Vectorized transition structure shared by evaluation and improvement."""
+    """Vectorized transition structure shared by evaluation and improvement,
+    built in one pass over the machines.  The action-independent part is one
+    sparse matrix, ``degrade``, to which ``transition_matrix`` adds a policy's."""
 
     def __init__(self, inst: InstanceParameters):
         self.inst = inst
@@ -114,50 +116,38 @@ class DpModel:
         if n > STATE_BOUND:
             raise CapacityError(f"state space has {n} states, above the bound of {STATE_BOUND}")
         self.n = n
-        self.block = self.indexer.conditions_per_location
-        m = inst.machine_count
-
-        idx = np.arange(n, dtype=np.int64)
-        self.idx = idx
-        self.loc = idx // self.block + 1
-        rem = idx % self.block
-        caps = np.array(inst.cap, dtype=np.int64)
-        strides = np.array(self.indexer.strides, dtype=np.int64)
-        cond = np.empty((n, m), dtype=np.int64)
-        for j in range(m):
-            cond[:, j] = (rem // strides[j]) % (caps[j] + 1)
-
-        # Degradation transitions are action-independent.
-        rows_list, cols_list, data_list = [], [], []
-        deg_sum = np.zeros(n)
-        for j in range(m):
-            mask = cond[:, j] < caps[j]
-            p = kernel.lam_delta[j]
-            rows_list.append(idx[mask])
-            cols_list.append(idx[mask] + strides[j])
-            data_list.append(np.full(mask.sum(), p))
-            deg_sum[mask] += p
-        self.deg_rows = np.concatenate(rows_list) if rows_list else np.empty(0, np.int64)
-        self.deg_cols = np.concatenate(cols_list) if cols_list else np.empty(0, np.int64)
-        self.deg_data = np.concatenate(data_list) if data_list else np.empty(0)
-        self.deg_sum = deg_sum
-
+        self.block = block = self.indexer.conditions_per_location
         self.tau_delta = kernel.tau_delta
-        self.cost = np.zeros(n)
-        for j in range(m):
-            self.cost += np.array(kernel.cost_rate[j])[cond[:, j]]
 
-        # Staying at a damaged machine repairs one level with probability
-        # mu * step and earns the kernel's reward rate; staying anywhere
-        # else has no event, which target = the state itself encodes.
+        self.idx = idx = np.arange(n, dtype=np.int64)
+        self.loc = idx // block + 1
+        rem = idx % block
+        # One pass over the machines, each decoding its own level of every
+        # state.  Degradation is action-independent: machine j below its
+        # cap moves up a level, to x + stride_j.  Staying at a damaged
+        # machine repairs one level with probability mu * step and earns
+        # the kernel's reward rate; staying anywhere else has no event,
+        # which target = the state itself encodes.
+        self.cost = np.zeros(n)
+        self.deg_sum = np.zeros(n)
         self.repair_target = idx.copy()
         self.repair_prob = np.zeros(n)
         self.repair_reward = np.zeros(n)
-        for j in range(m):
-            at = (self.loc == j + 1) & (cond[:, j] >= 1)
-            self.repair_target[at] -= strides[j]
-            self.repair_prob[at] = kernel.mu_delta[j]
-            self.repair_reward[at] = np.array(kernel.reward_rate[j])[cond[at, j]]
+        diagonals = []
+        for j, (stride, cap) in enumerate(zip(self.indexer.strides, inst.cap)):
+            level = (rem // stride) % (cap + 1)
+            self.cost += np.array(kernel.cost_rate[j])[level]
+            below = level < cap
+            self.deg_sum[below] += kernel.lam_delta[j]
+            diagonals.append(np.where(below[: n - stride], kernel.lam_delta[j], 0.0))
+            # The states at machine j + 1 are one block of indices.
+            damaged = np.flatnonzero(level[j * block : (j + 1) * block] >= 1) + j * block
+            self.repair_target[damaged] -= stride
+            self.repair_prob[damaged] = kernel.mu_delta[j]
+            self.repair_reward[damaged] = np.array(kernel.reward_rate[j])[level[damaged]]
+        # Machine j's degradation is the stride_j-th superdiagonal; the
+        # conversion drops the zeros of its states at cap.
+        self.degrade = sp.diags(diagonals, self.indexer.strides, shape=(n, n), format="csr")
 
         # Each location's available actions in id order, padded to a common
         # width by repeating the last one.
@@ -197,13 +187,13 @@ class DpModel:
         return target, prob
 
     def transition_matrix(self, policy: StationaryPolicy) -> sp.csr_matrix:
+        """``degrade`` plus the policy's action-dependent events and self-loops."""
         target, prob = self._action_parts(np.asarray(policy.actions, dtype=np.int64))
         event = target != self.idx
-        self_loop = 1.0 - self.deg_sum - prob
-        rows = np.concatenate([self.deg_rows, self.idx[event], self.idx])
-        cols = np.concatenate([self.deg_cols, target[event], self.idx])
-        data = np.concatenate([self.deg_data, prob[event], self_loop])
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        rows = np.concatenate([self.idx[event], self.idx])
+        cols = np.concatenate([target[event], self.idx])
+        data = np.concatenate([prob[event], 1.0 - self.deg_sum - prob])
+        return self.degrade + sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def stage_vector(self, policy: StationaryPolicy, objective: str) -> np.ndarray:
         if objective == "cost":
@@ -294,11 +284,13 @@ def evaluate_policy(
     certified bound is met as well.
 
     Raises ValueError, naming the field, before any solve: for a ``tol``
-    or ``span_target`` that is not a positive finite number, a
-    ``reference`` outside the instance, or a policy without one available
-    action per state (``policy.actions[k]``).
+    or ``span_target`` that is not a positive finite number, an unknown
+    ``objective``, a ``reference`` outside the instance, or a policy
+    without one available action per state (``policy.actions[k]``).
     """
     reference = _check_inputs(inst, reference, tol, span_target)
+    if objective not in ("cost", "reward", "shifted_cost"):
+        raise ValueError(f"objective: {objective!r} is not 'cost', 'reward' or 'shifted_cost'")
     if model is None:
         model = DpModel(inst)
     model.check_policy(policy)

@@ -30,7 +30,7 @@ from .instance import (
     generate_instance,
     load_instance,
 )
-from .mdp import pristine_state, simulate
+from .mdp import check_count, pristine_state, simulate
 from .opi import OpiBudget, desk_scale_budget, run_opi
 from .polling import DEFAULT_SUBSET_LIMIT, best_polling_report
 
@@ -56,8 +56,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        check_count("steps", self.steps)
 
 
 @dataclass

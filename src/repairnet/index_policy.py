@@ -22,12 +22,11 @@ not.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .instance import InstanceParameters
-from .mdp import SystemState, validate_state
+from .mdp import SystemState, _is_integer, validate_state
 from .network import shortest_next_hop
 
 
@@ -72,14 +71,14 @@ def _check_id(field: str, value, count: int, kind: str = "machine") -> None:
     1..count.  The public wrappers check every id and level before a tuple
     is indexed with it, which would otherwise return a plausible number
     (a negative id indexes from the end)."""
-    if not isinstance(value, numbers.Integral) or not 1 <= value <= count:
+    if not _is_integer(value) or not 1 <= value <= count:
         raise ValueError(f"{field}: {value!r} is not a {kind} id in 1..{count}")
 
 
 def _check_level(inst: InstanceParameters, machine, level) -> None:
     _check_id("machine", machine, inst.machine_count)
     cap = inst.cap[machine - 1]
-    if not isinstance(level, numbers.Integral) or not 0 <= level <= cap:
+    if not _is_integer(level) or not 0 <= level <= cap:
         raise ValueError(f"level: {level!r} of machine {machine} is not in 0..{cap}")
 
 

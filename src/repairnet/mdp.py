@@ -43,7 +43,7 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -89,9 +89,16 @@ def all_failed_state(inst: InstanceParameters, location: int = 1) -> SystemState
 
 
 def _is_integer(value) -> bool:
-    # The exact type test spares plain ints the ~1 us ABC check, which
-    # dominated validating a value store of thousands of entries.
-    return type(value) is int or isinstance(value, numbers.Integral)
+    # Any integer but a bool.  The exact type test spares plain ints the
+    # ~1 us ABC check, which dominated validating a value store of
+    # thousands of entries.
+    return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is an int >= 1, not a bool."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name}: {value!r} is not a positive count")
 
 
 def validate_state(inst: InstanceParameters, state: SystemState) -> None:
@@ -364,8 +371,7 @@ def simulate(
     the keys: nothing is read from or written to the rule, so identical
     calls return identical reports.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    check_count("steps", steps)
     validate_state(inst, x0)
 
     kernel = kernel_of(inst)
@@ -412,29 +418,17 @@ def _check_memory(memory) -> None:
         raise ValueError(f"rule memory {memory!r} is not a non-negative integer")
 
 
-# The most states enumerate_states and DpModel lay out.
+# The most states StateIndexer.states and DpModel lay out.
 STATE_BOUND = 5_000_000
 
 
 def enumerate_states(inst: InstanceParameters) -> list[SystemState]:
-    """All states in deterministic order: location major, conditions minor
-    (last machine's level varies fastest).  Raises CapacityError above
-    ``STATE_BOUND`` states."""
-    count = inst.state_count()
-    if count > STATE_BOUND:
-        raise CapacityError(
-            f"state space has {count} states, above the bound of {STATE_BOUND}"
-        )
-    ranges = [range(k + 1) for k in inst.cap]
-    return [
-        SystemState(loc, conds)
-        for loc in range(1, inst.layout.node_count + 1)
-        for conds in itertools.product(*ranges)
-    ]
+    """``StateIndexer.states`` as a list; CapacityError above ``STATE_BOUND``."""
+    return list(StateIndexer(inst).states())
 
 
 class StateIndexer:
-    """Mixed-radix state index consistent with enumerate_states ordering."""
+    """Mixed-radix state index, in the order of ``states``."""
 
     def __init__(self, inst: InstanceParameters):
         self.caps = inst.cap
@@ -452,6 +446,18 @@ class StateIndexer:
         for level, stride in zip(state.conditions, self.strides):
             idx += level * stride
         return idx
+
+    def states(self) -> Iterator[SystemState]:
+        """Every state in index order, one at a time: location major,
+        conditions minor (the last machine's level varies fastest).
+        Raises CapacityError, when called, above ``STATE_BOUND`` states."""
+        if self.count > STATE_BOUND:
+            raise CapacityError(
+                f"state space has {self.count} states, above the bound of {STATE_BOUND}"
+            )
+        locations = range(1, self.count // self.conditions_per_location + 1)
+        conditions = itertools.product(*(range(cap + 1) for cap in self.caps))
+        return itertools.starmap(SystemState, itertools.product(locations, conditions))
 
     def state(self, idx: int) -> SystemState:
         loc, rem = divmod(idx, self.conditions_per_location)

@@ -91,6 +91,7 @@ from .mdp import (
     SimulationReport,
     StateIndexer,
     SystemState,
+    check_count,
     crn_codes,
     kernel_of,
     pristine_state,
@@ -129,8 +130,7 @@ class OpiBudget:
 
     def __post_init__(self) -> None:
         for name in ("r1", "r2", "r_off", "r_on"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name}: {getattr(self, name)!r} is not a positive count")
+            check_count(name, getattr(self, name))
         if not self.tau_max > 0:
             raise ValueError(f"tau_max: {self.tau_max!r} is not positive")
         # An infinite delta would never end a decision's nested rollouts.

@@ -16,12 +16,11 @@ The rule itself is an immutable value, its tour plus ``decide``.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .instance import InstanceParameters
-from .mdp import SimulationReport, SystemState, pristine_state, simulate
+from .mdp import SimulationReport, SystemState, _is_integer, pristine_state, simulate
 from .network import NetworkLayout, shortest_next_hop
 
 DEFAULT_SUBSET_LIMIT = 4
@@ -52,7 +51,7 @@ def best_tour(layout: NetworkLayout, subset: Iterable[int]) -> PollingTour:
     if not machines:
         raise ValueError("polling subset must be non-empty")
     for machine in machines:
-        if not isinstance(machine, numbers.Integral) or machine not in layout.machines:
+        if not _is_integer(machine) or machine not in layout.machines:
             raise ValueError(
                 f"polling subset: {machine!r} is not a machine id in 1..{len(layout.machines)}"
             )

@@ -83,19 +83,27 @@ def test_opi_command_with_store_export(two_machine_file, tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["opi", "benchmark"])
+BUDGET_FLAG_CASES = [
+    ("--r1", "0", "r1"),
+    ("--r2", "0", "r2"),
+    ("--r-off", "-1", "r_off"),
+    ("--r-on", "0", "r_on"),
+    ("--tau-max", "0", "tau_max"),
+    ("--tau-max", "nan", "tau_max"),
+    ("--delta", "-1", "delta"),
+    ("--delta", "nan", "delta"),
+    ("--delta", "inf", "delta"),
+]
+
+
 @pytest.mark.parametrize(
-    "flag, value, field",
+    "flag, value, field, command",
     [
-        ("--r1", "0", "r1"),
-        ("--r2", "0", "r2"),
-        ("--r-off", "-1", "r_off"),
-        ("--r-on", "0", "r_on"),
-        ("--tau-max", "0", "tau_max"),
-        ("--tau-max", "nan", "tau_max"),
-        ("--delta", "-1", "delta"),
-        ("--delta", "nan", "delta"),
-        ("--delta", "inf", "delta"),
+        (*case, command)
+        for command in ("opi", "benchmark")
+        for case in BUDGET_FLAG_CASES
+        # benchmark has no --r-on: see test_benchmark_refuses_r_on.
+        if (command, case[0]) != ("benchmark", "--r-on")
     ],
 )
 def test_budget_flags_are_checked(two_machine_file, tmp_path, command, flag, value, field):
@@ -109,6 +117,18 @@ def test_budget_flags_are_checked(two_machine_file, tmp_path, command, flag, val
     assert str(exc.value).startswith(f"repairnet: error: {field}: ")
     assert not (tmp_path / "bench").exists()
 
+
+
+def test_benchmark_refuses_r_on(two_machine_file, tmp_path, capsys):
+    # The benchmark's online phase runs for --steps; an --r-on there would
+    # change nothing in its records.
+    out = tmp_path / "bench"
+    args = ["benchmark", "--instances", two_machine_file, "--out", str(out), "--r-on", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --r-on 5" in capsys.readouterr().err
+    assert not out.exists()
 
 @pytest.mark.parametrize(
     "command, option, content, reason",

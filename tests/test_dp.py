@@ -35,18 +35,27 @@ from repairnet.mdp import (
 )
 
 
-def test_transition_matrix_matches_step_probabilities(two_machines):
-    model = DpModel(two_machines)
-    states = enumerate_states(two_machines)
-    policy = StationaryPolicy.from_rule(two_machines, IndexPolicy(two_machines))
-    matrix = model.transition_matrix(policy).toarray()
-    indexer = model.indexer
-    for state in states:
-        row = matrix[indexer.index(state)]
-        expected = np.zeros(len(states))
-        for event, p in step_probabilities(two_machines, state, policy.actions[indexer.index(state)]):
-            expected[indexer.index(apply_event(state, event))] += p
-        assert np.allclose(row, expected, atol=1e-15)
+def test_transition_matrix_matches_step_probabilities():
+    # Every state's row against the tuple-level oracle: the two-machine
+    # fixture under the index policy, then generated instances with m = 3-4
+    # and cap >= 2 under a random policy, which moves in every direction
+    # the layout allows.
+    two_machines = two_machine_instance()
+    cases = [(two_machines, StationaryPolicy.from_rule(two_machines, IndexPolicy(two_machines)))]
+    for seed in (20037, 20034, 20001):  # m=3 cap=2, m=3 cap=3, m=4 cap=2
+        inst = generate_instance(seed)
+        cases.append((inst, random_unichain_policy(inst, seed)))
+    for inst, policy in cases:
+        model = DpModel(inst)
+        states = enumerate_states(inst)
+        matrix = model.transition_matrix(policy).toarray()
+        indexer = model.indexer
+        for state in states:
+            row = matrix[indexer.index(state)]
+            expected = np.zeros(len(states))
+            for event, p in step_probabilities(inst, state, policy.actions[indexer.index(state)]):
+                expected[indexer.index(apply_event(state, event))] += p
+            assert np.allclose(row, expected, rtol=0.0, atol=1e-15), (inst.seed, state)
 
 
 def test_evaluate_passive_policy_absorbing_all_failed():
@@ -167,6 +176,15 @@ def test_cost_reward_identity_under_evaluation():
         g = evaluate_policy(inst, policy, tol=1e-10, span_target=2e-9).g
         u = evaluate_policy(inst, policy, tol=1e-10, span_target=2e-9, objective="reward").g
         assert g + u == pytest.approx(total, abs=1e-8)
+
+
+def test_evaluate_policy_refuses_an_unknown_objective_before_any_solve(two_machines, monkeypatch):
+    policy = StationaryPolicy.from_rule(two_machines, IndexPolicy(two_machines))
+    # A model build would fail on this stand-in; the objective is refused first.
+    monkeypatch.setattr(dp, "DpModel", None)
+    message = r"^objective: 'costs' is not 'cost', 'reward' or 'shifted_cost'$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_policy(two_machines, policy, objective="costs")
 
 
 def test_shifted_cost_objective_identity(two_machines):

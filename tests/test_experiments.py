@@ -38,6 +38,12 @@ def tiny_records():
     return run_benchmark(tiny_config())
 
 
+@pytest.mark.parametrize("steps", [0, 2.5, True])
+def test_config_refuses_a_step_count_that_is_not_a_positive_int(steps):
+    with pytest.raises(ValueError, match=rf"^steps: {steps!r} is not a positive count"):
+        tiny_config(steps=steps)
+
+
 def test_benchmark_records_complete(tiny_records):
     assert len(tiny_records) == 2
     for record in tiny_records:

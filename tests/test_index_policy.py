@@ -123,6 +123,10 @@ def test_repair_statistics_rejects_ids_that_are_not_machines(machine):
         (stay_index, (-1, 1), "machine: -1 is not a machine id in 1..2"),
         (idle_score, (0,), "node: 0 is not a node id in 1..25"),
         (idle_score, (26,), "node: 26 is not a node id in 1..25"),
+        (idle_score, (True,), "node: True is not a node id in 1..25"),
+        (move_index, (True, 2, 1), "source: True is not a node id in 1..25"),
+        (move_index, (1, True, 1), "machine: True is not a machine id in 1..2"),
+        (stay_index, (1, True), "level: True of machine 1 is not in 0..2"),
     ],
     ids=lambda value: (
         value.__name__ if callable(value)

@@ -219,6 +219,9 @@ def test_simulate_rejects_bad_arguments(two_machines):
         simulate(two_machines, stay, pristine_state(two_machines), steps=10, crn=[0.5] * 5)
     with pytest.raises(TypeError):
         simulate(two_machines, stay, pristine_state(two_machines), steps=10)
+    for steps in (True, 2.5, 10.0):
+        with pytest.raises(ValueError, match=rf"^steps: {steps!r} is not a positive count"):
+            simulate(two_machines, stay, pristine_state(two_machines), steps, crn=[0.5] * 20)
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1, 1.0])

@@ -528,6 +528,11 @@ def test_budget_validation():
         OpiBudget(delta=0)
     with pytest.raises(ValueError):
         OpiBudget(mode="bogus")
+    # Counts are ints: a float used to fail later, inside the offline
+    # phase, and True ran as a count of 1.
+    for name, value in [("r1", 2000.0), ("r2", 1.5), ("r_off", True), ("r_on", 500.0)]:
+        with pytest.raises(ValueError, match=rf"^{name}: {value!r} is not a positive count"):
+            OpiBudget(**{name: value})
 
 
 def test_store_round_trip(tmp_path):

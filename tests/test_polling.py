@@ -51,7 +51,9 @@ def test_best_tour_rejects_empty():
         best_tour(FIG3, [])
 
 
-@pytest.mark.parametrize("subset, bad", [([9], "9"), ([0], "0"), ([1, 2, 3], "3"), ([1.5], "1.5")])
+@pytest.mark.parametrize(
+    "subset, bad", [([9], "9"), ([0], "0"), ([1, 2, 3], "3"), ([1.5], "1.5"), ([True], "True")]
+)
 def test_best_tour_rejects_ids_that_are_not_machines(subset, bad):
     inst = generate_instance(5, m=2, cap=2)
     assert inst.layout.machines == (1, 2)

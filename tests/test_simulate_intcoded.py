@@ -208,6 +208,8 @@ def bad_states(inst):
         (SystemState(1, over), r"state.conditions\[0\]"),
         (SystemState(1, zeros[:-1] + (-1,)), rf"state.conditions\[{m - 1}\]"),
         (SystemState(1, zeros[:-1] + (0.5,)), rf"state.conditions\[{m - 1}\]"),
+        (SystemState(True, zeros), "state.location"),
+        (SystemState(1, zeros[:-1] + (True,)), rf"state.conditions\[{m - 1}\]"),
     ]
 
 
