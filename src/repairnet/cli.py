@@ -8,12 +8,13 @@ makes opi and benchmark runs exactly reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .dp import _check_positive, policy_iteration, reward_optimum
+from .dp import policy_iteration, reward_optimum
 from .experiments import (
     ExperimentConfig,
     read_records_csv,
@@ -34,7 +35,7 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .mdp import pristine_state, simulate, validate_state
+from .mdp import check_count, check_positive, pristine_state, simulate, validate_state
 from .opi import (
     STEP_COUNT,
     WALL_CLOCK,
@@ -49,6 +50,16 @@ from .opi import (
 from .polling import PollingPolicy, best_tour
 
 
+@contextlib.contextmanager
+def _exit_on_error(prefix: str = "", errors=ValueError):
+    """Exit with ``repairnet: error: <prefix><message>`` when the block
+    raises one of ``errors``, whose message names the offending field."""
+    try:
+        yield
+    except errors as exc:
+        raise SystemExit(f"repairnet: error: {prefix}{exc}") from None
+
+
 def _budget_from_args(args) -> OpiBudget:
     """The budget the options give; exits naming the field that
     ``OpiBudget`` rejects."""
@@ -60,18 +71,14 @@ def _budget_from_args(args) -> OpiBudget:
     }
     if args.budget_mode:
         changes["mode"] = STEP_COUNT if args.budget_mode == "step-count" else WALL_CLOCK
-    try:
+    with _exit_on_error():
         return dataclasses.replace(budget, **changes)
-    except ValueError as exc:
-        raise SystemExit(f"repairnet: error: {exc}") from None
 
 
 def _tol_option(tol: float) -> float:
     """``--tol``; exits naming it unless it is a positive finite number."""
-    try:
-        _check_positive("--tol", tol)
-    except ValueError as exc:
-        raise SystemExit(f"repairnet: error: {exc}") from None
+    with _exit_on_error():
+        check_positive("--tol", tol)
     return tol
 
 
@@ -122,11 +129,9 @@ def _policy_for(name: str, inst):
 def _state_option(inst, option: str, text: str):
     """The state given as ``option``; exits naming the offending field when
     it is malformed or outside the instance."""
-    try:
+    with _exit_on_error(f"{option} {text!r}: "):
         state = parse_state_key(text)
         validate_state(inst, state)
-    except ValueError as exc:
-        raise SystemExit(f"repairnet: error: {option} {text!r}: {exc}") from None
     return state
 
 
@@ -139,10 +144,8 @@ def _load(option: str, path: str, load, *args):
     """``load(path, *args)``; exits naming ``option`` and ``path`` when the
     file cannot be read or does not hold what the option takes (the
     loaders' ValueError names the offending field)."""
-    try:
+    with _exit_on_error(f"{option} {path!r}: ", (OSError, ValueError)):
         return load(path, *args)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"repairnet: error: {option} {path!r}: {exc}") from None
 
 
 def _read_records(path: str):
@@ -155,15 +158,15 @@ def _polling_tour(inst, subset: str | None):
     exits naming the option when a part does not parse or is not a machine."""
     if not subset:
         return best_tour(inst.layout, inst.layout.machines)
-    try:
+    with _exit_on_error(f"--subset {subset!r}: "):
         return best_tour(inst.layout, [int(part) for part in subset.split(",")])
-    except ValueError as exc:
-        raise SystemExit(f"repairnet: error: --subset {subset!r}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:
     inst = _load("--instance", args.instance, load_instance)
     x0 = _start_state(inst, args.start)
+    with _exit_on_error():
+        check_count("steps", args.steps)
     crn = _generator(args.seed, STREAM_CRN).random(args.steps)
     if args.policy == "polling":
         tour = _polling_tour(inst, args.subset)
@@ -204,18 +207,19 @@ def cmd_opi(args) -> int:
 
 def cmd_benchmark(args) -> int:
     budget = _budget_from_args(args)
-    config = ExperimentConfig(
-        seed=args.seed,
-        count=args.count,
-        instance_files=tuple(args.instances or ()),
-        m=args.m,
-        cap=args.cap,
-        cost_kind=CostKind(args.cost_kind) if args.cost_kind else None,
-        steps=args.steps,
-        budget=budget,
-        run_dp=not args.no_dp,
-        jobs=args.jobs,
-    )
+    with _exit_on_error():
+        config = ExperimentConfig(
+            seed=args.seed,
+            count=args.count,
+            instance_files=tuple(args.instances or ()),
+            m=args.m,
+            cap=args.cap,
+            cost_kind=CostKind(args.cost_kind) if args.cost_kind else None,
+            steps=args.steps,
+            budget=budget,
+            run_dp=not args.no_dp,
+            jobs=args.jobs,
+        )
     records = run_benchmark(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -29,7 +29,6 @@ reward rates come from the instance's kernel (``mdp.kernel_of``).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +36,10 @@ import scipy.sparse as sp
 
 from .instance import InstanceParameters
 from .mdp import (
-    STATE_BOUND,
-    CapacityError,
     DecisionRule,
     StateIndexer,
     SystemState,
+    check_positive,
     kernel_of,
     pristine_state,
     validate_state,
@@ -112,10 +110,8 @@ class DpModel:
         self.inst = inst
         kernel = kernel_of(inst)
         self.indexer = kernel.indexer
-        n = self.indexer.count
-        if n > STATE_BOUND:
-            raise CapacityError(f"state space has {n} states, above the bound of {STATE_BOUND}")
-        self.n = n
+        self.indexer.check_bound()
+        self.n = n = self.indexer.count
         self.block = block = self.indexer.conditions_per_location
         self.tau_delta = kernel.tau_delta
 
@@ -196,15 +192,14 @@ class DpModel:
         return self.degrade + sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def stage_vector(self, policy: StationaryPolicy, objective: str) -> np.ndarray:
+        """Each state's stage rate under ``policy``; ``evaluate_policy`` checks ``objective``."""
         if objective == "cost":
             return self.cost
         stay = np.asarray(policy.actions, dtype=np.int64) == self.loc
         reward = np.where(stay, self.repair_reward, 0.0)
         if objective == "reward":
             return reward
-        if objective == "shifted_cost":
-            return self.inst.failed_cost_total() - reward
-        raise ValueError(f"unknown objective {objective!r}")
+        return self.inst.failed_cost_total() - reward
 
     def improve(
         self, v: np.ndarray, previous: StationaryPolicy, margin: float = 0.0
@@ -233,20 +228,12 @@ class DpModel:
 DENSE_STATE_LIMIT = 1024
 
 
-def _check_positive(name: str, value) -> None:
-    """Raise ValueError, naming ``name``, unless ``value`` is a finite number
-    above zero: a negative or NaN tolerance is never met, so the sweeps
-    would run to their cap and then blame the policy."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise ValueError(f"{name}: {value!r} is not a positive finite number")
-
-
 def _check_inputs(inst, reference, tol, span_target) -> SystemState:
     """The reference state (pristine when None), after checking it and the
     tolerances; raises ValueError naming the field."""
-    _check_positive("tol", tol)
+    check_positive("tol", tol)
     if span_target is not None:
-        _check_positive("span_target", span_target)
+        check_positive("span_target", span_target)
     if reference is None:
         return pristine_state(inst)
     try:

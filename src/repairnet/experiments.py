@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .dp import policy_iteration
+from .dp import policy_iteration, reward_optimum
 from .index_policy import IndexPolicy, ModifiedIndexPolicy
 from .instance import (
     STREAM_CRN,
@@ -30,7 +30,7 @@ from .instance import (
     generate_instance,
     load_instance,
 )
-from .mdp import check_count, pristine_state, simulate
+from .mdp import check_count, check_positive, pristine_state, simulate
 from .opi import OpiBudget, desk_scale_budget, run_opi
 from .polling import DEFAULT_SUBSET_LIMIT, best_polling_report
 
@@ -41,7 +41,7 @@ RHO_BINS = ((0.1, 0.3), (0.3, 0.5), (0.5, 0.7), (0.7, 0.9), (0.9, 1.1), (1.1, 1.
 ETA_BINS = ((0.1, 0.4), (0.4, 0.7), (0.7, 1.0), (1.0, 4.0), (4.0, 7.0), (7.0, 10.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     count: int = 10
@@ -56,7 +56,9 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        check_count("steps", self.steps)
+        for name in ("count", "steps", "jobs"):
+            check_count(name, getattr(self, name))
+        check_positive("dp_tol", self.dp_tol)
 
 
 @dataclass
@@ -95,19 +97,22 @@ def _pct(diff: float, base: float) -> float | None:
     return 100.0 * diff / base if base > 0 else None
 
 
+def _new_record(instance_id: str, inst: InstanceParameters | None) -> SuboptimalityRecord:
+    """A record holding ``inst``'s seven instance fields, zeros and empty
+    strings for an instance that could not be loaded or generated."""
+    if inst is None:
+        return SuboptimalityRecord(instance_id, None, 0, 0, "", 0.0, 0.0)
+    return SuboptimalityRecord(
+        instance_id, inst.seed, inst.machine_count, inst.cap[0], inst.cost.kind.value,
+        inst.rho, inst.eta,
+    )
+
+
 def run_instance_benchmark(
     inst: InstanceParameters, config: ExperimentConfig, instance_seed: int, instance_id: str
 ) -> SuboptimalityRecord:
     """All policies on one instance, sharing one random-number list."""
-    record = SuboptimalityRecord(
-        instance_id=instance_id,
-        seed=inst.seed,
-        m=inst.machine_count,
-        cap=inst.cap[0],
-        cost_kind=inst.cost.kind.value,
-        rho=inst.rho,
-        eta=inst.eta,
-    )
+    record = _new_record(instance_id, inst)
     steps = config.steps
     crn = _generator(instance_seed, STREAM_CRN).random(steps)
     x0 = pristine_state(inst)
@@ -138,7 +143,7 @@ def run_instance_benchmark(
     if config.run_dp and inst.state_count() <= DP_STATE_BOUND:
         solution = policy_iteration(inst, tol=config.dp_tol)
         record.g_star = solution.g_star
-        record.u_star = inst.failed_cost_total() - solution.g_star
+        record.u_star = reward_optimum(inst, solution)
         for name, g, u in (
             ("ind", record.g_ind, record.u_ind),
             ("opi", record.g_opi, record.u_opi),
@@ -172,16 +177,7 @@ def _benchmark_one(args) -> SuboptimalityRecord:
             )
         return run_instance_benchmark(inst, config, instance_seed, instance_id)
     except Exception as exc:  # isolate per-instance failures; the batch continues
-        return SuboptimalityRecord(
-            instance_id=instance_id,
-            seed=getattr(inst, "seed", None),
-            m=inst.machine_count if inst is not None else 0,
-            cap=inst.cap[0] if inst is not None else 0,
-            cost_kind=inst.cost.kind.value if inst is not None else "",
-            rho=inst.rho if inst is not None else 0.0,
-            eta=inst.eta if inst is not None else 0.0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return replace(_new_record(instance_id, inst), error=f"{type(exc).__name__}: {exc}")
 
 
 def run_benchmark(config: ExperimentConfig) -> list[SuboptimalityRecord]:

@@ -7,7 +7,9 @@ third index scores deliberately waiting for one more degradation before
 traveling, and vetoes moves that waiting would beat.  All indices derive
 from two ingredients computed in closed form: the expected reward and
 duration of an uninterrupted repair episode, and the distribution of a
-machine's level at the moment the repairer would arrive.
+machine's level at the moment the repairer would arrive.  Repair earns
+the kernel's reward rates (``kernel_of(inst).reward_rate``), the table
+the simulation and the DP read.
 
 The move and wait indices depend only on the distance, the target
 machine and its level, so the per-instance calculator scores every level
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .instance import InstanceParameters
-from .mdp import SystemState, _is_integer, validate_state
+from .mdp import SystemState, _is_integer, kernel_of, validate_state
 from .network import shortest_next_hop
 
 
@@ -255,13 +257,8 @@ class _IndexCalculator:
         lam = inst.lam[machine - 1]
         mu = inst.mu[machine - 1]
         cap = inst.cap[machine - 1]
-        s = [0.0] * (cap + 1)
-        for k in range(1, cap + 1):
-            s[k] = (
-                mu
-                * (inst.cost.rate(machine, cap, cap) - inst.cost.rate(machine, k - 1, cap))
-                / lam
-            )
+        # The kernel's reward rate of repairing from each level.
+        s = kernel_of(inst).reward_rate[machine - 1]
         reward_inc = [0.0] * (cap + 1)
         time_inc = [0.0] * (cap + 1)
         reward_inc[cap] = s[cap] / mu

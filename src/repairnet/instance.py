@@ -78,8 +78,10 @@ class InstanceParameters:
         if not (len(self.lam) == len(self.mu) == len(self.cap) == len(self.cost.c) == m):
             raise ValueError("per-machine parameter lengths must match the machine count")
         # ``not 0 < x < inf`` also rejects NaN, which compares false
-        # either way; an infinite rate makes the step length 0.
-        if any(not 0 < x < math.inf for x in (*self.lam, *self.mu, self.tau)):
+        # either way; an infinite rate makes the step length 0.  A bool
+        # is not a rate, though True compares as 1.
+        rates = (*self.lam, *self.mu, self.tau)
+        if any(isinstance(x, bool) or not 0 < x < math.inf for x in rates):
             raise ValueError("all rates must be strictly positive and finite")
         if any(k < 1 for k in self.cap):
             raise ValueError("all degradation caps must be >= 1")

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -99,6 +100,15 @@ def check_count(name: str, value) -> None:
     """Raise ValueError, naming ``name``, unless ``value`` is an int >= 1, not a bool."""
     if not _is_integer(value) or value < 1:
         raise ValueError(f"{name}: {value!r} is not a positive count")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is a finite number
+    above zero, not a bool: a negative or NaN tolerance is never met, so the
+    sweeps would run to their cap and then blame the policy, and an infinite
+    delta would never end a decision's nested rollouts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name}: {value!r} is not a positive finite number")
 
 
 def validate_state(inst: InstanceParameters, state: SystemState) -> None:
@@ -447,14 +457,18 @@ class StateIndexer:
             idx += level * stride
         return idx
 
-    def states(self) -> Iterator[SystemState]:
-        """Every state in index order, one at a time: location major,
-        conditions minor (the last machine's level varies fastest).
-        Raises CapacityError, when called, above ``STATE_BOUND`` states."""
+    def check_bound(self) -> None:
+        """Raise CapacityError above ``STATE_BOUND`` states."""
         if self.count > STATE_BOUND:
             raise CapacityError(
                 f"state space has {self.count} states, above the bound of {STATE_BOUND}"
             )
+
+    def states(self) -> Iterator[SystemState]:
+        """Every state in index order, one at a time: location major,
+        conditions minor (the last machine's level varies fastest).
+        Raises CapacityError, when called, above ``STATE_BOUND`` states."""
+        self.check_bound()
         locations = range(1, self.count // self.conditions_per_location + 1)
         conditions = itertools.product(*(range(cap + 1) for cap in self.caps))
         return itertools.starmap(SystemState, itertools.product(locations, conditions))

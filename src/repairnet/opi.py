@@ -92,6 +92,7 @@ from .mdp import (
     StateIndexer,
     SystemState,
     check_count,
+    check_positive,
     crn_codes,
     kernel_of,
     pristine_state,
@@ -111,7 +112,7 @@ UNBOUNDED_CAUSE = "unbounded"
 OVERLAP_CAUSE = "overlap"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpiBudget:
     """Iteration and time budgets for the offline and online parts.
 
@@ -131,11 +132,10 @@ class OpiBudget:
     def __post_init__(self) -> None:
         for name in ("r1", "r2", "r_off", "r_on"):
             check_count(name, getattr(self, name))
-        if not self.tau_max > 0:
+        # An infinite tau_max is allowed: r_off still ends the rollouts.
+        if isinstance(self.tau_max, bool) or not self.tau_max > 0:
             raise ValueError(f"tau_max: {self.tau_max!r} is not positive")
-        # An infinite delta would never end a decision's nested rollouts.
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta: {self.delta!r} is not a positive finite number")
+        check_positive("delta", self.delta)
         if self.mode not in (WALL_CLOCK, STEP_COUNT):
             raise ValueError(f"mode: unknown budget mode {self.mode!r}")
 
@@ -714,7 +714,6 @@ def online_run(
     state = index(start)
     total_cost = 0.0
     total_reward = 0.0
-    safe_count = 0
     safe_by_quarter = [0, 0, 0, 0]
     causes = {UNBOUNDED_CAUSE: 0, OVERLAP_CAUSE: 0}
     quarter = max(1, budget.r_on // 4)
@@ -725,7 +724,6 @@ def online_run(
         action, cause = _gate(state, moves(state), values)
         if action is None:
             location, cost, reward, offsets = rows[state]
-            safe_count += 1
             safe_by_quarter[min(step_index // quarter, 3)] += 1
             causes[cause] += 1
         else:
@@ -748,7 +746,7 @@ def online_run(
         average_reward=total_reward / budget.r_on,
         steps=budget.r_on,
         visit_counts=tuple(visits),
-        safe_action_fraction=safe_count / budget.r_on,
+        safe_action_fraction=sum(safe_by_quarter) / budget.r_on,
     )
     sizes = [min(quarter, max(0, budget.r_on - k * quarter)) for k in range(3)]
     sizes.append(max(0, budget.r_on - 3 * quarter))

@@ -163,6 +163,35 @@ def test_file_options_exit_naming_the_option(
     assert reason in message
 
 
+@pytest.mark.parametrize("steps", ["0", "-1"])
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_steps_exit_naming_the_option(two_machine_file, tmp_path, command, steps):
+    # simulate used to die inside numpy ("negative dimensions are not
+    # allowed") for -1, and both commands with a traceback for 0.
+    out = tmp_path / "bench"
+    args = [command, "--steps", steps]
+    if command == "simulate":
+        args += ["--instance", two_machine_file]
+    else:
+        args += ["--instances", two_machine_file, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert str(exc.value) == f"repairnet: error: steps: {steps} is not a positive count"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--count", "0"), ("--jobs", "-2"), ("--jobs", "0")])
+def test_benchmark_counts_exit_naming_the_option(tmp_path, flag, value):
+    # --count 0 used to write an empty records.csv and exit 0, and
+    # --jobs -2 ran serially without a word.
+    out = tmp_path / "bench"
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "--m", "2", "--cap", "1", flag, value, "--out", str(out)])
+    field = flag[2:]
+    assert str(exc.value) == f"repairnet: error: {field}: {value} is not a positive count"
+    assert not out.exists()
+
+
 def test_indices_command(two_machine_file, capsys):
     code = main(["indices", "--instance", two_machine_file, "--state", "1:2,1"])
     assert code == 0

@@ -44,6 +44,32 @@ def test_config_refuses_a_step_count_that_is_not_a_positive_int(steps):
         tiny_config(steps=steps)
 
 
+@pytest.mark.parametrize(
+    "name, value, reason",
+    [
+        ("count", 0, "is not a positive count"),
+        ("jobs", -2, "is not a positive count"),
+        ("jobs", True, "is not a positive count"),
+        ("dp_tol", -1.0, "is not a positive finite number"),
+        ("dp_tol", float("nan"), "is not a positive finite number"),
+    ],
+)
+def test_config_checks_its_fields_when_built(name, value, reason):
+    # A negative dp_tol used to fail only after each instance's index,
+    # polling and OPI runs, a count of 0 wrote an empty batch, and a
+    # negative jobs ran serially.
+    with pytest.raises(ValueError, match=rf"^{name}: {value!r} {reason}$"):
+        tiny_config(**{name: value})
+
+
+def test_config_fields_cannot_be_assigned():
+    # An assignment would skip the checks made when the config is built.
+    config = tiny_config()
+    with pytest.raises(AttributeError):
+        config.steps = 0
+    assert config.steps == 8_000
+
+
 def test_benchmark_records_complete(tiny_records):
     assert len(tiny_records) == 2
     for record in tiny_records:

@@ -186,11 +186,22 @@ def test_instance_rejects_nan_rates(two_machines):
         replace(two_machines, mu=(1.1, nan))
 
 
-@pytest.mark.parametrize("field", ["tau", "lam", "mu"])
-def test_instance_rejects_infinite_rates(two_machines, field):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tau", math.inf),
+        ("lam", (math.inf, 0.4)),
+        ("mu", (math.inf, 0.4)),
+        # A bool is not a rate, though True compares as 1.
+        ("tau", True),
+        ("lam", (True, 0.4)),
+        ("mu", (1.1, True)),
+    ],
+    ids=["tau", "lam", "mu", "tau-bool", "lam-bool", "mu-bool"],
+)
+def test_instance_rejects_infinite_rates(two_machines, field, value):
     from dataclasses import replace
 
-    value = math.inf if field == "tau" else (math.inf, 0.4)
     with pytest.raises(ValueError, match="^all rates must be strictly positive and finite$"):
         replace(two_machines, **{field: value})
 

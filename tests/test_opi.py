@@ -533,13 +533,28 @@ def test_budget_validation():
     for name, value in [("r1", 2000.0), ("r2", 1.5), ("r_off", True), ("r_on", 500.0)]:
         with pytest.raises(ValueError, match=rf"^{name}: {value!r} is not a positive count"):
             OpiBudget(**{name: value})
+    # A bool is not a number, though True compares as 1.
+    with pytest.raises(ValueError, match=r"^delta: True is not a positive finite number$"):
+        OpiBudget(delta=True)
+    with pytest.raises(ValueError, match=r"^tau_max: True is not positive$"):
+        OpiBudget(tau_max=True)
+    # r_off still ends each start state's rollouts.
+    assert OpiBudget(tau_max=math.inf).tau_max == math.inf
+
+
+@pytest.mark.parametrize("name, value", [("r1", 2000.0), ("delta", -1.0), ("mode", "bogus")])
+def test_budget_fields_cannot_be_assigned(name, value):
+    # An assignment would skip the checks made when the budget is built.
+    budget = desk_scale_budget()
+    with pytest.raises(AttributeError):
+        setattr(budget, name, value)
+    assert budget == desk_scale_budget()
 
 
 def test_store_round_trip(tmp_path):
     inst = generate_instance(29, m=2, cap=1)
     base = ModifiedIndexPolicy(inst)
-    budget = replace(desk_scale_budget(), r_on=10)
-    budget.r1, budget.r2, budget.r_off, budget.tau_max = 100, 1_000, 20, 1e12
+    budget = replace(desk_scale_budget(), r1=100, r2=1_000, r_off=20, tau_max=1e12, r_on=10)
     prep = offline_preparatory(inst, base, budget, rng(5))
     store = offline_main(inst, base, prep, budget, rng(6))
     path = tmp_path / "store.json"
