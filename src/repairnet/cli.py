@@ -85,10 +85,11 @@ def _tol_option(tol: float) -> float:
 def cmd_generate(args) -> int:
     kind = CostKind(args.cost_kind) if args.cost_kind else None
     out = Path(args.out)
-    if args.count > 1:
-        out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
-        inst = generate_instance(args.seed + i, m=args.m, cap=args.cap, cost_kind=kind)
+        with _exit_on_error():
+            inst = generate_instance(args.seed + i, m=args.m, cap=args.cap, cost_kind=kind)
+        if args.count > 1:
+            out.mkdir(parents=True, exist_ok=True)
         path = out / f"instance-{args.seed + i}.json" if args.count > 1 else out
         save_instance(inst, path)
         print(f"wrote {path} (m={inst.machine_count}, K={inst.cap[0]}, "

@@ -27,6 +27,7 @@ from .instance import (
     CostKind,
     InstanceParameters,
     _generator,
+    check_generator_sizes,
     generate_instance,
     load_instance,
 )
@@ -59,6 +60,7 @@ class ExperimentConfig:
         for name in ("count", "steps", "jobs"):
             check_count(name, getattr(self, name))
         check_positive("dp_tol", self.dp_tol)
+        check_generator_sizes(self.m, self.cap)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -136,6 +137,29 @@ def round_two_significant(x: float) -> float:
     return float(d.quantize(quantum, rounding=ROUND_HALF_EVEN))
 
 
+def _is_integer(value) -> bool:
+    # Any integer but a bool.  The exact type test spares plain ints the
+    # ~1 us ABC check, which dominated validating a value store of
+    # thousands of entries.
+    return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
+
+
+# The generator places machines on distinct nodes of this square lattice.
+LATTICE_SIDE = 5
+
+
+def check_generator_sizes(m, cap) -> None:
+    """Raise ValueError, naming the field, unless an overridden ``m`` is an
+    int in 1..25, the lattice's node count (the machines take distinct
+    nodes), and an overridden ``cap`` an int >= 1; None leaves either to
+    the generator's draw.  No bool passes."""
+    nodes = LATTICE_SIDE * LATTICE_SIDE
+    if m is not None and not (_is_integer(m) and 1 <= m <= nodes):
+        raise ValueError(f"m: {m!r} is not a machine count in 1..{nodes}")
+    if cap is not None and not (_is_integer(cap) and cap >= 1):
+        raise ValueError(f"cap: {cap!r} is not a degradation cap >= 1")
+
+
 def generate_instance(
     seed: int,
     m: int | None = None,
@@ -151,7 +175,9 @@ def generate_instance(
     per-machine intensities; mu_i ~ U(0.1, 0.9); lambda_i = rho_i * mu_i;
     rates rounded to 2 significant figures; c_i ~ U(0.1, 0.9); eta drawn
     from U(0.1, 1) or U(1, 10) with equal probability; tau = eta * sum(lambda).
+    An overridden ``m`` or ``cap`` is checked first (``check_generator_sizes``).
     """
+    check_generator_sizes(m, cap)
     rng = _generator(seed, STREAM_INSTANCE)
 
     if cost_kind is None:
@@ -165,13 +191,13 @@ def generate_instance(
     taken: set[tuple[int, int]] = set()
     for _ in range(m):
         while True:
-            a = int(rng.integers(1, 6))
-            b = int(rng.integers(1, 6))
+            a = int(rng.integers(1, LATTICE_SIDE + 1))
+            b = int(rng.integers(1, LATTICE_SIDE + 1))
             if (a, b) not in taken:
                 break
         taken.add((a, b))
         coords.append((a, b))
-    layout = build_lattice_layout(5, coords)
+    layout = build_lattice_layout(LATTICE_SIDE, coords)
 
     rho = rng.uniform(0.1, 1.5)
     mu = [rng.uniform(0.1, 0.9) for _ in range(m)]

@@ -19,9 +19,13 @@ index offset over StateIndexer's mixed-radix integers, ``Kernel.moves``
 lists it for every available action, for OPI's confidence gate, and
 ``Kernel.neighborhood`` lists the indices the gate reads.
 ``Kernel.grid`` is the sorted set of every slot end any row can have,
-and ``Kernel.codes`` classifies uniform draws against it in one numpy
-call: a draw's code is the gap of the grid it falls in.  Every row's
-slot ends are grid members, so a row's event is constant on each gap.
+and ``Kernel.codes`` classifies uniform draws against it, one
+whole-array comparison per grid end, into a byte string when the codes
+fit a byte: a draw's code is the gap of the grid it falls in.  Every
+row's slot ends are grid members, so a row's event is constant on each
+gap.  ``crn_codes`` validates and classifies a common-random-number
+list once per kernel: it keeps the last list's codes for the next
+caller that passes equal draws.
 ``Kernel.action_row``, the kernel's one row builder, memoizes per
 state-action pair the location, the cost and reward rates and a
 successor row indexed by code, so a step is one lookup of the draw's
@@ -48,7 +52,7 @@ from typing import Callable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .instance import InstanceParameters
+from .instance import InstanceParameters, _is_integer
 
 
 class SystemState(NamedTuple):
@@ -87,13 +91,6 @@ def pristine_state(inst: InstanceParameters, location: int = 1) -> SystemState:
 
 def all_failed_state(inst: InstanceParameters, location: int = 1) -> SystemState:
     return SystemState(location, tuple(inst.cap))
-
-
-def _is_integer(value) -> bool:
-    # Any integer but a bool.  The exact type test spares plain ints the
-    # ~1 us ABC check, which dominated validating a value store of
-    # thousands of entries.
-    return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
 
 
 def check_count(name: str, value) -> None:
@@ -185,6 +182,8 @@ class Kernel:
         self._neighborhoods: dict[int, tuple[int, ...]] = {}
         self.states: dict[int, SystemState] = {}
         self.action_rows: dict[tuple[int, Action], Row] = {}
+        # (draws, codes) of the last CRN list crn_codes classified.
+        self._crn_memo: tuple[np.ndarray, Sequence[int]] | None = None
 
     def cost(self, state: SystemState) -> float:
         return sum(self.cost_rate[j][level] for j, level in enumerate(state.conditions))
@@ -243,12 +242,20 @@ class Kernel:
             state = self.states[x] = self.indexer.state(x)
         return state
 
-    def codes(self, uniforms) -> list[int]:
+    def codes(self, uniforms) -> Sequence[int]:
         """The code of each uniform draw: the number of ``grid`` ends at or
         below it, so code c covers the draws in ``[grid[c-1], grid[c])``.
-        One numpy call; the comparisons are a bisection's."""
+
+        Branch-free: one whole-array comparison per grid end, summed into
+        the narrowest unsigned dtype that holds ``len(grid)``.  When that
+        is one byte (any instance under 128 machines) the codes come back
+        as ``bytes``, which iterate and index as ints, and a wider grid's
+        as a tuple: immutable either way."""
         draws = np.asarray(uniforms, dtype=np.float64)
-        return np.searchsorted(self.grid, draws, side="right").tolist()
+        codes = np.zeros(draws.shape, np.min_scalar_type(len(self.grid)))
+        for end in self.grid:
+            codes += draws >= end
+        return codes.tobytes() if codes.itemsize == 1 else tuple(codes.tolist())
 
     def action_row(self, x: int, action: Action) -> Row:
         """One uniformized step of the state with index ``x`` under
@@ -365,9 +372,10 @@ def simulate(
     ``crn`` holds at least one uniform per step, and the first ``steps``
     drive the run, so policies given the same list are compared under
     common random numbers.  They are classified into codes
-    (``crn_codes``) before the first step, which raises ValueError for a
-    list shorter than ``steps`` and names ``crn[i]`` for a draw that is
-    NaN or outside [0, 1).
+    (``crn_codes``, once per list and instance) before the first step,
+    which raises ValueError for a list that is not one-dimensional or is
+    shorter than ``steps`` and names ``crn[i]`` for a draw that is NaN or
+    outside [0, 1).
 
     The rule is a function of the state, or a ``FiniteMemoryRule``, whose
     decision depends on the state and its memory only.  The chain runs on
@@ -407,20 +415,35 @@ def simulate(
     )
 
 
-def crn_codes(kernel: Kernel, crn: Sequence[float], steps: int) -> list[int]:
+def crn_codes(kernel: Kernel, crn: Sequence[float], steps: int) -> Sequence[int]:
     """The codes (``Kernel.codes``) of the first ``steps`` draws of a
-    common-random-number list.  Raises ValueError for a list shorter than
-    ``steps``, and names ``crn[i]`` for the first draw that is NaN or
-    outside [0, 1), which would otherwise pick a plausible successor
-    silently."""
-    if len(crn) < steps:
-        raise ValueError(f"crn: a list of {len(crn)} draws is shorter than {steps} steps")
-    draws = np.asarray(crn[:steps], dtype=np.float64)
+    common-random-number list.  Raises ValueError for a list that is not
+    one-dimensional or is shorter than ``steps``, and names ``crn[i]`` for
+    the first draw that is NaN or outside [0, 1), which would otherwise
+    pick a plausible successor silently.
+
+    The kernel keeps the last list it classified, as a private copy of
+    its draws beside their codes, so a list that every policy of an
+    instance reads (the index run, each polling subset, the online run)
+    is validated and classified once: a call whose draws equal the copy
+    returns the stored codes, which are immutable.  A list changed in
+    place since then no longer equals the copy, so it is checked again."""
+    draws = np.asarray(crn, dtype=np.float64)
+    if draws.ndim != 1:
+        raise ValueError(f"crn: an array of shape {draws.shape} is not one-dimensional")
+    if len(draws) < steps:
+        raise ValueError(f"crn: a list of {len(draws)} draws is shorter than {steps} steps")
+    draws = draws[:steps]
+    memo = kernel._crn_memo
+    if memo is not None and np.array_equal(memo[0], draws):
+        return memo[1]
     bad = np.flatnonzero(~((draws >= 0.0) & (draws < 1.0)))
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"crn[{i}]: {float(draws[i])!r} is not a uniform draw in [0, 1)")
-    return kernel.codes(draws)
+    codes = kernel.codes(draws)
+    kernel._crn_memo = (draws.copy(), codes)
+    return codes
 
 
 def _check_memory(memory) -> None:

@@ -50,8 +50,8 @@ start, so its set-up sits behind a check per trajectory and the step
 loop tests one counter that is 0 otherwise.
 
 Each phase reads its generator as one stream of codes, one per
-simulated step: uniforms are drawn 8192 at a time and classified in the
-same numpy call (``_uniforms``), so the phases that share the offline
+simulated step: uniforms are drawn and classified (``Kernel.codes``)
+8192 at a time (``_uniforms``), so the phases that share the offline
 generator read it back to back.  Online, the realized transitions come
 from the CRN list's codes when one is given, which rejects a draw that
 is NaN or outside [0, 1), and from the same stream otherwise.

@@ -30,6 +30,25 @@ def test_generate_batch(tmp_path):
     assert len(list(out.glob("instance-*.json"))) == 3
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--m", "m: 0 is not a machine count in 1..25"),
+        ("--cap", "cap: 0 is not a degradation cap >= 1"),
+    ],
+    ids=["m", "cap"],
+)
+@pytest.mark.parametrize("count", ["1", "3"])
+def test_generate_exits_naming_a_bad_size(tmp_path, flag, message, count):
+    # --m 0 used to end in a LayoutError traceback, --cap 0 in a ValueError
+    # one.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--seed", "5", "--count", count, flag, "0", "--out", str(out)])
+    assert str(exc.value) == f"repairnet: error: {message}"
+    assert not out.exists()
+
+
 def test_solve_dp_command(two_machine_file, tmp_path, capsys):
     out = tmp_path / "solution.json"
     code = main(["solve-dp", "--instance", two_machine_file, "--out", str(out)])

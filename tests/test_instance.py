@@ -68,6 +68,30 @@ def test_generator_overrides():
     assert kinds == {CostKind.QUADRATIC}
 
 
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        (dict(m=26), r"^m: 26 is not a machine count in 1\.\.25$"),
+        (dict(m=0), r"^m: 0 is not a machine count in 1\.\.25$"),
+        (dict(m=True), r"^m: True is not a machine count"),
+        (dict(m=2.5), r"^m: 2\.5 is not a machine count"),
+        (dict(cap=0), r"^cap: 0 is not a degradation cap >= 1$"),
+        (dict(cap=True), r"^cap: True is not a degradation cap"),
+    ],
+    ids=["m-26", "m-0", "m-bool", "m-float", "cap-0", "cap-bool"],
+)
+def test_generator_refuses_sizes_the_lattice_cannot_hold(overrides, match):
+    # m = 26 used to loop forever: the coordinate draw retried for a free
+    # node of the 25-node lattice, and none was left.
+    with pytest.raises(ValueError, match=match):
+        generate_instance(3, **overrides)
+
+
+def test_generator_places_a_machine_on_every_lattice_node():
+    inst = generate_instance(3, m=25, cap=1)
+    assert inst.machine_count == 25
+
+
 def test_generator_invariant_fuzz():
     # Large-seed sweep: every generated instance satisfies the invariants,
     # and lambda_i >= mu_i occurs only when the instance is overloaded.
