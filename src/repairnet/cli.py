@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate, solve-dp, simulate, opi, benchmark, report,
-indices, verify.  All randomness is seeded; --budget-mode step-count
-makes opi and benchmark runs exactly reproducible.
+indices, verify.  All randomness is seeded.  A budget preset fixes its
+mode: the default desk budgets count steps, making opi and benchmark
+runs exactly reproducible, and --paper-scale's are wall-clock seconds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .dp import policy_iteration, reward_optimum
+from .dp import DEFAULT_TOL, policy_iteration, reward_optimum
 from .experiments import (
     ExperimentConfig,
     read_records_csv,
@@ -35,10 +36,10 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .mdp import check_count, check_positive, pristine_state, simulate, validate_state
+from .mdp import (
+    CapacityError, check_count, check_positive, pristine_state, simulate, validate_state,
+)
 from .opi import (
-    STEP_COUNT,
-    WALL_CLOCK,
     OpiBudget,
     desk_scale_budget,
     load_store,
@@ -61,16 +62,15 @@ def _exit_on_error(prefix: str = "", errors=ValueError):
 
 
 def _budget_from_args(args) -> OpiBudget:
-    """The budget the options give; exits naming the field that
-    ``OpiBudget`` rejects."""
+    """The preset (``desk_scale_budget``, step-count; ``OpiBudget`` with
+    --paper-scale, wall-clock) with the options' overrides, in the
+    preset's units; exits naming the field that ``OpiBudget`` rejects."""
     budget = OpiBudget() if args.paper_scale else desk_scale_budget()
     changes = {
         name: getattr(args, name)
         for name in ("r1", "r2", "r_off", "tau_max", "r_on", "delta")
         if getattr(args, name, None) is not None
     }
-    if args.budget_mode:
-        changes["mode"] = STEP_COUNT if args.budget_mode == "step-count" else WALL_CLOCK
     with _exit_on_error():
         return dataclasses.replace(budget, **changes)
 
@@ -100,7 +100,8 @@ def cmd_generate(args) -> int:
 def cmd_solve_dp(args) -> int:
     tol = _tol_option(args.tol)
     inst = _load("--instance", args.instance, load_instance)
-    solution = policy_iteration(inst, tol=tol)
+    with _exit_on_error(f"--instance {args.instance!r}: ", CapacityError):
+        solution = policy_iteration(inst, tol=tol)
     u_star = reward_optimum(inst, solution)
     print(f"g* = {solution.g_star:.9f}")
     print(f"u* = {u_star:.9f}")
@@ -117,14 +118,6 @@ def cmd_solve_dp(args) -> int:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     return 0
-
-
-def _policy_for(name: str, inst):
-    if name == "index":
-        return IndexPolicy(inst)
-    if name == "modified-index":
-        return ModifiedIndexPolicy(inst)
-    raise ValueError(f"unknown policy {name!r}")
 
 
 def _state_option(inst, option: str, text: str):
@@ -154,13 +147,23 @@ def _read_records(path: str):
         return read_records_csv(fh)
 
 
-def _polling_tour(inst, subset: str | None):
-    """The best tour over ``--subset`` (every machine when not given);
-    exits naming the option when a part does not parse or is not a machine."""
-    if not subset:
-        return best_tour(inst.layout, inst.layout.machines)
-    with _exit_on_error(f"--subset {subset!r}: "):
-        return best_tour(inst.layout, [int(part) for part in subset.split(",")])
+def _polling_policy(inst, subset: str | None) -> PollingPolicy:
+    """Polling on the best tour over ``--subset`` (every machine when not
+    given); prints the tour, and exits naming the option when a part does
+    not parse or is not a machine, or the subset is too large to search."""
+    with _exit_on_error(f"--subset {subset!r}: " if subset else "--subset (every machine): "):
+        machines = [int(part) for part in subset.split(",")] if subset else inst.layout.machines
+        tour = best_tour(inst.layout, machines)
+    print(f"tour: {tour.sequence} (cycle length {tour.cycle_length})")
+    return PollingPolicy(inst, tour)
+
+
+# simulate --policy: each name's rule, built from the instance and --subset.
+SIMULATE_POLICIES = {
+    "index": lambda inst, subset: IndexPolicy(inst),
+    "modified-index": lambda inst, subset: ModifiedIndexPolicy(inst),
+    "polling": _polling_policy,
+}
 
 
 def cmd_simulate(args) -> int:
@@ -169,12 +172,7 @@ def cmd_simulate(args) -> int:
     with _exit_on_error():
         check_count("steps", args.steps)
     crn = _generator(args.seed, STREAM_CRN).random(args.steps)
-    if args.policy == "polling":
-        tour = _polling_tour(inst, args.subset)
-        policy = PollingPolicy(inst, tour)
-        print(f"tour: {tour.sequence} (cycle length {tour.cycle_length})")
-    else:
-        policy = _policy_for(args.policy, inst)
+    policy = SIMULATE_POLICIES[args.policy](inst, args.subset)
     report = simulate(inst, policy, x0, args.steps, crn=crn)
     print(report.to_json())
     return 0
@@ -284,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-dp", help="exact policy iteration")
     p.add_argument("--instance", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", help="write the policy table as JSON")
     p.set_defaults(func=cmd_solve_dp)
 
     p = sub.add_parser("simulate", help="simulate one policy")
     p.add_argument("--instance", required=True)
-    p.add_argument("--policy", choices=["index", "modified-index", "polling"], default="index")
+    p.add_argument("--policy", choices=SIMULATE_POLICIES, default="index")
     p.add_argument("--subset", help="polling subset as comma-separated machine ids")
     p.add_argument("--steps", type=int, default=50_000)
     p.add_argument("--seed", type=int, default=0)
@@ -298,14 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     def add_budget_args(p):
-        p.add_argument("--budget-mode", choices=["step-count", "wall-clock"])
         p.add_argument("--paper-scale", action="store_true",
-                       help="use the full-scale wall-clock budgets")
+                       help="full-scale wall-clock budgets (default: desk-scale step counts)")
         p.add_argument("--r1", type=int)
         p.add_argument("--r2", type=int)
         p.add_argument("--r-off", dest="r_off", type=int)
-        p.add_argument("--tau-max", dest="tau_max", type=float)
-        p.add_argument("--delta", type=float)
+        p.add_argument("--tau-max", dest="tau_max", type=float,
+                       help="steps per start state, seconds with --paper-scale")
+        p.add_argument("--delta", type=float,
+                       help="rollouts per decision, seconds with --paper-scale")
 
     p = sub.add_parser("opi", help="offline estimation plus online improvement run")
     p.add_argument("--instance", required=True)
@@ -319,15 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_opi)
 
     p = sub.add_parser("benchmark", help="compare policies over an instance batch")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--count", type=int, default=ExperimentConfig.count)
     p.add_argument("--instances", nargs="*", help="instance files instead of generation")
     p.add_argument("--m", type=int)
     p.add_argument("--cap", type=int)
     p.add_argument("--cost-kind", choices=[k.value for k in CostKind])
-    p.add_argument("--steps", type=int, default=50_000)
+    p.add_argument("--steps", type=int, default=ExperimentConfig.steps)
     p.add_argument("--no-dp", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=ExperimentConfig.jobs)
     p.add_argument("--out", required=True)
     add_budget_args(p)
     p.set_defaults(func=cmd_benchmark)
@@ -343,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_indices)
 
     p = sub.add_parser("verify", help="run the golden fixtures")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_verify)
 
     return parser

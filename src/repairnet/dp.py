@@ -192,14 +192,13 @@ class DpModel:
         return self.degrade + sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def stage_vector(self, policy: StationaryPolicy, objective: str) -> np.ndarray:
-        """Each state's stage rate under ``policy``; ``evaluate_policy`` checks ``objective``."""
+        """Each state's stage rate under ``policy``: its cost rate for
+        ``"cost"``, else its repair reward rate; ``evaluate_policy`` checks
+        ``objective``."""
         if objective == "cost":
             return self.cost
         stay = np.asarray(policy.actions, dtype=np.int64) == self.loc
-        reward = np.where(stay, self.repair_reward, 0.0)
-        if objective == "reward":
-            return reward
-        return self.inst.failed_cost_total() - reward
+        return np.where(stay, self.repair_reward, 0.0)
 
     def improve(
         self, v: np.ndarray, previous: StationaryPolicy, margin: float = 0.0
@@ -243,6 +242,16 @@ def _check_inputs(inst, reference, tol, span_target) -> SystemState:
     return reference
 
 
+def _model_for(inst: InstanceParameters, model: DpModel | None) -> DpModel:
+    """``model``, or a new one for ``inst`` when None; raises ValueError,
+    naming ``model``, when it was built for another instance."""
+    if model is None:
+        return DpModel(inst)
+    if model.inst != inst:
+        raise ValueError("model: the model was built for another instance")
+    return model
+
+
 def evaluate_policy(
     inst: InstanceParameters,
     policy: StationaryPolicy,
@@ -272,14 +281,14 @@ def evaluate_policy(
 
     Raises ValueError, naming the field, before any solve: for a ``tol``
     or ``span_target`` that is not a positive finite number, an unknown
-    ``objective``, a ``reference`` outside the instance, or a policy
-    without one available action per state (``policy.actions[k]``).
+    ``objective``, a ``reference`` outside the instance, a ``model`` built
+    for another instance, or a policy without one available action per
+    state (``policy.actions[k]``).
     """
     reference = _check_inputs(inst, reference, tol, span_target)
-    if objective not in ("cost", "reward", "shifted_cost"):
-        raise ValueError(f"objective: {objective!r} is not 'cost', 'reward' or 'shifted_cost'")
-    if model is None:
-        model = DpModel(inst)
+    if objective not in ("cost", "reward"):
+        raise ValueError(f"objective: {objective!r} is not 'cost' or 'reward'")
+    model = _model_for(inst, model)
     model.check_policy(policy)
     ref = model.indexer.index(reference)
     matrix = model.transition_matrix(policy)
@@ -435,9 +444,10 @@ def reward_optimum(inst: InstanceParameters, solution: DpSolution) -> float:
 def optimality_residual(
     inst: InstanceParameters, solution: DpSolution, model: DpModel | None = None
 ) -> float:
-    """max_x |g* + v(x) - min_a Q(x, a)| over the whole state space."""
-    if model is None:
-        model = DpModel(inst)
+    """max_x |g* + v(x) - min_a Q(x, a)| over the whole state space.
+    Raises ValueError, naming ``model``, for a model built for another
+    instance."""
+    model = _model_for(inst, model)
     greedy = model.improve(solution.v, solution.policy)
     matrix = model.transition_matrix(greedy)
     q_min = model.cost + matrix.dot(solution.v)

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .dp import policy_iteration, reward_optimum
+from .dp import DEFAULT_TOL, policy_iteration, reward_optimum
 from .index_policy import IndexPolicy, ModifiedIndexPolicy
 from .instance import (
     STREAM_CRN,
@@ -53,7 +53,7 @@ class ExperimentConfig:
     steps: int = 50_000
     budget: OpiBudget = field(default_factory=desk_scale_budget)
     run_dp: bool = True
-    dp_tol: float = 1e-9
+    dp_tol: float = DEFAULT_TOL
     jobs: int = 1
 
     def __post_init__(self) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dp import StationaryPolicy, evaluate_policy, policy_iteration
+from .dp import DEFAULT_TOL, StationaryPolicy, evaluate_policy, policy_iteration
 from .index_policy import IndexPolicy
 from .instance import counterexample_instances, two_machine_instance
 from .mdp import SystemState
@@ -64,7 +64,7 @@ class FixtureOutcome:
     details: list[str]
 
 
-def verify_two_machine_policy(tol: float = 1e-9) -> FixtureOutcome:
+def verify_two_machine_policy(tol: float = DEFAULT_TOL) -> FixtureOutcome:
     """Policy iteration must reproduce all 18 optimal actions."""
     inst = two_machine_instance()
     solution = policy_iteration(inst, tol=tol)
@@ -77,7 +77,7 @@ def verify_two_machine_policy(tol: float = 1e-9) -> FixtureOutcome:
     return FixtureOutcome(name="two-machine-policy", passed=not mismatches, details=mismatches)
 
 
-def verify_counterexamples(tol: float = 1e-9) -> list[FixtureOutcome]:
+def verify_counterexamples(tol: float = DEFAULT_TOL) -> list[FixtureOutcome]:
     """Each case must reproduce the (index-policy, optimal) cost pair."""
     outcomes = []
     for inst, label, (expected_ind, expected_star) in zip(
@@ -98,5 +98,5 @@ def verify_counterexamples(tol: float = 1e-9) -> list[FixtureOutcome]:
     return outcomes
 
 
-def verify_all(tol: float = 1e-9) -> list[FixtureOutcome]:
+def verify_all(tol: float = DEFAULT_TOL) -> list[FixtureOutcome]:
     return [verify_two_machine_policy(tol=tol), *verify_counterexamples(tol=tol)]

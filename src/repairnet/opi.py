@@ -28,13 +28,13 @@ function of the state: the store is keyed by state index, and a
 finite-memory rule (one with ``decide``) is refused before any budget is
 spent.
 
-The value store belongs to one instance and keeps one dict of entries,
-keyed by the same state index; the phases read and grow that dict
-directly.  States appear only at its edges: a small state-level surface
-that validates every state it is given, and the JSON files, which are
-stamped with the instance they were exported for.  Every public entry
-point that takes a store refuses one built for another instance before
-it spends any budget.
+The value store belongs to one instance, fixed when the store is built,
+and keeps one dict of entries, keyed by the same state index; the phases
+read and grow that dict directly.  States appear only at its edges: a
+small state-level surface that validates every state and entry it is
+given, and the JSON files, which are stamped with the instance they were
+exported for.  Every public entry point that takes a store refuses one
+built for another instance before it spends any budget.
 
 Rollouts are short (about two steps each online), so their cost is the
 per-call setup, not the stepping.  One function, ``_rollouts``, runs them
@@ -76,13 +76,14 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import InstanceParameters, instance_to_dict
+from .instance import InstanceParameters, _is_integer, instance_to_dict
 from .mdp import (
     DecisionRule,
     Kernel,
@@ -165,16 +166,22 @@ class ValueStoreEntry:
     s: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValueStore:
     """Relative-value statistics for visited states of one instance.
 
-    ``entries`` maps a state's index (``StateIndexer``, the numbering of
-    ``kernel_of(inst).indexer``) to its entry; the OPI phases read and
-    grow it directly.  ``get``, ``in``, ``store[state] = entry`` and
-    ``items`` (index order, which is state order) are the state-level
-    surface; each raises ValueError, naming the entry's key and the field,
-    for a state outside the instance.
+    Frozen: the instance, reference and g_base are fixed when the store
+    is built, after the constructor has refused a reference outside the
+    instance and a g_base that is not a finite number, so no later
+    assignment gets past those checks or ``_check_store``.  ``entries``
+    stays a mutable dict: it maps a state's index (``StateIndexer``, the
+    numbering of ``kernel_of(inst).indexer``) to its entry, and the OPI
+    phases read and grow it directly, unchecked.
+    ``get``, ``in``, ``store[state] = entry`` and ``items`` (index order,
+    which is state order) are the state-level surface; each raises
+    ValueError, naming the entry's key and the field, for a state outside
+    the instance, and ``store[state] = entry`` also for an entry that
+    ``_check_entry`` refuses.
 
     The reference state starts with the pinned entry (0, 0, 1, 1), as if
     one exact zero observation had been recorded; later trajectories keep
@@ -194,12 +201,18 @@ class ValueStore:
     entries: dict[int, ValueStoreEntry] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._indexer = StateIndexer(self.inst)
+        if not _finite(self.g_base):
+            raise ValueError(f"g_base: {self.g_base!r} is not a finite number")
+        object.__setattr__(self, "_indexer", StateIndexer(self.inst))
         self[self.reference] = ValueStoreEntry(h=0.0, ss=0.0, w=1.0, s=1)
 
-    def _index(self, state: SystemState) -> int:
+    def _index(self, state: SystemState, entry: ValueStoreEntry | None = None) -> int:
+        """``state``'s index, after checking it (and ``entry``, when given);
+        the ValueError names the entry's key."""
         try:
             validate_state(self.inst, state)
+            if entry is not None:
+                _check_entry(entry)
         except ValueError as exc:
             raise ValueError(f"store entry {state_key(state)!r}: {exc}") from None
         return self._indexer.index(state)
@@ -211,12 +224,34 @@ class ValueStore:
         return self.entries.get(self._index(state))
 
     def __setitem__(self, state: SystemState, entry: ValueStoreEntry) -> None:
-        self.entries[self._index(state)] = entry
+        self.entries[self._index(state, entry)] = entry
 
     def items(self) -> Iterator[tuple[SystemState, ValueStoreEntry]]:
         state = self._indexer.state
         for x in sorted(self.entries):
             yield state(x), self.entries[x]
+
+
+def _finite(value) -> bool:
+    """A real number, not a bool, that is finite."""
+    # The exact type test spares floats the ABC check (see _is_integer).
+    return (
+        type(value) is float or (isinstance(value, numbers.Real) and type(value) is not bool)
+    ) and math.isfinite(value)
+
+
+def _check_entry(entry: ValueStoreEntry) -> None:
+    """Raise ValueError, naming the field, unless ``entry`` holds what a
+    store entry may: finite ``h`` and ``ss``, a squared-weight sum ``w``
+    in [0, 1] and an observation count ``s`` that is an integer >= 0."""
+    for name in ("h", "ss", "w"):
+        value = getattr(entry, name)
+        if not _finite(value):
+            raise ValueError(f"{name}: {value!r} is not a finite number")
+    if not 0.0 <= entry.w <= 1.0:
+        raise ValueError(f"w: {entry.w!r} is not in [0, 1]")
+    if not _is_integer(entry.s) or entry.s < 0:
+        raise ValueError(f"s: {entry.s!r} is not an integer >= 0")
 
 
 def _check_store(inst: InstanceParameters, store: ValueStore) -> None:
@@ -251,11 +286,6 @@ def save_store(store: ValueStore, path) -> None:
         fh.write("\n")
 
 
-def _finite(value) -> bool:
-    """A JSON number (not a boolean) that is finite."""
-    return type(value) in (int, float) and math.isfinite(value)
-
-
 def load_store(path, inst: InstanceParameters) -> ValueStore:
     """Read a store written by ``save_store`` for ``inst``.
 
@@ -264,8 +294,7 @@ def load_store(path, inst: InstanceParameters) -> ValueStore:
     ``root.entries['<key>']``) when the file is not such a store: the
     fingerprint is missing or another instance's, g_base is not a finite
     number, a state key does not parse or lies outside ``inst``, or an
-    entry is not four finite numbers [h, ss, w, s] with s a non-negative
-    integer.
+    entry is not a list [h, ss, w, s] that ``_check_entry`` accepts.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -291,20 +320,9 @@ def load_store(path, inst: InstanceParameters) -> ValueStore:
         raise ValueError(f"root.reference: {exc}") from None
     for key, vals in entries.items():
         try:
-            if not (
-                isinstance(vals, list)
-                and len(vals) == 4
-                and all(map(_finite, vals))
-                and type(vals[3]) is int
-                and vals[3] >= 0
-            ):
-                raise ValueError(
-                    f"{vals!r} is not four finite numbers [h, ss, w, s] "
-                    "with s a non-negative integer"
-                )
-            store[parse_state_key(key)] = ValueStoreEntry(
-                h=vals[0], ss=vals[1], w=vals[2], s=vals[3]
-            )
+            if not (isinstance(vals, list) and len(vals) == 4):
+                raise ValueError(f"{vals!r} is not a list [h, ss, w, s]")
+            store[parse_state_key(key)] = ValueStoreEntry(*vals)
         except ValueError as exc:
             raise ValueError(f"root.entries[{key!r}]: {exc}") from None
     return store

@@ -12,6 +12,7 @@ from repairnet.dp import DpModel, StationaryPolicy
 from repairnet.instance import CostKind, CostModel, InstanceParameters
 from repairnet.mdp import SystemState
 from repairnet.network import build_complete_layout, build_star_layout
+from repairnet.opi import ValueStoreEntry
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -200,6 +201,12 @@ def oracle_neighborhood(inst: InstanceParameters, state: SystemState) -> list[Sy
     if inst.layout.is_machine(i) and state.conditions[i - 1] >= 1:
         members.append(with_level_change(state, i, -1))
     return members
+
+
+def tight(h: float, width: float) -> ValueStoreEntry:
+    """Store entry whose confidence interval is exactly [h - width, h + width]
+    (w = 0.5, s = 10); width 0 gives the exact value h."""
+    return ValueStoreEntry(h=h, ss=h * h + (width / 1.96) ** 2, w=0.5, s=10)
 
 
 def floyd_warshall(adjacency) -> list[list[float]]:

@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from repairnet.cli import main
+from repairnet.cli import _budget_from_args, build_parser, main
 from repairnet.experiments import BUCKET_SPECS
-from repairnet.instance import two_machine_instance, load_instance, save_instance
+from repairnet.instance import generate_instance, two_machine_instance, load_instance, save_instance
+from repairnet.mdp import STATE_BOUND
+from repairnet.opi import STEP_COUNT, WALL_CLOCK, OpiBudget, desk_scale_budget
 
 
 @pytest.fixture
@@ -83,7 +86,6 @@ def test_opi_command_with_store_export(two_machine_file, tmp_path, capsys):
     code = main(
         [
             "opi", "--instance", two_machine_file, "--seed", "2",
-            "--budget-mode", "step-count",
             "--r1", "200", "--r2", "2000", "--r-off", "40",
             "--tau-max", "1e9", "--r-on", "1500", "--delta", "1",
             "--export-store", str(store_path),
@@ -126,7 +128,7 @@ BUDGET_FLAG_CASES = [
     ],
 )
 def test_budget_flags_are_checked(two_machine_file, tmp_path, command, flag, value, field):
-    args = [command, "--budget-mode", "step-count", flag, value]
+    args = [command, flag, value]
     if command == "opi":
         args += ["--instance", two_machine_file]
     else:
@@ -148,6 +150,68 @@ def test_benchmark_refuses_r_on(two_machine_file, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --r-on 5" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["opi", "benchmark"])
+def test_budget_mode_is_not_an_option(two_machine_file, tmp_path, capsys, command):
+    # Each preset carries its mode, so a mode flag could only restate it or
+    # contradict it: step-count with --paper-scale ran int(0.01) = 0
+    # rollouts a decision.
+    out = tmp_path / "bench"
+    args = [command, "--budget-mode", "step-count"]
+    if command == "opi":
+        args += ["--instance", two_machine_file]
+    else:
+        args += ["--instances", two_machine_file, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget-mode step-count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["opi", "benchmark"])
+def test_budget_presets_carry_their_mode(command):
+    required = ["--instance", "inst.json"] if command == "opi" else ["--out", "out"]
+
+    def budget(*flags):
+        return _budget_from_args(build_parser().parse_args([command, *required, *flags]))
+
+    assert budget() == desk_scale_budget() and budget().mode == STEP_COUNT
+    assert budget("--paper-scale") == OpiBudget() and OpiBudget().mode == WALL_CLOCK
+    # Overrides keep the preset's mode, so they are read in its units.
+    flags = ["--r1", "7", "--r2", "8", "--r-off", "9", "--tau-max", "2.5", "--delta", "0.5"]
+    fields = dict(r1=7, r2=8, r_off=9, tau_max=2.5, delta=0.5)
+    if command == "opi":
+        flags += ["--r-on", "6"]
+        fields["r_on"] = 6
+    assert budget(*flags) == replace(desk_scale_budget(), **fields)
+    assert budget("--paper-scale", *flags) == replace(OpiBudget(), **fields)
+
+
+def test_simulate_polling_exits_naming_the_subset_when_too_large(tmp_path):
+    # Without --subset the tour covers all nine machines, which the
+    # brute-force search refuses; that used to end in a traceback.
+    path = tmp_path / "inst.json"
+    save_instance(generate_instance(1, m=9), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--instance", str(path), "--policy", "polling", "--steps", "10"])
+    assert str(exc.value) == (
+        "repairnet: error: --subset (every machine): "
+        "brute-force tour search limited to 8 machines, got 9"
+    )
+
+
+def test_solve_dp_exits_naming_an_instance_above_the_state_bound(tmp_path):
+    # Used to end in a CapacityError traceback.
+    path = tmp_path / "inst.json"
+    save_instance(generate_instance(3, m=12, cap=5), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-dp", "--instance", str(path)])
+    assert str(exc.value) == (
+        f"repairnet: error: --instance {str(path)!r}: state space has 54419558400 states, "
+        f"above the bound of {STATE_BOUND}"
+    )
 
 @pytest.mark.parametrize(
     "command, option, content, reason",
@@ -222,7 +286,7 @@ def test_benchmark_and_report_commands(tmp_path, capsys):
     out = tmp_path / "bench"
     args = [
         "benchmark", "--seed", "900", "--count", "1", "--m", "2", "--cap", "1",
-        "--steps", "4000", "--budget-mode", "step-count",
+        "--steps", "4000",
         "--r1", "200", "--r2", "2000", "--r-off", "40", "--tau-max", "1e9", "--delta", "1",
         "--out", str(out),
     ]
@@ -242,7 +306,6 @@ def test_benchmark_and_report_commands(tmp_path, capsys):
 def test_benchmark_failed_instance_exit_code(tmp_path, capsys):
     args = [
         "benchmark", "--instances", "missing.json",
-        "--budget-mode", "step-count",
         "--r1", "100", "--r2", "1000", "--r-off", "20", "--tau-max", "1e9", "--delta", "1",
         "--out", str(tmp_path / "bench"),
     ]

@@ -182,20 +182,28 @@ def test_evaluate_policy_refuses_an_unknown_objective_before_any_solve(two_machi
     policy = StationaryPolicy.from_rule(two_machines, IndexPolicy(two_machines))
     # A model build would fail on this stand-in; the objective is refused first.
     monkeypatch.setattr(dp, "DpModel", None)
-    message = r"^objective: 'costs' is not 'cost', 'reward' or 'shifted_cost'$"
+    message = r"^objective: 'costs' is not 'cost' or 'reward'$"
     with pytest.raises(ValueError, match=message):
         evaluate_policy(two_machines, policy, objective="costs")
+    with pytest.raises(ValueError, match=r"^objective: 'shifted_cost' is not "):
+        evaluate_policy(two_machines, policy, objective="shifted_cost")
 
 
-def test_shifted_cost_objective_identity(two_machines):
-    policy = StationaryPolicy.from_rule(two_machines, ModifiedIndexPolicy(two_machines))
-    kwargs = dict(tol=1e-10, span_target=1e-9)
-    g_shifted = evaluate_policy(two_machines, policy, objective="shifted_cost", **kwargs).g
-    u = evaluate_policy(two_machines, policy, objective="reward", **kwargs).g
-    assert g_shifted + u == pytest.approx(two_machines.failed_cost_total(), abs=5e-9)
-    g_plain = evaluate_policy(two_machines, policy, **kwargs).g
-    # The shifted cost is policy-equivalent to the plain cost.
-    assert g_shifted == pytest.approx(g_plain, abs=5e-9)
+def test_a_model_built_for_another_instance_is_refused():
+    # Seeds 20014 and 20028 share their state count, so without the check
+    # evaluate_policy returned 20028's g (0.41258) as 20014's.
+    inst, other = generate_instance(20014), generate_instance(20028)
+    foreign = DpModel(other)
+    assert foreign.n == DpModel(inst).n
+    policy = StationaryPolicy.from_rule(inst, ModifiedIndexPolicy(inst))
+    message = r"^model: the model was built for another instance$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_policy(inst, policy, model=foreign)
+    solution = policy_iteration(inst)
+    with pytest.raises(ValueError, match=message):
+        optimality_residual(inst, solution, foreign)
+    # An equal instance's model is accepted.
+    assert optimality_residual(inst, solution, DpModel(generate_instance(20014))) < 1e-6
 
 
 def test_policy_iteration_matches_brute_force():

@@ -223,8 +223,8 @@ def test_stores_built_for_another_instance_are_refused():
 def test_cli_rejects_an_imported_store_outside_the_instance(tmp_path, capsys):
     inst_path, store_path = tmp_path / "inst.json", tmp_path / "store.json"
     save_instance(generate_instance(5, m=2, cap=2), inst_path)
-    budget = ["--budget-mode", "step-count", "--r1", "100", "--r2", "1000", "--r-off", "10",
-              "--tau-max", "1e9", "--r-on", "200", "--delta", "1"]
+    budget = ["--r1", "100", "--r2", "1000", "--r-off", "10", "--tau-max", "1e9", "--r-on", "200",
+              "--delta", "1"]
     opi = ["opi", "--instance", str(inst_path)] + budget
     assert main(opi + ["--export-store", str(store_path)]) == 0
     assert main(opi + ["--import-store", str(store_path)]) == 0
@@ -244,8 +244,8 @@ def test_cli_refuses_a_store_exported_for_another_instance(tmp_path, capsys):
     for seed, path in paths.items():
         save_instance(generate_instance(seed, m=2, cap=2), path)
     store_path = tmp_path / "store.json"
-    budget = ["--budget-mode", "step-count", "--r1", "100", "--r2", "1000", "--r-off", "10",
-              "--tau-max", "1e9", "--r-on", "200", "--delta", "1"]
+    budget = ["--r1", "100", "--r2", "1000", "--r-off", "10", "--tau-max", "1e9", "--r-on", "200",
+              "--delta", "1"]
     assert main(["opi", "--instance", str(paths[5]), "--export-store", str(store_path)]
                 + budget) == 0
     capsys.readouterr()

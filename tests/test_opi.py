@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -210,28 +210,62 @@ def test_chained_records_bootstrap_through_the_updated_reference():
         assert store.get(state).h == pytest.approx(expected, rel=1e-12)
 
 
-def test_rollouts_read_a_reassigned_reference():
-    # The phases read store.reference when they are called, not when the
-    # store is built: a store whose reference moved after construction
-    # rolls out and runs online like one built with that reference.
-    inst = fast_switch_instance()
-    base = ModifiedIndexPolicy(inst)
-    old, new = pristine_state(inst), SystemState(1, (1, 1))
-    moved = make_store(inst, old)
-    moved[new] = ValueStoreEntry(h=0.0, ss=0.0, w=1.0, s=1)
-    moved.reference = new
-    built = make_store(inst, new)
-    built[old] = ValueStoreEntry(h=0.0, ss=0.0, w=1.0, s=1)
-    budget = OpiBudget(r1=10, r2=10, r_off=5, tau_max=1e9, r_on=300, delta=2, mode=STEP_COUNT)
-    runs = [
-        (
-            sample_trajectory(inst, base, store, new, p=1, rng=rng(4)),
-            online_run(inst, base, store, budget, rng(5)).to_json(),
-        )
-        for store in (moved, built)
-    ]
-    assert runs[0] == runs[1]
-    assert moved.entries == built.entries
+@pytest.mark.parametrize(
+    "name, value",
+    [("inst", generate_instance(20028)), ("reference", SystemState(2, (0, 0))), ("g_base", 0.5)],
+)
+def test_store_identity_is_fixed_at_construction(name, value):
+    # A store's instance, reference and g_base are checked when it is
+    # built.  Reassigning inst used to get another instance's store past
+    # online_run's check: it ran on 20028 with 20014's values.
+    inst = generate_instance(20014)
+    store = ValueStore(inst, pristine_state(inst), 0.25)
+    with pytest.raises(FrozenInstanceError):
+        setattr(store, name, value)
+    assert (store.inst, store.reference, store.g_base) == (inst, pristine_state(inst), 0.25)
+    # The phases still grow the entries.
+    budget = OpiBudget(r1=10, r2=10, r_off=5, tau_max=1e9, r_on=50, delta=2, mode=STEP_COUNT)
+    online_run(inst, ModifiedIndexPolicy(inst), store, budget, rng(5))
+    assert len(store.entries) > 1
+
+
+@pytest.mark.parametrize(
+    "g_base", [math.nan, math.inf, -math.inf, True, "0.5", None],
+    ids=["nan", "inf", "-inf", "bool", "str", "None"],
+)
+def test_store_refuses_a_g_base_that_is_not_a_finite_number(g_base):
+    # With g_base = nan on 20014, online_run returned a plausible g = 0.2226
+    # while every decision fell back as unbounded.
+    inst = generate_instance(20014)
+    with pytest.raises(ValueError, match=rf"^g_base: {re.escape(repr(g_base))} is not a finite"):
+        ValueStore(inst, pristine_state(inst), g_base)
+
+
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        (ValueStoreEntry(h=math.nan, ss=1.0, w=0.5, s=3), "h: nan is not a finite number"),
+        (ValueStoreEntry(h=0.5, ss=math.inf, w=0.5, s=3), "ss: inf is not a finite number"),
+        (ValueStoreEntry(h=0.5, ss=1.0, w=True, s=3), "w: True is not a finite number"),
+        (ValueStoreEntry(h=0.5, ss=1.0, w=-0.5, s=3), "w: -0.5 is not in [0, 1]"),
+        (ValueStoreEntry(h=0.5, ss=1.0, w=1.5, s=3), "w: 1.5 is not in [0, 1]"),
+        (ValueStoreEntry(h=0.5, ss=1.0, w=0.5, s=-1), "s: -1 is not an integer >= 0"),
+        (ValueStoreEntry(h=0.5, ss=1.0, w=0.5, s=2.0), "s: 2.0 is not an integer >= 0"),
+        (ValueStoreEntry(h=0.5, ss=1.0, w=0.5, s=False), "s: False is not an integer >= 0"),
+    ],
+    ids=["h-nan", "ss-inf", "w-bool", "w-negative", "w-above-one", "s-negative", "s-float",
+         "s-bool"],
+)
+def test_store_refuses_an_entry_that_cannot_be_right(entry, field):
+    inst = generate_instance(20014)
+    store = ValueStore(inst, pristine_state(inst), 0.25)
+    with pytest.raises(ValueError) as exc:
+        store[SystemState(2, (1, 0))] = entry
+    assert str(exc.value) == f"store entry '2:1,0': {field}"
+    assert len(store.entries) == 1
+    # Fresh entries and the bounds themselves are accepted.
+    for ok in (ValueStoreEntry(), ValueStoreEntry(h=-2, ss=4, w=1, s=1)):
+        store[SystemState(2, (1, 0))] = ok
 
 
 def never_leaves(state):
@@ -598,6 +632,9 @@ DELETE = object()
         (("entries", "2:1,0", 2), None, "root.entries['2:1,0']: "),
         (("entries", "2:1,0", 3), -1, "root.entries['2:1,0']: "),
         (("entries", "2:1,0", 3), 2.5, "root.entries['2:1,0']: "),
+        # Used to load, then kill `opi --import-store` in confidence_interval
+        # with a bare "math domain error".
+        (("entries", "2:1,0", 2), -0.5, "root.entries['2:1,0']: store entry '2:1,0': w: "),
     ],
 )
 def test_load_store_names_the_malformed_field(tmp_path, path, value, field):

@@ -23,10 +23,12 @@ from conftest import (
     rng,
     step_cost,
     step_reward,
+    tight,
     uniform_step,
     with_level_change,
     with_location,
 )
+from repairnet.dp import DpModel, StationaryPolicy, evaluate_policy
 from repairnet.index_policy import ModifiedIndexPolicy
 from repairnet.instance import CostKind, CostModel, InstanceParameters, generate_instance
 from repairnet.mdp import (
@@ -41,7 +43,6 @@ from repairnet.opi import (
     STEP_COUNT,
     OpiBudget,
     ValueStore,
-    ValueStoreEntry,
     confidence_interval,
     improving_action,
     neighborhood,
@@ -106,11 +107,6 @@ def test_rows_share_interned_tuples():
     a = kernel.action_row(index(SystemState(1, (1, 0, 0))), 1)
     b = kernel.action_row(index(SystemState(1, (1, 1, 1))), 1)
     assert len(a) == 4 and a[3] is b[3]
-
-
-def tight(h, width):
-    # Entry whose interval is [h - width, h + width] (w = 0.5, s = 10).
-    return ValueStoreEntry(h=h, ss=h * h + (width / 1.96) ** 2, w=0.5, s=10)
 
 
 def vertex_oracle(inst, state, store, base_action):
@@ -204,6 +200,46 @@ def test_closed_form_gate_matches_vertex_oracle():
         assert got == vertex_oracle(inst, state, store, base)
         assert got[1] is False
     assert len(edges) == 3
+
+
+def gate_on_exact_values(seed):
+    """The gate's action at every state of ``seed``'s instance, from a store
+    holding the base's exact relative values (ModifiedIndexPolicy) as
+    zero-width entries, with the base action wherever it falls back;
+    ``DpModel.improve``'s action; and each state's move Q values in rate
+    units, rate * (v[target] - v[x])."""
+    inst = generate_instance(seed)
+    model = DpModel(inst)
+    base = StationaryPolicy.from_rule(inst, ModifiedIndexPolicy(inst))
+    v = evaluate_policy(inst, base, tol=1e-12, model=model).v
+    store = ValueStore(inst, pristine_state(inst), 0.0)
+    states = list(model.indexer.states())
+    for x, state in enumerate(states):
+        store[state] = tight(float(v[x]), 0.0)
+    gated = [improving_action(inst, state, store, base.actions[x])[0]
+             for x, state in enumerate(states)]
+    kernel = Kernel(inst)
+    q = [{a: c * (v[t] - v[x]) for a, c, t in kernel.moves(x)} for x in range(model.n)]
+    return gated, model.improve(v, base).actions, q
+
+
+@pytest.mark.parametrize("seed, states", [(20014, 100), (20018, 400), (20028, 100)])
+def test_gate_on_exact_values_takes_the_exact_rollout_action(seed, states):
+    # The gate and DpModel.improve are two encodings of one improvement
+    # step: fed exact values at zero width, they choose alike.
+    gated, improved, q = gate_on_exact_values(seed)
+    assert len(q) == states
+    assert gated == list(improved)
+
+
+def test_gate_on_exact_values_departs_from_the_rollout_only_at_near_ties():
+    # The two sum the Q terms in different orders, so on 20001 they part at
+    # 8 of 2,025 states, each a tie to within 8e-14 in rate units.
+    gated, improved, q = gate_on_exact_values(20001)
+    differ = [x for x, (a, b) in enumerate(zip(gated, improved)) if a != b]
+    assert 0 < len(differ) <= 8
+    for x in differ:
+        assert abs(q[x][gated[x]] - q[x][improved[x]]) <= 1e-12
 
 
 def run_digest(inst, budget, seed, use_crn):
