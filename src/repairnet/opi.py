@@ -37,17 +37,18 @@ exported for.  Every public entry point that takes a store refuses one
 built for another instance before it spends any budget.
 
 Rollouts are short (about two steps each online), so their cost is the
-per-call setup, not the stepping.  One function, ``_rollouts``, runs them
-back to back in one frame from an iterable of start states until a
-trajectory count or a budget is used up: one call per offline start
-state (the chained core phase appends each stop as the next start), one
-per online decision (the neighborhoods of successive hypothetical
-successors are the starts, each successor drawn when the previous
-neighborhood is used up), and one for the public ``sample_trajectory``.
-Every rollout keeps a list of records, its start first, and one loop
-updates their entries; only the chained phase records more than the
-start, so its set-up sits behind a check per trajectory and the step
-loop tests one counter that is 0 otherwise.
+bookkeeping around them, not the stepping.  Each phase call builds one
+rollout function (``_rollout``) over its rows, store and code stream;
+``rollout(z, p)`` runs one rollout, updates its records' entries and
+returns its stop and its steps, and the phase spends its own budget on
+calls to it: ``offline_main`` in one loop over its start states (the
+chained core phase starts each rollout at the last one's stop),
+``online_run`` over the neighborhoods of successive hypothetical
+successors, each successor drawn when the previous neighborhood is used
+up, and the public ``sample_trajectory`` in one call.  The step loop and
+the entry update are each written once.  Only a chain records more than
+its start, so only a chain builds a list of records, and the step loop
+tests one counter that is 0 otherwise.
 
 Each phase reads its generator as one stream of codes, one per
 simulated step: uniforms are drawn and classified (``Kernel.codes``)
@@ -78,7 +79,7 @@ import json
 import math
 import numbers
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,7 +120,9 @@ class OpiBudget:
 
     In wall-clock mode ``tau_max`` and ``delta`` are seconds; in
     step-count mode ``tau_max`` counts simulated steps per start state
-    and ``delta`` counts nested trajectories per decision.
+    and ``delta`` counts nested trajectories per decision, so there it
+    must be a whole number of at least 1 (an integral float such as 4.0
+    is accepted).
     """
 
     r1: int = 10_000
@@ -139,6 +142,12 @@ class OpiBudget:
         check_positive("delta", self.delta)
         if self.mode not in (WALL_CLOCK, STEP_COUNT):
             raise ValueError(f"mode: unknown budget mode {self.mode!r}")
+        # Below 1 no nested rollout would run, and a fraction would be cut off.
+        if self.mode == STEP_COUNT and (self.delta < 1 or self.delta != int(self.delta)):
+            raise ValueError(
+                f"delta: {self.delta!r} is not a whole number of rollouts >= 1 "
+                "(step-count mode)"
+            )
 
 
 def desk_scale_budget() -> OpiBudget:
@@ -354,51 +363,34 @@ def _check_base(base: DecisionRule) -> None:
 TRAJECTORY_CAP = 50_000_000
 
 
-def _rollouts(
-    rows: RuleRows,
-    store: ValueStore,
-    reference: int,
-    starts: Iterable[int],
-    p: int,
-    uniforms: Iterator[int],
-    mode: str,
-    count: float,
-    budget: float,
-) -> tuple[int, float]:
-    """Variable-length rollouts under the base policy, back to back in one
-    frame, one per index in ``starts``, each step driven by one code from
-    ``uniforms`` (see ``_uniforms``): a step adds the row's offset for it.
+def _rollout(
+    rows: RuleRows, store: ValueStore, uniforms: Iterator[int]
+) -> Callable[..., tuple[int, int]]:
+    """The function ``rollout(z, p=1)`` that runs one rollout under the
+    base policy from the index ``z`` and returns its stop and its steps.
+    Each step is driven by one code from ``uniforms`` (see ``_uniforms``):
+    it adds the row's offset for that code.
 
-    A rollout from ``z`` runs until hitting a stored state other than ``z``
-    itself (returning to ``reference``, the index of the store's reference
-    state, always stops).  It records the first ``p`` distinct states it
-    visits, ``z`` first, and each record receives a bootstrapped
-    excess-cost observation: the cost from the record on, plus the stop's
-    value, minus g_base per step.  With ``p > 1`` rollouts chain: each
-    stop is appended to ``starts`` (a list), so the next rollout starts
-    where this one stopped.  Rollouts end when ``starts`` runs out, or
-    once ``count`` have run or ``budget`` is used up (simulated steps in
-    step-count mode, seconds in wall-clock mode), both checked after each
-    one, so at least one runs.  Returns the last stop and the budget used.
+    A rollout runs until hitting a stored state other than ``z`` itself
+    (returning to the store's reference state always stops).  It records
+    the first ``p`` distinct states it visits, ``z`` first, and each record
+    receives a bootstrapped excess-cost observation: the cost from the
+    record on, plus the stop's value, minus g_base per step.  Only a chain
+    (``p > 1``) records more than its start, so only a chain builds a list
+    of records; a ``p = 1`` rollout steps and updates one entry.
     """
-    clock = time.perf_counter if mode == WALL_CLOCK else None
-    started = clock() if clock else 0.0
     values = store.entries
     g_base = store.g_base
+    reference = rows.kernel.indexer.index(store.reference)
     cap = TRAJECTORY_CAP
-    chain = p > 1
-    room = 0  # distinct states still to record; never above 0 unless chain
-    done = total_steps = 0
-    used = 0.0
 
-    for z in starts:
+    def rollout(z: int, p: int = 1) -> tuple[int, int]:
         total_cost = 0.0
         steps = 0
         current = z
-        records = [(z, 0.0, 0)]
-        if chain:
-            room = p - 1
-            seen = {z}
+        records, room = (), 0  # a chain's records after its start, room for more
+        if p > 1:
+            records, room, seen = [], p - 1, {z}
         while True:
             _, cost, _, offsets = rows[current]
             total_cost += cost
@@ -413,14 +405,17 @@ def _rollouts(
                 room -= 1
             if steps >= cap:
                 raise RuntimeError(
-                    f"trajectory from {rows.kernel.state(z)} exceeded {cap} "
-                    "steps without reaching a stored state; is the base policy unichain?"
+                    f"trajectory from {rows.kernel.state(z)} exceeded {cap} steps without "
+                    "reaching a stored state; is the base policy unichain, and is the "
+                    f"reference {store.reference} recurrent under it?"
                 )
 
-        # values[stop] is read per record: when the start is also the stop
-        # (the reference), later records bootstrap through its freshly
-        # updated value.
-        for x, cost_at, steps_at in records:
+        # The start first, then the chain's records.  values[stop] is read
+        # per record: when the start is also the stop (the reference),
+        # later records bootstrap through its freshly updated value.
+        x, cost_at, steps_at = z, 0.0, 0
+        k = p - 1 - room  # records still to update after this one
+        while True:
             entry = values.get(x)
             if entry is None:
                 entry = values[x] = ValueStoreEntry()
@@ -430,16 +425,12 @@ def _rollouts(
             entry.h = (1.0 - alpha) * entry.h + alpha * observation
             entry.ss = (1.0 - alpha) * entry.ss + alpha * observation * observation
             entry.w = (1.0 - alpha) ** 2 * entry.w + alpha * alpha
-        if chain:
-            starts.append(stop)
+            if not k:
+                return stop, steps
+            x, cost_at, steps_at = records[-k]
+            k -= 1
 
-        done += 1
-        total_steps += steps
-        used = total_steps if clock is None else clock() - started
-        if done >= count or used >= budget:
-            break
-
-    return stop, used
+    return rollout
 
 
 def sample_trajectory(
@@ -451,20 +442,20 @@ def sample_trajectory(
     rng: np.random.Generator,
     mode: str = STEP_COUNT,
 ) -> tuple[SystemState, float]:
-    """One rollout from ``z`` (see _rollouts): its stop state and the
+    """One rollout from ``z`` (see _rollout): its stop state and the
     budget it used, in steps or seconds.  Raises ValueError for a
-    finite-memory ``base``."""
+    finite-memory ``base`` or a ``p`` that is not a count >= 1."""
     _check_base(base)
     _check_store(inst, store)
     validate_state(inst, z)
+    check_count("p", p)
     if store.reference not in store:
         raise ValueError("store is missing its reference entry")
     kernel = kernel_of(inst)
-    index = kernel.indexer.index
-    stop, used = _rollouts(
-        RuleRows(kernel, base), store, index(store.reference), [index(z)], p,
-        _uniforms(kernel, rng), mode, 1, math.inf,
-    )
+    rollout = _rollout(RuleRows(kernel, base), store, _uniforms(kernel, rng))
+    started = time.perf_counter()
+    stop, steps = rollout(kernel.indexer.index(z), p)
+    used = time.perf_counter() - started if mode == WALL_CLOCK else steps
     return kernel.state(stop), float(used)
 
 
@@ -503,9 +494,9 @@ def offline_preparatory(
         state = index(pristine_state(inst, location=i))
         at_i = range((i - 1) * block, i * block)
         counts: dict[int, int] = {}
-        for _ in range(budget.r1):
+        for code in itertools.islice(uniforms, budget.r1):
             _, _, _, offsets = rows[state]
-            state += offsets[next(uniforms)]
+            state += offsets[code]
             if state in at_i:
                 counts[state] = counts.get(state, 0) + 1
         if counts:
@@ -518,14 +509,14 @@ def offline_preparatory(
 
     state = index(pristine_state(inst, location=1))
     total_cost = 0.0
-    visits = [0] * m
-    for _ in range(budget.r2):
+    # Visits at every node, so the loop tests no location; j_star reads
+    # only the machines' counts.
+    visits = [0] * inst.layout.node_count
+    for code in itertools.islice(uniforms, budget.r2):
         _, cost, _, offsets = rows[state]
         total_cost += cost
-        state += offsets[next(uniforms)]
-        location = state // block
-        if location < m:
-            visits[location] += 1
+        state += offsets[code]
+        visits[state // block] += 1
     g_base = total_cost / budget.r2
     j_star = max(range(1, m + 1), key=lambda i: (visits[i - 1], -i))
     reference = z_core[j_star - 1]
@@ -546,11 +537,13 @@ def offline_main(
 ) -> ValueStore:
     """Populate the value store from repeated and chained trajectories.
 
-    Each start state gets up to ``r_off`` rollouts within ``tau_max``: every
-    state of ``z_all`` repeated, recording the start only, then a chain
-    from every core state recording five states a rollout.  Raises
-    ValueError naming the field, before any rollout, for a start state
-    outside ``inst`` or a finite-memory ``base``.
+    Each start state gets up to ``r_off`` rollouts within ``tau_max``
+    (simulated steps, or seconds in wall-clock mode), at least one, the
+    budget checked after each: every state of ``z_all`` repeated,
+    recording the start only, then a chain from every core state, each
+    rollout starting at the last one's stop and recording five states.
+    Raises ValueError naming the field, before any rollout, for a start
+    state outside ``inst`` or a finite-memory ``base``.
     """
     _check_base(base)
     for name, states in (("z_all", prep.z_all), ("z_core", prep.z_core)):
@@ -562,13 +555,21 @@ def offline_main(
     store = ValueStore(inst, prep.reference, prep.g_base)
     kernel = kernel_of(inst)
     index = kernel.indexer.index
-    rows, reference = RuleRows(kernel, base), index(store.reference)
-    uniforms = _uniforms(kernel, rng)
-    limits = (budget.mode, budget.r_off, budget.tau_max)
-    for z in prep.z_all:
-        _rollouts(rows, store, reference, itertools.repeat(index(z)), 1, uniforms, *limits)
-    for z in prep.z_core:
-        _rollouts(rows, store, reference, [index(z)], 5, uniforms, *limits)
+    rollout = _rollout(RuleRows(kernel, base), store, _uniforms(kernel, rng))
+    clock = time.perf_counter if budget.mode == WALL_CLOCK else None
+    starts = [(index(z), 1) for z in prep.z_all] + [(index(z), 5) for z in prep.z_core]
+    r_off, tau_max = budget.r_off, budget.tau_max
+    for z, p in starts:
+        started = clock() if clock else 0.0
+        total_steps = 0
+        for _ in range(r_off):
+            stop, steps = rollout(z, p)
+            if p > 1:
+                z = stop
+            total_steps += steps
+            used = clock() - started if clock else total_steps
+            if used >= tau_max:
+                break
     return store
 
 
@@ -689,12 +690,12 @@ def online_run(
     comparable across policies, else from the rollouts' uniform stream).
     Every draw is a code (``Kernel.codes``), one lookup into the chosen
     action's row.
-    The budget is ``int(delta)`` rollouts in step-count mode and ``delta``
-    seconds in wall-clock mode, spent in one ``_rollouts`` call: one
-    rollout from each state of a hypothetical successor's neighborhood,
-    then the next successor's, each successor drawn under the chosen
-    action only once the previous neighborhood is used up, stopping
-    mid-neighborhood when the budget runs out.
+    The budget is ``delta`` rollouts in step-count mode and ``delta``
+    seconds in wall-clock mode, at least one rollout, the budget checked
+    after each: one rollout from each state of a hypothetical successor's
+    neighborhood, then the next successor's, each successor drawn under
+    the chosen action only once the previous neighborhood is used up,
+    stopping mid-neighborhood when the budget runs out.
 
     ``safe_by_quarter`` holds the fallback share of each quarter of the
     run, None for a quarter with no steps (r_on < 4).  ``fallback_causes``
@@ -711,25 +712,20 @@ def online_run(
     start = store.reference if x0 is None else x0
     validate_state(inst, start)
     kernel = kernel_of(inst)
-    index = kernel.indexer.index
     rows = RuleRows(kernel, base)
-    reference = index(store.reference)
     uniforms = _uniforms(kernel, rng)
+    rollout = _rollout(rows, store, uniforms)
     values = store.entries
     action_row = kernel.action_row
     moves = kernel.moves
     neighborhood = kernel.neighborhood
-    mode = budget.mode
-    # Nested rollouts per decision: int(delta) of them in step-count mode
-    # (none when delta < 1), delta seconds of them in wall-clock mode.
-    # With seconds infinite, the steps _rollouts reports as used in
-    # step-count mode never bind.
-    if mode == STEP_COUNT:
-        count, seconds = int(budget.delta), math.inf
-    else:
-        count, seconds = math.inf, budget.delta
+    # A decision's budget is delta rollouts in step-count mode and delta
+    # seconds on the clock in wall-clock mode, where the count never binds.
+    delta = budget.delta
+    clock = time.perf_counter if budget.mode == WALL_CLOCK else None
+    count = math.inf if clock else int(delta)
 
-    state = index(start)
+    state = kernel.indexer.index(start)
     total_cost = 0.0
     total_reward = 0.0
     safe_by_quarter = [0, 0, 0, 0]
@@ -750,12 +746,19 @@ def online_run(
         total_cost += cost
         total_reward += reward
 
-        if count:
-            # Each hypothetical successor is drawn once the previous one's
-            # neighborhood is used up.
-            successors = (state + offsets[code] for code in uniforms)
-            starts = itertools.chain.from_iterable(map(neighborhood, successors))
-            _rollouts(rows, store, reference, starts, 1, uniforms, mode, count, seconds)
+        deadline = clock() + delta if clock else None
+        done = 0
+        while True:
+            for z in neighborhood(state + offsets[next(uniforms)]):
+                rollout(z)
+                done += 1
+                if done >= count or clock and clock() >= deadline:
+                    break
+            else:
+                # The budget outlasted this hypothetical successor's
+                # neighborhood: draw the next successor.
+                continue
+            break
 
         state += offsets[next(realized)]
 

@@ -114,6 +114,8 @@ BUDGET_FLAG_CASES = [
     ("--delta", "-1", "delta"),
     ("--delta", "nan", "delta"),
     ("--delta", "inf", "delta"),
+    # The desk preset counts rollouts a decision, so a fraction is refused.
+    ("--delta", "0.5", "delta"),
 ]
 
 
@@ -180,8 +182,8 @@ def test_budget_presets_carry_their_mode(command):
     assert budget() == desk_scale_budget() and budget().mode == STEP_COUNT
     assert budget("--paper-scale") == OpiBudget() and OpiBudget().mode == WALL_CLOCK
     # Overrides keep the preset's mode, so they are read in its units.
-    flags = ["--r1", "7", "--r2", "8", "--r-off", "9", "--tau-max", "2.5", "--delta", "0.5"]
-    fields = dict(r1=7, r2=8, r_off=9, tau_max=2.5, delta=0.5)
+    flags = ["--r1", "7", "--r2", "8", "--r-off", "9", "--tau-max", "2.5", "--delta", "3"]
+    fields = dict(r1=7, r2=8, r_off=9, tau_max=2.5, delta=3)
     if command == "opi":
         flags += ["--r-on", "6"]
         fields["r_on"] = 6

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -13,6 +14,7 @@ from repairnet.mdp import SystemState, kernel_of, pristine_state
 from repairnet.polling import PollingPolicy, best_tour
 from repairnet.opi import (
     STEP_COUNT,
+    WALL_CLOCK,
     OfflinePreparation,
     OpiBudget,
     ValueStore,
@@ -145,6 +147,16 @@ def test_sample_trajectory_runs_at_least_one_step():
     )
     assert elapsed >= 1
     assert stop in store
+
+
+def test_sample_trajectory_refuses_a_record_count_below_one():
+    inst = fast_switch_instance()
+    u0 = pristine_state(inst)
+    store = make_store(inst, u0)
+    for p in (0, -1, 1.0, True):
+        with pytest.raises(ValueError, match=rf"^p: {p!r} is not a positive count$"):
+            sample_trajectory(inst, ModifiedIndexPolicy(inst), store, u0, p, rng(0))
+    assert len(store.entries) == 1 and store.get(u0).s == 1
 
 
 def test_sample_trajectory_stop_state_membership():
@@ -555,6 +567,32 @@ def test_wall_clock_mode_smoke():
     assert 0.0 <= result.report.safe_action_fraction <= 1.0
 
 
+def test_wall_clock_budgets_count_clock_reads(monkeypatch):
+    # A clock that advances one second per read makes wall-clock mode
+    # deterministic: a budget of n seconds buys n rollouts, since the clock
+    # is read once when the budget starts and once after each rollout.
+    # Each p = 1 rollout adds one observation, so the growth of the
+    # entries' s counts is the number of rollouts.
+    reads = iter(range(1_000_000))
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(reads)))
+    inst = generate_instance(5, m=2, cap=2)
+    base = ModifiedIndexPolicy(inst)
+    budget = OpiBudget(
+        r1=50, r2=500, r_off=1_000, tau_max=4, r_on=10, delta=3, mode=WALL_CLOCK
+    )
+    prep = replace(offline_preparatory(inst, base, budget, rng(1)), z_core=[])
+
+    def observations():
+        return sum(entry.s for entry in store.entries.values())
+
+    store = offline_main(inst, base, prep, budget, rng(2))
+    assert observations() == 1 + 4 * len(prep.z_all) == 25
+    online_run(inst, base, store, budget, rng(3))
+    assert observations() == 25 + 3 * budget.r_on
+    start = prep.z_all[1]
+    assert sample_trajectory(inst, base, store, start, 1, rng(4), mode=WALL_CLOCK)[1] == 1.0
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         OpiBudget(r_on=0)
@@ -572,6 +610,14 @@ def test_budget_validation():
         OpiBudget(delta=True)
     with pytest.raises(ValueError, match=r"^tau_max: True is not positive$"):
         OpiBudget(tau_max=True)
+    # In step-count mode delta counts rollouts a decision, so it must be
+    # whole: 0.5 would run none and 2.5 would be cut to 2.  An integral
+    # float is a whole number.
+    for delta in (0.5, 2.5, 0.999):
+        with pytest.raises(ValueError, match=rf"^delta: {delta!r} is not a whole number"):
+            OpiBudget(delta=delta, mode=STEP_COUNT)
+    assert OpiBudget(delta=4.0, mode=STEP_COUNT).delta == 4
+    assert OpiBudget(delta=0.5).delta == 0.5  # seconds in wall-clock mode
     # r_off still ends each start state's rollouts.
     assert OpiBudget(tau_max=math.inf).tau_max == math.inf
 

@@ -314,25 +314,24 @@ def test_offline_phases_read_one_stream_in_chunks(r1, r2):
 
 
 def test_online_run_draws_nothing_it_does_not_use():
-    # With a CRN list and int(delta) == 0 online_run takes no uniform, so
-    # its generator is left as it was: a chunk is drawn only when its first
-    # uniform is needed.  No output depends on it, since online_run's
-    # results come only from the uniforms it reads and every caller gives
-    # it a generator of its own.
+    # With a CRN list online_run takes uniforms only for its nested
+    # rollouts, and a chunk only when its first uniform is needed: 20
+    # decisions of one short rollout each read one chunk and leave the
+    # generator where that chunk ended.  No output depends on it, since
+    # online_run's results come only from the uniforms it reads and every
+    # caller gives it a generator of its own.
     inst = generate_instance(5, m=2, cap=2)
     base = ModifiedIndexPolicy(inst)
-    budget = OpiBudget(r1=50, r2=500, r_off=5, tau_max=1e9, r_on=20, delta=0.5, mode=STEP_COUNT)
+    budget = OpiBudget(r1=50, r2=500, r_off=5, tau_max=1e9, r_on=20, delta=1, mode=STEP_COUNT)
     prep = offline_preparatory(inst, base, budget, rng(1))
     store = offline_main(inst, base, prep, budget, rng(2))
-    before = copy.deepcopy(store.entries)
-    assert len(before) > 1
+    before = sum(entry.s for entry in store.entries.values())
     generator = rng(3)
     online_run(inst, base, store, budget, generator, crn=rng(4).random(20))
-    assert next_draws(generator) == next_draws(rng(3))
-    # No nested rollout runs, with or without a CRN list, so every entry,
-    # the reference's included, keeps its statistics.
-    online_run(inst, base, store, budget, rng(3))
-    assert store.entries == before
+    assert sum(entry.s for entry in store.entries.values()) == before + 20
+    fresh = rng(3)
+    fresh.random(8192)
+    assert next_draws(generator) == next_draws(fresh)
 
 
 def test_safe_by_quarter_reports_empty_quarters_as_none():
@@ -370,12 +369,15 @@ def test_cold_store_fallback_is_counted_as_unbounded():
 
 
 def test_step_count_delta_counts_whole_trajectories(tmp_path):
-    # Step-count mode runs int(delta) nested trajectories per decision, so
-    # delta=2.5 repeats the delta=2.0 run byte for byte and 3.0 does not.
+    # Step-count mode runs delta nested trajectories per decision, so the
+    # integral float 2.0 repeats the delta=2 run byte for byte and 3.0 does
+    # not; a fraction such as 2.5, which would be cut to 2, is refused.
     inst = generate_instance(5, m=2, cap=2)
     base = ModifiedIndexPolicy(inst)
-    outputs = {}
-    for delta in (2.0, 2.5, 3.0):
+    with pytest.raises(ValueError, match=r"^delta: 2.5 is not a whole number"):
+        OpiBudget(delta=2.5, mode=STEP_COUNT)
+    outputs = []
+    for delta in (2, 2.0, 3.0):
         budget = OpiBudget(
             r1=200, r2=5_000, r_off=100, tau_max=1e9, r_on=1_000, delta=delta, mode=STEP_COUNT
         )
@@ -384,6 +386,6 @@ def test_step_count_delta_counts_whole_trajectories(tmp_path):
         report = online_run(inst, base, store, budget, rng(3), x0=pristine_state(inst))
         path = tmp_path / f"store-{delta}.json"
         save_store(store, path)
-        outputs[delta] = (report.to_json(), path.read_bytes())
-    assert outputs[2.5] == outputs[2.0]
-    assert outputs[3.0] != outputs[2.0]
+        outputs.append((report.to_json(), path.read_bytes()))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] != outputs[0]
