@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -63,6 +63,10 @@ class InstanceParameters:
     Rates are interpreted per unit time; the uniformized chain advances in
     steps of ``1 / uniformization_rate`` so per-step event probabilities
     are ``rate * step_length``.
+
+    ``lam`` is the instance file's ``lambda`` and ``cap`` its ``K``.  The
+    constructor holds every rule on the values, and its ValueError names
+    the field as the file does: ``K[0]: 1.5 is not an integer >= 1``.
     """
 
     layout: NetworkLayout
@@ -76,16 +80,23 @@ class InstanceParameters:
 
     def __post_init__(self) -> None:
         m = self.layout.machine_count
-        if not (len(self.lam) == len(self.mu) == len(self.cap) == len(self.cost.c) == m):
-            raise ValueError("per-machine parameter lengths must match the machine count")
-        # ``not 0 < x < inf`` also rejects NaN, which compares false
-        # either way; an infinite rate makes the step length 0.  A bool
-        # is not a rate, though True compares as 1.
-        rates = (*self.lam, *self.mu, self.tau)
-        if any(isinstance(x, bool) or not 0 < x < math.inf for x in rates):
-            raise ValueError("all rates must be strictly positive and finite")
-        if any(k < 1 for k in self.cap):
-            raise ValueError("all degradation caps must be >= 1")
+        # A NaN or infinite rate would make the step length NaN or 0, and
+        # a NaN or infinite cost keeps policy evaluation from converging.
+        for name, values, rule, what in (
+            ("lambda", self.lam, _is_positive, "a positive finite number"),
+            ("mu", self.mu, _is_positive, "a positive finite number"),
+            ("K", self.cap, _is_count, "an integer >= 1"),
+            ("cost.c", self.cost.c, _is_finite, "a finite number"),
+        ):
+            if len(values) != m:
+                raise ValueError(f"{name}: {len(values)} entries for {m} machines")
+            for j, value in enumerate(values):
+                if not rule(value):
+                    raise ValueError(f"{name}[{j}]: {value!r} is not {what}")
+        if not _is_positive(self.tau):
+            raise ValueError(f"tau: {self.tau!r} is not a positive finite number")
+        if self.rho_nominal is not None and not _is_finite(self.rho_nominal):
+            raise ValueError(f"rho_nominal: {self.rho_nominal!r} is not a finite number")
 
     @property
     def machine_count(self) -> int:
@@ -144,6 +155,28 @@ def _is_integer(value) -> bool:
     return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
 
 
+def _is_count(value) -> bool:
+    """An integer >= 1, not a bool."""
+    return _is_integer(value) and value >= 1
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_finite(value) -> bool:
+    """A real number, not a bool, that is finite."""
+    # The exact type test spares floats the ABC check (see _is_integer).
+    # NaN fails both comparisons, and so does an int too large for a float.
+    return (
+        type(value) is float or (isinstance(value, numbers.Real) and type(value) is not bool)
+    ) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _is_positive(value) -> bool:
+    """A finite number above zero, not a bool."""
+    return _is_finite(value) and value > 0
+
+
 # The generator places machines on distinct nodes of this square lattice.
 LATTICE_SIDE = 5
 
@@ -156,7 +189,7 @@ def check_generator_sizes(m, cap) -> None:
     nodes = LATTICE_SIDE * LATTICE_SIDE
     if m is not None and not (_is_integer(m) and 1 <= m <= nodes):
         raise ValueError(f"m: {m!r} is not a machine count in 1..{nodes}")
-    if cap is not None and not (_is_integer(cap) and cap >= 1):
+    if cap is not None and not _is_count(cap):
         raise ValueError(f"cap: {cap!r} is not a degradation cap >= 1")
 
 
@@ -405,18 +438,9 @@ def instance_from_dict(data: dict) -> InstanceParameters:
         if not isinstance(raw, str):
             raise InstanceFormatError(f"{path}: rates must be decimal strings")
         try:
-            value = float(raw)
+            return float(raw)
         except ValueError as exc:
             raise InstanceFormatError(f"{path}: {exc}") from None
-        if not math.isfinite(value):
-            raise InstanceFormatError(f"{path}: {raw!r} is not a finite number")
-        return value
-
-    def parse_positive_rate(raw, path: str) -> float:
-        value = parse_rate(raw, path)
-        if not value > 0:
-            raise InstanceFormatError(f"{path}: rates must be strictly positive, got {raw!r}")
-        return value
 
     try:
         kind = CostKind(kind_raw)
@@ -427,25 +451,20 @@ def instance_from_dict(data: dict) -> InstanceParameters:
     if seed is not None and type(seed) is not int:
         raise InstanceFormatError(f"root.seed: expected an integer or null, got {seed!r}")
     rho_nominal = data.get("rho_nominal")
-    return InstanceParameters(
-        layout=layout,
-        lam=tuple(parse_positive_rate(x, f"root.lambda[{i}]") for i, x in enumerate(lam_raw)),
-        mu=tuple(parse_positive_rate(x, f"root.mu[{i}]") for i, x in enumerate(mu_raw)),
-        tau=parse_positive_rate(_require(data, "tau", str, "root"), "root.tau"),
-        cap=tuple(
-            k if type(k) is int and k >= 1 else _bad_cap(i)
-            for i, k in enumerate(cap_raw)
-        ),
-        cost=CostModel(
-            kind=kind, c=tuple(parse_rate(x, f"root.cost.c[{i}]") for i, x in enumerate(c_raw))
-        ),
-        seed=seed,
-        rho_nominal=None if rho_nominal is None else parse_rate(rho_nominal, "root.rho_nominal"),
-    )
-
-
-def _bad_cap(i: int):
-    raise InstanceFormatError(f"root.K[{i}]: expected a positive integer")
+    lam = tuple(parse_rate(x, f"root.lambda[{i}]") for i, x in enumerate(lam_raw))
+    mu = tuple(parse_rate(x, f"root.mu[{i}]") for i, x in enumerate(mu_raw))
+    tau = parse_rate(_require(data, "tau", str, "root"), "root.tau")
+    c = tuple(parse_rate(x, f"root.cost.c[{i}]") for i, x in enumerate(c_raw))
+    if rho_nominal is not None:
+        rho_nominal = parse_rate(rho_nominal, "root.rho_nominal")
+    # The value rules are the constructor's; its field names lack the root.
+    try:
+        return InstanceParameters(
+            layout=layout, lam=lam, mu=mu, tau=tau, cap=tuple(cap_raw),
+            cost=CostModel(kind=kind, c=c), seed=seed, rho_nominal=rho_nominal,
+        )
+    except ValueError as exc:
+        raise InstanceFormatError(f"root.{exc}") from None
 
 
 def save_instance(inst: InstanceParameters, path) -> None:

@@ -44,15 +44,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .instance import InstanceParameters, _is_integer
+from .instance import InstanceParameters, _is_count, _is_integer, _is_positive
 
 
 class SystemState(NamedTuple):
@@ -95,7 +93,7 @@ def all_failed_state(inst: InstanceParameters, location: int = 1) -> SystemState
 
 def check_count(name: str, value) -> None:
     """Raise ValueError, naming ``name``, unless ``value`` is an int >= 1, not a bool."""
-    if not _is_integer(value) or value < 1:
+    if not _is_count(value):
         raise ValueError(f"{name}: {value!r} is not a positive count")
 
 
@@ -104,7 +102,7 @@ def check_positive(name: str, value) -> None:
     above zero, not a bool: a negative or NaN tolerance is never met, so the
     sweeps would run to their cap and then blame the policy, and an infinite
     delta would never end a decision's nested rollouts."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+    if not _is_positive(value):
         raise ValueError(f"{name}: {value!r} is not a positive finite number")
 
 

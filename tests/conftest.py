@@ -7,12 +7,18 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repairnet.dp import DpModel, StationaryPolicy
 from repairnet.instance import CostKind, CostModel, InstanceParameters
 from repairnet.mdp import SystemState
 from repairnet.network import build_complete_layout, build_star_layout
 from repairnet.opi import ValueStoreEntry
+
+# Every run draws the same examples, so a slow or failing example repeats
+# and can be named.  Each test keeps its own max_examples.
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 
 def rng(seed: int) -> np.random.Generator:

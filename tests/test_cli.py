@@ -303,6 +303,11 @@ def test_benchmark_and_report_commands(tmp_path, capsys):
     for dimension in BUCKET_SPECS:
         name = f"aggregate_{dimension}.csv"
         assert (out / "re" / name).read_bytes() == (out / name).read_bytes()
+    # A records.csv with its header and no rows has nothing to report.
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(records_path.read_text().splitlines(keepends=True)[0])
+    assert main(["report", "--records", str(header_only)]) == 1
+    assert capsys.readouterr().err == "no records found\n"
 
 
 def test_benchmark_failed_instance_exit_code(tmp_path, capsys):

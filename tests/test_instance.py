@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repairnet.instance import (
     CostKind,
+    CostModel,
     InstanceFormatError,
     counterexample_instances,
     two_machine_instance,
@@ -211,23 +212,57 @@ def test_instance_rejects_nan_rates(two_machines):
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "field, value, message",
     [
-        ("tau", math.inf),
-        ("lam", (math.inf, 0.4)),
-        ("mu", (math.inf, 0.4)),
+        ("tau", math.inf, r"tau: inf"),
+        ("lam", (math.inf, 0.4), r"lambda\[0\]: inf"),
+        ("mu", (math.inf, 0.4), r"mu\[0\]: inf"),
         # A bool is not a rate, though True compares as 1.
-        ("tau", True),
-        ("lam", (True, 0.4)),
-        ("mu", (1.1, True)),
+        ("tau", True, r"tau: True"),
+        ("lam", (True, 0.4), r"lambda\[0\]: True"),
+        ("mu", (1.1, True), r"mu\[1\]: True"),
     ],
     ids=["tau", "lam", "mu", "tau-bool", "lam-bool", "mu-bool"],
 )
-def test_instance_rejects_infinite_rates(two_machines, field, value):
+def test_instance_rejects_infinite_rates(two_machines, field, value, message):
     from dataclasses import replace
 
-    with pytest.raises(ValueError, match="^all rates must be strictly positive and finite$"):
+    with pytest.raises(ValueError, match=f"^{message} is not a positive finite number$"):
         replace(two_machines, **{field: value})
+
+
+def _costs(*c):
+    return CostModel(kind=CostKind.LINEAR, c=c)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # A cap of 1.5 or 2.0 used to load and then fail inside the kernel.
+        (dict(cap=(1.5, 2)), r"K\[0\]: 1\.5 is not an integer >= 1"),
+        (dict(cap=(2, 2.0)), r"K\[1\]: 2\.0 is not an integer >= 1"),
+        (dict(cap=(True, 2)), r"K\[0\]: True is not an integer >= 1"),
+        # A NaN cost ran policy evaluation to its sweep cap; an infinite one
+        # did not end.
+        (dict(cost=_costs(math.nan, 1.0)), r"cost\.c\[0\]: nan is not a finite number"),
+        (dict(cost=_costs(1.0, math.inf)), r"cost\.c\[1\]: inf is not a finite number"),
+        (dict(cost=_costs(-math.inf, 1.0)), r"cost\.c\[0\]: -inf is not a finite number"),
+        (dict(cost=_costs(True, 1.0)), r"cost\.c\[0\]: True is not a finite number"),
+        (dict(rho_nominal=math.nan), r"rho_nominal: nan is not a finite number"),
+        (dict(mu=(1.1,)), r"mu: 1 entries for 2 machines"),
+        (dict(cap=(2, 2, 2)), r"K: 3 entries for 2 machines"),
+        (dict(cost=_costs(1.0)), r"cost\.c: 1 entries for 2 machines"),
+    ],
+    ids=[
+        "cap-fraction", "cap-float", "cap-bool", "c-nan", "c-inf", "c-minus-inf", "c-bool",
+        "rho-nan", "short-mu", "long-cap", "short-c",
+    ],
+)
+def test_instance_refuses_values_naming_the_field(two_machines, changes, message):
+    from dataclasses import replace
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(two_machines, **changes)
 
 
 def _self_loop(data):
@@ -244,6 +279,10 @@ def _three_machines_on_two_nodes(data):
         owner[key].append(owner[key][0])
 
 
+def _node_out_of_range(data):
+    data["adjacency"][0].append(99)
+
+
 def _unsorted_neighbours(data):
     # Node 9's neighbours [4, 8, 10, 14] reversed: the smallest-id next-hop
     # rule would then pick a different neighbour for 16 of 24 targets.
@@ -257,8 +296,12 @@ def _unsorted_neighbours(data):
         (_duplicate_neighbour, r"root\.adjacency\[0\]"),
         (_three_machines_on_two_nodes, r"root\.lambda"),
         (_unsorted_neighbours, r"root\.adjacency\[8\]: neighbours not in ascending order"),
+        (_node_out_of_range, r"root\.adjacency\[0\]: node id 99 out of range"),
     ],
-    ids=["self-loop", "duplicate-neighbour", "more-machines-than-nodes", "unsorted-neighbours"],
+    ids=[
+        "self-loop", "duplicate-neighbour", "more-machines-than-nodes", "unsorted-neighbours",
+        "node-out-of-range",
+    ],
 )
 def test_loader_rejects_malformed_graphs(probe, path):
     # Without machine coordinates the adjacency is taken as given.
@@ -308,6 +351,13 @@ def _disconnected(data):
     data["adjacency"] = [[2], [1], [4], [3]]
 
 
+def _extra_edge(data):
+    # Nodes 1 and 2 hold the machines at (5, 1) and (5, 5); the lattice
+    # does not join them.
+    data["adjacency"][0].insert(0, 2)
+    data["adjacency"][1].insert(0, 1)
+
+
 def _repeated_coordinate(data):
     data["machine_coords"][1] = list(data["machine_coords"][0])
 
@@ -331,6 +381,12 @@ def _repeated_coordinate(data):
         (_set(("grid",), 0), r"root\.machine_coords: grid_side must be >= 1"),
         (_disconnected, r"root\.adjacency: graph is not connected"),
         (_set(("seed",), {"a": 1}), r"root\.seed: expected an integer or null"),
+        (_extra_edge, r"root\.adjacency: inconsistent with grid/machine_coords"),
+        (_set(("mu", 1), "abc"), r"root\.mu\[1\]: could not convert string to float: 'abc'"),
+        # Value errors are the constructor's, with the root added.
+        (_set(("K", 0), 1.5), r"^root\.K\[0\]: 1\.5 is not an integer >= 1$"),
+        (_set(("cost", "c", 1), "inf"), r"^root\.cost\.c\[1\]: inf is not a finite number$"),
+        (_set(("tau",), "nan"), r"^root\.tau: nan is not a positive finite number$"),
     ],
     ids=[
         "negative-mu",
@@ -349,13 +405,18 @@ def _repeated_coordinate(data):
         "zero-grid",
         "disconnected",
         "unhashable-seed",
+        "inconsistent-adjacency",
+        "unparseable-rate",
+        "fractional-K",
+        "infinite-c",
+        "nan-tau",
     ],
 )
 def test_loader_rejects_values_the_parameters_reject(probe, path):
-    # InstanceParameters, the first rate computed from it, or the layout
-    # builders would reject each of these with a bare ValueError or
-    # TypeError, and a seed that is not an integer loads an instance that
-    # cannot be hashed; the loader names the field first.
+    # The loader names the field of each: a file rule of its own, a layout
+    # builder's error, or the constructor's value rule with ``root.``
+    # added.  A seed that is not an integer would load an instance that
+    # cannot be hashed.
     data = instance_to_dict(generate_instance(5, m=2, cap=2))
     probe(data)
     with pytest.raises(InstanceFormatError, match=path):
@@ -365,7 +426,7 @@ def test_loader_rejects_values_the_parameters_reject(probe, path):
 # Payloads for the mutation property: lattice instances (grid and machine
 # coordinates present) and one complete graph (no coordinates).
 def _payloads():
-    from repairnet.instance import CostModel, InstanceParameters
+    from repairnet.instance import InstanceParameters
     from repairnet.network import build_complete_layout
 
     complete = InstanceParameters(
