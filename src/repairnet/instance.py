@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import numbers
+import re
 import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -80,13 +81,15 @@ class InstanceParameters:
 
     def __post_init__(self) -> None:
         m = self.layout.machine_count
-        # A NaN or infinite rate would make the step length NaN or 0, and
-        # a NaN or infinite cost keeps policy evaluation from converging.
+        # A NaN or infinite rate would make the step length NaN or 0, a
+        # NaN or infinite cost keeps policy evaluation from converging, and
+        # a cost coefficient of 0 or less makes the cost rate fall, not
+        # rise, with the level.
         for name, values, rule, what in (
             ("lambda", self.lam, _is_positive, "a positive finite number"),
             ("mu", self.mu, _is_positive, "a positive finite number"),
             ("K", self.cap, _is_count, "an integer >= 1"),
-            ("cost.c", self.cost.c, _is_finite, "a finite number"),
+            ("cost.c", self.cost.c, _is_positive, "a positive finite number"),
         ):
             if len(values) != m:
                 raise ValueError(f"{name}: {len(values)} entries for {m} machines")
@@ -366,6 +369,13 @@ def instance_to_dict(inst: InstanceParameters) -> dict:
     }
 
 
+# What a rate may be written as: an ASCII decimal literal (sign, digits,
+# point, exponent), or the ``repr`` of a NaN or an infinity, which then
+# reaches the constructor's value rules.  No spaces, underscores or
+# non-ASCII digits, which ``float`` would accept.
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?|nan|inf|-inf")
+
+
 def instance_from_dict(data: dict) -> InstanceParameters:
     if not isinstance(data, dict):
         raise InstanceFormatError("root: expected a JSON object")
@@ -437,10 +447,9 @@ def instance_from_dict(data: dict) -> InstanceParameters:
     def parse_rate(raw, path: str) -> float:
         if not isinstance(raw, str):
             raise InstanceFormatError(f"{path}: rates must be decimal strings")
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise InstanceFormatError(f"{path}: {exc}") from None
+        if not _DECIMAL.fullmatch(raw):
+            raise InstanceFormatError(f"{path}: {raw!r} is not a decimal string")
+        return float(raw)
 
     try:
         kind = CostKind(kind_raw)

@@ -29,15 +29,23 @@ caller that passes equal draws.
 ``Kernel.action_row``, the kernel's one row builder, memoizes per
 state-action pair the location, the cost and reward rates and a
 successor row indexed by code, so a step is one lookup of the draw's
-code in the row and one offset added to the index.  ``kernel_of`` keeps
-one Kernel per instance, shared by every ``simulate`` call (the index
-run and each polling subset), all three OPI phases and ``DpModel``.
+code in the row and one offset added to the index.  What a row takes
+from the machines' levels alone (the levels tuple, the cost rate and
+the degradation offsets) is memoized once per condition vector and
+shared by every location (``Kernel._part``), so decoding an index is
+one ``divmod`` and one lookup, and a row build adds only the action's
+event.  ``kernel_of`` keeps one Kernel per instance, shared by every
+``simulate`` call (the index run and each polling subset), all three
+OPI phases and ``DpModel``.
 ``RuleRows`` turns a decision rule into rows: key -> the rule's action
-row, asked once per key.  ``simulate`` and every OPI phase step through
-one; ``simulate``'s keys are the index plus a multiple of
-``indexer.count`` for the rule's memory (the polling tour position),
-which starts at 0 in every call and lives only in the keys: ``simulate``
-reads and writes nothing on the rule it is given.
+row, asked once per key.  The kernel keeps the last rule's table
+(``Kernel.rows``, matched by identity), so ``simulate`` and every OPI
+phase that step one rule object through one instance share it, and the
+rule is asked once per key per instance, not once per call.
+``simulate``'s keys are the index plus a multiple of ``indexer.count``
+for the rule's memory (the polling tour position), which starts at 0 in
+every call and lives only in the keys: ``simulate`` reads and writes
+nothing on the rule it is given.
 """
 
 from __future__ import annotations
@@ -179,12 +187,14 @@ class Kernel:
         self._moves: dict[int, tuple[Move, ...]] = {}
         self._neighborhoods: dict[int, tuple[int, ...]] = {}
         self.states: dict[int, SystemState] = {}
+        # Condition index (x % conditions_per_location) -> (levels, cost
+        # rate, degradation offsets), shared by every location; see _part.
+        self._parts: dict[int, tuple[tuple[int, ...], float, tuple[int, ...]]] = {}
         self.action_rows: dict[tuple[int, Action], Row] = {}
         # (draws, codes) of the last CRN list crn_codes classified.
         self._crn_memo: tuple[np.ndarray, Sequence[int]] | None = None
-
-    def cost(self, state: SystemState) -> float:
-        return sum(self.cost_rate[j][level] for j, level in enumerate(state.conditions))
+        # The last rule's rows; see rows.
+        self._rows_memo: RuleRows | None = None
 
     def reward(self, state: SystemState, action: Action) -> float:
         i = state.location
@@ -234,11 +244,28 @@ class Kernel:
 
     def state(self, x: int) -> SystemState:
         """The state with index ``x``, interned: one tuple per index, kept
-        in ``states``."""
+        in ``states``, whose levels tuple is its condition part's."""
         state = self.states.get(x)
         if state is None:
-            state = self.states[x] = self.indexer.state(x)
+            location, c = divmod(x, self.indexer.conditions_per_location)
+            state = self.states[x] = SystemState(location + 1, self._part(c)[0])
         return state
+
+    def _part(self, c: int) -> tuple[tuple[int, ...], float, tuple[int, ...]]:
+        """What a state's row takes from its condition index ``c`` alone,
+        the same at every location: the levels tuple, the cost rate (the
+        per-machine rates summed in machine order) and the m degradation
+        offsets (machine j's stride, 0 at its cap).  Memoized per ``c``."""
+        part = self._parts.get(c)
+        if part is None:
+            levels = self.indexer.state(c).conditions
+            cost = sum(self.cost_rate[j][level] for j, level in enumerate(levels))
+            degrade = tuple(
+                stride if level < cap else 0
+                for stride, level, cap in zip(self.indexer.strides, levels, self.cap)
+            )
+            part = self._parts[c] = (levels, cost, degrade)
+        return part
 
     def codes(self, uniforms) -> Sequence[int]:
         """The code of each uniform draw: the number of ``grid`` ends at or
@@ -266,29 +293,41 @@ class Kernel:
         position of the event's slot end when the action has one, and 0,
         the self-loop, for the rest.  Each row's slot ends are grid
         members, so that is the move a bisection of the draw into the
-        row's own slot ends would pick.  Rows hold relative moves, so
-        equal offsets tuples are shared across states.  Memoized in
-        ``action_rows`` under ``(x, action)``.  Raises ValueError when
-        ``action`` is not available in the state, which is checked once
-        per memoized pair.
+        row's own slot ends would pick.  The cost rate and the degradation
+        offsets are the state's condition part (``_part``); only the event
+        part is built here.  Rows hold relative moves, so equal offsets
+        tuples are shared across states.  Memoized in ``action_rows`` under
+        ``(x, action)``.  Raises ValueError when ``action`` is not
+        available in the state, which is checked once per memoized pair.
         """
         row = self.action_rows.get((x, action))
         if row is None:
             state = self.state(x)
             if action not in actions_of(self.inst, state):
                 raise ValueError(f"action {action!r} not available in state {state}")
-            levels = zip(self.indexer.strides, state.conditions, self.cap)
-            offsets = [stride if level < cap else 0 for stride, level, cap in levels]
+            _, cost, degrade = self._part(x % self.indexer.conditions_per_location)
+            m = self.machine_count
             rate, offset = self.event(state, action)
-            if rate:
-                offsets += [offset] * (self._event_code[rate] + 1 - self.machine_count)
-            offsets += [0] * (len(self.grid) + 1 - len(offsets))
-            offsets = tuple(offsets)
+            events = self._event_code[rate] + 1 - m if rate else 0
+            offsets = degrade + (offset,) * events + (0,) * (len(self.grid) + 1 - m - events)
             row = self.action_rows[(x, action)] = (
-                state.location - 1, self.cost(state), self.reward(state, action),
+                state.location - 1, cost, self.reward(state, action),
                 self._offsets.setdefault(offsets, offsets),
             )
         return row
+
+    def rows(self, rule: DecisionRule | FiniteMemoryRule) -> RuleRows:
+        """``rule``'s ``RuleRows`` on this kernel, kept for the last rule
+        asked for and matched by identity, so every ``simulate`` call and
+        OPI phase that steps one rule object through one instance shares
+        one table, and the rule is asked once per key per instance.
+        Another rule object gets a fresh table, which replaces the kept one.
+        So a rule must give the same answer each time it is asked: one
+        whose answers change between calls would step on its old ones."""
+        memo = self._rows_memo
+        if memo is None or memo.rule is not rule:
+            memo = self._rows_memo = RuleRows(self, rule)
+        return memo
 
 
 @lru_cache(maxsize=1)
@@ -303,7 +342,8 @@ def kernel_of(inst: InstanceParameters) -> Kernel:
 
 class RuleRows(dict):
     """Key -> ``kernel``'s action row under ``rule``'s action there, filled
-    on first lookup, so the rule is asked once per key.
+    on first lookup, so the rule is asked once per key.  Build one through
+    ``Kernel.rows``, which keeps it for the next caller with the same rule.
 
     For a function of the state the key is the state index and the row is
     the kernel's own tuple.  For a ``FiniteMemoryRule`` the key is
@@ -379,10 +419,11 @@ def simulate(
     decision depends on the state and its memory only.  The chain runs on
     keys ``x + memory * indexer.count`` (``x`` a state index; memory is 0
     for a function of the state), and the rule is queried once per
-    distinct key in a call, not once per step: the call's ``RuleRows``
-    holds each key's row from the instance's shared kernel
-    (``kernel_of``), so a step is one lookup of the key's row, one of the
-    draw's code in it and one addition.  A finite-memory rule starts
+    distinct key, not once per step: the ``RuleRows`` the instance's
+    shared kernel (``kernel_of``) keeps for the rule (``Kernel.rows``)
+    holds each key's row, and later calls with the same rule object reuse
+    it, so a step is one lookup of the key's row, one of the draw's code
+    in it and one addition.  A finite-memory rule starts
     every call at key ``index(x0)``, memory 0, and the memory stays in
     the keys: nothing is read from or written to the rule, so identical
     calls return identical reports.
@@ -392,7 +433,7 @@ def simulate(
 
     kernel = kernel_of(inst)
     codes = crn_codes(kernel, crn, steps)
-    rows = RuleRows(kernel, policy)
+    rows = kernel.rows(policy)
     get, fill = rows.get, rows.__missing__
     visits = [0] * inst.layout.node_count
     total_cost = 0.0

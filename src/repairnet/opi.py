@@ -21,12 +21,13 @@ code of the step's uniform draw (``Kernel.codes``) picks an offset to add
 to the index.  All three phases use the instance's shared kernel
 (``kernel_of``), the same one ``simulate`` uses, so a state-action row is
 built and checked for availability once per instance, and each index is
-decoded to a state tuple once.  Each phase call steps the base policy
-through one ``mdp.RuleRows``, as ``simulate`` steps its rule, which asks
-the base policy once per index it reaches.  The base policy must be a
-function of the state: the store is keyed by state index, and a
-finite-memory rule (one with ``decide``) is refused before any budget is
-spent.
+decoded to a state tuple once.  Every phase call steps the base policy
+through the kernel's table for that rule object (``Kernel.rows``, an
+``mdp.RuleRows``), as ``simulate`` steps its rule, so the three phases of
+a run share one table and the base policy is asked once per index per
+instance.  The base policy must be a function of the state: the store is
+keyed by state index, and a finite-memory rule (one with ``decide``) is
+refused before any budget is spent.
 
 The value store belongs to one instance, fixed when the store is built,
 and keeps one dict of entries, keyed by the same state index; the phases
@@ -48,7 +49,11 @@ successors, each successor drawn when the previous neighborhood is used
 up, and the public ``sample_trajectory`` in one call.  The step loop and
 the entry update are each written once.  Only a chain records more than
 its start, so only a chain builds a list of records, and the step loop
-tests one counter that is 0 otherwise.
+tests one counter that is 0 otherwise.  Many draws are self-loops
+(offset 0; two thirds of the opi-wide workload's rollout steps), and one
+anywhere but at the reference neither stops the rollout nor adds a
+record, so the loop steps it on the row in hand, without the row lookup,
+the stop test or the record test.
 
 Each phase reads its generator as one stream of codes, one per
 simulated step: uniforms are drawn and classified (``Kernel.codes``)
@@ -369,11 +374,26 @@ def _rollout(
     record on, plus the stop's value, minus g_base per step.  Only a chain
     (``p > 1``) records more than its start, so only a chain builds a list
     of records; a ``p = 1`` rollout steps and updates one entry.
+
+    A draw whose offset is 0 (a self-loop) at any state but the reference
+    adds the state's cost, counts the step, checks ``TRAJECTORY_CAP`` and
+    draws again on the same row.  That skips nothing that could act: the
+    state is either the start, which stops the rollout only when it is the
+    reference, or a state that failed the stop test when first reached,
+    so it is not stored, and the store does not grow during a walk; and
+    a state already reached is already recorded or past the record limit.
     """
     values = store.entries
     g_base = store.g_base
     reference = rows.kernel.indexer.index(store.reference)
     cap = TRAJECTORY_CAP
+
+    def too_long(z: int) -> RuntimeError:
+        return RuntimeError(
+            f"trajectory from {rows.kernel.state(z)} exceeded {cap} steps without "
+            "reaching a stored state; is the base policy unichain, and is the "
+            f"reference {store.reference} recurrent under it?"
+        )
 
     def rollout(z: int, p: int = 1) -> tuple[int, int]:
         total_cost = 0.0
@@ -386,7 +406,17 @@ def _rollout(
             _, cost, _, offsets = rows[current]
             total_cost += cost
             steps += 1
-            stop = current + offsets[next(uniforms)]
+            offset = offsets[next(uniforms)]
+            # A self-loop anywhere but at the reference cannot stop the
+            # rollout or add a record (see the docstring): step on the row
+            # in hand.
+            while not offset and current != reference:
+                if steps >= cap:
+                    raise too_long(z)
+                total_cost += cost
+                steps += 1
+                offset = offsets[next(uniforms)]
+            stop = current + offset
             if (stop != z or stop == reference) and stop in values:
                 break
             current = stop
@@ -395,11 +425,7 @@ def _rollout(
                 records.append((stop, total_cost, steps))
                 room -= 1
             if steps >= cap:
-                raise RuntimeError(
-                    f"trajectory from {rows.kernel.state(z)} exceeded {cap} steps without "
-                    "reaching a stored state; is the base policy unichain, and is the "
-                    f"reference {store.reference} recurrent under it?"
-                )
+                raise too_long(z)
 
         # The start first, then the chain's records.  values[stop] is read
         # per record: when the start is also the stop (the reference),
@@ -446,7 +472,7 @@ def sample_trajectory(
     if store.reference not in store:
         raise ValueError("store is missing its reference entry")
     kernel = kernel_of(inst)
-    rollout = _rollout(RuleRows(kernel, base), store, _uniforms(kernel, rng))
+    rollout = _rollout(kernel.rows(base), store, _uniforms(kernel, rng))
     started = time.perf_counter()
     stop, steps = rollout(kernel.indexer.index(z), p)
     used = time.perf_counter() - started if mode == WALL_CLOCK else steps
@@ -478,7 +504,7 @@ def offline_preparatory(
     """
     _check_base(base)
     kernel = kernel_of(inst)
-    rows = RuleRows(kernel, base)
+    rows = kernel.rows(base)
     uniforms = _uniforms(kernel, rng)
     index, block = kernel.indexer.index, kernel.indexer.conditions_per_location
     m = inst.machine_count
@@ -549,7 +575,7 @@ def offline_main(
     store = ValueStore(inst, prep.reference, prep.g_base)
     kernel = kernel_of(inst)
     index = kernel.indexer.index
-    rollout = _rollout(RuleRows(kernel, base), store, _uniforms(kernel, rng))
+    rollout = _rollout(kernel.rows(base), store, _uniforms(kernel, rng))
     clock = time.perf_counter if budget.mode == WALL_CLOCK else None
     starts = [(index(z), 1) for z in prep.z_all] + [(index(z), 5) for z in prep.z_core]
     r_off, tau_max = budget.r_off, budget.tau_max
@@ -706,7 +732,7 @@ def online_run(
     start = store.reference if x0 is None else x0
     validate_state(inst, start)
     kernel = kernel_of(inst)
-    rows = RuleRows(kernel, base)
+    rows = kernel.rows(base)
     uniforms = _uniforms(kernel, rng)
     rollout = _rollout(rows, store, uniforms)
     values = store.entries

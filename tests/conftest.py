@@ -13,7 +13,7 @@ from repairnet.dp import DpModel, StationaryPolicy
 from repairnet.instance import CostKind, CostModel, InstanceParameters
 from repairnet.mdp import SystemState
 from repairnet.network import build_complete_layout, build_star_layout
-from repairnet.opi import ValueStoreEntry
+from repairnet.opi import LEARNING_SCALE, TRAJECTORY_CAP, ValueStoreEntry
 
 # Every run draws the same examples, so a slow or failing example repeats
 # and can be named.  Each test keeps its own max_examples.
@@ -177,6 +177,47 @@ def uniform_step(
         if u < upper + inst.mu[i - 1] * delta:
             return with_level_change(state, i, -1)
     return state
+
+
+def reference_rollout(inst, rule, entries, reference, g_base, z, p, draws):
+    """One OPI rollout on state tuples: the oracle ``opi._rollout`` is
+    checked against.
+
+    ``entries`` maps a state to its ``(h, ss, w, s)`` and is updated in
+    place; ``draws`` yields one uniform per step, which ``uniform_step``
+    turns into the next state under ``rule``'s action.  The rollout stops
+    at the first stored state it reaches, unless that is the start ``z``
+    and ``z`` is not the reference.  It records the first ``p`` distinct
+    states it visits, ``z`` first, each with the cost and steps before it;
+    then, in that order, each record's entry takes one observation: the
+    cost from the record on, plus the stop's h as it stands, minus g_base
+    per step.  Returns ``(stop, steps)``."""
+    state, total, steps = z, 0.0, 0
+    records = [(z, 0.0, 0)]
+    while True:
+        total += step_cost(inst, state)
+        steps += 1
+        state = uniform_step(inst, state, rule(state), next(draws))
+        if state in entries and (state != z or state == reference):
+            break
+        if len(records) < p and all(state != x for x, _, _ in records):
+            records.append((state, total, steps))
+        if steps >= TRAJECTORY_CAP:
+            raise RuntimeError(f"trajectory from {z} exceeded {TRAJECTORY_CAP} steps")
+    stop = state
+    for x, cost_at, steps_at in records:
+        h, ss, w, s = entries.get(x, (0.0, 0.0, 0.0, 0))
+        s += 1
+        alpha = LEARNING_SCALE / (LEARNING_SCALE + s - 1)
+        keep = 1.0 - alpha
+        observation = (total - cost_at) + entries[stop][0] - g_base * (steps - steps_at)
+        entries[x] = (
+            keep * h + alpha * observation,
+            keep * ss + alpha * observation * observation,
+            keep ** 2 * w + alpha * alpha,
+            s,
+        )
+    return stop, steps
 
 
 def action_events(

@@ -1,5 +1,7 @@
 import copy
 import math
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,30 @@ def test_round_trip_preserves_exact_floats(tmp_path):
     assert loaded.rho_nominal == inst.rho_nominal
 
 
+def test_round_trip_reads_back_every_repr(tmp_path):
+    # The writer's repr output is always a decimal string the reader
+    # takes, exponent forms such as 1e-05 included.
+    for seed in range(20):
+        inst = generate_instance(seed)
+        assert instance_from_dict(instance_to_dict(inst)) == inst
+    small = replace(generate_instance(3, m=2), lam=(1e-05, 2.5e-07), tau=1e22)
+    data = instance_to_dict(small)
+    assert (data["lambda"], data["tau"]) == (["1e-05", "2.5e-07"], "1e+22")
+    assert instance_from_dict(data) == small
+
+
+@pytest.mark.parametrize(
+    "text", [" 0.5 ", "0.5\n", "1_0e-2", "\uff10.5", "\u0661", "+inf", "NaN", "Infinity"]
+)
+def test_loader_takes_only_decimal_strings(text):
+    # float() accepts each of these; the file format does not.
+    data = instance_to_dict(generate_instance(5, m=2, cap=2))
+    data["mu"][1] = text
+    message = rf"^root\.mu\[1\]: {re.escape(repr(text))} is not a decimal string$"
+    with pytest.raises(InstanceFormatError, match=message):
+        instance_from_dict(data)
+
+
 def test_corrupted_file_reports_field_path(tmp_path):
     inst = generate_instance(1)
     data = instance_to_dict(inst)
@@ -243,11 +269,13 @@ def _costs(*c):
         (dict(cap=(2, 2.0)), r"K\[1\]: 2\.0 is not an integer >= 1"),
         (dict(cap=(True, 2)), r"K\[0\]: True is not an integer >= 1"),
         # A NaN cost ran policy evaluation to its sweep cap; an infinite one
-        # did not end.
-        (dict(cost=_costs(math.nan, 1.0)), r"cost\.c\[0\]: nan is not a finite number"),
-        (dict(cost=_costs(1.0, math.inf)), r"cost\.c\[1\]: inf is not a finite number"),
-        (dict(cost=_costs(-math.inf, 1.0)), r"cost\.c\[0\]: -inf is not a finite number"),
-        (dict(cost=_costs(True, 1.0)), r"cost\.c\[0\]: True is not a finite number"),
+        # did not end.  A cost that is 0 or less does not rise with the level.
+        (dict(cost=_costs(math.nan, 1.0)), r"cost\.c\[0\]: nan is not a positive finite number"),
+        (dict(cost=_costs(1.0, math.inf)), r"cost\.c\[1\]: inf is not a positive finite number"),
+        (dict(cost=_costs(-math.inf, 1.0)), r"cost\.c\[0\]: -inf is not a positive finite number"),
+        (dict(cost=_costs(True, 1.0)), r"cost\.c\[0\]: True is not a positive finite number"),
+        (dict(cost=_costs(-1.0, 1.0)), r"cost\.c\[0\]: -1\.0 is not a positive finite number"),
+        (dict(cost=_costs(1.0, 0.0)), r"cost\.c\[1\]: 0\.0 is not a positive finite number"),
         (dict(rho_nominal=math.nan), r"rho_nominal: nan is not a finite number"),
         (dict(mu=(1.1,)), r"mu: 1 entries for 2 machines"),
         (dict(cap=(2, 2, 2)), r"K: 3 entries for 2 machines"),
@@ -255,7 +283,7 @@ def _costs(*c):
     ],
     ids=[
         "cap-fraction", "cap-float", "cap-bool", "c-nan", "c-inf", "c-minus-inf", "c-bool",
-        "rho-nan", "short-mu", "long-cap", "short-c",
+        "c-negative", "c-zero", "rho-nan", "short-mu", "long-cap", "short-c",
     ],
 )
 def test_instance_refuses_values_naming_the_field(two_machines, changes, message):
@@ -382,10 +410,17 @@ def _repeated_coordinate(data):
         (_disconnected, r"root\.adjacency: graph is not connected"),
         (_set(("seed",), {"a": 1}), r"root\.seed: expected an integer or null"),
         (_extra_edge, r"root\.adjacency: inconsistent with grid/machine_coords"),
-        (_set(("mu", 1), "abc"), r"root\.mu\[1\]: could not convert string to float: 'abc'"),
+        (_set(("mu", 1), "abc"), r"^root\.mu\[1\]: 'abc' is not a decimal string$"),
         # Value errors are the constructor's, with the root added.
         (_set(("K", 0), 1.5), r"^root\.K\[0\]: 1\.5 is not an integer >= 1$"),
-        (_set(("cost", "c", 1), "inf"), r"^root\.cost\.c\[1\]: inf is not a finite number$"),
+        (
+            _set(("cost", "c", 1), "inf"),
+            r"^root\.cost\.c\[1\]: inf is not a positive finite number$",
+        ),
+        (
+            _set(("cost", "c", 0), "-1.0"),
+            r"^root\.cost\.c\[0\]: -1\.0 is not a positive finite number$",
+        ),
         (_set(("tau",), "nan"), r"^root\.tau: nan is not a positive finite number$"),
     ],
     ids=[
@@ -409,6 +444,7 @@ def _repeated_coordinate(data):
         "unparseable-rate",
         "fractional-K",
         "infinite-c",
+        "negative-c",
         "nan-tau",
     ],
 )

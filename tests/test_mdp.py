@@ -116,9 +116,15 @@ def test_invalid_action_rejected(two_machines):
         kernel.action_row(kernel.indexer.index(SystemState(1, (0, 0))), 7)
 
 
+def kernel_cost(inst, state):
+    """The cost rate of ``state``'s kernel row under staying put."""
+    kernel = Kernel(inst)
+    return kernel.action_row(kernel.indexer.index(state), state.location)[1]
+
+
 def test_step_cost_examples(two_machines):
     c3 = counterexample_instances()[4]
-    for cost in (step_cost, lambda inst, state: Kernel(inst).cost(state)):
+    for cost in (step_cost, kernel_cost):
         assert cost(two_machines, pristine_state(two_machines)) == 0.0
         assert cost(two_machines, SystemState(1, (2, 1))) == 3.0
         assert cost(c3, all_failed_state(c3)) == pytest.approx(29.7)

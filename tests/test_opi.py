@@ -10,7 +10,7 @@ from conftest import homogeneous_star_instance, rng, with_level_change, with_loc
 from repairnet.dp import StationaryPolicy, evaluate_policy
 from repairnet.index_policy import ModifiedIndexPolicy
 from repairnet.instance import generate_instance
-from repairnet.mdp import SystemState, kernel_of, pristine_state
+from repairnet.mdp import SystemState, all_failed_state, kernel_of, pristine_state
 from repairnet.polling import PollingPolicy, best_tour
 from repairnet.opi import (
     STEP_COUNT,
@@ -299,6 +299,22 @@ def test_trajectory_cap_names_the_start_state(monkeypatch):
     budget = OpiBudget(r1=10, r2=10, r_off=5, tau_max=1e9, r_on=10, delta=1, mode=STEP_COUNT)
     with pytest.raises(RuntimeError, match=message):
         offline_main(inst, never_leaves, prep, budget, rng(0))
+
+
+def test_trajectory_cap_ends_a_run_of_self_loops(monkeypatch):
+    # Idling at a node without a machine, with every machine failed, every
+    # draw self-loops, so the rollout never leaves its start; the cap
+    # still ends it, with the same message.
+    import repairnet.opi as opi_module
+
+    monkeypatch.setattr(opi_module, "TRAJECTORY_CAP", 200)
+    inst = generate_instance(12, m=2, cap=1)
+    start = all_failed_state(inst, location=inst.layout.node_count)
+    assert not inst.layout.is_machine(start.location)
+    message = re.escape(f"trajectory from {start} exceeded 200 steps") + ".*unichain"
+    store = make_store(inst, pristine_state(inst))
+    with pytest.raises(RuntimeError, match=message):
+        sample_trajectory(inst, never_leaves, store, start, 1, rng(0))
 
 
 def test_offline_preparatory_core_sets():

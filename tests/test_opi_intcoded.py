@@ -14,14 +14,17 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EventKind,
     action_events,
     oracle_neighborhood,
+    reference_rollout,
     rng,
     step_cost,
+    step_probabilities,
     step_reward,
     tight,
     uniform_step,
@@ -41,14 +44,17 @@ from repairnet.mdp import (
 from repairnet.network import build_lattice_layout
 from repairnet.opi import (
     STEP_COUNT,
+    OfflinePreparation,
     OpiBudget,
     ValueStore,
+    ValueStoreEntry,
     confidence_interval,
     improving_action,
     neighborhood,
     offline_main,
     offline_preparatory,
     online_run,
+    sample_trajectory,
     save_store,
     state_key,
 )
@@ -107,6 +113,11 @@ def test_rows_share_interned_tuples():
     a = kernel.action_row(index(SystemState(1, (1, 0, 0))), 1)
     b = kernel.action_row(index(SystemState(1, (1, 1, 1))), 1)
     assert len(a) == 4 and a[3] is b[3]
+    # Every location's state of one condition vector holds one levels tuple.
+    levels = (1, 1, 1)
+    here = kernel.state(index(SystemState(2, levels)))
+    there = kernel.state(index(SystemState(25, levels)))
+    assert here.conditions is there.conditions == levels
 
 
 def vertex_oracle(inst, state, store, base_action):
@@ -311,6 +322,97 @@ def test_offline_phases_read_one_stream_in_chunks(r1, r2):
     store = offline_main(inst, base, prep, budget, generator)
     again = offline_main(inst, base, prep, budget, fresh)
     assert store.entries == again.entries
+
+
+def oracle_draws(seed):
+    """The uniforms of ``rng(seed)`` one at a time, in the library's 8192-draw chunks."""
+    generator = rng(seed)
+    return itertools.chain.from_iterable(iter(lambda: generator.random(8192).tolist(), None))
+
+
+def self_loop_seed(inst, rule, state):
+    """The first generator seed whose first uniform self-loops at ``state``."""
+    action = rule(state)
+    return next(
+        seed for seed in itertools.count()
+        if uniform_step(inst, state, action, rng(seed).random()) == state
+    )
+
+
+def self_loop_chance(inst, rule, state):
+    return sum(
+        p for event, p in step_probabilities(inst, state, rule(state))
+        if event.kind is EventKind.SELF_LOOP
+    )
+
+
+def store_values(store):
+    return {state: (e.h, e.ss, e.w, e.s) for state, e in store.items()}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
+def test_rollouts_match_the_tuple_level_reference_draw_for_draw(seed, walk_seed, draw_seed):
+    # Stored states come from a walk under the base policy after a
+    # burn-in, so the rollouts reach them.  The reference and one other
+    # stored state are the walk's two states most likely to self-loop, and
+    # each is started on draws whose first one self-loops: at the
+    # reference that ends the rollout after one step; anywhere else the
+    # rollout goes on until it leaves.
+    inst = generate_instance(seed, m=2, cap=2)
+    base = ModifiedIndexPolicy(inst)
+    state, walk = pristine_state(inst), []
+    for k, u in enumerate(rng(walk_seed).random(600)):
+        state = uniform_step(inst, state, base(state), u)
+        if k >= 500 and state not in walk:
+            walk.append(state)
+    chance = {x: self_loop_chance(inst, base, x) for x in walk}
+    assume(sum(p >= 0.01 for p in chance.values()) >= 2)
+    reference, looping = sorted(walk, key=lambda x: (-chance[x], x))[:2]
+    g_base = 0.37
+    store = ValueStore(inst, reference, g_base)
+    for k, x in enumerate([looping] + walk[:5]):
+        if x != reference:
+            store[x] = ValueStoreEntry(h=0.5 * k - 1.0, ss=0.3 * k * k + 1.0, w=0.25, s=k + 2)
+    entries = store_values(store)
+
+    runs = {}
+    for name, z, draws in [
+        ("reference", reference, self_loop_seed(inst, base, reference)),
+        ("looping", looping, self_loop_seed(inst, base, looping)),
+        ("last", walk[-1], draw_seed),
+    ]:
+        for p in (1, 5):
+            stop, used = runs[name, p] = sample_trajectory(inst, base, store, z, p, rng(draws))
+            expected = reference_rollout(
+                inst, base, entries, reference, g_base, z, p, oracle_draws(draws)
+            )
+            assert (stop, used) == (expected[0], float(expected[1]))
+            assert store_values(store) == entries
+    for p in (1, 5):
+        assert runs["reference", p] == (reference, 1.0)
+        stop, used = runs["looping", p]
+        assert stop != looping and used >= 2.0
+
+    # One offline_main call: every start rolls out up to r_off times
+    # within tau_max steps, a chain from each core state.
+    prep = OfflinePreparation(
+        g_base=g_base, reference=reference, z_core=walk[:2], z_all=walk[::-1][:4]
+    )
+    budget = OpiBudget(r1=1, r2=1, r_off=3, tau_max=40, r_on=1, delta=1, mode=STEP_COUNT)
+    store = offline_main(inst, base, prep, budget, rng(draw_seed))
+    entries = {reference: (0.0, 0.0, 1.0, 1)}
+    draws = oracle_draws(draw_seed)
+    for z, p in [(x, 1) for x in prep.z_all] + [(x, 5) for x in prep.z_core]:
+        used = 0
+        for _ in range(budget.r_off):
+            stop, steps = reference_rollout(inst, base, entries, reference, g_base, z, p, draws)
+            if p > 1:
+                z = stop
+            used += steps
+            if used >= budget.tau_max:
+                break
+    assert store_values(store) == entries
 
 
 def test_online_run_draws_nothing_it_does_not_use():

@@ -20,6 +20,7 @@ from repairnet.mdp import (
     SystemState,
     actions_of,
     enumerate_states,
+    kernel_of,
     pristine_state,
     simulate,
     validate_state,
@@ -115,6 +116,9 @@ def test_identical_polling_calls_return_identical_reports():
 
 
 def test_a_function_of_the_state_is_queried_once_per_distinct_state_per_call():
+    # The instance's kernel keeps one table of rows for the last rule
+    # object it stepped, so a rule is asked at most once per state across
+    # calls too, not only within one.
     inst = generate_instance(4, m=3, cap=2)
     picks = rng(11)
     table = StationaryPolicy(
@@ -129,25 +133,50 @@ def test_a_function_of_the_state_is_queried_once_per_distinct_state_per_call():
 
     x0 = pristine_state(inst)
     steps = 8_269
-    for seed in (1, 2):
-        queried.clear()
-        crn = rng(seed).random(steps)
-        report = simulate(inst, counted, x0, steps, crn=crn)
-        assert queried and max(queried.values()) == 1
+    crns = [rng(seed).random(steps) for seed in (1, 2)]
+    reached = set()
+    reports = []
+    for crn in crns:
         visited = Counter()
 
         def recorded(state):
             visited[state] += 1
             return rule(state)
 
+        reports.append(simulate(inst, counted, x0, steps, crn=crn))
         expected = reference_simulate(inst, recorded, x0, steps, crn)
-        assert (report.average_cost, report.average_reward, report.visit_counts) == expected
-        assert set(queried) == set(visited)
+        assert (reports[-1].average_cost, reports[-1].average_reward,
+                reports[-1].visit_counts) == expected
         assert sum(visited.values()) == steps > len(visited)
+        reached |= set(visited)
+    # Both calls together asked each state they reached once.
+    assert set(queried) == reached and max(queried.values()) == 1
 
-    # Every OPI phase call steps its base rule through the same kind of
-    # table, so it too asks the rule once per state it reaches.
+    # Another rule object gets a table of its own, even for the same
+    # decisions: it is asked again, once per state.
+    again = Counter()
+
+    def counted_again(state):
+        again[state] += 1
+        return rule(state)
+
+    assert simulate(inst, counted_again, x0, steps, crn=crns[0]) == reports[0]
+    assert again and max(again.values()) == 1
+
+    # Rule A, then rule B, then A again: each report equals a run on a
+    # fresh kernel, so no call steps on another rule's rows.
+    other = ModifiedIndexPolicy(inst)
+    runs = [simulate(inst, rule_, x0, steps, crn=crns[1]) for rule_ in (counted, other, counted)]
+    fresh = []
+    for rule_ in (counted, other):
+        kernel_of.cache_clear()
+        fresh.append(simulate(inst, rule_, x0, steps, crn=crns[1]))
+    assert runs == [fresh[0], fresh[1], fresh[0]] and runs[0] != runs[1]
+
+    # The three OPI phases step their base rule through one table, so
+    # together they ask it once per state they reach.
     base = ModifiedIndexPolicy(inst)
+    queried.clear()
 
     def counted_base(state):
         queried[state] += 1
@@ -155,16 +184,10 @@ def test_a_function_of_the_state_is_queried_once_per_distinct_state_per_call():
 
     budget = OpiBudget(r1=200, r2=2_000, r_off=20, tau_max=1e9, r_on=500, delta=2, mode=STEP_COUNT)
     offline_rng = rng(3)
-
-    def asked_once(call):
-        queried.clear()
-        result = call()
-        assert queried and max(queried.values()) == 1
-        return result
-
-    prep = asked_once(lambda: offline_preparatory(inst, counted_base, budget, offline_rng))
-    store = asked_once(lambda: offline_main(inst, counted_base, prep, budget, offline_rng))
-    asked_once(lambda: online_run(inst, counted_base, store, budget, rng(4), x0=x0))
+    prep = offline_preparatory(inst, counted_base, budget, offline_rng)
+    store = offline_main(inst, counted_base, prep, budget, offline_rng)
+    online_run(inst, counted_base, store, budget, rng(4), x0=x0)
+    assert queried and max(queried.values()) == 1
 
 
 class _BadMemory:
