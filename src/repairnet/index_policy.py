@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .instance import InstanceParameters
-from .mdp import SystemState, _is_integer, kernel_of, validate_state
+from .mdp import SystemState, _is_integer, check_id, kernel_of, validate_state
 from .network import shortest_next_hop
 
 
@@ -68,24 +68,15 @@ class ArrivalDistribution:
             yield self.offset + k, p, d
 
 
-def _check_id(field: str, value, count: int, kind: str = "machine") -> None:
-    """Raise ValueError, naming ``field``, unless ``value`` is an id in
-    1..count.  The public wrappers check every id and level before a tuple
-    is indexed with it, which would otherwise return a plausible number
-    (a negative id indexes from the end)."""
-    if not _is_integer(value) or not 1 <= value <= count:
-        raise ValueError(f"{field}: {value!r} is not a {kind} id in 1..{count}")
-
-
 def _check_level(inst: InstanceParameters, machine, level) -> None:
-    _check_id("machine", machine, inst.machine_count)
+    check_id("machine", machine, inst.machine_count)
     cap = inst.cap[machine - 1]
     if not _is_integer(level) or not 0 <= level <= cap:
         raise ValueError(f"level: {level!r} of machine {machine} is not in 0..{cap}")
 
 
 def _check_target(inst: InstanceParameters, source, machine, level, what: str) -> None:
-    _check_id("source", source, inst.layout.node_count, "node")
+    check_id("source", source, inst.layout.node_count, "node")
     _check_level(inst, machine, level)
     if source == machine:
         raise ValueError(f"{what} requires source != machine")
@@ -100,7 +91,7 @@ def repair_statistics(inst: InstanceParameters, machine: int) -> RepairStatistic
     s(k) is the reward rate at level k (or 1 for durations).  Raises
     ValueError, naming the id, for an id that is not a machine.
     """
-    _check_id("machine", machine, inst.machine_count)
+    check_id("machine", machine, inst.machine_count)
     return _calculator(inst).repair_stats(machine)
 
 
@@ -142,7 +133,7 @@ def wait_index(inst: InstanceParameters, source: int, machine: int, level: int) 
 def idle_score(inst: InstanceParameters, node: int) -> float:
     """Expected travel time to the next machine that degrades, weighting
     each machine by its share of the total degradation rate."""
-    _check_id("node", node, inst.layout.node_count, "node")
+    check_id("node", node, inst.layout.node_count, "node")
     return _calculator(inst).psi(node)
 
 

@@ -105,6 +105,13 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name}: {value!r} is not a positive count")
 
 
+def check_id(field: str, value, count: int, kind: str = "machine") -> None:
+    """Raise ValueError, naming ``field``, unless ``value`` is an id in
+    1..count, not a bool: a negative id would index a tuple from the end."""
+    if not _is_integer(value) or not 1 <= value <= count:
+        raise ValueError(f"{field}: {value!r} is not a {kind} id in 1..{count}")
+
+
 def check_positive(name: str, value) -> None:
     """Raise ValueError, naming ``name``, unless ``value`` is a finite number
     above zero, not a bool: a negative or NaN tolerance is never met, so the
@@ -118,10 +125,7 @@ def validate_state(inst: InstanceParameters, state: SystemState) -> None:
     """Raise ValueError, naming the field, unless ``state`` lies in the
     instance's state space: a location in 1..node_count and one integer
     level in 0..cap per machine."""
-    n = inst.layout.node_count
-    location = state.location
-    if not _is_integer(location) or not 1 <= location <= n:
-        raise ValueError(f"state.location: {location!r} is not a node in 1..{n}")
+    check_id("state.location", state.location, inst.layout.node_count, "node")
     m = inst.machine_count
     if len(state.conditions) != m:
         raise ValueError(

@@ -1,15 +1,19 @@
 """Graph model of machines and intermediate stages.
 
 Nodes are labeled with 1-based ids: machines 1..m, intermediate stages
-m+1..m+n.  All movement follows shortest paths; ties between shortest
-paths are broken by always stepping to the smallest-id adjacent node,
-which makes every routing decision in the package deterministic.
+m+1..m+n.  A layout is its adjacency list: ``NetworkLayout`` checks every
+graph rule on it and derives the distances and next hops, which cannot
+disagree with the edges.  All movement follows shortest paths; ties
+between shortest paths are broken by always stepping to the smallest-id
+adjacent node, which makes every routing decision in the package
+deterministic.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 NodeId = int
 
@@ -18,28 +22,82 @@ NodeId = int
 class NetworkLayout:
     """Immutable connected graph with precomputed shortest-path structure.
 
+    The three inputs are the layout, and equality and hashing read only
+    them; the constructor derives the rest.  It raises LayoutError, naming
+    the field, unless every neighbour is an int node id in 1..n, none is
+    the node's own or repeated, each edge is listed at both ends, each
+    node's neighbours ascend, the graph is connected, ``machine_count``
+    is in 1..n and ``coordinates``, when given, has one entry per node.
+
     Attributes:
-        node_count: total number of nodes |V|.
         adjacency: per-node sorted tuple of adjacent node ids (1-based,
             indexed by ``node - 1``).
-        machines: machine node ids, always ``(1, ..., m)``.
+        machine_count: m; the machines are nodes 1..m.
         coordinates: optional per-node lattice coordinates ``(a, b)``;
             ``None`` for non-lattice layouts.
-        dist_table: all-pairs shortest-path edge counts.
-        next_hop_table: first node on the canonical (smallest-id) shortest
-            path for each ordered pair; ``0`` on the diagonal.
+        machines: derived, always ``(1, ..., m)``.
+        dist_table: derived all-pairs shortest-path edge counts.
+        next_hop_table: derived first node on the canonical (smallest-id)
+            shortest path for each ordered pair; ``0`` on the diagonal.
     """
 
-    node_count: int
     adjacency: tuple[tuple[NodeId, ...], ...]
-    machines: tuple[NodeId, ...]
-    coordinates: tuple[tuple[int, int], ...] | None
-    dist_table: tuple[tuple[int, ...], ...]
-    next_hop_table: tuple[tuple[NodeId, ...], ...]
+    machine_count: int
+    coordinates: tuple[tuple[int, int], ...] | None = None
+    machines: tuple[NodeId, ...] = field(init=False, compare=False, repr=False)
+    dist_table: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    next_hop_table: tuple[tuple[NodeId, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        adjacency = self.adjacency
+        n = len(adjacency)
+        for i, nbrs in enumerate(adjacency):
+            for v in nbrs:
+                if type(v) is not int:
+                    raise LayoutError(f"adjacency[{i}]: {v!r} is not an integer node id")
+                if not 1 <= v <= n:
+                    raise LayoutError(f"adjacency[{i}]: node id {v} out of range 1..{n}")
+                if v == i + 1:
+                    raise LayoutError(f"adjacency[{i}]: self-loop on node {v}")
+                if i + 1 not in adjacency[v - 1]:
+                    raise LayoutError(f"adjacency[{i}]: edge to {v} is not symmetric")
+            if len(set(nbrs)) != len(nbrs):
+                raise LayoutError(f"adjacency[{i}]: duplicate neighbour")
+            # Next hops take the first qualifying neighbour as the smallest id.
+            if list(nbrs) != sorted(nbrs):
+                raise LayoutError(f"adjacency[{i}]: neighbours not in ascending order")
+        m = self.machine_count
+        if not isinstance(m, numbers.Integral) or isinstance(m, bool) or not 1 <= m <= n:
+            raise LayoutError(f"machine_count: {m!r} is not a machine count in 1..{n}")
+        if self.coordinates is not None and len(self.coordinates) != n:
+            raise LayoutError(f"coordinates: {len(self.coordinates)} entries for {n} nodes")
+
+        dist_table = tuple(tuple(_bfs_distances(adjacency, src)) for src in range(1, n + 1))
+        if -1 in dist_table[0]:
+            raise LayoutError("adjacency: graph is not connected")
+
+        # Canonical next hop: the smallest-id neighbor that reduces the
+        # distance to the target by exactly one.  Adjacency is sorted, so the
+        # first qualifying neighbor is the smallest.
+        hop_rows = []
+        for src in range(1, n + 1):
+            row = []
+            for dst in range(1, n + 1):
+                if src == dst:
+                    row.append(0)
+                    continue
+                target_d = dist_table[src - 1][dst - 1] - 1
+                hop = next(u for u in adjacency[src - 1] if dist_table[u - 1][dst - 1] == target_d)
+                row.append(hop)
+            hop_rows.append(tuple(row))
+
+        object.__setattr__(self, "machines", tuple(range(1, m + 1)))
+        object.__setattr__(self, "dist_table", dist_table)
+        object.__setattr__(self, "next_hop_table", tuple(hop_rows))
 
     @property
-    def machine_count(self) -> int:
-        return len(self.machines)
+    def node_count(self) -> int:
+        return len(self.adjacency)
 
     def neighbors(self, node: NodeId) -> tuple[NodeId, ...]:
         return self.adjacency[node - 1]
@@ -48,7 +106,7 @@ class NetworkLayout:
         return self.dist_table[source - 1][target - 1]
 
     def is_machine(self, node: NodeId) -> bool:
-        return 1 <= node <= len(self.machines)
+        return 1 <= node <= self.machine_count
 
 
 class LayoutError(ValueError):
@@ -69,46 +127,6 @@ def _bfs_distances(adjacency: tuple[tuple[NodeId, ...], ...], source: NodeId) ->
     return dist
 
 
-def layout_from_adjacency(
-    adjacency: tuple[tuple[NodeId, ...], ...],
-    machines: tuple[NodeId, ...],
-    coordinates: tuple[tuple[int, int], ...] | None,
-) -> NetworkLayout:
-    """Finish construction: BFS all-pairs distances and canonical next hops."""
-    n = len(adjacency)
-    dist_rows = []
-    for src in range(1, n + 1):
-        row = _bfs_distances(adjacency, src)
-        if any(d < 0 for d in row):
-            raise LayoutError("graph is not connected")
-        dist_rows.append(tuple(row))
-    dist_table = tuple(dist_rows)
-
-    # Canonical next hop: the smallest-id neighbor that reduces the
-    # distance to the target by exactly one.  Adjacency is sorted, so the
-    # first qualifying neighbor is the smallest.
-    hop_rows = []
-    for src in range(1, n + 1):
-        row = []
-        for dst in range(1, n + 1):
-            if src == dst:
-                row.append(0)
-                continue
-            target_d = dist_table[src - 1][dst - 1] - 1
-            hop = next(u for u in adjacency[src - 1] if dist_table[u - 1][dst - 1] == target_d)
-            row.append(hop)
-        hop_rows.append(tuple(row))
-
-    return NetworkLayout(
-        node_count=n,
-        adjacency=adjacency,
-        machines=machines,
-        coordinates=coordinates,
-        dist_table=dist_table,
-        next_hop_table=tuple(hop_rows),
-    )
-
-
 def build_lattice_layout(
     grid_side: int, machine_coords: list[tuple[int, int]]
 ) -> NetworkLayout:
@@ -124,7 +142,8 @@ def build_lattice_layout(
     coords = list(machine_coords)
     if not coords:
         raise LayoutError("at least one machine coordinate required")
-    if len(set(coords)) != len(coords):
+    taken = set(coords)
+    if len(taken) != len(coords):
         raise LayoutError(f"duplicate machine coordinates: {sorted(coords)}")
     for a, b in coords:
         if not (1 <= a <= grid_side and 1 <= b <= grid_side):
@@ -135,7 +154,7 @@ def build_lattice_layout(
         (a, b)
         for a in range(1, grid_side + 1)
         for b in range(1, grid_side + 1)
-        if (a, b) not in set(coords)
+        if (a, b) not in taken
     ]
     all_coords = machine_order + stage_order
     id_of = {coord: i + 1 for i, coord in enumerate(all_coords)}
@@ -149,11 +168,7 @@ def build_lattice_layout(
                 nbrs.append(id_of[nb])
         adjacency.append(tuple(sorted(nbrs)))
 
-    return layout_from_adjacency(
-        tuple(adjacency),
-        machines=tuple(range(1, len(machine_order) + 1)),
-        coordinates=tuple(all_coords),
-    )
+    return NetworkLayout(tuple(adjacency), len(machine_order), tuple(all_coords))
 
 
 def build_star_layout(m: int, radius: int) -> NetworkLayout:
@@ -186,11 +201,7 @@ def build_star_layout(m: int, radius: int) -> NetworkLayout:
             next_id += 1
         connect(prev, center)
 
-    return layout_from_adjacency(
-        tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-        machines=tuple(range(1, m + 1)),
-        coordinates=None,
-    )
+    return NetworkLayout(tuple(tuple(sorted(nbrs)) for nbrs in adjacency), m)
 
 
 def build_complete_layout(m: int) -> NetworkLayout:
@@ -200,11 +211,19 @@ def build_complete_layout(m: int) -> NetworkLayout:
     adjacency = tuple(
         tuple(j for j in range(1, m + 1) if j != i) for i in range(1, m + 1)
     )
-    return layout_from_adjacency(adjacency, machines=tuple(range(1, m + 1)), coordinates=None)
+    return NetworkLayout(adjacency, m)
 
 
 def shortest_next_hop(layout: NetworkLayout, source: NodeId, target: NodeId) -> NodeId:
-    """First node on the canonical shortest path from ``source`` to ``target``."""
+    """First node on the canonical shortest path from ``source`` to ``target``.
+
+    Raises LayoutError, naming the id, for a node outside 1..node_count
+    (a negative id would index from the end) or for ``source == target``.
+    """
+    n = len(layout.adjacency)
+    if not (1 <= source <= n and 1 <= target <= n):
+        name, node = ("source", source) if not 1 <= source <= n else ("target", target)
+        raise LayoutError(f"{name}: {node!r} is not a node id in 1..{n}")
     if source == target:
         raise LayoutError(f"no next hop from node {source} to itself")
     return layout.next_hop_table[source - 1][target - 1]

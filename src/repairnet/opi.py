@@ -460,11 +460,10 @@ def sample_trajectory(
     z: SystemState,
     p: int,
     rng: np.random.Generator,
-    mode: str = STEP_COUNT,
-) -> tuple[SystemState, float]:
+) -> tuple[SystemState, int]:
     """One rollout from ``z`` (see _rollout): its stop state and the
-    budget it used, in steps or seconds.  Raises ValueError for a
-    finite-memory ``base`` or a ``p`` that is not a count >= 1."""
+    steps it took.  Raises ValueError for a finite-memory ``base`` or a
+    ``p`` that is not a count >= 1."""
     _check_base(base)
     _check_store(inst, store)
     validate_state(inst, z)
@@ -473,10 +472,8 @@ def sample_trajectory(
         raise ValueError("store is missing its reference entry")
     kernel = kernel_of(inst)
     rollout = _rollout(kernel.rows(base), store, _uniforms(kernel, rng))
-    started = time.perf_counter()
     stop, steps = rollout(kernel.indexer.index(z), p)
-    used = time.perf_counter() - started if mode == WALL_CLOCK else steps
-    return kernel.state(stop), float(used)
+    return kernel.state(stop), steps
 
 
 @dataclass

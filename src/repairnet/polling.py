@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .instance import InstanceParameters
-from .mdp import SimulationReport, SystemState, _is_integer, pristine_state, simulate
+from .mdp import SimulationReport, SystemState, check_id, pristine_state, simulate
 from .network import NetworkLayout, shortest_next_hop
 
 DEFAULT_SUBSET_LIMIT = 4
@@ -47,14 +47,12 @@ def best_tour(layout: NetworkLayout, subset: Iterable[int]) -> PollingTour:
     among tied lengths the lexicographically smallest sequence wins.
     Raises ValueError, naming the id, for an id that is not a machine.
     """
-    machines = sorted(set(subset))
+    machines = set(subset)
+    for machine in machines:
+        check_id("polling subset", machine, layout.machine_count)
+    machines = sorted(machines)
     if not machines:
         raise ValueError("polling subset must be non-empty")
-    for machine in machines:
-        if not _is_integer(machine) or machine not in layout.machines:
-            raise ValueError(
-                f"polling subset: {machine!r} is not a machine id in 1..{len(layout.machines)}"
-            )
     if len(machines) > 8:
         raise ValueError(f"brute-force tour search limited to 8 machines, got {len(machines)}")
     first, rest = machines[0], machines[1:]

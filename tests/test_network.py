@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
 from conftest import floyd_warshall
 from repairnet.network import (
     LayoutError,
+    NetworkLayout,
     build_complete_layout,
     build_lattice_layout,
     build_star_layout,
@@ -179,3 +182,63 @@ def test_dist_symmetry_and_triangle():
             assert layout.dist(i, j) == layout.dist(j, i)
             for k in range(1, n + 1):
                 assert layout.dist(i, j) <= layout.dist(i, k) + layout.dist(k, j)
+
+
+# A path 1 - 2 - 3 with machines 1 and 2; each probe breaks one graph rule.
+PATH3 = ((2,), (1, 3), (2,))
+
+
+@pytest.mark.parametrize(
+    "adjacency, machine_count, coordinates, message",
+    [
+        (((1, 2), (1,)), 2, None, r"adjacency\[0\]: self-loop on node 1"),
+        (((2, 2), (1,)), 2, None, r"adjacency\[0\]: duplicate neighbour"),
+        (((2,), (1, 3), (2, 4)), 2, None, r"adjacency\[2\]: node id 4 out of range 1\.\.3"),
+        (((2,), (1, 0), (2,)), 2, None, r"adjacency\[1\]: node id 0 out of range 1\.\.3"),
+        (((2,), (1, True), (2,)), 2, None, r"adjacency\[1\]: True is not an integer node id"),
+        (((2, 3), (1, 3), (2,)), 2, None, r"adjacency\[0\]: edge to 3 is not symmetric"),
+        (((2,), (3, 1), (2,)), 2, None, r"adjacency\[1\]: neighbours not in ascending order"),
+        (((2,), (1,), (4,), (3,)), 2, None, r"adjacency: graph is not connected"),
+        (PATH3, 0, None, r"machine_count: 0 is not a machine count in 1\.\.3"),
+        (PATH3, 4, None, r"machine_count: 4 is not a machine count in 1\.\.3"),
+        (PATH3, True, None, r"machine_count: True is not a machine count in 1\.\.3"),
+        (PATH3, 2, ((1, 1), (1, 2)), r"coordinates: 2 entries for 3 nodes"),
+    ],
+    ids=[
+        "self-loop", "duplicate", "above-range", "zero-id", "bool-id", "asymmetric",
+        "unsorted", "disconnected", "no-machines", "too-many-machines",
+        "bool-machines", "short-coordinates",
+    ],
+)
+def test_layout_refuses_each_broken_graph_rule(adjacency, machine_count, coordinates, message):
+    with pytest.raises(LayoutError, match=f"^{message}$"):
+        NetworkLayout(adjacency, machine_count, coordinates)
+
+
+def test_layout_is_its_inputs():
+    # The tables are derived, so two equal adjacencies give equal layouts
+    # with equal hashes, and the tables match the graph's own distances.
+    built = build_star_layout(3, 2)
+    again = NetworkLayout(tuple(tuple(nbrs) for nbrs in built.adjacency), 3)
+    assert again == built and hash(again) == hash(built)
+    assert again.dist_table == built.dist_table
+    assert again.next_hop_table == built.next_hop_table
+    assert again.machines == (1, 2, 3) and again.node_count == 7
+    assert NetworkLayout(PATH3, 1) != NetworkLayout(PATH3, 2)
+    # Only the inputs can be passed in, and only they enter == and hash.
+    inputs = ["adjacency", "machine_count", "coordinates"]
+    assert [f.name for f in fields(NetworkLayout) if f.init] == inputs
+    assert [f.name for f in fields(NetworkLayout) if f.compare] == inputs
+    lattice = build_lattice_layout(2, [(1, 1)])
+    assert NetworkLayout(lattice.adjacency, 1) != lattice  # coordinates differ
+    assert NetworkLayout(lattice.adjacency, 1, lattice.coordinates) == lattice
+
+
+@pytest.mark.parametrize("node", [0, -1, 8])
+def test_next_hop_refuses_nodes_outside_the_layout(node):
+    # A negative id used to index from the end: (0, 2) gave node 7's hop.
+    layout = build_star_layout(3, 2)
+    with pytest.raises(LayoutError, match=rf"^source: {node} is not a node id in 1\.\.7$"):
+        shortest_next_hop(layout, node, 2)
+    with pytest.raises(LayoutError, match=rf"^target: {node} is not a node id in 1\.\.7$"):
+        shortest_next_hop(layout, 2, node)

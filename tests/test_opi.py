@@ -143,7 +143,7 @@ def test_sample_trajectory_runs_at_least_one_step():
     # Starting from a state already stored: the stopping test runs only
     # after the first transition, so at least one step always elapses.
     stop, elapsed = sample_trajectory(
-        inst, ModifiedIndexPolicy(inst), store, other, p=1, rng=rng(0), mode=STEP_COUNT
+        inst, ModifiedIndexPolicy(inst), store, other, p=1, rng=rng(0)
     )
     assert elapsed >= 1
     assert stop in store
@@ -165,7 +165,7 @@ def test_sample_trajectory_stop_state_membership():
     store = make_store(inst, u0)
     for seed in range(5):
         stop, elapsed = sample_trajectory(
-            inst, ModifiedIndexPolicy(inst), store, u0, p=5, rng=rng(seed), mode=STEP_COUNT
+            inst, ModifiedIndexPolicy(inst), store, u0, p=5, rng=rng(seed)
         )
         assert stop in store
         assert elapsed >= 1
@@ -605,8 +605,6 @@ def test_wall_clock_budgets_count_clock_reads(monkeypatch):
     assert observations() == 1 + 4 * len(prep.z_all) == 25
     online_run(inst, base, store, budget, rng(3))
     assert observations() == 25 + 3 * budget.r_on
-    start = prep.z_all[1]
-    assert sample_trajectory(inst, base, store, start, 1, rng(4), mode=WALL_CLOCK)[1] == 1.0
 
 
 def test_budget_validation():

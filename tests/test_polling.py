@@ -52,7 +52,12 @@ def test_best_tour_rejects_empty():
 
 
 @pytest.mark.parametrize(
-    "subset, bad", [([9], "9"), ([0], "0"), ([1, 2, 3], "3"), ([1.5], "1.5"), ([True], "True")]
+    "subset, bad",
+    [
+        ([9], "9"), ([0], "0"), ([1, 2, 3], "3"), ([1.5], "1.5"), ([True], "True"),
+        # Checked before sorting, which raised a bare TypeError on these.
+        ([1, "a"], "'a'"), ([1, None], "None"),
+    ],
 )
 def test_best_tour_rejects_ids_that_are_not_machines(subset, bad):
     inst = generate_instance(5, m=2, cap=2)
