@@ -15,8 +15,12 @@ degradation draws coincide across policies sharing the same uniforms.
 
 ``Kernel`` encodes that law once.  ``Kernel.event`` gives the
 action-dependent event (a repair, an arrival, or none) as a rate and an
-index offset over StateIndexer's mixed-radix integers, ``Kernel.moves``
-lists it for every available action, for OPI's confidence gate, and
+index offset over StateIndexer's mixed-radix integers.  The kernel reads
+it once per instance, per location and level of the machine there (the
+only level the event depends on), into two tables: a move template
+``(action, rate, offset)`` per available action, which ``Kernel.moves``
+reads for OPI's confidence gate, and per action the row offsets the
+event adds past the degradation codes.
 ``Kernel.neighborhood`` lists the indices the gate reads.
 ``Kernel.grid`` is the sorted set of every slot end any row can have,
 and ``Kernel.codes`` classifies uniform draws against it, one
@@ -26,15 +30,18 @@ row's slot ends are grid members, so a row's event is constant on each
 gap.  ``crn_codes`` validates and classifies a common-random-number
 list once per kernel: it keeps the last list's codes for the next
 caller that passes equal draws.
-``Kernel.action_row``, the kernel's one row builder, memoizes per
-state-action pair the location, the cost and reward rates and a
+A row holds a state-action pair's location, cost and reward rates and a
 successor row indexed by code, so a step is one lookup of the draw's
 code in the row and one offset added to the index.  What a row takes
 from the machines' levels alone (the levels tuple, the cost rate and
 the degradation offsets) is memoized once per condition vector and
-shared by every location (``Kernel._part``), so decoding an index is
-one ``divmod`` and one lookup, and a row build adds only the action's
-event.  ``kernel_of`` keeps one Kernel per instance, shared by every
+shared by every location (``Kernel._part``), so ``Kernel.state``
+decodes an index on demand with one ``divmod`` and one lookup, and the
+row builder (``Kernel._row``, not memoized) adds the event table's
+offsets and reads the reward from ``reward_rate``.  Each fact is held
+once: a rule's rows in the rule's table, and in ``Kernel.action_rows``
+only the pairs asked for directly (``Kernel.action_row``).
+``kernel_of`` keeps one Kernel per instance, shared by every
 ``simulate`` call (the index run and each polling subset), all three
 OPI phases and ``DpModel``.
 ``RuleRows`` turns a decision rule into rows: key -> the rule's action
@@ -85,6 +92,9 @@ class FiniteMemoryRule(Protocol):
 Row = tuple[int, float, float, tuple[int, ...]]
 # (action, rate, target): one available action's event; see Kernel.moves.
 Move = tuple[Action, float, int]
+# (levels, cost, degradation offsets): what a row takes from the levels
+# alone; see Kernel._part.
+Part = tuple[tuple[int, ...], float, tuple[int, ...]]
 
 
 class CapacityError(RuntimeError):
@@ -187,24 +197,39 @@ class Kernel:
             for i, rates in enumerate(self.cost_rate)
         ]
         self.indexer = StateIndexer(inst)
+        # The law's event tables, read off ``event`` once per location
+        # (0-based) and level of the machine there (0 at a stage), the only
+        # level the event reads, so the state put to it has every machine
+        # at that level: the move template ``(action, rate, offset)`` of
+        # each available action, and per action the row offsets past the
+        # m degradation codes.
+        self._templates: list[list[tuple[Move, ...]]] = []
+        self._events: list[list[dict[Action, tuple[int, ...]]]] = []
+        tail = len(self.grid) + 1 - m
+        for location in range(1, inst.layout.node_count + 1):
+            templates, events = [], []
+            for own in range(self.cap[location - 1] + 1) if location <= m else (0,):
+                state = SystemState(location, (own,) * m)
+                template = tuple((a, *self.event(state, a)) for a in actions_of(inst, state))
+                templates.append(template)
+                events.append({})
+                for action, rate, offset in template:
+                    n = self._event_code[rate] + 1 - m if rate else 0
+                    events[-1][action] = (offset,) * n + (0,) * (tail - n)
+            self._templates.append(templates)
+            self._events.append(events)
         self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._moves: dict[int, tuple[Move, ...]] = {}
         self._neighborhoods: dict[int, tuple[int, ...]] = {}
-        self.states: dict[int, SystemState] = {}
         # Condition index (x % conditions_per_location) -> (levels, cost
         # rate, degradation offsets), shared by every location; see _part.
-        self._parts: dict[int, tuple[tuple[int, ...], float, tuple[int, ...]]] = {}
+        self._parts: dict[int, Part] = {}
+        # Rows asked for by (x, action) outside any rule's table.
         self.action_rows: dict[tuple[int, Action], Row] = {}
         # (draws, codes) of the last CRN list crn_codes classified.
         self._crn_memo: tuple[np.ndarray, Sequence[int]] | None = None
         # The last rule's rows; see rows.
         self._rows_memo: RuleRows | None = None
-
-    def reward(self, state: SystemState, action: Action) -> float:
-        i = state.location
-        if action != i or i > self.machine_count:
-            return 0.0
-        return self.reward_rate[i - 1][state.conditions[i - 1]]
 
     def event(self, state: SystemState, action: Action) -> tuple[float, int]:
         """The action-dependent event as ``(rate, offset)`` over StateIndexer
@@ -221,15 +246,17 @@ class Kernel:
     def moves(self, x: int) -> tuple[Move, ...]:
         """Every available action's ``event`` at the state with index ``x``,
         as ``(action, rate, x + offset)`` in ``actions_of`` order (staying
-        first); idling is ``(action, 0.0, x)``.  Memoized per index."""
+        first); idling is ``(action, 0.0, x)``.  Read off the event table
+        of the location and the level of the machine there.  Memoized per
+        index."""
         moves = self._moves.get(x)
         if moves is None:
-            state = self.state(x)
-            moves = []
-            for action in actions_of(self.inst, state):
-                rate, offset = self.event(state, action)
-                moves.append((action, rate, x + offset))
-            moves = self._moves[x] = tuple(moves)
+            location, c = divmod(x, self.indexer.conditions_per_location)
+            own = self._part(c)[0][location] if location < self.machine_count else 0
+            moves = self._moves[x] = tuple(
+                (action, rate, x + offset)
+                for action, rate, offset in self._templates[location][own]
+            )
         return moves
 
     def neighborhood(self, x: int) -> tuple[int, ...]:
@@ -247,28 +274,28 @@ class Kernel:
         return members
 
     def state(self, x: int) -> SystemState:
-        """The state with index ``x``, interned: one tuple per index, kept
-        in ``states``, whose levels tuple is its condition part's."""
-        state = self.states.get(x)
-        if state is None:
-            location, c = divmod(x, self.indexer.conditions_per_location)
-            state = self.states[x] = SystemState(location + 1, self._part(c)[0])
-        return state
+        """The state with index ``x``, decoded on demand: one ``divmod``
+        and the condition part's levels tuple (``_part``)."""
+        location, c = divmod(x, self.indexer.conditions_per_location)
+        return SystemState(location + 1, self._part(c)[0])
 
-    def _part(self, c: int) -> tuple[tuple[int, ...], float, tuple[int, ...]]:
+    def _part(self, c: int) -> Part:
         """What a state's row takes from its condition index ``c`` alone,
         the same at every location: the levels tuple, the cost rate (the
         per-machine rates summed in machine order) and the m degradation
-        offsets (machine j's stride, 0 at its cap).  Memoized per ``c``."""
+        offsets (machine j's stride, 0 at its cap), interned with the rows'
+        offsets tuples, since few cap patterns repeat across many ``c``.
+        Memoized per ``c``."""
         part = self._parts.get(c)
         if part is None:
-            levels = self.indexer.state(c).conditions
-            cost = sum(self.cost_rate[j][level] for j, level in enumerate(levels))
-            degrade = tuple(
-                stride if level < cap else 0
-                for stride, level, cap in zip(self.indexer.strides, levels, self.cap)
-            )
-            part = self._parts[c] = (levels, cost, degrade)
+            levels, cost, degrade, rest = [], 0.0, [], c
+            for stride, cap, rates in zip(self.indexer.strides, self.cap, self.cost_rate):
+                level, rest = divmod(rest, stride)
+                levels.append(level)
+                cost += rates[level]
+                degrade.append(stride if level < cap else 0)
+            degrade = tuple(degrade)
+            part = self._parts[c] = (tuple(levels), cost, self._offsets.setdefault(degrade, degrade))
         return part
 
     def codes(self, uniforms) -> Sequence[int]:
@@ -290,35 +317,40 @@ class Kernel:
         """One uniformized step of the state with index ``x`` under
         ``action``, as ``(location - 1, cost, reward, offsets)``: the cost
         and reward rates and a successor row, so a draw of code ``c``
-        (see ``codes``) moves ``x`` to ``x + offsets[c]``.
-
-        The row has one offset per code: machine j's stride (0 at its cap)
-        for code j < m, the ``event``'s offset for codes m up to the grid
-        position of the event's slot end when the action has one, and 0,
-        the self-loop, for the rest.  Each row's slot ends are grid
-        members, so that is the move a bisection of the draw into the
-        row's own slot ends would pick.  The cost rate and the degradation
-        offsets are the state's condition part (``_part``); only the event
-        part is built here.  Rows hold relative moves, so equal offsets
-        tuples are shared across states.  Memoized in ``action_rows`` under
-        ``(x, action)``.  Raises ValueError when ``action`` is not
-        available in the state, which is checked once per memoized pair.
-        """
+        (see ``codes``) moves ``x`` to ``x + offsets[c]``.  Memoized in
+        ``action_rows`` under ``(x, action)``, which holds only the pairs
+        asked for here: a rule's rows live in its ``RuleRows``.  Raises
+        ValueError when ``action`` is not available in the state, which
+        is checked once per memoized pair.  See ``_row``."""
         row = self.action_rows.get((x, action))
         if row is None:
-            state = self.state(x)
-            if action not in actions_of(self.inst, state):
-                raise ValueError(f"action {action!r} not available in state {state}")
-            _, cost, degrade = self._part(x % self.indexer.conditions_per_location)
-            m = self.machine_count
-            rate, offset = self.event(state, action)
-            events = self._event_code[rate] + 1 - m if rate else 0
-            offsets = degrade + (offset,) * events + (0,) * (len(self.grid) + 1 - m - events)
-            row = self.action_rows[(x, action)] = (
-                state.location - 1, cost, self.reward(state, action),
-                self._offsets.setdefault(offsets, offsets),
-            )
+            location, c = divmod(x, self.indexer.conditions_per_location)
+            row = self.action_rows[(x, action)] = self._row(location, self._part(c), action)
         return row
+
+    def _row(self, location: int, part: Part, action: Action) -> Row:
+        """The row of ``action`` at the state with 0-based ``location``
+        and condition part ``part`` (``_part``), the kernel's one row
+        builder, not memoized.
+
+        The row has one offset per code: machine j's stride (0 at its cap)
+        for code j < m, the action's event offset (see ``event``) for codes
+        m up to the grid position of the event's slot end when the action
+        has one, and 0, the self-loop, for the rest.  Each row's slot ends
+        are grid members, so that is the move a bisection of the draw into
+        the row's own slot ends would pick.  Rows hold relative moves, so
+        equal offsets tuples are shared across states.  Raises ValueError
+        when ``action`` is not available in the state."""
+        levels, cost, degrade = part
+        own = levels[location] if location < self.machine_count else 0
+        event = self._events[location][own].get(action)
+        if event is None:
+            state = SystemState(location + 1, levels)
+            raise ValueError(f"action {action!r} not available in state {state}")
+        # Only staying at a damaged machine repairs and earns.
+        reward = self.reward_rate[location][own] if own and action == location + 1 else 0.0
+        offsets = degrade + event
+        return location, cost, reward, self._offsets.setdefault(offsets, offsets)
 
     def rows(self, rule: DecisionRule | FiniteMemoryRule) -> RuleRows:
         """``rule``'s ``RuleRows`` on this kernel, kept for the last rule
@@ -345,12 +377,14 @@ def kernel_of(inst: InstanceParameters) -> Kernel:
 
 
 class RuleRows(dict):
-    """Key -> ``kernel``'s action row under ``rule``'s action there, filled
-    on first lookup, so the rule is asked once per key.  Build one through
+    """Key -> ``kernel``'s row under ``rule``'s action there, filled on
+    first lookup, so the rule is asked once per key.  Build one through
     ``Kernel.rows``, which keeps it for the next caller with the same rule.
 
-    For a function of the state the key is the state index and the row is
-    the kernel's own tuple.  For a ``FiniteMemoryRule`` the key is
+    A fill decodes the key once, asks the rule and builds the row with
+    the kernel's unmemoized builder, so the row lives in this table only,
+    not also in ``Kernel.action_rows``.  For a function of the state the
+    key is the state index.  For a ``FiniteMemoryRule`` the key is
     ``x + memory * count`` (``count`` is ``indexer.count``), the memory
     after the step is checked, and the row's offsets are moved to the next
     memory's keys, so a step adds one offset to the key either way.
@@ -365,13 +399,16 @@ class RuleRows(dict):
 
     def __missing__(self, key: int) -> Row:
         kernel = self.kernel
-        if self.decide is None:
-            row = self[key] = kernel.action_row(key, self.rule(kernel.state(key)))
-            return row
         memory, x = divmod(key, self.count)
-        action, after = self.decide(kernel.state(x), memory)
+        location, c = divmod(x, kernel.indexer.conditions_per_location)
+        part = kernel._part(c)
+        state = SystemState(location + 1, part[0])
+        if self.decide is None:
+            row = self[key] = kernel._row(location, part, self.rule(state))
+            return row
+        action, after = self.decide(state, memory)
         _check_memory(after)
-        row = kernel.action_row(x, action)
+        row = kernel._row(location, part, action)
         if after != memory:
             shift = (after - memory) * self.count
             row = row[:3] + (tuple(offset + shift for offset in row[3]),)

@@ -113,6 +113,14 @@ class LayoutError(ValueError):
     """Raised for invalid layout construction arguments."""
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise LayoutError, naming ``name``, unless ``value`` is an integer,
+    not a bool: ``True`` would build a one-node lattice, and a float would
+    fail later with a bare TypeError or blame the graph."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise LayoutError(f"{name}: {value!r} is not an integer")
+
+
 def _bfs_distances(adjacency: tuple[tuple[NodeId, ...], ...], source: NodeId) -> list[int]:
     n = len(adjacency)
     dist = [-1] * n
@@ -137,11 +145,17 @@ def build_lattice_layout(
     intermediate stage, numbered in the same row-major order after the
     machines.  Machine-to-machine distances equal Manhattan distances.
     """
+    _check_integer("grid_side", grid_side)
     if grid_side < 1:
         raise LayoutError(f"grid_side must be >= 1, got {grid_side}")
     coords = list(machine_coords)
     if not coords:
         raise LayoutError("at least one machine coordinate required")
+    for k, coord in enumerate(coords):
+        if not isinstance(coord, tuple) or len(coord) != 2:
+            raise LayoutError(f"machine_coords[{k}]: {coord!r} is not a pair (a, b)")
+        for value in coord:
+            _check_integer(f"machine_coords[{k}]", value)
     taken = set(coords)
     if len(taken) != len(coords):
         raise LayoutError(f"duplicate machine coordinates: {sorted(coords)}")
@@ -179,6 +193,8 @@ def build_star_layout(m: int, radius: int) -> NetworkLayout:
     then each spoke's intermediate nodes are numbered from the machine
     inward, spoke by spoke.
     """
+    _check_integer("m", m)
+    _check_integer("radius", radius)
     if m < 2:
         raise LayoutError(f"star layout needs m >= 2 machines, got {m}")
     if radius < 1:
@@ -206,6 +222,7 @@ def build_star_layout(m: int, radius: int) -> NetworkLayout:
 
 def build_complete_layout(m: int) -> NetworkLayout:
     """Complete graph on ``m`` machines, no intermediate stages."""
+    _check_integer("m", m)
     if m < 2:
         raise LayoutError(f"complete layout needs m >= 2 machines, got {m}")
     adjacency = tuple(

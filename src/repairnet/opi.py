@@ -19,15 +19,16 @@ The hot loops work on StateIndexer's mixed-radix integers, not on state
 tuples.  A step under an action is a row from ``Kernel.action_row``: the
 code of the step's uniform draw (``Kernel.codes``) picks an offset to add
 to the index.  All three phases use the instance's shared kernel
-(``kernel_of``), the same one ``simulate`` uses, so a state-action row is
-built and checked for availability once per instance, and each index is
-decoded to a state tuple once.  Every phase call steps the base policy
-through the kernel's table for that rule object (``Kernel.rows``, an
-``mdp.RuleRows``), as ``simulate`` steps its rule, so the three phases of
-a run share one table and the base policy is asked once per index per
-instance.  The base policy must be a function of the state: the store is
-keyed by state index, and a finite-memory rule (one with ``decide``) is
-refused before any budget is spent.
+(``kernel_of``), the same one ``simulate`` uses.  Every phase call steps
+the base policy through the kernel's table for that rule object
+(``Kernel.rows``, an ``mdp.RuleRows``), as ``simulate`` steps its rule,
+so the three phases of a run share one table, and the base policy is
+asked, and its row built and checked for availability, once per index
+per instance.  The online gate's chosen actions are the only rows the
+phases ask for by (index, action) (``Kernel.action_row``).  The base
+policy must be a function of the state: the store is keyed by state
+index, and a finite-memory rule (one with ``decide``) is refused before
+any budget is spent.
 
 The value store belongs to one instance, fixed when the store is built,
 and keeps one dict of entries, keyed by the same state index; the phases
@@ -391,8 +392,9 @@ def _rollout(
     def too_long(z: int) -> RuntimeError:
         return RuntimeError(
             f"trajectory from {rows.kernel.state(z)} exceeded {cap} steps without "
-            "reaching a stored state; is the base policy unichain, and is the "
-            f"reference {store.reference} recurrent under it?"
+            f"reaching a stored state, of {len(values)} in the store: the store may "
+            "be too sparse for the walk to reach it; if not, is the base policy "
+            f"unichain, and is the reference {store.reference} recurrent under it?"
         )
 
     def rollout(z: int, p: int = 1) -> tuple[int, int]:

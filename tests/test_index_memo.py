@@ -115,24 +115,30 @@ def test_score_tables_equal_the_closed_form(case):
 
 
 def test_simulate_polling_and_opi_share_one_kernel_with_exact_rows():
+    # A rule's rows live in its own table only: simulate, the polling
+    # subsets and both offline phases file nothing in action_rows, which
+    # keeps the pairs asked for by (x, action), such as the online gate's.
     inst = generate_instance(20001)
     crn = rng(3).random(3_000)
     x0 = pristine_state(inst)
     kernel = kernel_of(inst)
     simulate(inst, IndexPolicy(inst), x0, 3_000, crn=crn)
     best_polling_report(inst, 3_000, crn, x0=x0)
-    after_simulate = len(kernel.action_rows)
     base = ModifiedIndexPolicy(inst)
     prep = offline_preparatory(inst, base, SMALL_BUDGET, rng(4))
     store = offline_main(inst, base, prep, SMALL_BUDGET, rng(4))
+    assert kernel.action_rows == {}
     online_run(inst, base, store, SMALL_BUDGET, rng(5), crn=crn)
     assert kernel_of(inst) is kernel
-    assert len(kernel.action_rows) > after_simulate
+    rows = kernel.rows(base)
+    assert len(rows) > 100
     fresh = Kernel(inst)
+    for x, row in rows.items():
+        state = fresh.indexer.state(x)
+        assert kernel.state(x) == state
+        assert row == fresh.action_row(x, base(state))
     for (x, action), row in kernel.action_rows.items():
         assert row == fresh.action_row(x, action)
-    for x, state in kernel.states.items():
-        assert state == fresh.indexer.state(x)
 
 
 def test_kernel_of_keeps_one_instance():

@@ -76,9 +76,11 @@ def test_probabilities_sum_to_one_randomized():
                 for event, p in events:
                     nxt = apply_event(state, event)
                     expected[nxt] = expected.get(nxt, 0.0) + p
-                # The kernel's row: the offset of code c owns the gap
-                # [grid[c-1], grid[c]) of the kernel's grid.
-                *_, offsets = kernel.action_row(x, action)
+                # The kernel's row: the oracle's cost and reward rates, and
+                # the offset of code c owns the gap [grid[c-1], grid[c]) of
+                # the kernel's grid.
+                _, cost, reward, offsets = kernel.action_row(x, action)
+                assert (cost, reward) == (step_cost(inst, state), step_reward(inst, state, action))
                 grid = kernel.grid.tolist()
                 assert len(offsets) == len(grid) + 1
                 got: dict[SystemState, float] = {}
@@ -130,13 +132,19 @@ def test_step_cost_examples(two_machines):
         assert cost(c3, all_failed_state(c3)) == pytest.approx(29.7)
 
 
+def kernel_reward(inst, state, action):
+    """The reward rate of ``state``'s kernel row under ``action``."""
+    kernel = Kernel(inst)
+    return kernel.action_row(kernel.indexer.index(state), action)[2]
+
+
 def test_step_reward_examples(two_machines):
     a = counterexample_instances()[0]
     # At a stage or at a pristine machine there is nothing to earn.
     star = homogeneous_star_instance(3, 1, 0.04, 0.12, 1.0, 0.024)
-    for reward in (step_reward, lambda inst, state, action: Kernel(inst).reward(state, action)):
+    for reward in (step_reward, kernel_reward):
         assert reward(a, SystemState(1, (1, 0, 0)), 1) == pytest.approx(3.0)
-        assert reward(a, SystemState(1, (1, 0, 0)), 2) == 0.0
+        assert reward(a, SystemState(1, (1, 0, 0)), 4) == 0.0
         assert reward(two_machines, SystemState(1, (2, 0)), 1) == pytest.approx(
             (1.1 / 0.4) * (2 - 1)
         )

@@ -87,6 +87,31 @@ def test_star_rejects_bad_arguments():
         build_star_layout(3, 0)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: build_lattice_layout(5, [(1.5, 2)]), r"machine_coords\[0\]: 1\.5 is not an integer"),
+        (lambda: build_lattice_layout(3, [(1, 1), (2, True)]), r"machine_coords\[1\]: True is not an integer"),
+        (lambda: build_lattice_layout(3, [(1, 1, 1)]), r"machine_coords\[0\]: \(1, 1, 1\) is not a pair \(a, b\)"),
+        (lambda: build_lattice_layout(True, [(1, 1)]), r"grid_side: True is not an integer"),
+        (lambda: build_lattice_layout(2.0, [(1, 1)]), r"grid_side: 2\.0 is not an integer"),
+        (lambda: build_star_layout(2.5, 1), r"m: 2\.5 is not an integer"),
+        (lambda: build_star_layout(3, True), r"radius: True is not an integer"),
+        (lambda: build_star_layout(3, 1.0), r"radius: 1\.0 is not an integer"),
+        (lambda: build_complete_layout(3.0), r"m: 3\.0 is not an integer"),
+    ],
+    ids=[
+        "float-coordinate", "bool-coordinate", "triple-coordinate", "bool-side",
+        "float-side", "float-star-m", "bool-radius", "float-radius", "float-complete-m",
+    ],
+)
+def test_layout_builders_refuse_arguments_that_are_not_integers(build, message):
+    # Before, a float coordinate blamed connectivity, a True side built a
+    # one-node lattice, and a float count died with a bare TypeError.
+    with pytest.raises(LayoutError, match=f"^{message}$"):
+        build()
+
+
 def test_complete_layouts():
     layout = build_complete_layout(4)
     edges = sum(len(nbrs) for nbrs in layout.adjacency) // 2

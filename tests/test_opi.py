@@ -293,12 +293,16 @@ def test_trajectory_cap_names_the_start_state(monkeypatch):
     reference = pristine_state(inst, location=2)
     start = SystemState(1, (1, 0))
     message = re.escape(f"trajectory from {start} exceeded 200 steps") + ".*unichain"
-    with pytest.raises(RuntimeError, match=message):
-        sample_trajectory(inst, never_leaves, make_store(inst, reference), start, 1, rng(0))
+    store = make_store(inst, reference)
+    with pytest.raises(RuntimeError, match=message) as exc:
+        sample_trajectory(inst, never_leaves, store, start, 1, rng(0))
+    assert f"of {len(store.entries)} in the store: the store may be too sparse" in str(exc.value)
     prep = OfflinePreparation(g_base=0.0, reference=reference, z_core=[reference], z_all=[start])
     budget = OpiBudget(r1=10, r2=10, r_off=5, tau_max=1e9, r_on=10, delta=1, mode=STEP_COUNT)
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(RuntimeError, match=message) as exc:
         offline_main(inst, never_leaves, prep, budget, rng(0))
+    # The fresh store holds only its reference when the first rollout stalls.
+    assert "of 1 in the store" in str(exc.value)
 
 
 def test_trajectory_cap_ends_a_run_of_self_loops(monkeypatch):
@@ -313,8 +317,9 @@ def test_trajectory_cap_ends_a_run_of_self_loops(monkeypatch):
     assert not inst.layout.is_machine(start.location)
     message = re.escape(f"trajectory from {start} exceeded 200 steps") + ".*unichain"
     store = make_store(inst, pristine_state(inst))
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(RuntimeError, match=message) as exc:
         sample_trajectory(inst, never_leaves, store, start, 1, rng(0))
+    assert f"of {len(store.entries)} in the store" in str(exc.value)
 
 
 def test_offline_preparatory_core_sets():
