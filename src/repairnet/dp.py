@@ -17,13 +17,16 @@ Krylov phase gives up and the sweeps start from the warm start alone.
 Policy iteration alternates evaluation with a greedy improvement step.
 Only the action-dependent event (one repair level, or arrival at a
 neighbour) differs between actions, so improvement reduces to minimizing
-rate * (v(target) - v(x)) per state; ``DpModel._action_parts`` writes that
-event once for the improvement step and for the transition matrix, which
-adds it to the model's degradation matrix, built once per model.  A
-state keeps its action unless a rival is better by more than a margin
-above the evaluation error, so the loop ends when the policy reproduces
-itself.  The state index, the per-step probabilities and the cost and
-reward rates come from the instance's kernel (``mdp.kernel_of``).
+prob * (v(target) - v(x)) per state.  The transition law is the
+instance's kernel's (``mdp.kernel_of``): ``DpModel`` reads each state's
+available actions, their events and the repair reward from the kernel's
+event tables, one row per location and level of the machine there, and
+gathers them per state for the improvement step, the stage rates and the
+transition matrix, which adds the events to the model's degradation
+matrix, built once per model from the kernel's degradation probabilities
+and cost rates.  A state keeps its action unless a rival is better by
+more than a margin above the evaluation error, so the loop ends when the
+policy reproduces itself.
 """
 
 from __future__ import annotations
@@ -67,15 +70,6 @@ class StationaryPolicy:
     def from_rule(cls, inst: InstanceParameters, rule: DecisionRule) -> "StationaryPolicy":
         return cls(tuple(map(rule, StateIndexer(inst).states())))
 
-    def as_rule(self, inst: InstanceParameters) -> DecisionRule:
-        indexer = StateIndexer(inst)
-        actions = self.actions
-
-        def rule(state: SystemState) -> int:
-            return actions[indexer.index(state)]
-
-        return rule
-
 
 @dataclass
 class PolicyEvaluation:
@@ -102,9 +96,18 @@ class DpSolution:
 
 
 class DpModel:
-    """Vectorized transition structure shared by evaluation and improvement,
-    built in one pass over the machines.  The action-independent part is one
-    sparse matrix, ``degrade``, to which ``transition_matrix`` adds a policy's."""
+    """Vectorized transition structure shared by evaluation and improvement.
+
+    The action-independent part is one sparse matrix, ``degrade``, built in
+    one pass over the machines, to which ``transition_matrix`` adds a
+    policy's action-dependent events.  Those come from the kernel's event
+    tables (``Kernel.templates``), one row per location and level of the
+    machine there: each state's ``row`` is its location's first row plus
+    that level, and ``prob``, ``offset`` and ``reward`` hold each (row,
+    action id)'s event probability, index offset and reward rate, zero for
+    an action that is not available there.  So a policy's events, its
+    reward rates and every candidate's Q are gathers from these arrays.
+    """
 
     def __init__(self, inst: InstanceParameters):
         self.inst = inst
@@ -112,23 +115,37 @@ class DpModel:
         self.indexer = kernel.indexer
         self.indexer.check_bound()
         self.n = n = self.indexer.count
-        self.block = block = self.indexer.conditions_per_location
-        self.tau_delta = kernel.tau_delta
+        block = self.indexer.conditions_per_location
+
+        # The event tables flattened, location major: location l's rows
+        # start at first[l - 1], one per level of the machine there.
+        first = np.cumsum([0] + [len(levels) for levels in kernel.templates])
+        templates = [template for levels in kernel.templates for template in levels]
+        shape = (len(templates), inst.layout.node_count + 1)
+        self.prob = np.zeros(shape)
+        self.offset = np.zeros(shape, dtype=np.int64)
+        for row, template in enumerate(templates):
+            for action, rate, offset in template:
+                self.prob[row, action] = rate * kernel.step_length
+                self.offset[row, action] = offset
+        # Staying at machine j + 1 earns its reward rate at the level there.
+        self.reward = np.zeros(shape)
+        for j, rates in enumerate(kernel.reward_rate):
+            self.reward[first[j] : first[j + 1], j + 1] = rates
+        # Each row's available actions in id order, padded to a common
+        # width by repeating the last one.
+        choices = [sorted(action for action, _, _ in template) for template in templates]
+        width = max(map(len, choices))
+        self.candidates = np.array([c + c[-1:] * (width - len(c)) for c in choices])
 
         self.idx = idx = np.arange(n, dtype=np.int64)
-        self.loc = idx // block + 1
+        self.row = first[idx // block]
         rem = idx % block
         # One pass over the machines, each decoding its own level of every
         # state.  Degradation is action-independent: machine j below its
-        # cap moves up a level, to x + stride_j.  Staying at a damaged
-        # machine repairs one level with probability mu * step and earns
-        # the kernel's reward rate; staying anywhere else has no event,
-        # which target = the state itself encodes.
+        # cap moves up a level, to x + stride_j.
         self.cost = np.zeros(n)
         self.deg_sum = np.zeros(n)
-        self.repair_target = idx.copy()
-        self.repair_prob = np.zeros(n)
-        self.repair_reward = np.zeros(n)
         diagonals = []
         for j, (stride, cap) in enumerate(zip(self.indexer.strides, inst.cap)):
             level = (rem // stride) % (cap + 1)
@@ -137,34 +154,26 @@ class DpModel:
             self.deg_sum[below] += kernel.lam_delta[j]
             diagonals.append(np.where(below[: n - stride], kernel.lam_delta[j], 0.0))
             # The states at machine j + 1 are one block of indices.
-            damaged = np.flatnonzero(level[j * block : (j + 1) * block] >= 1) + j * block
-            self.repair_target[damaged] -= stride
-            self.repair_prob[damaged] = kernel.mu_delta[j]
-            self.repair_reward[damaged] = np.array(kernel.reward_rate[j])[level[damaged]]
+            self.row[j * block : (j + 1) * block] += level[j * block : (j + 1) * block]
         # Machine j's degradation is the stride_j-th superdiagonal; the
         # conversion drops the zeros of its states at cap.
         self.degrade = sp.diags(diagonals, self.indexer.strides, shape=(n, n), format="csr")
+        self._checked: tuple[StationaryPolicy | None, np.ndarray | None] = (None, None)
 
-        # Each location's available actions in id order, padded to a common
-        # width by repeating the last one.
-        layout = inst.layout
-        choices = [
-            sorted((loc,) + layout.neighbors(loc)) for loc in range(1, layout.node_count + 1)
-        ]
-        width = max(len(c) for c in choices)
-        self.candidates = np.array(
-            [c + c[-1:] * (width - len(c)) for c in choices], dtype=np.int64
-        )
-
-    def check_policy(self, policy: StationaryPolicy, name: str = "policy") -> None:
-        """Raise ValueError, naming ``name.actions[k]`` and its state, unless
-        ``policy`` holds one action per state and each is available there."""
+    def check_policy(self, policy: StationaryPolicy, name: str = "policy") -> np.ndarray:
+        """``policy``'s actions as an int64 array.  Raises ValueError, naming
+        ``name.actions[k]`` and its state, unless ``policy`` holds one action
+        per state and each is available there.  The last policy that passed
+        is kept, matched by identity (its actions are a tuple), so an
+        evaluation and the improvement after it check it once."""
+        if policy is self._checked[0]:
+            return self._checked[1]
         actions = np.asarray(policy.actions)
         if actions.shape != (self.n,):
             raise ValueError(f"{name}: {len(policy.actions)} actions for {self.n} states")
         if actions.dtype.kind not in "iu":
             raise ValueError(f"{name}.actions: {actions.dtype} entries are not node ids")
-        available = (self.candidates[self.loc - 1] == actions[:, None]).any(axis=1)
+        available = (self.candidates[self.row] == actions[:, None]).any(axis=1)
         bad = np.flatnonzero(~available)
         if bad.size:
             k = int(bad[0])
@@ -172,19 +181,19 @@ class DpModel:
                 f"{name}.actions[{k}]: action {int(actions[k])} is not available "
                 f"in state {self.indexer.state(k)}"
             )
+        self._checked = (policy, actions.astype(np.int64, copy=False))
+        return self._checked[1]
 
     def _action_parts(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Target and probability of each state's action-dependent event:
-        a repair when staying, an arrival at the chosen neighbour when
-        moving.  A state without one targets itself with probability 0."""
-        stay = actions == self.loc
-        target = np.where(stay, self.repair_target, self.idx + (actions - self.loc) * self.block)
-        prob = np.where(stay, self.repair_prob, self.tau_delta)
-        return target, prob
+        """Target and probability of each state's action-dependent event,
+        for available actions; a state without one targets itself with
+        probability 0."""
+        return self.idx + self.offset[self.row, actions], self.prob[self.row, actions]
 
     def transition_matrix(self, policy: StationaryPolicy) -> sp.csr_matrix:
-        """``degrade`` plus the policy's action-dependent events and self-loops."""
-        target, prob = self._action_parts(np.asarray(policy.actions, dtype=np.int64))
+        """``degrade`` plus the policy's action-dependent events and
+        self-loops.  Raises ValueError as ``check_policy`` does."""
+        target, prob = self._action_parts(self.check_policy(policy))
         event = target != self.idx
         rows = np.concatenate([self.idx[event], self.idx])
         cols = np.concatenate([target[event], self.idx])
@@ -193,19 +202,20 @@ class DpModel:
 
     def stage_vector(self, policy: StationaryPolicy, objective: str) -> np.ndarray:
         """Each state's stage rate under ``policy``: its cost rate for
-        ``"cost"``, else its repair reward rate; ``evaluate_policy`` checks
-        ``objective``."""
+        ``"cost"``, else its reward rate; ``evaluate_policy`` checks
+        ``objective``.  Raises ValueError as ``check_policy`` does."""
+        actions = self.check_policy(policy)
         if objective == "cost":
             return self.cost
-        stay = np.asarray(policy.actions, dtype=np.int64) == self.loc
-        return np.where(stay, self.repair_reward, 0.0)
+        return self.reward[self.row, actions]
 
     def improve(
         self, v: np.ndarray, previous: StationaryPolicy, margin: float = 0.0
     ) -> StationaryPolicy:
         """Greedy step that keeps ``previous``'s action unless a rival's Q
         is lower by more than ``margin``; the best rival is the one with
-        the smallest id among those tied at the minimum.
+        the smallest id among those tied at the minimum.  Raises ValueError
+        as ``check_policy`` does, naming ``previous``.
 
         Only the action-dependent event differs between actions, so Q(x, a)
         reduces to prob * (v(target) - v(x)).  Each pass scores one rank
@@ -216,10 +226,10 @@ class DpModel:
             target, prob = self._action_parts(actions)
             return prob * (v[target] - v)
 
-        ranks = self.candidates[self.loc - 1].T
+        incumbent = self.check_policy(previous, "previous")
+        ranks = self.candidates[self.row].T
         scores = np.array([q(actions) for actions in ranks])
         pick = np.argmin(scores, axis=0)  # first minimum: smallest action id
-        incumbent = np.asarray(previous.actions, dtype=np.int64)
         switch = scores[pick, self.idx] < q(incumbent) - margin
         return StationaryPolicy(tuple(np.where(switch, ranks[pick, self.idx], incumbent).tolist()))
 
@@ -289,7 +299,6 @@ def evaluate_policy(
     if objective not in ("cost", "reward"):
         raise ValueError(f"objective: {objective!r} is not 'cost' or 'reward'")
     model = _model_for(inst, model)
-    model.check_policy(policy)
     ref = model.indexer.index(reference)
     matrix = model.transition_matrix(policy)
     if model.n <= DENSE_STATE_LIMIT:

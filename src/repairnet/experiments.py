@@ -215,9 +215,12 @@ def records_csv_text(records: list[SuboptimalityRecord]) -> str:
 
 
 def read_records_csv(stream) -> list[SuboptimalityRecord]:
+    """The records of a ``write_records_csv`` text.  Raises ValueError
+    naming the data row (1 is the first below the header) and the column
+    of a cell that does not parse."""
     reader = csv.DictReader(stream)
     records = []
-    for row in reader:
+    for number, row in enumerate(reader, 1):
         kwargs = {}
         for name in RECORD_FIELDS:
             raw = row.get(name, "")
@@ -226,10 +229,13 @@ def read_records_csv(stream) -> list[SuboptimalityRecord]:
                 continue
             if name in ("instance_id", "cost_kind", "error"):
                 kwargs[name] = raw
-            elif name in ("seed", "m", "cap"):
-                kwargs[name] = int(raw)
-            else:
-                kwargs[name] = float(raw)
+                continue
+            integer = name in ("seed", "m", "cap")
+            parse, kind = (int, "an integer") if integer else (float, "a number")
+            try:
+                kwargs[name] = parse(raw)
+            except ValueError:
+                raise ValueError(f"row {number}, {name}: {raw!r} is not {kind}") from None
         records.append(SuboptimalityRecord(**kwargs))
     return records
 

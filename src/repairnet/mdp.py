@@ -13,14 +13,17 @@ then the repair-or-switch slot, then the self-loop remainder.  A capped
 machine's slot degenerates to a self-loop instead of being reassigned, so
 degradation draws coincide across policies sharing the same uniforms.
 
-``Kernel`` encodes that law once.  ``Kernel.event`` gives the
-action-dependent event (a repair, an arrival, or none) as a rate and an
-index offset over StateIndexer's mixed-radix integers.  The kernel reads
-it once per instance, per location and level of the machine there (the
-only level the event depends on), into two tables: a move template
-``(action, rate, offset)`` per available action, which ``Kernel.moves``
-reads for OPI's confidence gate, and per action the row offsets the
-event adds past the degradation codes.
+``Kernel`` encodes that law once, for every solver.  ``Kernel.event``
+gives the action-dependent event (a repair, an arrival, or none) as a
+rate and an index offset over StateIndexer's mixed-radix integers.  The
+kernel reads it once per instance, per location and level of the machine
+there (the only level the event depends on), into two tables: a move
+template ``(action, rate, offset)`` per available action
+(``Kernel.templates``), which ``Kernel.moves`` reads for OPI's
+confidence gate and ``dp.DpModel`` gathers into per-state arrays for
+exact DP, and per action the row offsets the event adds past the
+degradation codes, which the row builder reads for simulation and OPI's
+rollouts.
 ``Kernel.neighborhood`` lists the indices the gate reads.
 ``Kernel.grid`` is the sorted set of every slot end any row can have,
 and ``Kernel.codes`` classifies uniform draws against it, one
@@ -203,7 +206,7 @@ class Kernel:
         # at that level: the move template ``(action, rate, offset)`` of
         # each available action, and per action the row offsets past the
         # m degradation codes.
-        self._templates: list[list[tuple[Move, ...]]] = []
+        self.templates: list[list[tuple[Move, ...]]] = []
         self._events: list[list[dict[Action, tuple[int, ...]]]] = []
         tail = len(self.grid) + 1 - m
         for location in range(1, inst.layout.node_count + 1):
@@ -216,7 +219,7 @@ class Kernel:
                 for action, rate, offset in template:
                     n = self._event_code[rate] + 1 - m if rate else 0
                     events[-1][action] = (offset,) * n + (0,) * (tail - n)
-            self._templates.append(templates)
+            self.templates.append(templates)
             self._events.append(events)
         self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._moves: dict[int, tuple[Move, ...]] = {}
@@ -255,7 +258,7 @@ class Kernel:
             own = self._part(c)[0][location] if location < self.machine_count else 0
             moves = self._moves[x] = tuple(
                 (action, rate, x + offset)
-                for action, rate, offset in self._templates[location][own]
+                for action, rate, offset in self.templates[location][own]
             )
         return moves
 

@@ -226,12 +226,14 @@ def test_solve_dp_exits_naming_an_instance_above_the_state_bound(tmp_path):
         (["opi", "--instance", "INSTANCE"], "--import-store", None, "No such file"),
         (["opi", "--instance", "INSTANCE"], "--import-store", "{", "Expecting"),
         (["report"], "--records", None, "No such file"),
-        (["report"], "--records", "m\nx\n", "invalid literal for int()"),
+        (["report"], "--records", "m\nx\n", "row 1, m: 'x' is not an integer"),
+        (["report"], "--records", "cap\n1\nabc\n", "row 2, cap: 'abc' is not an integer"),
+        (["report"], "--records", "g_ind\n0.5\nlow\n", "row 2, g_ind: 'low' is not a number"),
     ],
     ids=[
         "simulate-missing", "simulate-malformed", "solve-dp-missing", "opi-malformed",
         "indices-missing", "import-store-missing", "import-store-malformed",
-        "records-missing", "records-malformed",
+        "records-missing", "records-malformed", "records-bad-integer", "records-bad-number",
     ],
 )
 def test_file_options_exit_naming_the_option(

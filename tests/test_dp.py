@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     apply_event,
+    available_actions,
     homogeneous_complete_instance,
     homogeneous_star_instance,
     limiting_average,
     random_unichain_policy,
+    rng,
+    step_cost,
     step_probabilities,
+    step_reward,
 )
 from repairnet import dp
 from repairnet.dp import (
@@ -31,15 +35,17 @@ from repairnet.mdp import (
     actions_of,
     all_failed_state,
     enumerate_states,
+    kernel_of,
     pristine_state,
 )
 
 
 def test_transition_matrix_matches_step_probabilities():
-    # Every state's row against the tuple-level oracle: the two-machine
-    # fixture under the index policy, then generated instances with m = 3-4
-    # and cap >= 2 under a random policy, which moves in every direction
-    # the layout allows.
+    # Every state's row, stage rates and greedy action against the
+    # tuple-level oracle: the two-machine fixture under the index policy,
+    # then generated instances with m = 3-4 and cap >= 2 under a random
+    # policy, which moves in every direction the layout allows.  The
+    # generated layouts are 25-node lattices, so most nodes hold no machine.
     two_machines = two_machine_instance()
     cases = [(two_machines, StationaryPolicy.from_rule(two_machines, IndexPolicy(two_machines)))]
     for seed in (20037, 20034, 20001):  # m=3 cap=2, m=3 cap=3, m=4 cap=2
@@ -49,13 +55,28 @@ def test_transition_matrix_matches_step_probabilities():
         model = DpModel(inst)
         states = enumerate_states(inst)
         matrix = model.transition_matrix(policy).toarray()
-        indexer = model.indexer
-        for state in states:
-            row = matrix[indexer.index(state)]
+        cost = model.stage_vector(policy, "cost")
+        reward = model.stage_vector(policy, "reward")
+        v = rng(len(states)).random(len(states))
+        greedy = model.improve(v, policy).actions
+        index = model.indexer.index
+        for x, state in enumerate(states):
+            action = policy.actions[x]
             expected = np.zeros(len(states))
-            for event, p in step_probabilities(inst, state, policy.actions[indexer.index(state)]):
-                expected[indexer.index(apply_event(state, event))] += p
-            assert np.allclose(row, expected, rtol=0.0, atol=1e-15), (inst.seed, state)
+            for event, p in step_probabilities(inst, state, action):
+                expected[index(apply_event(state, event))] += p
+            assert np.allclose(matrix[x], expected, rtol=0.0, atol=1e-15), (inst.seed, state)
+            assert cost[x] == pytest.approx(step_cost(inst, state), rel=1e-12), (inst.seed, state)
+            assert reward[x] == pytest.approx(step_reward(inst, state, action), rel=1e-12)
+            # Q(x, a) less the cost rate, which every action shares; the
+            # minimizer with the smallest id, or the incumbent when it ties.
+            q = {}
+            for a in available_actions(inst, state):
+                events = step_probabilities(inst, state, a)
+                q[a] = sum(p * v[index(apply_event(state, e))] for e, p in events)
+            best = min(q.values())
+            tied = sorted(a for a in q if q[a] <= best + 1e-12)
+            assert greedy[x] == (action if action in tied else tied[0]), (inst.seed, state)
 
 
 def test_evaluate_passive_policy_absorbing_all_failed():
@@ -279,7 +300,7 @@ def test_improve_keeps_the_incumbent_on_ties():
     assert model.improve(v, to_machine_3).actions[x] == 3
 
     # Within the margin the incumbent stays; beyond it the rival wins.
-    gap = model.tau_delta
+    gap = kernel_of(inst).tau_delta
     assert model.improve(v, stay, margin=2 * gap).actions[x] == 1
     assert model.improve(v, stay, margin=0.5 * gap).actions[x] == 2
 
@@ -349,7 +370,10 @@ def test_policy_iteration_reports_a_certified_bound(seed):
 
 
 def test_dp_refuses_a_policy_that_is_not_one_of_the_instance():
+    # An unavailable action is refused by the model's every use of a
+    # policy; read from the event tables, it would step as idling.
     inst = generate_instance(20014)
+    model = DpModel(inst)
     states = enumerate_states(inst)
     nodes = range(1, inst.layout.node_count + 1)
     # From every state, a node that is not adjacent to the location.
@@ -357,8 +381,16 @@ def test_dp_refuses_a_policy_that_is_not_one_of_the_instance():
         tuple(next(v for v in nodes if v not in actions_of(inst, s)) for s in states)
     )
     message = f"policy.actions[0]: action {far.actions[0]} is not available in state {states[0]}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        evaluate_policy(inst, far)
+    for call in (
+        lambda: evaluate_policy(inst, far),
+        lambda: model.transition_matrix(far),
+        lambda: model.stage_vector(far, "cost"),
+        lambda: model.stage_vector(far, "reward"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    with pytest.raises(ValueError, match=r"^previous\.actions\[0\]: action "):
+        model.improve(np.zeros(model.n), far)
     index = StationaryPolicy.from_rule(inst, ModifiedIndexPolicy(inst))
     k = 57
     one_bad = StationaryPolicy(index.actions[:k] + far.actions[k : k + 1] + index.actions[k + 1 :])

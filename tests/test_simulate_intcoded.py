@@ -17,6 +17,7 @@ from repairnet.index_policy import IndexPolicy, ModifiedIndexPolicy
 from repairnet.instance import generate_instance, save_instance
 from repairnet.mdp import (
     Kernel,
+    StateIndexer,
     SystemState,
     actions_of,
     enumerate_states,
@@ -82,7 +83,8 @@ def simulation_cases(draw):
                 int(picks.choice(actions_of(inst, state))) for state in enumerate_states(inst)
             )
         )
-        make_policy = lambda: table.as_rule(inst)
+        index = StateIndexer(inst).index
+        make_policy = lambda: lambda state: table.actions[index(state)]
     steps = draw(st.integers(1, 8_242))
     return inst, x0, make_policy, steps, draw(st.integers(0, 2**32 - 1))
 
@@ -124,7 +126,11 @@ def test_a_function_of_the_state_is_queried_once_per_distinct_state_per_call():
     table = StationaryPolicy(
         tuple(int(picks.choice(actions_of(inst, state))) for state in enumerate_states(inst))
     )
-    rule = table.as_rule(inst)
+    index = StateIndexer(inst).index
+
+    def rule(state):
+        return table.actions[index(state)]
+
     queried = Counter()
 
     def counted(state):
