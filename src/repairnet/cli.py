@@ -32,6 +32,7 @@ from .instance import (
     STREAM_OPI_ONLINE,
     CostKind,
     _generator,
+    check_seed,
     generate_instance,
     load_instance,
     save_instance,
@@ -82,7 +83,15 @@ def _tol_option(tol: float) -> float:
     return tol
 
 
+def _seed_option(seed: int) -> None:
+    """Exits naming ``--seed`` unless it is an integer >= 0; each command
+    that takes it calls this before doing any work."""
+    with _exit_on_error():
+        check_seed("--seed", seed)
+
+
 def cmd_generate(args) -> int:
+    _seed_option(args.seed)
     kind = CostKind(args.cost_kind) if args.cost_kind else None
     out = Path(args.out)
     for i in range(args.count):
@@ -167,6 +176,7 @@ SIMULATE_POLICIES = {
 
 
 def cmd_simulate(args) -> int:
+    _seed_option(args.seed)
     inst = _load("--instance", args.instance, load_instance)
     x0 = _start_state(inst, args.start)
     with _exit_on_error():
@@ -179,6 +189,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_opi(args) -> int:
+    _seed_option(args.seed)
     inst = _load("--instance", args.instance, load_instance)
     budget = _budget_from_args(args)
     base = ModifiedIndexPolicy(inst)
@@ -205,6 +216,7 @@ def cmd_opi(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    _seed_option(args.seed)
     budget = _budget_from_args(args)
     with _exit_on_error():
         config = ExperimentConfig(

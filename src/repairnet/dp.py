@@ -202,8 +202,10 @@ class DpModel:
 
     def stage_vector(self, policy: StationaryPolicy, objective: str) -> np.ndarray:
         """Each state's stage rate under ``policy``: its cost rate for
-        ``"cost"``, else its reward rate; ``evaluate_policy`` checks
-        ``objective``.  Raises ValueError as ``check_policy`` does."""
+        ``"cost"``, its reward rate for ``"reward"``.  Raises ValueError
+        for another ``objective`` (``check_objective``) and as
+        ``check_policy`` does."""
+        check_objective(objective)
         actions = self.check_policy(policy)
         if objective == "cost":
             return self.cost
@@ -262,6 +264,13 @@ def _model_for(inst: InstanceParameters, model: DpModel | None) -> DpModel:
     return model
 
 
+def check_objective(objective) -> None:
+    """Raise ValueError, naming ``objective``, unless it is ``"cost"`` or
+    ``"reward"``, the two stage rates a policy is evaluated on."""
+    if objective not in ("cost", "reward"):
+        raise ValueError(f"objective: {objective!r} is not 'cost' or 'reward'")
+
+
 def evaluate_policy(
     inst: InstanceParameters,
     policy: StationaryPolicy,
@@ -296,8 +305,7 @@ def evaluate_policy(
     state (``policy.actions[k]``).
     """
     reference = _check_inputs(inst, reference, tol, span_target)
-    if objective not in ("cost", "reward"):
-        raise ValueError(f"objective: {objective!r} is not 'cost' or 'reward'")
+    check_objective(objective)
     model = _model_for(inst, model)
     ref = model.indexer.index(reference)
     matrix = model.transition_matrix(policy)

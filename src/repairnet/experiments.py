@@ -28,6 +28,7 @@ from .instance import (
     InstanceParameters,
     _generator,
     check_generator_sizes,
+    check_seed,
     generate_instance,
     load_instance,
 )
@@ -57,6 +58,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        check_seed("seed", self.seed)
         for name in ("count", "steps", "jobs"):
             check_count(name, getattr(self, name))
         check_positive("dp_tol", self.dp_tol)

@@ -138,7 +138,9 @@ class InstanceParameters:
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
     """Philox stream derived from (seed, stream); documented derivation
-    so instances reproduce across machines and processes."""
+    so instances reproduce across machines and processes.  Raises
+    ValueError naming ``seed`` as ``check_seed`` does."""
+    check_seed("seed", seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
 
 
@@ -178,6 +180,14 @@ def _is_finite(value) -> bool:
 def _is_positive(value) -> bool:
     """A finite number above zero, not a bool."""
     return _is_finite(value) and value > 0
+
+
+def check_seed(name: str, value) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is an int >= 0,
+    not a bool: a bool would pass as seed 0 or 1, and a negative seed
+    fails deep in numpy with a message that names no field."""
+    if not _is_integer(value) or value < 0:
+        raise ValueError(f"{name}: {value!r} is not a non-negative integer")
 
 
 # The generator places machines on distinct nodes of this square lattice.

@@ -33,9 +33,9 @@ row's slot ends are grid members, so a row's event is constant on each
 gap.  ``crn_codes`` validates and classifies a common-random-number
 list once per kernel: it keeps the last list's codes for the next
 caller that passes equal draws.
-A row holds a state-action pair's location, cost and reward rates and a
-successor row indexed by code, so a step is one lookup of the draw's
-code in the row and one offset added to the index.  What a row takes
+A row holds a state-action pair's location, cost and reward rates and
+one index offset per code: a draw of code c moves the index by the
+row's c-th offset.  What a row takes
 from the machines' levels alone (the levels tuple, the cost rate and
 the degradation offsets) is memoized once per condition vector and
 shared by every location (``Kernel._part``), so ``Kernel.state``
@@ -55,7 +55,12 @@ rule is asked once per key per instance, not once per call.
 ``simulate``'s keys are the index plus a multiple of ``indexer.count``
 for the rule's memory (the polling tour position), which starts at 0 in
 every call and lives only in the keys: ``simulate`` reads and writes
-nothing on the rule it is given.
+nothing on the rule it is given.  Each call walks its own graph of
+successor links over the rule's rows, one node per key it reaches, so a
+step follows the link of the draw's code, and only a code not yet taken
+from a node adds its offset to the key and looks the new key up.  OPI's
+rollouts and preparatory runs step on the rows themselves: they reach
+new keys too often for a graph to pay.
 """
 
 from __future__ import annotations
@@ -466,8 +471,12 @@ def simulate(
     distinct key, not once per step: the ``RuleRows`` the instance's
     shared kernel (``kernel_of``) keeps for the rule (``Kernel.rows``)
     holds each key's row, and later calls with the same rule object reuse
-    it, so a step is one lookup of the key's row, one of the draw's code
-    in it and one addition.  A finite-memory rule starts
+    it.  Over those rows each call links a node per key it reaches to the
+    node each code taken from it leads to, so a step follows one link:
+    only a code not yet taken from a node adds the code's offset to the
+    key and looks the new key up (filling its row on first sight).  The
+    links are cut before the call returns, or raises, so no node outlives
+    it.  A finite-memory rule starts
     every call at key ``index(x0)``, memory 0, and the memory stays in
     the keys: nothing is read from or written to the rule, so identical
     calls return identical reports.
@@ -479,16 +488,41 @@ def simulate(
     codes = crn_codes(kernel, crn, steps)
     rows = kernel.rows(policy)
     get, fill = rows.get, rows.__missing__
+    # Key -> node [location, cost, reward, successors, key, offsets]: the
+    # key's row, and the node each code taken from it leads to (None until
+    # taken), so a step follows a link and only a new code adds an offset.
+    nodes: dict[int, list] = {}
+
+    def node_of(key: int) -> list:
+        node = nodes.get(key)
+        if node is None:
+            location, cost, reward, offsets = get(key) or fill(key)
+            node = nodes[key] = [location, cost, reward, [None] * len(offsets), key, offsets]
+        return node
+
     visits = [0] * inst.layout.node_count
     total_cost = 0.0
     total_reward = 0.0
-    key = kernel.indexer.index(x0)
-    for code in codes:
-        location, cost, reward, offsets = get(key) or fill(key)
+    try:
+        node = node_of(kernel.indexer.index(x0))
+        # The last step links nowhere: the state it reaches is not asked for.
+        for code in codes[:-1]:
+            location, cost, reward, successors, key, offsets = node
+            visits[location] += 1
+            total_cost += cost
+            total_reward += reward
+            node = successors[code]
+            if node is None:
+                node = successors[code] = node_of(key + offsets[code])
+        location, cost, reward = node[:3]
         visits[location] += 1
         total_cost += cost
         total_reward += reward
-        key += offsets[code]
+    finally:
+        # Links form cycles (a self-loop links a node to itself): cut them,
+        # so the call's nodes are freed on return, not by the cyclic collector.
+        for node in nodes.values():
+            node[3] = None
 
     return SimulationReport(
         average_cost=total_cost / steps,

@@ -267,6 +267,25 @@ def test_steps_exit_naming_the_option(two_machine_file, tmp_path, command, steps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "simulate", "opi", "benchmark"])
+def test_seed_exits_naming_the_option_before_any_work(two_machine_file, tmp_path, capsys, command):
+    # simulate and opi used to die with numpy's traceback ("expected
+    # non-negative integer"), generate exited without naming --seed, and
+    # benchmark wrote a records.csv whose every row held that error.
+    out = tmp_path / "out"
+    args = {
+        "generate": ["--out", str(out)],
+        "simulate": ["--instance", two_machine_file, "--steps", "10"],
+        "opi": ["--instance", two_machine_file, "--r-on", "10"],
+        "benchmark": ["--m", "2", "--cap", "1", "--steps", "100", "--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "-1", *args])
+    assert str(exc.value) == "repairnet: error: --seed: -1 is not a non-negative integer"
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--jobs", "-2"), ("--jobs", "0")])
 def test_benchmark_counts_exit_naming_the_option(tmp_path, flag, value):
     # --count 0 used to write an empty records.csv and exit 0, and

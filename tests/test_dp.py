@@ -210,6 +210,16 @@ def test_evaluate_policy_refuses_an_unknown_objective_before_any_solve(two_machi
         evaluate_policy(two_machines, policy, objective="shifted_cost")
 
 
+def test_stage_vector_refuses_an_unknown_objective(two_machines):
+    # stage_vector(policy, "costs") used to return the repair rewards.
+    model = DpModel(two_machines)
+    policy = StationaryPolicy.from_rule(two_machines, IndexPolicy(two_machines))
+    for objective in ("costs", "shifted_cost", None):
+        message = rf"^objective: {re.escape(repr(objective))} is not 'cost' or 'reward'$"
+        with pytest.raises(ValueError, match=message):
+            model.stage_vector(policy, objective)
+
+
 def test_a_model_built_for_another_instance_is_refused():
     # Seeds 20014 and 20028 share their state count, so without the check
     # evaluate_policy returned 20028's g (0.41258) as 20014's.

@@ -55,13 +55,16 @@ def test_config_refuses_a_step_count_that_is_not_a_positive_int(steps):
         ("m", 0, r"is not a machine count in 1\.\.25"),
         ("m", 26, r"is not a machine count in 1\.\.25"),
         ("cap", 0, "is not a degradation cap >= 1"),
+        ("seed", -1, "is not a non-negative integer"),
+        ("seed", True, "is not a non-negative integer"),
     ],
 )
 def test_config_checks_its_fields_when_built(name, value, reason):
     # A negative dp_tol used to fail only after each instance's index,
     # polling and OPI runs, a count of 0 wrote an empty batch, and a
     # negative jobs ran serially; m = 0 or cap = 0 ran every instance into
-    # a failure record.
+    # a failure record; a seed of -1 ran every instance into a numpy error,
+    # and True ran as seed 1.
     with pytest.raises(ValueError, match=rf"^{name}: {value!r} {reason}$"):
         tiny_config(**{name: value})
 

@@ -90,6 +90,15 @@ def test_generator_refuses_sizes_the_lattice_cannot_hold(overrides, match):
         generate_instance(3, **overrides)
 
 
+@pytest.mark.parametrize("seed", [-1, True, False, 2.0, "7"], ids=repr)
+def test_generator_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # -1 used to die inside numpy ("expected non-negative integer"), and
+    # True returned seed 1's instance.
+    message = rf"^seed: {re.escape(repr(seed))} is not a non-negative integer$"
+    with pytest.raises(ValueError, match=message):
+        generate_instance(seed)
+
+
 def test_generator_places_a_machine_on_every_lattice_node():
     inst = generate_instance(3, m=25, cap=1)
     assert inst.machine_count == 25

@@ -2,6 +2,7 @@
 and the checks that keep out-of-range states and unavailable actions from
 turning into plausible averages."""
 
+import gc
 import json
 from collections import Counter
 from dataclasses import replace
@@ -194,6 +195,117 @@ def test_a_function_of_the_state_is_queried_once_per_distinct_state_per_call():
     store = offline_main(inst, counted_base, prep, budget, offline_rng)
     online_run(inst, counted_base, store, budget, rng(4), x0=x0)
     assert queried and max(queried.values()) == 1
+
+
+def _walk_leaving_one_key_by_every_code(inst, policy, x0, steps, seed):
+    """A CRN list under which one (state, memory) key, the target, is left
+    by every code: its draws are random, except at each visit to the
+    target, where they take the codes in turn (one draw inside each
+    non-empty gap of the kernel's grid), holding one back until the last
+    quarter of the run.  The target is the pilot run's most visited key
+    that some codes leave for one successor and others for itself; the
+    code held back is the last that leads to that successor.  Returns the
+    list, the target, the held code, the (step, code) pairs taken at the
+    target, the run's visits per key and the number of codes a draw can
+    have."""
+    decide = getattr(policy, "decide", None) or (lambda state, memory: (policy(state), memory))
+    ends = [0.0, *kernel_of(inst).grid, 1.0]
+    code_draws = [(lo + hi) / 2 for lo, hi in zip(ends, ends[1:]) if lo < hi]
+
+    def successors(key):
+        action, after = decide(*key)
+        return [(uniform_step(inst, key[0], action, u), after) for u in code_draws]
+
+    def walk(draws, choose):
+        key, visits = (x0, 0), Counter()
+        for t in range(steps):
+            code = choose(t, key)
+            if code is not None:
+                draws[t] = code_draws[code]
+            visits[key] += 1
+            action, after = decide(*key)
+            key = (uniform_step(inst, key[0], action, draws[t]), after)
+        return visits
+
+    draws = rng(seed).random(steps)
+    for target, _ in walk(draws, lambda t, key: None).most_common():
+        succs = successors(target)
+        shared = Counter(succ for succ in succs if succ != target)
+        if target in succs and max(shared.values(), default=0) >= 2:
+            break
+    else:
+        raise AssertionError("no key is left both by shared codes and by self-loops")
+    (common, _), = shared.most_common(1)
+    held = max(c for c, succ in enumerate(succs) if succ == common)
+    order = [c for c in range(len(succs)) if c != held]
+    late, taken = [held], []
+
+    def choose(t, key):
+        if key != target:
+            return None
+        code = late.pop() if late and t >= steps * 3 // 4 else order[len(taken) % len(order)]
+        taken.append((t, code))
+        return code
+
+    visits = walk(draws, choose)
+    return draws, target, held, taken, visits, len(code_draws)
+
+
+@pytest.mark.parametrize("kind", ["index", "polling"])
+def test_a_key_left_by_every_code_steps_as_the_reference_loop(kind):
+    # Each (node, code) link is made once: codes that share a successor,
+    # self-loops (a link from a node to itself), and a code first taken
+    # late, from a node whose other links were made long before.  A
+    # polling rule's rows move the memory, so its keys are (state, tour
+    # position) pairs.
+    inst = generate_instance(20018)
+    if kind == "index":
+        policy = IndexPolicy(inst)
+    else:
+        policy = PollingPolicy(inst, best_tour(inst.layout, inst.layout.machines))
+    x0, steps = pristine_state(inst), 8_000
+    draws, target, held, taken, visits, codes = _walk_leaving_one_key_by_every_code(
+        inst, policy, x0, steps, 3
+    )
+    assert {code for _, code in taken} == set(range(codes))
+    assert min(t for t, code in taken if code == held) >= steps * 3 // 4
+    assert len(taken) > 100 and visits[target] == len(taken)
+    if kind == "polling":
+        assert len({memory for _, memory in visits}) > 1
+    report = simulate(inst, policy, x0, steps, crn=draws)
+    assert (report.average_cost, report.average_reward, report.visit_counts) == (
+        reference_simulate(inst, policy, x0, steps, draws)
+    )
+
+
+def test_simulate_leaves_nothing_for_the_cyclic_collector():
+    # A self-loop links a node to itself, so the links form cycles:
+    # simulate cuts them before it returns, and when a fill raises.
+    inst = generate_instance(20018)
+    x0, crn = pristine_state(inst), rng(6).random(5_000)
+    rules = [IndexPolicy(inst), PollingPolicy(inst, best_tour(inst.layout, inst.layout.machines))]
+    pristine = x0.conditions
+
+    def fails_once_damaged(state):
+        # Idles until a machine degrades, then names an action that is
+        # not an id: the fill of that state raises.
+        return state.location if state.conditions == pristine else 0
+
+    gc.collect()
+    gc.disable()
+    try:
+        for rule in rules:
+            simulate(inst, rule, x0, 5_000, crn=crn)
+            assert gc.collect() == 0
+        try:
+            simulate(inst, fails_once_damaged, x0, 5_000, crn=crn)
+        except ValueError as exc:
+            assert "action 0 not available" in str(exc)
+        else:
+            pytest.fail("the unavailable action was not refused")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class _BadMemory:
