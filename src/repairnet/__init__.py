@@ -40,7 +40,6 @@ from .instance import (
 from .mdp import (
     SimulationReport,
     SystemState,
-    enumerate_states,
     simulate,
     validate_state,
 )
@@ -55,12 +54,10 @@ from .opi import (
     OpiBudget,
     ValueStore,
     confidence_interval,
-    improving_action,
     offline_main,
     offline_preparatory,
     online_run,
     run_opi,
-    sample_trajectory,
 )
 from .polling import PollingPolicy, PollingTour, best_polling_report, best_tour
 

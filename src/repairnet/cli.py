@@ -92,6 +92,8 @@ def _seed_option(seed: int) -> None:
 
 def cmd_generate(args) -> int:
     _seed_option(args.seed)
+    with _exit_on_error():
+        check_count("--count", args.count)
     kind = CostKind(args.cost_kind) if args.cost_kind else None
     out = Path(args.out)
     for i in range(args.count):

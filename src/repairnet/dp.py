@@ -264,6 +264,21 @@ def _model_for(inst: InstanceParameters, model: DpModel | None) -> DpModel:
     return model
 
 
+def _check_start_values(v0, n: int) -> None:
+    """Raise ValueError, naming ``v0``, unless it is a vector of ``n``
+    finite numbers: from a NaN or infinite start the sweeps never settle,
+    so they would run to their cap and then blame the policy."""
+    values = np.asarray(v0)
+    if values.shape != (n,) or values.dtype.kind not in "iuf":
+        raise ValueError(
+            f"v0: a {values.dtype} array of shape {values.shape} is not a vector of {n} numbers"
+        )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"v0[{i}]: {float(values[i])!r} is not a finite number")
+
+
 def check_objective(objective) -> None:
     """Raise ValueError, naming ``objective``, unless it is ``"cost"`` or
     ``"reward"``, the two stage rates a policy is evaluated on."""
@@ -301,12 +316,15 @@ def evaluate_policy(
     Raises ValueError, naming the field, before any solve: for a ``tol``
     or ``span_target`` that is not a positive finite number, an unknown
     ``objective``, a ``reference`` outside the instance, a ``model`` built
-    for another instance, or a policy without one available action per
-    state (``policy.actions[k]``).
+    for another instance, a ``v0`` that is not a finite vector of one
+    value per state, or a policy without one available action per state
+    (``policy.actions[k]``).
     """
     reference = _check_inputs(inst, reference, tol, span_target)
     check_objective(objective)
     model = _model_for(inst, model)
+    if v0 is not None:
+        _check_start_values(v0, model.n)
     ref = model.indexer.index(reference)
     matrix = model.transition_matrix(policy)
     if model.n <= DENSE_STATE_LIMIT:

@@ -25,14 +25,15 @@ exact DP, and per action the row offsets the event adds past the
 degradation codes, which the row builder reads for simulation and OPI's
 rollouts.
 ``Kernel.neighborhood`` lists the indices the gate reads.
-``Kernel.grid`` is the sorted set of every slot end any row can have,
-and ``Kernel.codes`` classifies uniform draws against it, one
-whole-array comparison per grid end, into a byte string when the codes
-fit a byte: a draw's code is the gap of the grid it falls in.  Every
-row's slot ends are grid members, so a row's event is constant on each
-gap.  ``crn_codes`` validates and classifies a common-random-number
-list once per kernel: it keeps the last list's codes for the next
-caller that passes equal draws.
+``Kernel.grid`` is the sorted set of every slot end below 1.0 that any
+row can have (the largest rate's event end, 1.0 up to rounding, is left
+out when it bounds no draw), and ``Kernel.codes`` classifies uniform
+draws against it, one whole-array comparison per grid end, into a byte
+string when the codes fit a byte: a draw's code is the gap of the grid
+it falls in.  Every row's slot ends below 1.0 are grid members, so a
+row's event is constant on each gap.  ``crn_codes`` validates and
+classifies a common-random-number list once per kernel: it keeps the
+last list's codes for the next caller that passes equal draws.
 A row holds a state-action pair's location, cost and reward rates and
 one index offset per code: a draw of code c moves the index by the
 row's c-th offset.  What a row takes
@@ -67,6 +68,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Protocol, Sequence
@@ -111,10 +113,6 @@ class CapacityError(RuntimeError):
 
 def pristine_state(inst: InstanceParameters, location: int = 1) -> SystemState:
     return SystemState(location, (0,) * inst.machine_count)
-
-
-def all_failed_state(inst: InstanceParameters, location: int = 1) -> SystemState:
-    return SystemState(location, tuple(inst.cap))
 
 
 def check_count(name: str, value) -> None:
@@ -171,23 +169,22 @@ class Kernel:
         m = inst.machine_count
         self.machine_count = m
         self.cap = inst.cap
-        # Per-step event probabilities: rate times step length.
+        # Per-step degradation probabilities: rate times step length.
         self.lam_delta = [lam_j * delta for lam_j in inst.lam]
-        self.mu_delta = [mu_i * delta for mu_i in inst.mu]
-        self.tau_delta = inst.tau * delta
         # Reserved degradation slots: machine j owns
         # [cum_lambda[j-1], cum_lambda[j]); a draw there at cap self-loops.
-        self.cum_lambda = list(itertools.accumulate(self.lam_delta, initial=0.0))
-        self.degrade_upper = self.cum_lambda[m]
-        # Every slot end a row can have: the m degradation ends, then the
-        # distinct ends of the event slots, one per rate (tau, mu_i).  A
-        # draw's code is the number of ends at or below it: codes 0..m-1
+        cum_lambda = list(itertools.accumulate(self.lam_delta, initial=0.0))
+        # Every slot end a draw can fall below: the m degradation ends, then
+        # the distinct ends of the event slots, one per rate (tau, mu_i),
+        # that lie below 1.0.  The largest rate's end is 1.0 up to rounding;
+        # at or above 1.0 it bounds no draw, so its event owns the top code.
+        # A draw's code is the number of ends at or below it: codes 0..m-1
         # are the degradation slots, and the event of rate r owns codes
-        # m.._event_code[r].
-        ends = {rate: self.degrade_upper + rate * delta for rate in (inst.tau, *inst.mu)}
-        event_ends = sorted(set(ends.values()))
-        self.grid = np.array(self.cum_lambda[1:] + event_ends)
-        self._event_code = {rate: m + event_ends.index(end) for rate, end in ends.items()}
+        # m..event_code[r].
+        ends = {rate: cum_lambda[m] + rate * delta for rate in (inst.tau, *inst.mu)}
+        event_ends = sorted({end for end in ends.values() if end < 1.0})
+        self.grid = np.array(cum_lambda[1:] + event_ends)
+        event_code = {rate: m + bisect_left(event_ends, end) for rate, end in ends.items()}
         # Cost-rate lookup per machine and level.
         self.cost_rate = [
             [inst.cost.rate(i, level, inst.cap[i - 1]) for level in range(inst.cap[i - 1] + 1)]
@@ -222,7 +219,7 @@ class Kernel:
                 templates.append(template)
                 events.append({})
                 for action, rate, offset in template:
-                    n = self._event_code[rate] + 1 - m if rate else 0
+                    n = event_code[rate] + 1 - m if rate else 0
                     events[-1][action] = (offset,) * n + (0,) * (tail - n)
             self.templates.append(templates)
             self._events.append(events)
@@ -308,7 +305,10 @@ class Kernel:
 
     def codes(self, uniforms) -> Sequence[int]:
         """The code of each uniform draw: the number of ``grid`` ends at or
-        below it, so code c covers the draws in ``[grid[c-1], grid[c])``.
+        below it, so code c covers the draws in ``[grid[c-1], grid[c])``
+        and the top code, ``len(grid)``, those in ``[grid[-1], 1)``: the
+        largest rate's event when its end is not below 1.0, else a sliver
+        of self-loop.
 
         Branch-free: one whole-array comparison per grid end, summed into
         the narrowest unsigned dtype that holds ``len(grid)``.  When that
@@ -343,10 +343,11 @@ class Kernel:
 
         The row has one offset per code: machine j's stride (0 at its cap)
         for code j < m, the action's event offset (see ``event``) for codes
-        m up to the grid position of the event's slot end when the action
-        has one, and 0, the self-loop, for the rest.  Each row's slot ends
-        are grid members, so that is the move a bisection of the draw into
-        the row's own slot ends would pick.  Rows hold relative moves, so
+        m up to the code whose gap ends at the event's slot end (the top
+        code for an end not below 1.0) when the action has one, and 0, the
+        self-loop, for the rest.  Each row's slot ends below 1.0 are grid
+        members, so that is the move a bisection of the draw into the
+        row's own slot ends would pick.  Rows hold relative moves, so
         equal offsets tuples are shared across states.  Raises ValueError
         when ``action`` is not available in the state."""
         levels, cost, degrade = part
@@ -570,11 +571,6 @@ def _check_memory(memory) -> None:
 
 # The most states StateIndexer.states and DpModel lay out.
 STATE_BOUND = 5_000_000
-
-
-def enumerate_states(inst: InstanceParameters) -> list[SystemState]:
-    """``StateIndexer.states`` as a list; CapacityError above ``STATE_BOUND``."""
-    return list(StateIndexer(inst).states())
 
 
 class StateIndexer:

@@ -44,17 +44,16 @@ rollout function (``_rollout``) over its rows, store and code stream;
 ``rollout(z, p)`` runs one rollout, updates its records' entries and
 returns its stop and its steps, and the phase spends its own budget on
 calls to it: ``offline_main`` in one loop over its start states (the
-chained core phase starts each rollout at the last one's stop),
+chained core phase starts each rollout at the last one's stop), and
 ``online_run`` over the neighborhoods of successive hypothetical
 successors, each successor drawn when the previous neighborhood is used
-up, and the public ``sample_trajectory`` in one call.  The step loop and
-the entry update are each written once.  Only a chain records more than
-its start, so only a chain builds a list of records, and the step loop
-tests one counter that is 0 otherwise.  Many draws are self-loops
-(offset 0; two thirds of the opi-wide workload's rollout steps), and one
-anywhere but at the reference neither stops the rollout nor adds a
-record, so the loop steps it on the row in hand, without the row lookup,
-the stop test or the record test.
+up.  The step loop and the entry update are each written once.  Only a
+chain records more than its start, so only a chain builds a list of
+records, and the step loop tests one counter that is 0 otherwise.  Many
+draws are self-loops (offset 0; two thirds of the opi-wide workload's
+rollout steps), and one anywhere but at the reference neither stops the
+rollout nor adds a record, so the loop steps it on the row in hand,
+without the row lookup, the stop test or the record test.
 
 Each phase reads its generator as one stream of codes, one per
 simulated step: uniforms are drawn and classified (``Kernel.codes``)
@@ -89,7 +88,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import InstanceParameters, _is_finite, _is_integer, instance_to_dict
+from .instance import (
+    InstanceParameters, _is_finite, _is_integer, _is_positive, instance_to_dict,
+)
 from .mdp import (
     DecisionRule,
     Kernel,
@@ -142,8 +143,8 @@ class OpiBudget:
         for name in ("r1", "r2", "r_off", "r_on"):
             check_count(name, getattr(self, name))
         # An infinite tau_max is allowed: r_off still ends the rollouts.
-        if isinstance(self.tau_max, bool) or not self.tau_max > 0:
-            raise ValueError(f"tau_max: {self.tau_max!r} is not positive")
+        if not (_is_positive(self.tau_max) or self.tau_max == math.inf):
+            raise ValueError(f"tau_max: {self.tau_max!r} is not a positive number")
         check_positive("delta", self.delta)
         if self.mode not in (WALL_CLOCK, STEP_COUNT):
             raise ValueError(f"mode: unknown budget mode {self.mode!r}")
@@ -455,29 +456,6 @@ def _rollout(
     return rollout
 
 
-def sample_trajectory(
-    inst: InstanceParameters,
-    base: DecisionRule,
-    store: ValueStore,
-    z: SystemState,
-    p: int,
-    rng: np.random.Generator,
-) -> tuple[SystemState, int]:
-    """One rollout from ``z`` (see _rollout): its stop state and the
-    steps it took.  Raises ValueError for a finite-memory ``base`` or a
-    ``p`` that is not a count >= 1."""
-    _check_base(base)
-    _check_store(inst, store)
-    validate_state(inst, z)
-    check_count("p", p)
-    if store.reference not in store:
-        raise ValueError("store is missing its reference entry")
-    kernel = kernel_of(inst)
-    rollout = _rollout(kernel.rows(base), store, _uniforms(kernel, rng))
-    stop, steps = rollout(kernel.indexer.index(z), p)
-    return kernel.state(stop), steps
-
-
 @dataclass
 class OfflinePreparation:
     g_base: float
@@ -668,28 +646,6 @@ def _gate(
         else:
             return a, None
     return None, OVERLAP_CAUSE
-
-
-def improving_action(
-    inst: InstanceParameters,
-    state: SystemState,
-    store: ValueStore,
-    base_action: int,
-) -> tuple[int, bool]:
-    """Confidence-gated improvement step at one state.
-
-    Returns the unique action whose value delta beats every rival across
-    all interval-consistent value assignments, with safe_flag False; if no
-    action separates, returns the base action with safe_flag True.
-    """
-    _check_store(inst, store)
-    validate_state(inst, state)
-    kernel = kernel_of(inst)
-    x = kernel.indexer.index(state)
-    action, _ = _gate(x, kernel.moves(x), store.entries)
-    if action is None:
-        return base_action, True
-    return action, False
 
 
 def online_run(

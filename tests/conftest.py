@@ -11,9 +11,16 @@ from hypothesis import settings
 
 from repairnet.dp import DpModel, StationaryPolicy
 from repairnet.instance import CostKind, CostModel, InstanceParameters
-from repairnet.mdp import SystemState
-from repairnet.network import build_complete_layout, build_star_layout
-from repairnet.opi import LEARNING_SCALE, TRAJECTORY_CAP, ValueStoreEntry
+from repairnet.mdp import StateIndexer, SystemState, actions_of, kernel_of
+from repairnet.network import build_complete_layout, build_star_layout, shortest_next_hop
+from repairnet.opi import (
+    LEARNING_SCALE,
+    TRAJECTORY_CAP,
+    ValueStoreEntry,
+    _gate,
+    _rollout,
+    _uniforms,
+)
 
 # Every run draws the same examples, so a slow or failing example repeats
 # and can be named.  Each test keeps its own max_examples.
@@ -23,6 +30,35 @@ settings.load_profile("repeatable")
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def enumerate_states(inst: InstanceParameters) -> list[SystemState]:
+    """Every state of ``inst`` in index order (``StateIndexer.states``)."""
+    return list(StateIndexer(inst).states())
+
+
+def all_failed_state(inst: InstanceParameters, location: int = 1) -> SystemState:
+    return SystemState(location, tuple(inst.cap))
+
+
+def improving_action(inst, state: SystemState, store, base_action: int) -> tuple[int, bool]:
+    """The online gate (``opi._gate``) at ``state`` on ``store``'s entries:
+    ``(action, False)`` for the action it takes, ``(base_action, True)``
+    when it falls back."""
+    kernel = kernel_of(inst)
+    x = kernel.indexer.index(state)
+    action, _ = _gate(x, kernel.moves(x), store.entries)
+    return (base_action, True) if action is None else (action, False)
+
+
+def sample_trajectory(inst, base, store, z: SystemState, p: int, generator):
+    """One rollout (``opi._rollout``) from ``z`` under ``base``, stepped on
+    the kernel's rows for ``base`` by ``generator``'s code stream, as the
+    OPI phases step theirs: its stop state and its steps."""
+    kernel = kernel_of(inst)
+    rollout = _rollout(kernel.rows(base), store, _uniforms(kernel, generator))
+    stop, steps = rollout(kernel.indexer.index(z), p)
+    return kernel.state(stop), steps
 
 
 def homogeneous_complete_instance(
@@ -295,9 +331,6 @@ def random_unichain_policy(inst, seed: int) -> StationaryPolicy:
     machine 1 reachable from everywhere and the chain unichain; all other
     states get uniformly random admissible actions.
     """
-    from repairnet.mdp import actions_of, enumerate_states
-    from repairnet.network import shortest_next_hop
-
     generator = rng(seed)
     actions = []
     for state in enumerate_states(inst):

@@ -34,20 +34,23 @@ def test_generate_batch(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, message",
+    "flag, value, message",
     [
-        ("--m", "m: 0 is not a machine count in 1..25"),
-        ("--cap", "cap: 0 is not a degradation cap >= 1"),
+        ("--m", "0", "m: 0 is not a machine count in 1..25"),
+        ("--cap", "0", "cap: 0 is not a degradation cap >= 1"),
+        ("--count", "0", "--count: 0 is not a positive count"),
+        ("--count", "-2", "--count: -2 is not a positive count"),
     ],
-    ids=["m", "cap"],
+    ids=["m", "cap", "count-0", "count-minus-2"],
 )
 @pytest.mark.parametrize("count", ["1", "3"])
-def test_generate_exits_naming_a_bad_size(tmp_path, flag, message, count):
+def test_generate_exits_naming_a_bad_size(tmp_path, flag, value, message, count):
     # --m 0 used to end in a LayoutError traceback, --cap 0 in a ValueError
-    # one.
+    # one, and --count 0 or -2 exited 0 having written nothing.  A second
+    # --count overrides the first.
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["generate", "--seed", "5", "--count", count, flag, "0", "--out", str(out)])
+        main(["generate", "--seed", "5", "--count", count, flag, value, "--out", str(out)])
     assert str(exc.value) == f"repairnet: error: {message}"
     assert not out.exists()
 

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_failed_state,
     apply_event,
     available_actions,
+    enumerate_states,
     homogeneous_complete_instance,
     homogeneous_star_instance,
     limiting_average,
@@ -33,8 +35,6 @@ from repairnet.instance import counterexample_instances, two_machine_instance, g
 from repairnet.mdp import (
     SystemState,
     actions_of,
-    all_failed_state,
-    enumerate_states,
     kernel_of,
     pristine_state,
 )
@@ -310,7 +310,7 @@ def test_improve_keeps_the_incumbent_on_ties():
     assert model.improve(v, to_machine_3).actions[x] == 3
 
     # Within the margin the incumbent stays; beyond it the rival wins.
-    gap = kernel_of(inst).tau_delta
+    gap = inst.tau * kernel_of(inst).step_length
     assert model.improve(v, stay, margin=2 * gap).actions[x] == 1
     assert model.improve(v, stay, margin=0.5 * gap).actions[x] == 2
 
@@ -437,3 +437,24 @@ def test_dp_refuses_a_reference_outside_the_instance(two_machines):
         evaluate_policy(two_machines, policy, reference=SystemState(1, (0, 5)))
     with pytest.raises(ValueError, match=r"^reference: state\.location"):
         policy_iteration(two_machines, reference=SystemState(3, (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "v0, message",
+    [
+        (np.full(18, np.nan), r"^v0\[0\]: nan is not a finite number$"),
+        (np.r_[np.zeros(17), np.inf], r"^v0\[17\]: inf is not a finite number$"),
+        (np.zeros(17), r"^v0: a float64 array of shape \(17,\) is not a vector of 18 numbers$"),
+        (np.zeros((18, 1)), r"^v0: a float64 array of shape \(18, 1\) is not a vector of 18 "),
+        (["0"] * 18, r"^v0: a <U1 array of shape \(18,\) is not a vector of 18 numbers$"),
+    ],
+    ids=["nan", "inf", "short", "column", "strings"],
+)
+def test_evaluate_policy_refuses_a_start_vector_before_any_solve(two_machines, monkeypatch, v0, message):
+    # A NaN or infinite v0 swept to MAX_SWEEPS and then blamed the policy
+    # ("may be multichain"), and a short one failed inside numpy naming no
+    # field.
+    policy = StationaryPolicy.from_rule(two_machines, ModifiedIndexPolicy(two_machines))
+    monkeypatch.setattr(dp, "_bordered_bicgstab", None)
+    with pytest.raises(ValueError, match=message):
+        evaluate_policy(two_machines, policy, v0=v0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_star_instance, rng
+from conftest import homogeneous_star_instance, rng, sample_trajectory
 from repairnet.cli import main
 from repairnet.dp import StationaryPolicy
 from repairnet.index_policy import (
@@ -30,12 +30,10 @@ from repairnet.opi import (
     OpiBudget,
     ValueStore,
     ValueStoreEntry,
-    improving_action,
     offline_main,
     offline_preparatory,
     online_run,
     run_opi,
-    sample_trajectory,
 )
 from repairnet.polling import best_polling_report
 from test_simulate_intcoded import bad_states
@@ -218,10 +216,6 @@ def test_stores_built_for_another_instance_are_refused():
         run_opi(inst, rule, SMALL_BUDGET, rng(1), rng(2), store=foreign)
     with pytest.raises(ValueError, match=message):
         online_run(inst, rule, foreign, SMALL_BUDGET, rng(1))
-    with pytest.raises(ValueError, match=message):
-        sample_trajectory(inst, rule, foreign, pristine_state(inst), 1, rng(0))
-    with pytest.raises(ValueError, match=message):
-        improving_action(inst, pristine_state(inst), foreign, 1)
     assert decided == []  # refused before any budget was spent
     assert len(foreign.entries) == 1
 

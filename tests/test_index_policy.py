@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import homogeneous_complete_instance, homogeneous_star_instance, rng
+from conftest import (
+    all_failed_state,
+    enumerate_states,
+    homogeneous_complete_instance,
+    homogeneous_star_instance,
+    rng,
+)
 from repairnet.dp import StationaryPolicy, evaluate_policy
 from repairnet.index_policy import (
     ModifiedIndexPolicy,
@@ -24,7 +30,7 @@ from repairnet.instance import (
     two_machine_instance,
     generate_instance,
 )
-from repairnet.mdp import SystemState, all_failed_state, enumerate_states, kernel_of
+from repairnet.mdp import SystemState, kernel_of
 from repairnet.network import build_complete_layout
 
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     EventKind,
+    all_failed_state,
     apply_event,
+    enumerate_states,
     homogeneous_star_instance,
     rng,
     step_cost,
@@ -16,6 +18,7 @@ from conftest import (
     step_reward,
     uniform_step,
 )
+from repairnet.index_policy import IndexPolicy
 from repairnet.instance import counterexample_instances, generate_instance
 from repairnet.mdp import (
     CapacityError,
@@ -23,8 +26,6 @@ from repairnet.mdp import (
     StateIndexer,
     SystemState,
     actions_of,
-    all_failed_state,
-    enumerate_states,
     kernel_of,
     pristine_state,
     simulate,
@@ -201,8 +202,9 @@ def test_codes_and_rows_match_the_uniform_step_oracle(case, draws):
     kernel = Kernel(inst)
     m = inst.machine_count
     grid = kernel.grid.tolist()
-    # The m degradation ends, then the distinct event ends: tau's is mu_j's.
-    assert grid == sorted(grid) and m < len(grid) <= 2 * m
+    # The m degradation ends, then the distinct event ends below 1.0: tau's
+    # is mu_j's, and when every rate is tau's that end is 1.0 up to rounding.
+    assert grid == sorted(grid) and m <= len(grid) <= 2 * m and grid[-1] < 1.0
     x = kernel.indexer.index(state)
     # Every grid edge and the float just below it, plus random draws.
     edges = [v for t in grid for v in (t, math.nextafter(t, 0.0))]
@@ -214,6 +216,31 @@ def test_codes_and_rows_match_the_uniform_step_oracle(case, draws):
         for u, code in zip(uniforms, codes):
             expected = uniform_step(inst, state, action, u)
             assert kernel.state(x + offsets[code]) == expected, (action, u, code)
+
+
+@pytest.mark.parametrize("seed", [1, 11, 0])
+def test_the_grid_holds_only_ends_below_one(seed):
+    # The largest rate's event end is 1.0 up to rounding: 1.0 on seed 1,
+    # 1.0000000000000002 on seed 11 and 0.9999999999999998 on seed 0.  An
+    # end at or above 1.0 bounds no draw, so it is no grid end and no row
+    # holds an offset for it.
+    inst = generate_instance(seed)
+    kernel = kernel_of(inst)
+    grid = kernel.grid.tolist()
+    assert grid[-1] < 1.0
+    policy = IndexPolicy(inst)
+    simulate(inst, policy, pristine_state(inst), 2_000, crn=rng(seed).random(2_000))
+    rows = kernel.rows(policy)
+    assert rows and all(len(offsets) == len(grid) + 1 for *_, offsets in rows.values())
+    u = math.nextafter(1.0, 0.0)
+    top = kernel.codes([u])[0]
+    assert top == len(grid)
+    for x, (*_, offsets) in rows.items():
+        state = kernel.state(x)
+        assert kernel.state(x + offsets[top]) == uniform_step(inst, state, policy(state), u)
+    if seed == 0:
+        # The top end lies below 1.0, so above it is a sliver of self-loop.
+        assert all(offsets[top] == 0 for *_, offsets in rows.values())
 
 
 def test_simulate_passive_policy_all_failed():

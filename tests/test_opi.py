@@ -6,11 +6,19 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from conftest import homogeneous_star_instance, rng, with_level_change, with_location
+from conftest import (
+    all_failed_state,
+    homogeneous_star_instance,
+    improving_action,
+    rng,
+    sample_trajectory,
+    with_level_change,
+    with_location,
+)
 from repairnet.dp import StationaryPolicy, evaluate_policy
 from repairnet.index_policy import ModifiedIndexPolicy
 from repairnet.instance import generate_instance
-from repairnet.mdp import SystemState, all_failed_state, kernel_of, pristine_state
+from repairnet.mdp import SystemState, kernel_of, pristine_state
 from repairnet.polling import PollingPolicy, best_tour
 from repairnet.opi import (
     STEP_COUNT,
@@ -21,14 +29,12 @@ from repairnet.opi import (
     ValueStoreEntry,
     confidence_interval,
     desk_scale_budget,
-    improving_action,
     load_store,
     neighborhood,
     offline_main,
     offline_preparatory,
     online_run,
     run_opi,
-    sample_trajectory,
     save_store,
     state_key,
 )
@@ -143,20 +149,10 @@ def test_sample_trajectory_runs_at_least_one_step():
     # Starting from a state already stored: the stopping test runs only
     # after the first transition, so at least one step always elapses.
     stop, elapsed = sample_trajectory(
-        inst, ModifiedIndexPolicy(inst), store, other, p=1, rng=rng(0)
+        inst, ModifiedIndexPolicy(inst), store, other, p=1, generator=rng(0)
     )
     assert elapsed >= 1
     assert stop in store
-
-
-def test_sample_trajectory_refuses_a_record_count_below_one():
-    inst = fast_switch_instance()
-    u0 = pristine_state(inst)
-    store = make_store(inst, u0)
-    for p in (0, -1, 1.0, True):
-        with pytest.raises(ValueError, match=rf"^p: {p!r} is not a positive count$"):
-            sample_trajectory(inst, ModifiedIndexPolicy(inst), store, u0, p, rng(0))
-    assert len(store.entries) == 1 and store.get(u0).s == 1
 
 
 def test_sample_trajectory_stop_state_membership():
@@ -165,7 +161,7 @@ def test_sample_trajectory_stop_state_membership():
     store = make_store(inst, u0)
     for seed in range(5):
         stop, elapsed = sample_trajectory(
-            inst, ModifiedIndexPolicy(inst), store, u0, p=5, rng=rng(seed)
+            inst, ModifiedIndexPolicy(inst), store, u0, p=5, generator=rng(seed)
         )
         assert stop in store
         assert elapsed >= 1
@@ -175,7 +171,7 @@ def test_sample_trajectory_updates_first_p_states():
     inst = fast_switch_instance()
     u0 = pristine_state(inst)
     store = make_store(inst, u0)
-    sample_trajectory(inst, ModifiedIndexPolicy(inst), store, u0, p=3, rng=rng(1))
+    sample_trajectory(inst, ModifiedIndexPolicy(inst), store, u0, p=3, generator=rng(1))
     # The start state itself is always among the updated records.
     assert store.get(u0).s >= 2  # pinned initial observation plus one
     assert len(store.entries) >= 2
@@ -191,7 +187,7 @@ def test_chained_records_bootstrap_through_the_updated_reference():
     reference = SystemState(1, (1, 1))
     store = make_store(inst, reference)
     seed = 4  # a 250-step rollout through four other states
-    stop, steps = sample_trajectory(inst, base, store, reference, p=5, rng=rng(seed))
+    stop, steps = sample_trajectory(inst, base, store, reference, p=5, generator=rng(seed))
     assert stop == reference
 
     # Replay the rollout on the same draws: the cost accrued before each of
@@ -627,7 +623,7 @@ def test_budget_validation():
     # A bool is not a number, though True compares as 1.
     with pytest.raises(ValueError, match=r"^delta: True is not a positive finite number$"):
         OpiBudget(delta=True)
-    with pytest.raises(ValueError, match=r"^tau_max: True is not positive$"):
+    with pytest.raises(ValueError, match=r"^tau_max: True is not a positive number$"):
         OpiBudget(tau_max=True)
     # In step-count mode delta counts rollouts a decision, so it must be
     # whole: 0.5 would run none and 2.5 would be cut to 2.  An integral
@@ -639,6 +635,14 @@ def test_budget_validation():
     assert OpiBudget(delta=0.5).delta == 0.5  # seconds in wall-clock mode
     # r_off still ends each start state's rollouts.
     assert OpiBudget(tau_max=math.inf).tau_max == math.inf
+
+
+@pytest.mark.parametrize("tau_max", ["5", None, math.nan, -math.inf, 0, -1.0])
+def test_budget_refuses_a_tau_max_that_is_not_a_positive_number(tau_max):
+    # "5" and None used to raise a bare TypeError from the comparison.
+    message = rf"^tau_max: {re.escape(repr(tau_max))} is not a positive number$"
+    with pytest.raises(ValueError, match=message):
+        OpiBudget(tau_max=tau_max)
 
 
 @pytest.mark.parametrize("name, value", [("r1", 2000.0), ("delta", -1.0), ("mode", "bogus")])
@@ -736,7 +740,6 @@ def test_phases_refuse_a_finite_memory_base():
     store = make_store(inst, prep.reference)
     generator = rng(2)
     calls = [
-        lambda: sample_trajectory(inst, base, store, prep.reference, 1, generator),
         lambda: offline_preparatory(inst, base, budget, generator),
         lambda: offline_main(inst, base, prep, budget, generator),
         lambda: online_run(inst, base, store, budget, generator),

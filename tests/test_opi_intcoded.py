@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 from conftest import (
     EventKind,
     action_events,
+    improving_action,
     oracle_neighborhood,
     reference_rollout,
     rng,
+    sample_trajectory,
     step_cost,
     step_probabilities,
     step_reward,
@@ -49,12 +51,10 @@ from repairnet.opi import (
     ValueStore,
     ValueStoreEntry,
     confidence_interval,
-    improving_action,
     neighborhood,
     offline_main,
     offline_preparatory,
     online_run,
-    sample_trajectory,
     save_store,
     state_key,
 )

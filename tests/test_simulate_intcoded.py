@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_star_instance, rng, step_cost, step_reward, uniform_step
+from conftest import (
+    enumerate_states,
+    homogeneous_star_instance,
+    rng,
+    step_cost,
+    step_reward,
+    uniform_step,
+)
 from repairnet.cli import main
 from repairnet.dp import StationaryPolicy
 from repairnet.index_policy import IndexPolicy, ModifiedIndexPolicy
@@ -21,7 +28,6 @@ from repairnet.mdp import (
     StateIndexer,
     SystemState,
     actions_of,
-    enumerate_states,
     kernel_of,
     pristine_state,
     simulate,
@@ -31,14 +37,11 @@ from repairnet.opi import (
     STEP_COUNT,
     OpiBudget,
     ValueStore,
-    ValueStoreEntry,
-    improving_action,
     neighborhood,
     offline_main,
     offline_preparatory,
     online_run,
     run_opi,
-    sample_trajectory,
 )
 from repairnet.polling import PollingPolicy, best_tour
 
@@ -390,19 +393,16 @@ def test_online_run_and_run_opi_reject_states_outside_the_instance():
         ValueStore(inst, SystemState(0, zeros), 0.0)
 
 
-def test_neighborhood_and_improving_action_reject_states_outside_the_instance():
+def test_neighborhood_rejects_states_outside_the_instance():
     # With caps (2, 2) the over-cap state (1, (3, 0)) shares its kernel
     # index with (2, (0, 0)); it must be refused, not answered for that state.
     inst = generate_instance(5, m=2, cap=2)
-    store = ValueStore(inst, pristine_state(inst), 0.0)
     for state, field in bad_states(inst) + [(SystemState(1, (3, 0)), r"state.conditions\[0\]")]:
         with pytest.raises(ValueError, match=field):
             neighborhood(inst, state)
-        with pytest.raises(ValueError, match=field):
-            improving_action(inst, state, store, 1)
 
 
-def test_sample_trajectory_and_offline_main_reject_start_states_outside_the_instance():
+def test_offline_main_rejects_start_states_outside_the_instance():
     # With caps (2, 2), (1, (3, 0)) and (0, (0, 0)) share their kernel
     # indices with other states, and a start state was never checked: such
     # a rollout stepped from the wrong state, or ran to the trajectory cap.
@@ -416,16 +416,12 @@ def test_sample_trajectory_and_offline_main_reject_start_states_outside_the_inst
 
     budget = OpiBudget(r1=50, r2=500, r_off=5, tau_max=1e9, r_on=1, delta=1, mode=STEP_COUNT)
     prep = offline_preparatory(inst, base, budget, rng(1))
-    store = ValueStore(inst, pristine_state(inst), 0.0)
     for state, field in bad_states(inst):
-        with pytest.raises(ValueError, match=field):
-            sample_trajectory(inst, rule, store, state, 1, rng(0))
         # A bad state last: refused before the good ones' rollouts run.
         for name in ("z_all", "z_core"):
             bad = replace(prep, **{name: getattr(prep, name) + [state]})
             with pytest.raises(ValueError, match=rf"prep\.{name}\[\d+\]: {field}"):
                 offline_main(inst, rule, bad, budget, rng(2))
-    assert list(store.items()) == [(pristine_state(inst), ValueStoreEntry(0.0, 0.0, 1.0, 1))]
     assert decided == []
 
 
