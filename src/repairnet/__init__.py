@@ -19,13 +19,7 @@ from .index_policy import (
     IndexPolicy,
     ModifiedIndexPolicy,
     arrival_distribution,
-    idle_score,
-    index_decision,
-    modified_index_decision,
-    move_index,
     repair_statistics,
-    stay_index,
-    wait_index,
 )
 from .instance import (
     CostKind,

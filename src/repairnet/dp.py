@@ -179,7 +179,7 @@ class DpModel:
             k = int(bad[0])
             raise ValueError(
                 f"{name}.actions[{k}]: action {int(actions[k])} is not available "
-                f"in state {self.indexer.state(k)}"
+                f"in state {kernel_of(self.inst).state(k)}"
             )
         self._checked = (policy, actions.astype(np.int64, copy=False))
         return self._checked[1]

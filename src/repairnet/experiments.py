@@ -70,6 +70,8 @@ class SuboptimalityRecord:
     instance_id: str
     seed: int | None
     m: int
+    # The largest degradation cap K over the machines (the "K" aggregate's
+    # bucket); a generated instance gives every machine the same K.
     cap: int
     cost_kind: str
     rho: float
@@ -107,7 +109,7 @@ def _new_record(instance_id: str, inst: InstanceParameters | None) -> Suboptimal
     if inst is None:
         return SuboptimalityRecord(instance_id, None, 0, 0, "", 0.0, 0.0)
     return SuboptimalityRecord(
-        instance_id, inst.seed, inst.machine_count, inst.cap[0], inst.cost.kind.value,
+        instance_id, inst.seed, inst.machine_count, max(inst.cap), inst.cost.kind.value,
         inst.rho, inst.eta,
     )
 

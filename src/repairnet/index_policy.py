@@ -15,10 +15,11 @@ The move and wait indices depend only on the distance, the target
 machine and its level, so the per-instance calculator scores every level
 of each distinct ``(distance, machine)`` once, when it is built, into one
 table per location; a decision is one pass over its location's table.
-The entry points that take a state from a caller (``index_decision``,
-``modified_index_decision``, ``index_table``) validate it against the
+The entry points that take input from a caller (``repair_statistics``,
+``arrival_distribution``, ``index_table``) validate it against the
 instance first; the policy objects, called once per simulated step, do
-not.
+not.  ``index_table`` reports every score and both decisions at one
+state.
 """
 
 from __future__ import annotations
@@ -68,20 +69,6 @@ class ArrivalDistribution:
             yield self.offset + k, p, d
 
 
-def _check_level(inst: InstanceParameters, machine, level) -> None:
-    check_id("machine", machine, inst.machine_count)
-    cap = inst.cap[machine - 1]
-    if not _is_integer(level) or not 0 <= level <= cap:
-        raise ValueError(f"level: {level!r} of machine {machine} is not in 0..{cap}")
-
-
-def _check_target(inst: InstanceParameters, source, machine, level, what: str) -> None:
-    check_id("source", source, inst.layout.node_count, "node")
-    _check_level(inst, machine, level)
-    if source == machine:
-        raise ValueError(f"{what} requires source != machine")
-
-
 def repair_statistics(inst: InstanceParameters, machine: int) -> RepairStatistics:
     """Solve the uninterrupted-repair recursion for one machine.
 
@@ -99,69 +86,24 @@ def arrival_distribution(
     inst: InstanceParameters, source: int, machine: int, level: int
 ) -> ArrivalDistribution:
     """Distribution of machine ``machine``'s level when the repairer,
-    starting from ``source``, arrives along a shortest path."""
-    _check_target(inst, source, machine, level, "arrival distribution")
+    starting from ``source``, arrives along a shortest path.  Raises
+    ValueError, naming the field, for a source that is not a node, an id
+    that is not a machine, a level outside 0..cap, or ``source ==
+    machine``."""
+    check_id("source", source, inst.layout.node_count, "node")
+    check_id("machine", machine, inst.machine_count)
+    cap = inst.cap[machine - 1]
+    if not _is_integer(level) or not 0 <= level <= cap:
+        raise ValueError(f"level: {level!r} of machine {machine} is not in 0..{cap}")
+    if source == machine:
+        raise ValueError("arrival distribution requires source != machine")
     d = inst.layout.dist(source, machine)
     return _calculator(inst).arrival(d, machine, level)
 
 
-def stay_index(inst: InstanceParameters, machine: int, level: int) -> float:
-    """Index for remaining at the current machine."""
-    _check_level(inst, machine, level)
-    return _calculator(inst).repair_stats(machine).stay_ratio(level)
-
-
-def move_index(inst: InstanceParameters, source: int, machine: int, level: int) -> float:
-    """Index for heading to ``machine`` and repairing it to pristine."""
-    _check_target(inst, source, machine, level, "move index")
-    calc = _calculator(inst)
-    return calc.move(inst.layout.dist(source, machine), machine, level)
-
-
-def wait_index(inst: InstanceParameters, source: int, machine: int, level: int) -> float:
-    """Index for waiting out one extra degradation at ``machine`` first.
-
-    Each arrival outcome is shifted one level up and the expected wait
-    1/lambda is added to the horizon; at the cap the level cannot rise,
-    but the wait is still paid.
-    """
-    _check_target(inst, source, machine, level, "wait index")
-    calc = _calculator(inst)
-    return calc.wait(inst.layout.dist(source, machine), machine, level)
-
-
-def idle_score(inst: InstanceParameters, node: int) -> float:
-    """Expected travel time to the next machine that degrades, weighting
-    each machine by its share of the total degradation rate."""
-    check_id("node", node, inst.layout.node_count, "node")
-    return _calculator(inst).psi(node)
-
-
-def index_decision(inst: InstanceParameters, state: SystemState) -> int:
-    """Action chosen by the index heuristic; ties go to the smallest id.
-
-    Raises ValueError, naming the field, for a state outside the instance.
-    """
-    validate_state(inst, state)
-    return _calculator(inst).decision(state)
-
-
-def modified_index_decision(inst: InstanceParameters, state: SystemState) -> int:
-    """Index heuristic with a fixed rule at the all-failed states.
-
-    When every machine sits at its cap the repairer heads for the
-    smallest-indexed machine with the best full-repair reward rate,
-    making that state reachable under the policy from everywhere and the
-    induced chain unichain.  Raises ValueError, naming the field, for a
-    state outside the instance.
-    """
-    validate_state(inst, state)
-    return _calculator(inst).modified_decision(state)
-
-
 class IndexPolicy:
-    """Stationary decision rule wrapping index_decision, read off the
-    instance's score tables."""
+    """The index heuristic as a stationary decision rule, read off the
+    instance's score tables; ties go to the smallest id."""
 
     def __init__(self, inst: InstanceParameters):
         self._calc = _calculator(inst)
@@ -171,7 +113,13 @@ class IndexPolicy:
 
 
 class ModifiedIndexPolicy:
-    """Unichain variant used as the base policy for improvement methods."""
+    """Unichain variant used as the base policy for improvement methods.
+
+    When every machine sits at its cap the repairer heads for the
+    smallest-indexed machine with the best full-repair reward rate,
+    making that state reachable under the policy from everywhere and the
+    induced chain unichain; elsewhere it acts as ``IndexPolicy``.
+    """
 
     def __init__(self, inst: InstanceParameters):
         self._calc = _calculator(inst)
@@ -191,6 +139,9 @@ class _IndexCalculator:
         self.m = inst.machine_count
         # Every machine's: the failed-state target below reads them all.
         self._repair_stats = tuple(map(self._repair_statistics, range(1, self.m + 1)))
+        # Idle score per node: the expected travel time to the next machine
+        # that degrades, each machine weighted by its share of the total
+        # degradation rate.
         total_lam = sum(inst.lam)
         self.psi_table = tuple(
             sum(
@@ -290,6 +241,8 @@ class _IndexCalculator:
         return ArrivalDistribution(offset=level, pmf=tuple(pmf), expected_travel=tuple(travel))
 
     def move(self, d: int, machine: int, level: int) -> float:
+        """Index for heading ``d`` hops to ``machine``, found at ``level``,
+        and repairing it to pristine."""
         stats = self.repair_stats(machine)
         total = 0.0
         for k, p, travel in self.arrival(d, machine, level).outcomes():
@@ -299,6 +252,10 @@ class _IndexCalculator:
         return total
 
     def wait(self, d: int, machine: int, level: int) -> float:
+        """Index for waiting out one extra degradation at ``machine``
+        first: each arrival outcome is shifted one level up and the
+        expected wait 1/lambda is added to the horizon; at the cap the
+        level cannot rise, but the wait is still paid."""
         inst = self.inst
         stats = self.repair_stats(machine)
         cap = inst.cap[machine - 1]

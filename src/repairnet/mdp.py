@@ -24,7 +24,8 @@ confidence gate and ``dp.DpModel`` gathers into per-state arrays for
 exact DP, and per action the row offsets the event adds past the
 degradation codes, which the row builder reads for simulation and OPI's
 rollouts.
-``Kernel.neighborhood`` lists the indices the gate reads.
+``Kernel.neighborhood`` lists the indices the gate reads, derived from
+the moves; the two share one memo entry per index (``Kernel._local``).
 ``Kernel.grid`` is the sorted set of every slot end below 1.0 that any
 row can have (the largest rate's event end, 1.0 up to rounding, is left
 out when it bounds no draw), and ``Kernel.codes`` classifies uniform
@@ -39,10 +40,10 @@ one index offset per code: a draw of code c moves the index by the
 row's c-th offset.  What a row takes
 from the machines' levels alone (the levels tuple, the cost rate and
 the degradation offsets) is memoized once per condition vector and
-shared by every location (``Kernel._part``), so ``Kernel.state``
-decodes an index on demand with one ``divmod`` and one lookup, and the
-row builder (``Kernel._row``, not memoized) adds the event table's
-offsets and reads the reward from ``reward_rate``.  Each fact is held
+shared by every location (``Kernel._part``), so ``Kernel.state``, the
+one decoder of an index, reads it with one ``divmod`` and one lookup,
+and the row builder (``Kernel._row``, not memoized) adds the event
+table's offsets and reads the reward from ``reward_rate``.  Each fact is held
 once: a rule's rows in the rule's table, and in ``Kernel.action_rows``
 only the pairs asked for directly (``Kernel.action_row``).
 ``kernel_of`` keeps one Kernel per instance, shared by every
@@ -224,8 +225,8 @@ class Kernel:
             self.templates.append(templates)
             self._events.append(events)
         self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._moves: dict[int, tuple[Move, ...]] = {}
-        self._neighborhoods: dict[int, tuple[int, ...]] = {}
+        # Index -> (moves, neighborhood); see _local.
+        self._locals: dict[int, tuple[tuple[Move, ...], tuple[int, ...]]] = {}
         # Condition index (x % conditions_per_location) -> (levels, cost
         # rate, degradation offsets), shared by every location; see _part.
         self._parts: dict[int, Part] = {}
@@ -251,32 +252,32 @@ class Kernel:
     def moves(self, x: int) -> tuple[Move, ...]:
         """Every available action's ``event`` at the state with index ``x``,
         as ``(action, rate, x + offset)`` in ``actions_of`` order (staying
-        first); idling is ``(action, 0.0, x)``.  Read off the event table
-        of the location and the level of the machine there.  Memoized per
-        index."""
-        moves = self._moves.get(x)
-        if moves is None:
-            location, c = divmod(x, self.indexer.conditions_per_location)
-            own = self._part(c)[0][location] if location < self.machine_count else 0
-            moves = self._moves[x] = tuple(
-                (action, rate, x + offset)
-                for action, rate, offset in self.templates[location][own]
-            )
-        return moves
+        first); idling is ``(action, 0.0, x)``.  Memoized per index with
+        the neighborhood; see ``_local``."""
+        return (self._locals.get(x) or self._local(x))[0]
 
     def neighborhood(self, x: int) -> tuple[int, ...]:
         """The indices the gate reads at index ``x``: ``x``, then the
         targets of its switches in neighbour order, then its repair target
         if it has one (the ``moves`` targets with a nonzero rate).
-        Memoized per index."""
-        members = self._neighborhoods.get(x)
-        if members is None:
-            stay, *switches = self.moves(x)
-            members = (x, *(target for _, _, target in switches))
-            if stay[1]:
-                members += (stay[2],)
-            self._neighborhoods[x] = members
-        return members
+        Memoized per index with the moves; see ``_local``."""
+        return (self._locals.get(x) or self._local(x))[1]
+
+    def _local(self, x: int) -> tuple[tuple[Move, ...], tuple[int, ...]]:
+        """``x``'s moves and neighborhood, read off the event table of its
+        location and the level of the machine there, and memoized together
+        in ``_locals`` the first time either is asked for."""
+        location, c = divmod(x, self.indexer.conditions_per_location)
+        own = self._part(c)[0][location] if location < self.machine_count else 0
+        moves = tuple(
+            (action, rate, x + offset) for action, rate, offset in self.templates[location][own]
+        )
+        stay, *switches = moves
+        members = (x, *(target for _, _, target in switches))
+        if stay[1]:
+            members += (stay[2],)
+        local = self._locals[x] = (moves, members)
+        return local
 
     def state(self, x: int) -> SystemState:
         """The state with index ``x``, decoded on demand: one ``divmod``
@@ -574,7 +575,8 @@ STATE_BOUND = 5_000_000
 
 
 class StateIndexer:
-    """Mixed-radix state index, in the order of ``states``."""
+    """Mixed-radix state index, in the order of ``states``; a kernel
+    decodes an index with ``Kernel.state``."""
 
     def __init__(self, inst: InstanceParameters):
         self.caps = inst.cap
@@ -608,11 +610,3 @@ class StateIndexer:
         locations = range(1, self.count // self.conditions_per_location + 1)
         conditions = itertools.product(*(range(cap + 1) for cap in self.caps))
         return itertools.starmap(SystemState, itertools.product(locations, conditions))
-
-    def state(self, idx: int) -> SystemState:
-        loc, rem = divmod(idx, self.conditions_per_location)
-        conds = []
-        for stride in self.strides:
-            level, rem = divmod(rem, stride)
-            conds.append(level)
-        return SystemState(loc + 1, tuple(conds))

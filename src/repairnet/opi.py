@@ -67,7 +67,8 @@ target)`` (mu_i for a repair, tau for a switch, 0 for idling), so every
 action's delta is rate * (h[target] - h[x]), the pairwise confidence test
 is closed-form interval arithmetic over at most three values, and a
 state's neighborhood (``Kernel.neighborhood``) is the state plus its move
-targets; this module does no rate or index arithmetic of its own.  An
+targets, read for the online rollouts and for the offline start states;
+this module does no rate or index arithmetic of its own.  An
 unbounded interval that the test needs defeats every pair, so the gate
 stops at the first one.
 
@@ -242,7 +243,7 @@ class ValueStore:
         self.entries[self._index(state, entry)] = entry
 
     def items(self) -> Iterator[tuple[SystemState, ValueStoreEntry]]:
-        state = self._indexer.state
+        state = kernel_of(self.inst).state
         for x in sorted(self.entries):
             yield state(x), self.entries[x]
 
@@ -476,8 +477,10 @@ def offline_preparatory(
     state at that location.  A long run then estimates the average cost
     and crowns the most visited machine's state as the reference.  The
     start set is the core states plus their one-switch and one-repair
-    neighbors, which the online part will need intervals for.  Raises
-    ValueError for a finite-memory ``base``.
+    neighbors (``Kernel.neighborhood``), which the online part will need
+    intervals for; degradation successors are left out, since they occur
+    with the same probability under every action.  Raises ValueError for
+    a finite-memory ``base``.
     """
     _check_base(base)
     kernel = kernel_of(inst)
@@ -486,9 +489,10 @@ def offline_preparatory(
     index, block = kernel.indexer.index, kernel.indexer.conditions_per_location
     m = inst.machine_count
 
-    z_core: list[SystemState] = []
+    # Each machine's core state, as an index.
+    core: list[int] = []
     for i in range(1, m + 1):
-        state = index(pristine_state(inst, location=i))
+        start = state = index(pristine_state(inst, location=i))
         at_i = range((i - 1) * block, i * block)
         counts: dict[int, int] = {}
         for code in itertools.islice(uniforms, budget.r1):
@@ -500,9 +504,9 @@ def offline_preparatory(
             # Most frequent; ties go to the smallest index, which is the
             # lexicographically smallest state.
             best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-            z_core.append(kernel.state(best[0]))
+            core.append(best[0])
         else:
-            z_core.append(pristine_state(inst, location=i))
+            core.append(start)
 
     state = index(pristine_state(inst, location=1))
     total_cost = 0.0
@@ -516,13 +520,16 @@ def offline_preparatory(
         visits[state // block] += 1
     g_base = total_cost / budget.r2
     j_star = max(range(1, m + 1), key=lambda i: (visits[i - 1], -i))
-    reference = z_core[j_star - 1]
-    ordered_core = [z_core[j_star - 1]] + [z for k, z in enumerate(z_core, 1) if k != j_star]
+    # The reference, the most visited machine's core state, goes first.
+    core.insert(0, core.pop(j_star - 1))
 
     # The core states' neighbourhoods, in order, each state once.
-    z_all = list(dict.fromkeys(s for z in ordered_core for s in neighborhood(inst, z)))
-
-    return OfflinePreparation(g_base=g_base, reference=reference, z_core=ordered_core, z_all=z_all)
+    members = dict.fromkeys(y for x in core for y in kernel.neighborhood(x))
+    z_all = {y: kernel.state(y) for y in members}
+    z_core = [z_all[x] for x in core]
+    return OfflinePreparation(
+        g_base=g_base, reference=z_core[0], z_core=z_core, z_all=list(z_all.values())
+    )
 
 
 def offline_main(
@@ -587,16 +594,6 @@ def confidence_interval(entry: ValueStoreEntry | None) -> tuple[float, float]:
         variance = 0.0
     half = Z_CRITICAL * math.sqrt(variance / (1.0 - entry.w) * entry.w)
     return entry.h - half, entry.h + half
-
-
-def neighborhood(inst: InstanceParameters, state: SystemState) -> list[SystemState]:
-    """States whose values an improvement step at ``state`` depends on:
-    the state itself, each one-switch variant, and the one-repair variant.
-    Degradation successors are excluded; they occur with the same
-    probability under every action."""
-    validate_state(inst, state)
-    kernel = kernel_of(inst)
-    return [kernel.state(y) for y in kernel.neighborhood(kernel.indexer.index(state))]
 
 
 def _gate(

@@ -45,11 +45,15 @@ def best_tour(layout: NetworkLayout, subset: Iterable[int]) -> PollingTour:
 
     Brute force over permutations anchored at the smallest machine id;
     among tied lengths the lexicographically smallest sequence wins.
-    Raises ValueError, naming the id, for an id that is not a machine.
+    Raises ValueError, naming the id, for an id that is not a machine or
+    is repeated.
     """
-    machines = set(subset)
-    for machine in machines:
+    machines = set()
+    for machine in subset:
         check_id("polling subset", machine, layout.machine_count)
+        if machine in machines:
+            raise ValueError(f"polling subset: machine {machine} is repeated")
+        machines.add(machine)
     machines = sorted(machines)
     if not machines:
         raise ValueError("polling subset must be non-empty")

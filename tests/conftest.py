@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import enum
+import importlib.util
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import repairnet.cli  # noqa: F401  (loads every module of the package; see below)
 from repairnet.dp import DpModel, StationaryPolicy
+from repairnet.index_policy import _calculator
 from repairnet.instance import CostKind, CostModel, InstanceParameters
 from repairnet.mdp import StateIndexer, SystemState, actions_of, kernel_of
 from repairnet.network import build_complete_layout, build_star_layout, shortest_next_hop
@@ -22,8 +27,30 @@ from repairnet.opi import (
     _uniforms,
 )
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_tracing():
+    """The benchmark's tracing module, loaded once from its file."""
+    module = sys.modules.get("perfbench_tracing")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return module
+
+
 # Every run draws the same examples, so a slow or failing example repeats
-# and can be named.  Each test keeps its own max_examples.
+# and can be named.  Each test keeps its own max_examples.  derandomize
+# seeds each test from its own source, but Hypothesis also draws some
+# values from the literals of every project module loaded so far (test
+# files and installed packages aside), so a test's examples would depend
+# on which modules the tests before it loaded.  Every project module the
+# suite loads is loaded here, before the first test, so each test draws
+# the same examples alone and in the full suite, in any order, until a
+# project module changes.
+load_tracing()
 settings.register_profile("repeatable", derandomize=True)
 settings.load_profile("repeatable")
 
@@ -39,6 +66,47 @@ def enumerate_states(inst: InstanceParameters) -> list[SystemState]:
 
 def all_failed_state(inst: InstanceParameters, location: int = 1) -> SystemState:
     return SystemState(location, tuple(inst.cap))
+
+
+# The index scores and decisions the library keeps in its per-instance
+# calculator and kernel, read directly: these check no input of their own.
+
+
+def stay_index(inst, machine: int, level: int) -> float:
+    """The stay index: machine ``machine``'s full-repair reward rate from ``level``."""
+    return _calculator(inst).repair_stats(machine).stay_ratio(level)
+
+
+def move_index(inst, source: int, machine: int, level: int) -> float:
+    """The move index of ``machine`` at ``level``, seen from ``source``."""
+    return _calculator(inst).move(inst.layout.dist(source, machine), machine, level)
+
+
+def wait_index(inst, source: int, machine: int, level: int) -> float:
+    """The wait index of ``machine`` at ``level``, seen from ``source``."""
+    return _calculator(inst).wait(inst.layout.dist(source, machine), machine, level)
+
+
+def idle_score(inst, node: int) -> float:
+    """The idle score of ``node``."""
+    return _calculator(inst).psi(node)
+
+
+def index_decision(inst, state: SystemState) -> int:
+    """``IndexPolicy``'s action at ``state``."""
+    return _calculator(inst).decision(state)
+
+
+def modified_index_decision(inst, state: SystemState) -> int:
+    """``ModifiedIndexPolicy``'s action at ``state``."""
+    return _calculator(inst).modified_decision(state)
+
+
+def neighborhood(inst, state: SystemState) -> list[SystemState]:
+    """The states whose values the gate reads at ``state``
+    (``Kernel.neighborhood``), decoded."""
+    kernel = kernel_of(inst)
+    return [kernel.state(y) for y in kernel.neighborhood(kernel.indexer.index(state))]
 
 
 def improving_action(inst, state: SystemState, store, base_action: int) -> tuple[int, bool]:

@@ -5,23 +5,14 @@ deleted constant, a new import that bypasses a wrapper) fail in the test
 suite, not only in a benchmark run."""
 
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PERFBENCH = ROOT / "perfbench"
+from conftest import PERFBENCH, load_tracing
 
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
+ROOT = PERFBENCH.parent
 
 
 def test_every_wrapped_name_resolves():

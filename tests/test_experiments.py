@@ -10,6 +10,8 @@ from repairnet.experiments import (
     render_tables,
     run_benchmark,
 )
+from repairnet.instance import CostKind, CostModel, InstanceParameters, save_instance
+from repairnet.network import build_complete_layout
 from repairnet.opi import STEP_COUNT, OpiBudget
 
 
@@ -161,3 +163,23 @@ def test_dp_gating_by_state_count():
     assert record.g_star is None
     assert record.cost_subopt_ind is None
     assert record.opi_vs_ind_cost is not None
+
+
+def test_record_and_k_aggregate_carry_the_largest_cap(tmp_path):
+    # The record kept the first machine's cap, so K = [1, 3] read as K = 1.
+    path = tmp_path / "mixed-caps.json"
+    save_instance(
+        InstanceParameters(
+            layout=build_complete_layout(2),
+            lam=(0.1, 0.2),
+            mu=(0.5, 0.6),
+            tau=0.7,
+            cap=(1, 3),
+            cost=CostModel(kind=CostKind.LINEAR, c=(1.0, 1.0)),
+        ),
+        path,
+    )
+    records = run_benchmark(tiny_config(instance_files=(str(path),)))
+    assert records[0].error is None
+    assert records[0].cap == 3
+    assert [row["bucket"] for row in aggregate_records(records, "K")] == ["3"]

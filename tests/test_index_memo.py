@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_star_instance, rng, sample_trajectory
+from conftest import (
+    homogeneous_star_instance,
+    move_index,
+    rng,
+    sample_trajectory,
+    wait_index,
+)
 from repairnet.cli import main
 from repairnet.dp import StationaryPolicy
 from repairnet.index_policy import (
@@ -17,11 +23,7 @@ from repairnet.index_policy import (
     ModifiedIndexPolicy,
     _IndexCalculator,
     _calculator,
-    index_decision,
     index_table,
-    modified_index_decision,
-    move_index,
-    wait_index,
 )
 from repairnet.instance import generate_instance, save_instance
 from repairnet.mdp import Kernel, SystemState, kernel_of, pristine_state, simulate
@@ -132,8 +134,8 @@ def test_simulate_polling_and_opi_share_one_kernel_with_exact_rows():
     assert len(rows) > 100
     fresh = Kernel(inst)
     for x, row in rows.items():
-        state = fresh.indexer.state(x)
-        assert kernel.state(x) == state
+        state = kernel.state(x)
+        assert fresh.indexer.index(state) == x
         assert row == fresh.action_row(x, base(state))
     for (x, action), row in kernel.action_rows.items():
         assert row == fresh.action_row(x, action)
@@ -261,7 +263,7 @@ def test_cli_refuses_a_store_exported_for_another_instance(tmp_path, capsys):
     assert str(exc.value) == prefix + "missing instance fingerprint"
 
 
-@pytest.mark.parametrize("entry", [index_table, index_decision, modified_index_decision])
+@pytest.mark.parametrize("entry", [index_table])
 def test_index_entry_points_reject_states_outside_the_instance(entry):
     inst = generate_instance(20018)
     for state, field in bad_states(inst) + [(SystemState(99, (0,) * inst.machine_count),

@@ -8,19 +8,19 @@ from conftest import (
     enumerate_states,
     homogeneous_complete_instance,
     homogeneous_star_instance,
+    idle_score,
+    index_decision,
+    modified_index_decision,
+    move_index,
     rng,
+    stay_index,
+    wait_index,
 )
 from repairnet.dp import StationaryPolicy, evaluate_policy
 from repairnet.index_policy import (
     ModifiedIndexPolicy,
     arrival_distribution,
-    idle_score,
-    index_decision,
-    modified_index_decision,
-    move_index,
     repair_statistics,
-    stay_index,
-    wait_index,
 )
 from repairnet.instance import (
     CostKind,
@@ -118,21 +118,13 @@ def test_repair_statistics_rejects_ids_that_are_not_machines(machine):
 @pytest.mark.parametrize(
     "wrapper, args, message",
     [
-        (move_index, (1, 0, 0), "machine: 0 is not a machine id in 1..2"),
-        (move_index, (0, 2, 1), "source: 0 is not a node id in 1..25"),
-        (move_index, (1, 2, 5), "level: 5 of machine 2 is not in 0..2"),
-        (wait_index, (26, 1, 0), "source: 26 is not a node id in 1..25"),
-        (wait_index, (1, 3, 0), "machine: 3 is not a machine id in 1..2"),
         (arrival_distribution, (3, 1, -1), "level: -1 of machine 1 is not in 0..2"),
         (arrival_distribution, (-1, 1, 0), "source: -1 is not a node id in 1..25"),
-        (stay_index, (1, -1), "level: -1 of machine 1 is not in 0..2"),
-        (stay_index, (-1, 1), "machine: -1 is not a machine id in 1..2"),
-        (idle_score, (0,), "node: 0 is not a node id in 1..25"),
-        (idle_score, (26,), "node: 26 is not a node id in 1..25"),
-        (idle_score, (True,), "node: True is not a node id in 1..25"),
-        (move_index, (True, 2, 1), "source: True is not a node id in 1..25"),
-        (move_index, (1, True, 1), "machine: True is not a machine id in 1..2"),
-        (stay_index, (1, True), "level: True of machine 1 is not in 0..2"),
+        (arrival_distribution, (1, 0, 0), "machine: 0 is not a machine id in 1..2"),
+        (arrival_distribution, (1, 2, 5), "level: 5 of machine 2 is not in 0..2"),
+        (arrival_distribution, (True, 2, 1), "source: True is not a node id in 1..25"),
+        (arrival_distribution, (1, True, 1), "machine: True is not a machine id in 1..2"),
+        (arrival_distribution, (1, 2, True), "level: True of machine 2 is not in 0..2"),
     ],
     ids=lambda value: (
         value.__name__ if callable(value)
@@ -294,10 +286,6 @@ def test_wait_never_beats_move_at_cap():
 
 def test_index_errors_on_self_target(two_machines):
     with pytest.raises(ValueError):
-        move_index(two_machines, 1, 1, 0)
-    with pytest.raises(ValueError):
-        wait_index(two_machines, 2, 2, 0)
-    with pytest.raises(ValueError):
         arrival_distribution(two_machines, 1, 1, 0)
 
 
@@ -368,9 +356,9 @@ def test_index_decision_scale_covariant():
         )
         # Index order is enumerate_states order, so decoding a drawn index
         # checks the state the enumeration would have given.
-        indexer = kernel_of(inst).indexer
+        kernel = kernel_of(inst)
         for _ in range(25):
-            state = indexer.state(int(generator.integers(0, indexer.count)))
+            state = kernel.state(int(generator.integers(0, kernel.indexer.count)))
             assert index_decision(inst, state) == index_decision(scaled, state)
 
 

@@ -10,6 +10,7 @@ from conftest import (
     all_failed_state,
     homogeneous_star_instance,
     improving_action,
+    neighborhood,
     rng,
     sample_trajectory,
     with_level_change,
@@ -30,7 +31,6 @@ from repairnet.opi import (
     confidence_interval,
     desk_scale_budget,
     load_store,
-    neighborhood,
     offline_main,
     offline_preparatory,
     online_run,

@@ -21,6 +21,7 @@ from conftest import (
     EventKind,
     action_events,
     improving_action,
+    neighborhood,
     oracle_neighborhood,
     reference_rollout,
     rng,
@@ -51,7 +52,6 @@ from repairnet.opi import (
     ValueStore,
     ValueStoreEntry,
     confidence_interval,
-    neighborhood,
     offline_main,
     offline_preparatory,
     online_run,

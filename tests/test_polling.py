@@ -66,12 +66,22 @@ def test_best_tour_rejects_ids_that_are_not_machines(subset, bad):
         best_tour(inst.layout, subset)
 
 
+@pytest.mark.parametrize(
+    "subset, repeated", [([1, 1, 2], 1), ([2, 1, 2], 2)], ids=["1,1,2", "2,1,2"]
+)
+def test_best_tour_rejects_a_repeated_machine(subset, repeated):
+    # A repeated id was dropped silently: [1, 1, 2] toured (1, 2).
+    inst = generate_instance(5, m=2, cap=2)
+    with pytest.raises(ValueError, match=f"^polling subset: machine {repeated} is repeated$"):
+        best_tour(inst.layout, subset)
+
+
 def test_cli_rejects_polling_subsets_that_are_not_machines(tmp_path, capsys):
     path = tmp_path / "inst.json"
     save_instance(generate_instance(5, m=2, cap=2), path)
     for text, reason in (("9", "not a machine id"), ("1,0", "not a machine id"),
                          ("1,,2", "invalid literal"), ("x", "invalid literal"),
-                         ("1.5", "invalid literal")):
+                         ("1.5", "invalid literal"), ("1,1,2", "machine 1 is repeated")):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--instance", str(path), "--policy", "polling",
                   "--subset", text, "--steps", "3"])

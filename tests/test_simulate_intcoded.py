@@ -37,7 +37,6 @@ from repairnet.opi import (
     STEP_COUNT,
     OpiBudget,
     ValueStore,
-    neighborhood,
     offline_main,
     offline_preparatory,
     online_run,
@@ -391,15 +390,6 @@ def test_online_run_and_run_opi_reject_states_outside_the_instance():
     # given, is refused when the store is built.
     with pytest.raises(ValueError, match=r"store entry '0:[0,]+': state.location"):
         ValueStore(inst, SystemState(0, zeros), 0.0)
-
-
-def test_neighborhood_rejects_states_outside_the_instance():
-    # With caps (2, 2) the over-cap state (1, (3, 0)) shares its kernel
-    # index with (2, (0, 0)); it must be refused, not answered for that state.
-    inst = generate_instance(5, m=2, cap=2)
-    for state, field in bad_states(inst) + [(SystemState(1, (3, 0)), r"state.conditions\[0\]")]:
-        with pytest.raises(ValueError, match=field):
-            neighborhood(inst, state)
 
 
 def test_offline_main_rejects_start_states_outside_the_instance():
