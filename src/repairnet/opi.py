@@ -98,7 +98,6 @@ from .mdp import (
     Move,
     RuleRows,
     SimulationReport,
-    StateIndexer,
     SystemState,
     check_count,
     check_positive,
@@ -190,9 +189,11 @@ class ValueStore:
     is built, after the constructor has refused a reference outside the
     instance and a g_base that is not a finite number, so no later
     assignment gets past those checks or ``_check_store``.  ``entries``
-    stays a mutable dict: it maps a state's index (``StateIndexer``, the
-    numbering of ``kernel_of(inst).indexer``) to its entry, and the OPI
-    phases read and grow it directly, unchecked.
+    stays a mutable dict: it maps a state's index (the numbering of
+    ``kernel_of(inst).indexer``) to its entry, and the OPI phases read and
+    grow it directly, unchecked.  The store keeps the kernel it was built
+    with and numbers and decodes states through it alone, so no use of
+    the store builds another kernel.
     ``get``, ``in``, ``store[state] = entry`` and ``items`` (index order,
     which is state order) are the state-level surface; each raises
     ValueError, naming the entry's key and the field, for a state outside
@@ -219,7 +220,7 @@ class ValueStore:
     def __post_init__(self) -> None:
         if not _is_finite(self.g_base):
             raise ValueError(f"g_base: {self.g_base!r} is not a finite number")
-        object.__setattr__(self, "_indexer", StateIndexer(self.inst))
+        object.__setattr__(self, "_kernel", kernel_of(self.inst))
         self[self.reference] = ValueStoreEntry(h=0.0, ss=0.0, w=1.0, s=1)
 
     def _index(self, state: SystemState, entry: ValueStoreEntry | None = None) -> int:
@@ -231,7 +232,7 @@ class ValueStore:
                 _check_entry(entry)
         except ValueError as exc:
             raise ValueError(f"store entry {state_key(state)!r}: {exc}") from None
-        return self._indexer.index(state)
+        return self._kernel.indexer.index(state)
 
     def __contains__(self, state: SystemState) -> bool:
         return self._index(state) in self.entries
@@ -243,7 +244,7 @@ class ValueStore:
         self.entries[self._index(state, entry)] = entry
 
     def items(self) -> Iterator[tuple[SystemState, ValueStoreEntry]]:
-        state = kernel_of(self.inst).state
+        state = self._kernel.state
         for x in sorted(self.entries):
             yield state(x), self.entries[x]
 

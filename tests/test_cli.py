@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -65,6 +66,15 @@ def test_solve_dp_command(two_machine_file, tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["policy"]["1:2,1"] == 2
     assert 0.0 <= payload["g_bound"] <= 1e-8
+
+
+def test_solve_dp_reports_the_rounds_of_each_stage(two_machine_file, capsys):
+    assert main(["solve-dp", "--instance", two_machine_file]) == 0
+    printed = capsys.readouterr().out
+    assert re.search(r"^policy-iteration rounds: [1-9]\d*$", printed, re.M)
+    assert re.search(r"^approximate rounds before them: [1-9]\d*$", printed, re.M)
+    assert main(["solve-dp", "--instance", two_machine_file, "--tol", "0.01"]) == 0
+    assert "approximate rounds before them: 0\n" in capsys.readouterr().out
 
 
 def test_simulate_command(two_machine_file, capsys):

@@ -458,3 +458,90 @@ def test_evaluate_policy_refuses_a_start_vector_before_any_solve(two_machines, m
     monkeypatch.setattr(dp, "_bordered_bicgstab", None)
     with pytest.raises(ValueError, match=message):
         evaluate_policy(two_machines, policy, v0=v0)
+
+
+@pytest.mark.parametrize(
+    "v0",
+    [lambda n: [0.0] * n, lambda n: np.zeros(n, dtype=np.int64), lambda n: np.arange(n) % 7 - 3],
+    ids=["list", "int-zeros", "int-nonzero"],
+)
+def test_evaluate_policy_solves_from_a_start_vector_it_accepts(v0):
+    # The check accepted these, then the Krylov phase died on them: a list
+    # with a TypeError, an int vector with a ufunc casting error.
+    inst = generate_instance(20014)
+    policy = StationaryPolicy.from_rule(inst, ModifiedIndexPolicy(inst))
+    n = DpModel(inst).n
+    tol = 1e-9
+    start = v0(n)
+    floats = evaluate_policy(inst, policy, tol=tol, v0=np.asarray(start, dtype=float))
+    assert evaluate_policy(inst, policy, tol=tol, v0=start).g == pytest.approx(floats.g, abs=tol)
+
+
+# perfbench/reference.json's g_ref, solved at tol 1e-12.
+G_REF = {20001: 2.1745639294195334, 20009: 7.282386213305543, 30001: 12.43490872637883}
+
+
+@pytest.mark.parametrize("seed", sorted(G_REF))
+def test_policy_iteration_certifies_at_tol_after_settling_loosely(seed, monkeypatch):
+    # The approximate stage settles the policy on evaluations to
+    # SETTLE_TOL; the exact stage must still return a fixed point of the
+    # tol margin on values evaluated to tol.  30001's approximate rounds
+    # pass through multichain policies, where the Krylov phase gives up.
+    give_ups = []
+    krylov = dp._bordered_bicgstab
+
+    def counted(*args):
+        solved, matvecs = krylov(*args)
+        give_ups.append(solved is None)
+        return solved, matvecs
+
+    monkeypatch.setattr(dp, "_bordered_bicgstab", counted)
+    inst = generate_instance(seed)
+    tol = 1e-9
+    model = DpModel(inst)
+    solution = policy_iteration(inst, tol=tol)
+    assert tol < dp.SETTLE_TOL
+    assert solution.approximate_rounds >= 1
+    assert len(solution.g_history) == solution.iterations
+    for earlier, later in zip(solution.g_history, solution.g_history[1:]):
+        assert later <= earlier + 1e-9
+    assert model.improve(solution.v, solution.policy, 10 * tol).actions == solution.policy.actions
+    assert optimality_residual(inst, solution, model) <= 1e-8
+    assert solution.g_bound <= 1e-8
+    assert solution.g_star == pytest.approx(G_REF[seed], abs=1e-9)
+    assert any(give_ups) or seed != 30001
+
+
+def one_stage_policy_iteration(inst, tol):
+    """Reference: the loop without an approximate stage."""
+    model = DpModel(inst)
+    policy = StationaryPolicy.from_rule(inst, ModifiedIndexPolicy(inst))
+    v, history = None, []
+    while True:
+        evaluation = evaluate_policy(inst, policy, tol=tol, model=model, v0=v)
+        v = evaluation.v
+        history.append(evaluation.g)
+        improved = model.improve(v, policy, 10 * tol)
+        if improved.actions == policy.actions:
+            return policy, evaluation, history
+        policy = improved
+
+
+@pytest.mark.parametrize(
+    "settle_tol, tol", [(None, 1e-3), (None, 1e-2), (1e-9, 1e-9)],
+    ids=["at-settle-tol", "above-settle-tol", "settle-tol-lowered"],
+)
+def test_policy_iteration_skips_the_approximate_stage_at_a_loose_tol(settle_tol, tol, monkeypatch):
+    if settle_tol is not None:
+        monkeypatch.setattr(dp, "SETTLE_TOL", settle_tol)
+    assert tol >= dp.SETTLE_TOL
+    inst = generate_instance(20001)
+    policy, evaluation, history = one_stage_policy_iteration(inst, tol)
+    solution = policy_iteration(inst, tol=tol)
+    assert solution.approximate_rounds == 0
+    assert solution.policy == policy
+    assert solution.g_star == evaluation.g
+    assert np.array_equal(solution.v, evaluation.v)
+    assert solution.g_bound == evaluation.g_span
+    assert solution.g_history == tuple(history)
+    assert solution.iterations == len(history)

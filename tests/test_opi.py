@@ -276,6 +276,27 @@ def test_store_refuses_an_entry_that_cannot_be_right(entry, field):
         store[SystemState(2, (1, 0))] = ok
 
 
+def test_store_numbers_states_through_the_kernel_it_was_built_with(monkeypatch):
+    # The store indexed states with a StateIndexer of its own and decoded
+    # them through kernel_of(inst), so items() on a store whose kernel had
+    # left kernel_of's one slot built a new Kernel.
+    from repairnet import mdp
+
+    inst = generate_instance(5, m=2, cap=2)
+    store = ValueStore(inst, pristine_state(inst), 0.25)
+    kernel_of(generate_instance(6, m=2, cap=2))
+
+    def no_new_kernel(self, inst):
+        raise AssertionError("a Kernel was built")
+
+    monkeypatch.setattr(mdp.Kernel, "__init__", no_new_kernel)
+    state = SystemState(2, (1, 0))
+    store[state] = ValueStoreEntry(h=1.5, ss=3.0, w=0.5, s=2)
+    assert state in store
+    assert store.get(state).h == 1.5
+    assert [x for x, _ in store.items()] == [pristine_state(inst), state]
+
+
 def never_leaves(state):
     # Stay put: the location never changes.
     return state.location
