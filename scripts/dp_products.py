@@ -7,20 +7,19 @@ seed of perfbench's dp-exact workload (its ``default`` set unless told
 otherwise), one after another in this interpreter, and prints one JSON
 line per seed:
 
-- ``rounds``: evaluations in the approximate stage (at ``dp.SETTLE_TOL``)
-  and in the exact stage (at ``tol``), as ``DpSolution.approximate_rounds``
-  and ``DpSolution.iterations`` report them;
-- ``products``: BiCGSTAB matrix products per stage (``_bordered_bicgstab``);
-- ``sweeps``: each stage's evaluation total as ``evaluate_policy`` reports
-  it, Krylov products plus value sweeps;
-- ``give_ups``: Krylov solves per stage that returned no solution (on a
-  multichain policy's singular bordered matrix, say), and ``given_up``
-  the products those solves spent;
+- ``approximate``: the approximate stage's ``rounds`` and value ``sweeps``
+  (one matrix product each), as ``DpSolution.approximate_rounds`` and
+  ``approximate_sweeps`` report them;
+- ``exact``: the exact stage's ``rounds`` (``DpSolution.iterations``), its
+  BiCGSTAB matrix ``products`` (``_bordered_bicgstab``), its ``sweeps``
+  as ``evaluate_policy`` reports them (Krylov products plus value
+  sweeps), and its ``give_ups``, Krylov solves that returned no solution
+  (on a multichain policy's singular bordered matrix, say);
 - ``g_star``, ``g_bound`` and ``residual`` (``optimality_residual``), and
   ``g_ref_gap``, |g* - g_ref| against perfbench's ``reference.json``.
 
-A last line sums the products, sweeps, give-ups and rounds over the seeds.
-Standard library and repairnet only.
+A last line sums each stage's counts over the seeds.  Standard library
+and repairnet only.
 """
 
 from __future__ import annotations
@@ -39,29 +38,24 @@ SEEDS = {
 }
 TOL = 1e-9
 REFERENCE_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
-STAGES = ("approximate", "exact")
+EXACT_COUNTS = ("rounds", "products", "sweeps", "give_ups")
 
 
 def one_seed(seed: int, g_ref: float | None) -> dict:
     """Policy iteration on ``seed``, counted stage by stage."""
-    names = ("rounds", "products", "sweeps", "give_ups", "given_up")
-    counts = {name: dict.fromkeys(STAGES, 0) for name in names}
-    stage = [None]
+    exact = dict.fromkeys(EXACT_COUNTS, 0)
     evaluate, krylov = dp.evaluate_policy, dp._bordered_bicgstab
 
     def counted_evaluate(*args, **kwargs):
-        stage[0] = "exact" if kwargs["tol"] == TOL else "approximate"
         result = evaluate(*args, **kwargs)
-        counts["rounds"][stage[0]] += 1
-        counts["sweeps"][stage[0]] += result.sweeps
+        exact["rounds"] += 1
+        exact["sweeps"] += result.sweeps
         return result
 
     def counted_krylov(*args):
         solved, matvecs = krylov(*args)
-        counts["products"][stage[0]] += matvecs
-        if solved is None:
-            counts["give_ups"][stage[0]] += 1
-            counts["given_up"][stage[0]] += matvecs
+        exact["products"] += matvecs
+        exact["give_ups"] += solved is None
         return solved, matvecs
 
     inst = generate_instance(seed)
@@ -70,13 +64,19 @@ def one_seed(seed: int, g_ref: float | None) -> dict:
         solution = dp.policy_iteration(inst, tol=TOL)
     finally:
         dp.evaluate_policy, dp._bordered_bicgstab = evaluate, krylov
-    rounds = counts["rounds"]
-    if (rounds["approximate"], rounds["exact"]) != (solution.approximate_rounds, solution.iterations):
-        raise RuntimeError(f"seed {seed}: counted rounds {rounds} disagree with the result")
+    # Only the exact stage evaluates, one evaluate_policy call per round.
+    if exact["rounds"] != solution.iterations:
+        raise RuntimeError(
+            f"seed {seed}: {exact['rounds']} evaluations for {solution.iterations} exact rounds"
+        )
     return {
         "seed": seed,
         "states": inst.state_count(),
-        **counts,
+        "approximate": {
+            "rounds": solution.approximate_rounds,
+            "sweeps": solution.approximate_sweeps,
+        },
+        "exact": exact,
         "g_star": solution.g_star,
         "g_bound": solution.g_bound,
         "residual": dp.optimality_residual(inst, solution),
@@ -91,13 +91,12 @@ def main(argv: list[str]) -> int:
     chosen = argv[0] if argv else "default"
     seeds = SEEDS[chosen] if chosen in SEEDS else tuple(map(int, chosen.split(",")))
     g_ref = json.loads(REFERENCE_FILE.read_text())["g_ref"]
-    names = ("rounds", "products", "sweeps", "give_ups")
-    total = {name: dict.fromkeys(STAGES, 0) for name in names}
+    total = {"approximate": {"rounds": 0, "sweeps": 0}, "exact": dict.fromkeys(EXACT_COUNTS, 0)}
     for seed in seeds:
         line = one_seed(seed, g_ref.get(str(seed)))
-        for name, by_stage in total.items():
-            for key in STAGES:
-                by_stage[key] += line[name][key]
+        for stage, counts in total.items():
+            for name in counts:
+                counts[name] += line[stage][name]
         print(json.dumps(line), flush=True)
     print(json.dumps({"seeds": list(seeds), **total}))
     return 0

@@ -118,6 +118,7 @@ def cmd_solve_dp(args) -> int:
     print(f"u* = {u_star:.9f}")
     print(f"policy-iteration rounds: {solution.iterations}")
     print(f"approximate rounds before them: {solution.approximate_rounds}")
+    print(f"value sweeps in those rounds: {solution.approximate_sweeps}")
     print(f"g* error bound: {solution.g_bound:.3e}")
     if args.out:
         table = {state_key(s): a for s, a in solution.policy_table(inst).items()}

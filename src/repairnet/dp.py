@@ -10,9 +10,10 @@ g+(x) = v+(x) - v(x), and stop once the per-state g estimates settle.
 Values are re-anchored at the reference state after every sweep; this
 subtracts a constant, leaves every g+(x) untouched, and keeps the iterates
 bounded for unichain policies.  After a Krylov solve the sweeps only
-verify it, in about two sweeps.  They stay because policy iteration passes
-through multichain policies, whose bordered matrix is singular: there the
-Krylov phase gives up and the sweeps start from the warm start alone.
+verify it, in about two sweeps.  They stay because a multichain policy's
+bordered matrix is singular: there the Krylov phase gives up and the
+sweeps start from the warm start alone.  The same sweeps, with no Krylov
+solve, settle policy iteration's policy before its exact rounds.
 
 Policy iteration alternates evaluation with a greedy improvement step.
 Only the action-dependent event (one repair level, or arrival at a
@@ -26,13 +27,17 @@ transition matrix, which adds the events to the model's degradation
 matrix, built once per model from the kernel's degradation probabilities
 and cost rates.  A state keeps its action unless a rival is better by
 more than a margin above the evaluation error, so the loop ends when the
-policy reproduces itself.  It runs twice (modified policy iteration,
-Puterman 1994, section 8.7): an approximate stage settles the policy on
-evaluations to ``SETTLE_TOL``, then the exact stage, from that policy and
-its values, evaluates and improves at the caller's ``tol`` until the
-policy reproduces itself again, so only the exact stage's evaluations
-certify the result.  ``DpSolution.iterations`` and ``g_history`` count
-the exact stage's rounds, ``approximate_rounds`` the other stage's.
+policy reproduces itself.  It runs twice.  The approximate stage is
+modified policy iteration (Puterman 1994, section 8.7; Puterman and Shin
+1978): each round runs the same relative value-iteration sweeps, from the
+previous round's values, until the g+ estimates change by less than
+``SETTLE_TOL`` or for ``SETTLE_SWEEPS`` sweeps, and then improves; it
+solves no linear system.  The exact stage, from that policy and its
+values, evaluates and improves at the caller's ``tol`` until the policy
+reproduces itself again, so only the exact stage's evaluations certify
+the result.  ``DpSolution.iterations`` and ``g_history`` count the exact
+stage's rounds, ``approximate_rounds`` and ``approximate_sweeps`` the
+other stage's rounds and sweeps.
 """
 
 from __future__ import annotations
@@ -61,12 +66,19 @@ MAX_SWEEPS = 10_000_000
 # Policy iteration's exact stage raises after this many rounds without a
 # fixed point; its approximate stage hands over after as many.
 MAX_IMPROVEMENTS = 1000
-# Policy iteration settles its policy on evaluations to this tolerance
-# before it evaluates to its own; read at call time.  Of the powers of ten
-# from 1e-5 to 1e-1, 1e-3 took the fewest Krylov products on the seven
-# dp-exact benchmark instances it was chosen on, and 7% more than 1e-2 on
-# seven others (scripts/dp_products.py).
+# Policy iteration's approximate stage ends a round's value sweeps once
+# the g+ estimates change by less than this between sweeps, and improves
+# with a margin of 10 times it; read at call time.  It was chosen as the
+# tolerance of that stage's Krylov evaluations, which the sweeps replaced:
+# of the powers of ten from 1e-5 to 1e-1, 1e-3 took the fewest Krylov
+# products on the seven dp-exact benchmark instances.
 SETTLE_TOL = 1e-3
+# ... or after this many sweeps; read at call time.  Of 50, 100 and 200,
+# 100 took the least policy-iteration time on the seven dp-exact benchmark
+# instances it was chosen on (median 0.41 s of four interleaved runs,
+# against 0.49 s for 50 and 0.46 s for 200), and on seven others it tied
+# with 50 (0.38 s each, 0.40 s for 200).
+SETTLE_SWEEPS = 100
 
 
 class EvaluationDidNotConverge(RuntimeError):
@@ -104,8 +116,10 @@ class DpSolution:
     g_bound: float
     # g of each exact round; ``iterations`` counts them too.
     g_history: tuple[float, ...] = ()
-    # Rounds evaluated at ``SETTLE_TOL`` before the exact ones.
+    # Rounds of the approximate stage before the exact ones, and the value
+    # sweeps they ran in all.
     approximate_rounds: int = 0
+    approximate_sweeps: int = 0
 
     def policy_table(self, inst: InstanceParameters) -> dict[SystemState, int]:
         return dict(zip(StateIndexer(inst).states(), self.policy.actions))
@@ -352,14 +366,8 @@ def evaluate_policy(
     v_start = np.zeros(model.n) if v0 is None else v0
     solved, matvecs = _bordered_bicgstab(matrix, stage, ref, v_start, tol / 4, MAX_SWEEPS)
     v = v_start if solved is None else solved
-    g_prev = np.zeros(model.n)
     err = float("inf")
-    for sweep in range(matvecs + 1, MAX_SWEEPS + 1):
-        v_plus = stage + matrix.dot(v)
-        g_new = v_plus - v
-        err = float(np.max(np.abs(g_new - g_prev)))
-        v = v_plus - v_plus[ref]
-        g_prev = g_new
+    for sweep, v, g_new, err in _relative_sweeps(matrix, stage, ref, v, matvecs + 1, MAX_SWEEPS):
         if err < tol:
             span = float(np.max(g_new) - np.min(g_new))
             if span_target is None or span < span_target:
@@ -368,6 +376,24 @@ def evaluate_policy(
         f"policy evaluation did not converge within {MAX_SWEEPS} sweeps "
         f"(last change {err:.3e}); the policy may be multichain"
     )
+
+
+def _relative_sweeps(matrix, stage: np.ndarray, ref: int, v: np.ndarray, first: int, last: int):
+    """Relative value iteration of one policy from ``v``: sweeps ``first``
+    to ``last`` each set v+ = stage + P v and g+ = v+ - v, re-anchor v+ at
+    ``ref``, and yield the sweep's number, the re-anchored v+, g+ and
+    max_x |g+(x) - g+_prev(x)|, with g+_prev zero before the first sweep.
+    The caller stops on that change; the matrix lives no longer than the
+    generator.
+    """
+    g_prev = np.zeros(len(v))
+    for sweep in range(first, last + 1):
+        v_plus = stage + matrix.dot(v)
+        g_new = v_plus - v
+        err = float(np.max(np.abs(g_new - g_prev)))
+        v = v_plus - v_plus[ref]
+        g_prev = g_new
+        yield sweep, v, g_new, err
 
 
 def _bordered_bicgstab(
@@ -448,9 +474,12 @@ def policy_iteration(
     cannot make policies of equal gain take turns.
 
     The approximate stage (modified policy iteration, Puterman 1994,
-    section 8.7) evaluates at ``SETTLE_TOL``, read at call time, and
-    improves with a margin of 10 * ``SETTLE_TOL`` until the policy
-    reproduces itself, or for at most ``MAX_IMPROVEMENTS`` rounds; it is
+    section 8.7) runs, each round, the relative value-iteration sweeps
+    ``evaluate_policy`` ends with, from the previous round's values (zero
+    at first), until max_x |g+(x) - g+_prev(x)| < ``SETTLE_TOL`` or for
+    ``SETTLE_SWEEPS`` sweeps, both read at call time; it then improves
+    with a margin of 10 * ``SETTLE_TOL``.  It ends when the policy
+    reproduces itself, or after ``MAX_IMPROVEMENTS`` rounds, and is
     skipped when ``tol >= SETTLE_TOL``.  The exact stage starts from that
     policy and its values: it evaluates at ``tol`` (and ``span_target``),
     improves with a margin of 10 * ``tol``, and stops when the improved
@@ -458,7 +487,8 @@ def policy_iteration(
     result is a fixed point of ``improve`` at 10 * ``tol`` on values
     evaluated to ``tol``, whatever the approximate stage did.
     ``iterations`` and ``g_history`` count the exact stage's rounds only,
-    and ``approximate_rounds`` the approximate stage's.
+    ``approximate_rounds`` and ``approximate_sweeps`` the approximate
+    stage's rounds and sweeps.
 
     Raises ValueError as ``evaluate_policy`` does, naming
     ``base.actions[k]`` for a base action that is not available in its
@@ -476,18 +506,11 @@ def policy_iteration(
 
     policy = base
     v_start: np.ndarray | None = None
-    approximate_rounds = 0
-    settle_tol = SETTLE_TOL
-    if tol < settle_tol:
-        for approximate_rounds in range(1, MAX_IMPROVEMENTS + 1):
-            evaluation = evaluate_policy(
-                inst, policy, reference, tol=settle_tol, model=model, v0=v_start
-            )
-            v_start = evaluation.v
-            improved = model.improve(evaluation.v, policy, 10 * settle_tol)
-            if improved.actions == policy.actions:
-                break
-            policy = improved
+    approximate_rounds = approximate_sweeps = 0
+    if tol < SETTLE_TOL:
+        policy, v_start, approximate_rounds, approximate_sweeps = _settle(
+            model, base, model.indexer.index(reference)
+        )
 
     history: list[float] = []
     for iteration in range(1, MAX_IMPROVEMENTS + 1):
@@ -513,9 +536,35 @@ def policy_iteration(
                 g_bound=evaluation.g_span,
                 g_history=tuple(history),
                 approximate_rounds=approximate_rounds,
+                approximate_sweeps=approximate_sweeps,
             )
         policy = improved
     raise RuntimeError(f"policy iteration did not settle within {MAX_IMPROVEMENTS} improvements")
+
+
+def _settle(
+    model: DpModel, policy: StationaryPolicy, ref: int
+) -> tuple[StationaryPolicy, np.ndarray, int, int]:
+    """Policy iteration's approximate stage from ``policy``, as
+    ``policy_iteration`` describes it: the settled policy, its values, and
+    the stage's rounds and sweeps."""
+    settle_tol, settle_sweeps = SETTLE_TOL, SETTLE_SWEEPS
+    v = np.zeros(model.n)
+    sweeps = 0
+    for rounds in range(1, MAX_IMPROVEMENTS + 1):
+        # The matrix is built in the call, so it is freed with the
+        # generator when the loop ends, before the next round's.
+        for sweep, v, _, err in _relative_sweeps(
+            model.transition_matrix(policy), model.cost, ref, v, 1, settle_sweeps
+        ):
+            if err < settle_tol:
+                break
+        sweeps += sweep
+        improved = model.improve(v, policy, 10 * settle_tol)
+        if improved.actions == policy.actions:
+            break
+        policy = improved
+    return policy, v, rounds, sweeps
 
 
 def reward_optimum(inst: InstanceParameters, solution: DpSolution) -> float:

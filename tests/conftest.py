@@ -28,17 +28,28 @@ from repairnet.opi import (
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SCRIPTS = PERFBENCH.parent / "scripts"
 
 
-def load_tracing():
-    """The benchmark's tracing module, loaded once from its file."""
-    module = sys.modules.get("perfbench_tracing")
+def _load_file(name: str, path: Path):
+    """The module in ``path``, loaded once under ``name``."""
+    module = sys.modules.get(name)
     if module is None:
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+        spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = module  # dataclasses look their module up here
         spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    """The benchmark's tracing module, loaded once from its file."""
+    return _load_file("perfbench_tracing", PERFBENCH / "tracing.py")
+
+
+def load_dp_products():
+    """``scripts/dp_products.py``, loaded once from its file."""
+    return _load_file("dp_products", SCRIPTS / "dp_products.py")
 
 
 # Every run draws the same examples, so a slow or failing example repeats
@@ -51,6 +62,7 @@ def load_tracing():
 # the same examples alone and in the full suite, in any order, until a
 # project module changes.
 load_tracing()
+load_dp_products()
 settings.register_profile("repeatable", derandomize=True)
 settings.load_profile("repeatable")
 

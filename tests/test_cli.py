@@ -73,8 +73,10 @@ def test_solve_dp_reports_the_rounds_of_each_stage(two_machine_file, capsys):
     printed = capsys.readouterr().out
     assert re.search(r"^policy-iteration rounds: [1-9]\d*$", printed, re.M)
     assert re.search(r"^approximate rounds before them: [1-9]\d*$", printed, re.M)
+    assert re.search(r"^value sweeps in those rounds: [1-9]\d*$", printed, re.M)
     assert main(["solve-dp", "--instance", two_machine_file, "--tol", "0.01"]) == 0
-    assert "approximate rounds before them: 0\n" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "approximate rounds before them: 0\nvalue sweeps in those rounds: 0\n" in printed
 
 
 def test_simulate_command(two_machine_file, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     homogeneous_complete_instance,
     homogeneous_star_instance,
     limiting_average,
+    load_dp_products,
     random_unichain_policy,
     rng,
     step_cost,
@@ -483,17 +485,16 @@ G_REF = {20001: 2.1745639294195334, 20009: 7.282386213305543, 30001: 12.43490872
 
 @pytest.mark.parametrize("seed", sorted(G_REF))
 def test_policy_iteration_certifies_at_tol_after_settling_loosely(seed, monkeypatch):
-    # The approximate stage settles the policy on evaluations to
-    # SETTLE_TOL; the exact stage must still return a fixed point of the
-    # tol margin on values evaluated to tol.  30001's approximate rounds
-    # pass through multichain policies, where the Krylov phase gives up.
-    give_ups = []
+    # The approximate stage settles the policy by value sweeps; the exact
+    # stage must still return a fixed point of the tol margin on values
+    # evaluated to tol.  Only the exact stage solves a Krylov system, one
+    # per round.
+    solves = []
     krylov = dp._bordered_bicgstab
 
     def counted(*args):
-        solved, matvecs = krylov(*args)
-        give_ups.append(solved is None)
-        return solved, matvecs
+        solves.append(args)
+        return krylov(*args)
 
     monkeypatch.setattr(dp, "_bordered_bicgstab", counted)
     inst = generate_instance(seed)
@@ -509,7 +510,48 @@ def test_policy_iteration_certifies_at_tol_after_settling_loosely(seed, monkeypa
     assert optimality_residual(inst, solution, model) <= 1e-8
     assert solution.g_bound <= 1e-8
     assert solution.g_star == pytest.approx(G_REF[seed], abs=1e-9)
-    assert any(give_ups) or seed != 30001
+    assert len(solves) == solution.iterations
+
+
+def test_dp_products_script_reports_a_seed_and_the_totals(capsys):
+    # The script's count checks run on every seed it is given.
+    assert load_dp_products().main(["20014"]) == 0
+    seed, totals = map(json.loads, capsys.readouterr().out.splitlines())
+    assert (seed["seed"], seed["states"], totals["seeds"]) == (20014, 100, [20014])
+    assert seed["approximate"]["rounds"] >= 1 and seed["approximate"]["sweeps"] >= 1
+    assert seed["exact"]["rounds"] >= 1 and seed["exact"]["products"] >= 1
+    assert seed["g_ref_gap"] <= 1e-9
+    assert (totals["approximate"], totals["exact"]) == (seed["approximate"], seed["exact"])
+
+
+@pytest.mark.parametrize("settle_sweeps", [1, 10_000])
+@pytest.mark.parametrize("seed", [20001, 30001])
+def test_the_certificate_does_not_depend_on_the_approximate_stage(seed, settle_sweeps, monkeypatch):
+    # However many sweeps the approximate stage may run per round, from
+    # one to full convergence, the exact stage certifies the same optimum.
+    monkeypatch.setattr(dp, "SETTLE_SWEEPS", settle_sweeps)
+    approximate = []
+    sweeps = dp._relative_sweeps
+
+    def counted(matrix, stage, ref, v, first, last):
+        if last == settle_sweeps:
+            approximate.append(0)
+        for item in sweeps(matrix, stage, ref, v, first, last):
+            if last == settle_sweeps:
+                approximate[-1] += 1
+            yield item
+
+    monkeypatch.setattr(dp, "_relative_sweeps", counted)
+    inst = generate_instance(seed)
+    tol = 1e-9
+    model = DpModel(inst)
+    solution = policy_iteration(inst, tol=tol)
+    assert len(approximate) == solution.approximate_rounds >= 1
+    assert sum(approximate) == solution.approximate_sweeps
+    assert max(approximate) <= settle_sweeps
+    assert model.improve(solution.v, solution.policy, 10 * tol).actions == solution.policy.actions
+    assert optimality_residual(inst, solution, model) <= 1e-8
+    assert solution.g_star == pytest.approx(G_REF[seed], abs=1e-9)
 
 
 def one_stage_policy_iteration(inst, tol):
@@ -538,7 +580,7 @@ def test_policy_iteration_skips_the_approximate_stage_at_a_loose_tol(settle_tol,
     inst = generate_instance(20001)
     policy, evaluation, history = one_stage_policy_iteration(inst, tol)
     solution = policy_iteration(inst, tol=tol)
-    assert solution.approximate_rounds == 0
+    assert solution.approximate_rounds == solution.approximate_sweeps == 0
     assert solution.policy == policy
     assert solution.g_star == evaluation.g
     assert np.array_equal(solution.v, evaluation.v)
