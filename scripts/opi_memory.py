@@ -16,8 +16,9 @@ peak RSS is that run's alone, and prints one line:
   the untraced peak passed ``TRACE_RSS_LIMIT_MB``, since tracing adds to
   the footprint of every block it records;
 - ``memos``: the length of every dict the instance's kernel holds, by
-  attribute name (``_rows_memo`` is the base policy's rows, ``_parts``
-  the condition parts, ``action_rows`` the pairs asked for directly);
+  attribute name (``_parts`` is the condition parts, ``locals`` the
+  moves and neighbourhoods, ``action_rows`` the pairs asked for
+  directly), and of the base policy's row table as ``_rows_memo``;
 - ``average_cost`` and ``store_entries``: the run's outputs, which a
   memory change must leave as they are.
 
@@ -67,15 +68,15 @@ def one_run(m: int, traced: bool) -> dict:
     opi_s = time.perf_counter() - started
     held = tracemalloc.get_traced_memory()[0] if traced else None
     kernel = kernel_of(inst)
+    memos = {name: len(value) for name, value in vars(kernel).items() if isinstance(value, dict)}
+    memos["_rows_memo"] = len(kernel._rows_memo.table)
     return {
         "m": m,
         "seed": seed,
         "opi_s": round(opi_s, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "traced_mb": None if held is None else round(held / 2**20, 1),
-        "memos": {
-            name: len(value) for name, value in vars(kernel).items() if isinstance(value, dict)
-        },
+        "memos": memos,
         "average_cost": result.report.average_cost,
         "store_entries": len(result.store.entries),
     }

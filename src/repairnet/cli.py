@@ -94,8 +94,8 @@ def cmd_generate(args) -> int:
     _seed_option(args.seed)
     with _exit_on_error():
         check_count("--count", args.count)
+    out = _output("--out", args.out, directory=args.count > 1)
     kind = CostKind(args.cost_kind) if args.cost_kind else None
-    out = Path(args.out)
     for i in range(args.count):
         with _exit_on_error():
             inst = generate_instance(args.seed + i, m=args.m, cap=args.cap, cost_kind=kind)
@@ -110,6 +110,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve_dp(args) -> int:
     tol = _tol_option(args.tol)
+    out = _output("--out", args.out)
     inst = _load("--instance", args.instance, load_instance)
     with _exit_on_error(f"--instance {args.instance!r}: ", CapacityError):
         solution = policy_iteration(inst, tol=tol)
@@ -120,7 +121,7 @@ def cmd_solve_dp(args) -> int:
     print(f"approximate rounds before them: {solution.approximate_rounds}")
     print(f"value sweeps in those rounds: {solution.approximate_sweeps}")
     print(f"g* error bound: {solution.g_bound:.3e}")
-    if args.out:
+    if out is not None:
         table = {state_key(s): a for s, a in solution.policy_table(inst).items()}
         payload = {
             "g_star": solution.g_star,
@@ -128,8 +129,8 @@ def cmd_solve_dp(args) -> int:
             "g_bound": solution.g_bound,
             "policy": table,
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {out}")
     return 0
 
 
@@ -144,7 +145,7 @@ def _state_option(inst, option: str, text: str):
 
 def _start_state(inst, text: str | None):
     """The ``--start`` state, pristine at node 1 when not given."""
-    return _state_option(inst, "--start", text) if text else pristine_state(inst)
+    return pristine_state(inst) if text is None else _state_option(inst, "--start", text)
 
 
 def _load(option: str, path: str, load, *args):
@@ -153,6 +154,30 @@ def _load(option: str, path: str, load, *args):
     loaders' ValueError names the offending field)."""
     with _exit_on_error(f"{option} {path!r}: ", (OSError, ValueError)):
         return load(path, *args)
+
+
+def _output(option: str, path: str | None, directory: bool = False) -> Path | None:
+    """``path`` as a Path, None when ``option`` is not given; a command
+    calls this before doing any work, so a path it could not write exits
+    naming ``option`` and ``path`` then, not with a traceback after the
+    work: an empty path, a directory given for a file, a file whose
+    directory does not exist, or, for a ``directory`` (created with its
+    parents), a path whose nearest existing part is not a directory."""
+    if path is None:
+        return None
+    out = Path(path)
+    with _exit_on_error(f"{option} {path!r}: "):
+        if not path:
+            raise ValueError("an empty path names no file")
+        if directory:
+            existing = next(p for p in (out, *out.parents) if p.exists())
+            if not existing.is_dir():
+                raise ValueError(f"{str(existing)!r} is not a directory")
+        elif out.is_dir():
+            raise ValueError("is a directory")
+        elif not out.parent.is_dir():
+            raise ValueError(f"directory {str(out.parent)!r} does not exist")
+    return out
 
 
 def _read_records(path: str):
@@ -164,8 +189,9 @@ def _polling_policy(inst, subset: str | None) -> PollingPolicy:
     """Polling on the best tour over ``--subset`` (every machine when not
     given); prints the tour, and exits naming the option when a part does
     not parse or is not a machine, or the subset is too large to search."""
-    with _exit_on_error(f"--subset {subset!r}: " if subset else "--subset (every machine): "):
-        machines = [int(part) for part in subset.split(",")] if subset else inst.layout.machines
+    given = subset is not None
+    with _exit_on_error(f"--subset {subset!r}: " if given else "--subset (every machine): "):
+        machines = [int(part) for part in subset.split(",")] if given else inst.layout.machines
         tour = best_tour(inst.layout, machines)
     print(f"tour: {tour.sequence} (cycle length {tour.cycle_length})")
     return PollingPolicy(inst, tour)
@@ -194,11 +220,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_opi(args) -> int:
     _seed_option(args.seed)
+    export = _output("--export-store", args.export_store)
     inst = _load("--instance", args.instance, load_instance)
     budget = _budget_from_args(args)
     base = ModifiedIndexPolicy(inst)
     store = None
-    if args.import_store:
+    if args.import_store is not None:
         store = _load("--import-store", args.import_store, load_store, inst)
     x0 = _start_state(inst, args.start)
     crn = _generator(args.seed, STREAM_CRN).random(budget.r_on)
@@ -213,14 +240,15 @@ def cmd_opi(args) -> int:
         store=store,
     )
     print(result.report.to_json())
-    if args.export_store:
-        save_store(result.store, args.export_store)
-        print(f"wrote {args.export_store}")
+    if export is not None:
+        save_store(result.store, export)
+        print(f"wrote {export}")
     return 0
 
 
 def cmd_benchmark(args) -> int:
     _seed_option(args.seed)
+    out = _output("--out", args.out, directory=True)
     budget = _budget_from_args(args)
     with _exit_on_error():
         config = ExperimentConfig(
@@ -236,7 +264,6 @@ def cmd_benchmark(args) -> int:
             jobs=args.jobs,
         )
     records = run_benchmark(config)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "records.csv").write_text(records_csv_text(records), encoding="utf-8")
     write_aggregates(records, out)
@@ -249,12 +276,12 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_report(args) -> int:
+    out = _output("--out", args.out, directory=True)
     records = _load("--records", args.records, _read_records)
     if not records:
         print("no records found", file=sys.stderr)
         return 1
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_aggregates(records, out)
     print(render_tables(records))

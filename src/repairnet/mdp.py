@@ -25,7 +25,9 @@ exact DP, and per action the row offsets the event adds past the
 degradation codes, which the row builder reads for simulation and OPI's
 rollouts.
 ``Kernel.neighborhood`` lists the indices the gate reads, derived from
-the moves; the two share one memo entry per index (``Kernel._local``).
+the moves; the two share one memo entry per index (``Kernel.locals``,
+an exact dict that ``Kernel.local`` fills, which OPI's online loop reads
+directly).
 ``Kernel.grid`` is the sorted set of every slot end below 1.0 that any
 row can have (the largest rate's event end, 1.0 up to rounding, is left
 out when it bounds no draw), and ``Kernel.codes`` classifies uniform
@@ -225,8 +227,8 @@ class Kernel:
             self.templates.append(templates)
             self._events.append(events)
         self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # Index -> (moves, neighborhood); see _local.
-        self._locals: dict[int, tuple[tuple[Move, ...], tuple[int, ...]]] = {}
+        # Index -> (moves, neighborhood); see local.
+        self.locals: dict[int, tuple[tuple[Move, ...], tuple[int, ...]]] = {}
         # Condition index (x % conditions_per_location) -> (levels, cost
         # rate, degradation offsets), shared by every location; see _part.
         self._parts: dict[int, Part] = {}
@@ -253,20 +255,21 @@ class Kernel:
         """Every available action's ``event`` at the state with index ``x``,
         as ``(action, rate, x + offset)`` in ``actions_of`` order (staying
         first); idling is ``(action, 0.0, x)``.  Memoized per index with
-        the neighborhood; see ``_local``."""
-        return (self._locals.get(x) or self._local(x))[0]
+        the neighborhood; see ``local``."""
+        return (self.locals.get(x) or self.local(x))[0]
 
     def neighborhood(self, x: int) -> tuple[int, ...]:
         """The indices the gate reads at index ``x``: ``x``, then the
         targets of its switches in neighbour order, then its repair target
         if it has one (the ``moves`` targets with a nonzero rate).
-        Memoized per index with the moves; see ``_local``."""
-        return (self._locals.get(x) or self._local(x))[1]
+        Memoized per index with the moves; see ``local``."""
+        return (self.locals.get(x) or self.local(x))[1]
 
-    def _local(self, x: int) -> tuple[tuple[Move, ...], tuple[int, ...]]:
+    def local(self, x: int) -> tuple[tuple[Move, ...], tuple[int, ...]]:
         """``x``'s moves and neighborhood, read off the event table of its
         location and the level of the machine there, and memoized together
-        in ``_locals`` the first time either is asked for."""
+        in ``locals`` the first time either is asked for.  A hot loop reads
+        ``locals`` and calls this on a miss."""
         location, c = divmod(x, self.indexer.conditions_per_location)
         own = self._part(c)[0][location] if location < self.machine_count else 0
         moves = tuple(
@@ -276,7 +279,7 @@ class Kernel:
         members = (x, *(target for _, _, target in switches))
         if stay[1]:
             members += (stay[2],)
-        local = self._locals[x] = (moves, members)
+        local = self.locals[x] = (moves, members)
         return local
 
     def state(self, x: int) -> SystemState:
@@ -386,10 +389,13 @@ def kernel_of(inst: InstanceParameters) -> Kernel:
     return Kernel(inst)
 
 
-class RuleRows(dict):
-    """Key -> ``kernel``'s row under ``rule``'s action there, filled on
-    first lookup, so the rule is asked once per key.  Build one through
-    ``Kernel.rows``, which keeps it for the next caller with the same rule.
+class RuleRows:
+    """Key -> ``kernel``'s row under ``rule``'s action there: ``table``, an
+    exact dict that ``fill`` grows on a miss, so the rule is asked once per
+    key.  Build one through ``Kernel.rows``, which keeps it for the next
+    caller with the same rule.  A hot loop reads ``table`` behind ``try``
+    and calls ``fill`` on ``KeyError``: CPython specializes a subscript on
+    an exact dict, not on a subclass with ``__missing__``.
 
     A fill decodes the key once, asks the rule and builds the row with
     the kernel's unmemoized builder, so the row lives in this table only,
@@ -401,20 +407,21 @@ class RuleRows(dict):
     """
 
     def __init__(self, kernel: Kernel, rule: DecisionRule | FiniteMemoryRule):
-        super().__init__()
+        self.table: dict[int, Row] = {}
         self.kernel = kernel
         self.rule = rule
         self.decide = getattr(rule, "decide", None)
         self.count = kernel.indexer.count
 
-    def __missing__(self, key: int) -> Row:
+    def fill(self, key: int) -> Row:
+        """Build ``key``'s row, store it in ``table`` and return it."""
         kernel = self.kernel
         memory, x = divmod(key, self.count)
         location, c = divmod(x, kernel.indexer.conditions_per_location)
         part = kernel._part(c)
         state = SystemState(location + 1, part[0])
         if self.decide is None:
-            row = self[key] = kernel._row(location, part, self.rule(state))
+            row = self.table[key] = kernel._row(location, part, self.rule(state))
             return row
         action, after = self.decide(state, memory)
         _check_memory(after)
@@ -422,7 +429,7 @@ class RuleRows(dict):
         if after != memory:
             shift = (after - memory) * self.count
             row = row[:3] + (tuple(offset + shift for offset in row[3]),)
-        self[key] = row
+        self.table[key] = row
         return row
 
 
@@ -489,7 +496,7 @@ def simulate(
     kernel = kernel_of(inst)
     codes = crn_codes(kernel, crn, steps)
     rows = kernel.rows(policy)
-    get, fill = rows.get, rows.__missing__
+    get, fill = rows.table.get, rows.fill
     # Key -> node [location, cost, reward, successors, key, offsets]: the
     # key's row, and the node each code taken from it leads to (None until
     # taken), so a step follows a link and only a new code adds an offset.

@@ -39,21 +39,28 @@ exported for.  Every public entry point that takes a store refuses one
 built for another instance before it spends any budget.
 
 Rollouts are short (about two steps each online), so their cost is the
-bookkeeping around them, not the stepping.  Each phase call builds one
-rollout function (``_rollout``) over its rows, store and code stream;
-``rollout(z, p)`` runs one rollout, updates its records' entries and
-returns its stop and its steps, and the phase spends its own budget on
-calls to it: ``offline_main`` in one loop over its start states (the
-chained core phase starts each rollout at the last one's stop), and
-``online_run`` over the neighborhoods of successive hypothetical
-successors, each successor drawn when the previous neighborhood is used
-up.  The step loop and the entry update are each written once.  Only a
-chain records more than its start, so only a chain builds a list of
-records, and the step loop tests one counter that is 0 otherwise.  Many
-draws are self-loops (offset 0; two thirds of the opi-wide workload's
-rollout steps), and one anywhere but at the reference neither stops the
-rollout nor adds a record, so the loop steps it on the row in hand,
-without the row lookup, the stop test or the record test.
+bookkeeping around them, not the stepping.  ``_rollout`` builds, per
+phase call, the function ``rollout(z, p)`` that runs one rollout over its
+rows, store and code stream, updates its records' entries and returns its
+stop and its steps; ``offline_main`` spends its budget on calls to it in
+one loop over its start states (the chained core phase starts each
+rollout at the last one's stop).  Only a chain records more than its
+start, so only a chain builds a list of records, and the step loop tests
+one counter that is 0 otherwise.  ``online_run`` spends its budget on
+the neighborhoods of successive hypothetical successors, each successor
+drawn when the previous neighborhood is used up, and runs each of those
+``p = 1`` rollouts inline, so that one decision, its gate aside, is one
+Python frame: a call per rollout, with the chain's bookkeeping, was most
+of a decision's cost.  So the step loop and the entry update are written
+twice, in ``_rollout`` and in ``online_run``'s loop, which keeps only
+what ``p = 1`` needs; a property test runs ``online_run`` against a
+reference loop that calls ``rollout(z)`` once per start and requires the
+same report and store.  Many draws are self-loops (offset 0; two thirds
+of the opi-wide workload's rollout steps), and one anywhere but at the
+reference neither stops the rollout nor adds a record, so both loops
+step it on the row in hand, without the row lookup, the stop test or the
+record test.  Rows are read from the rule's exact dict
+(``RuleRows.table``) behind ``try``, filled on ``KeyError``.
 
 Each phase reads its generator as one stream of codes, one per
 simulated step: uniforms are drawn and classified (``Kernel.codes``)
@@ -67,8 +74,10 @@ target)`` (mu_i for a repair, tau for a switch, 0 for idling), so every
 action's delta is rate * (h[target] - h[x]), the pairwise confidence test
 is closed-form interval arithmetic over at most three values, and a
 state's neighborhood (``Kernel.neighborhood``) is the state plus its move
-targets, read for the online rollouts and for the offline start states;
-this module does no rate or index arithmetic of its own.  An
+targets, read for the gate, the online rollouts and the offline start
+states; this module does no rate or index arithmetic of its own.  The
+gate computes the interval of each neighborhood entry once, in one
+``_intervals`` call, where the interval formula is written.  An
 unbounded interval that the test needs defeats every pair, so the gate
 stops at the first one.
 
@@ -84,7 +93,7 @@ import itertools
 import json
 import math
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,6 +372,17 @@ def _check_base(base: DecisionRule) -> None:
 TRAJECTORY_CAP = 50_000_000
 
 
+def _too_long(store: ValueStore, z: int, cap: int) -> RuntimeError:
+    """The error for a rollout from the index ``z`` that reached no stored
+    state within ``cap`` steps."""
+    return RuntimeError(
+        f"trajectory from {store._kernel.state(z)} exceeded {cap} steps without "
+        f"reaching a stored state, of {len(store.entries)} in the store: the store "
+        "may be too sparse for the walk to reach it; if not, is the base policy "
+        f"unichain, and is the reference {store.reference} recurrent under it?"
+    )
+
+
 def _rollout(
     rows: RuleRows, store: ValueStore, uniforms: Iterator[int]
 ) -> Callable[..., tuple[int, int]]:
@@ -378,6 +398,8 @@ def _rollout(
     record on, plus the stop's value, minus g_base per step.  Only a chain
     (``p > 1``) records more than its start, so only a chain builds a list
     of records; a ``p = 1`` rollout steps and updates one entry.
+    ``online_run`` runs its ``p = 1`` rollouts inline, as a copy of this
+    step loop and entry update without the chain's bookkeeping.
 
     A draw whose offset is 0 (a self-loop) at any state but the reference
     adds the state's cost, counts the step, checks ``TRAJECTORY_CAP`` and
@@ -387,18 +409,11 @@ def _rollout(
     so it is not stored, and the store does not grow during a walk; and
     a state already reached is already recorded or past the record limit.
     """
+    table, fill = rows.table, rows.fill
     values = store.entries
     g_base = store.g_base
     reference = rows.kernel.indexer.index(store.reference)
     cap = TRAJECTORY_CAP
-
-    def too_long(z: int) -> RuntimeError:
-        return RuntimeError(
-            f"trajectory from {rows.kernel.state(z)} exceeded {cap} steps without "
-            f"reaching a stored state, of {len(values)} in the store: the store may "
-            "be too sparse for the walk to reach it; if not, is the base policy "
-            f"unichain, and is the reference {store.reference} recurrent under it?"
-        )
 
     def rollout(z: int, p: int = 1) -> tuple[int, int]:
         total_cost = 0.0
@@ -408,7 +423,10 @@ def _rollout(
         if p > 1:
             records, room, seen = [], p - 1, {z}
         while True:
-            _, cost, _, offsets = rows[current]
+            try:
+                _, cost, _, offsets = table[current]
+            except KeyError:
+                _, cost, _, offsets = fill(current)
             total_cost += cost
             steps += 1
             offset = offsets[next(uniforms)]
@@ -417,7 +435,7 @@ def _rollout(
             # in hand.
             while not offset and current != reference:
                 if steps >= cap:
-                    raise too_long(z)
+                    raise _too_long(store, z, cap)
                 total_cost += cost
                 steps += 1
                 offset = offsets[next(uniforms)]
@@ -430,7 +448,7 @@ def _rollout(
                 records.append((stop, total_cost, steps))
                 room -= 1
             if steps >= cap:
-                raise too_long(z)
+                raise _too_long(store, z, cap)
 
         # The start first, then the chain's records.  values[stop] is read
         # per record: when the start is also the stop (the reference),
@@ -486,6 +504,7 @@ def offline_preparatory(
     _check_base(base)
     kernel = kernel_of(inst)
     rows = kernel.rows(base)
+    table, fill = rows.table, rows.fill
     uniforms = _uniforms(kernel, rng)
     index, block = kernel.indexer.index, kernel.indexer.conditions_per_location
     m = inst.machine_count
@@ -497,7 +516,10 @@ def offline_preparatory(
         at_i = range((i - 1) * block, i * block)
         counts: dict[int, int] = {}
         for code in itertools.islice(uniforms, budget.r1):
-            _, _, _, offsets = rows[state]
+            try:
+                _, _, _, offsets = table[state]
+            except KeyError:
+                _, _, _, offsets = fill(state)
             state += offsets[code]
             if state in at_i:
                 counts[state] = counts.get(state, 0) + 1
@@ -515,7 +537,10 @@ def offline_preparatory(
     # only the machines' counts.
     visits = [0] * inst.layout.node_count
     for code in itertools.islice(uniforms, budget.r2):
-        _, cost, _, offsets = rows[state]
+        try:
+            _, cost, _, offsets = table[state]
+        except KeyError:
+            _, cost, _, offsets = fill(state)
         total_cost += cost
         state += offsets[code]
         visits[state // block] += 1
@@ -578,35 +603,57 @@ def offline_main(
     return store
 
 
-def confidence_interval(entry: ValueStoreEntry | None) -> tuple[float, float]:
-    """Reliability-weight interval h +/- 1.96 * sqrt(var / (1 - W) * W).
+def _intervals(
+    entries: Iterable[ValueStoreEntry | None],
+) -> list[tuple[float, float]]:
+    """Each entry's reliability-weight interval, h +/- 1.96 *
+    sqrt(var / (1 - W) * W), in one pass: the interval formula's one home.
 
     Degenerate statistics (no entry, fewer than two observations, or the
     squared-weight sum at one) give the unbounded interval: no confident
     comparison is possible.  Tiny negative variance from rounding clamps
     to an exact zero-width interval.
     """
-    if entry is None or entry.s < 2 or entry.w >= 1.0 - 1e-12:
-        return UNBOUNDED
-    variance = entry.ss - entry.h * entry.h
-    if variance < 0.0:
-        if variance < -1e-9 * max(1.0, abs(entry.ss)):
-            return UNBOUNDED
-        variance = 0.0
-    half = Z_CRITICAL * math.sqrt(variance / (1.0 - entry.w) * entry.w)
-    return entry.h - half, entry.h + half
+    intervals = []
+    for entry in entries:
+        if entry is None or entry.s < 2 or entry.w >= 1.0 - 1e-12:
+            intervals.append(UNBOUNDED)
+            continue
+        h = entry.h
+        variance = entry.ss - h * h
+        if variance < 0.0:
+            if variance < -1e-9 * max(1.0, abs(entry.ss)):
+                intervals.append(UNBOUNDED)
+                continue
+            variance = 0.0
+        half = Z_CRITICAL * math.sqrt(variance / (1.0 - entry.w) * entry.w)
+        intervals.append((h - half, h + half))
+    return intervals
+
+
+def confidence_interval(entry: ValueStoreEntry | None) -> tuple[float, float]:
+    """``entry``'s interval (see ``_intervals``)."""
+    return _intervals((entry,))[0]
 
 
 def _gate(
-    x: int,
     moves: tuple[Move, ...],
+    near: tuple[int, ...],
     values: dict[int, ValueStoreEntry],
 ) -> tuple[int | None, str | None]:
-    """``(action, None)`` for the action whose delta beats every rival's for
-    all values inside the confidence intervals, or ``(None, cause)`` when
-    no action does: ``UNBOUNDED_CAUSE`` when an interval the comparison
-    needs is unbounded (a cold or unvisited state), ``OVERLAP_CAUSE``
-    when all are bounded but overlap.
+    """At the state x whose ``moves`` and neighborhood ``near`` (x first;
+    ``Kernel.neighborhood``) are given: ``(action, None)`` for the action
+    whose delta beats every rival's for all values inside the confidence
+    intervals, or ``(None, cause)`` when no action does:
+    ``UNBOUNDED_CAUSE`` when an interval the comparison needs is
+    unbounded (a cold or unvisited state), ``OVERLAP_CAUSE`` when all are
+    bounded but overlap.
+
+    ``near`` holds each entry the moves read once, so one ``_intervals``
+    call reads them all.  It is x, the switches' targets in move order,
+    then the repair target when staying repairs; the moves are staying,
+    then the switches.  So staying's interval is the last one when it has
+    a rate and x's when it idles.
 
     Action a beats b when the worst case of
     c_a * (h[t_a] - h[x]) - c_b * (h[t_b] - h[x]) is negative.  That is
@@ -620,13 +667,15 @@ def _gate(
     """
     if len(moves) < 2:
         return moves[0][0], None
+    intervals = _intervals(map(values.get, near))
+    lo_x, hi_x = intervals[0]
+    if moves[0][1]:
+        intervals[0] = intervals.pop()
     bounds = []
-    for a, c, t in moves:
-        lo, hi = confidence_interval(values.get(t))
+    for (a, c, _), (lo, hi) in zip(moves, intervals):
         if c and not -math.inf < lo <= hi < math.inf:
             return None, UNBOUNDED_CAUSE
         bounds.append((a, c, lo, hi))
-    lo_x, hi_x = confidence_interval(values.get(x))
     if not -math.inf < lo_x <= hi_x < math.inf:
         rate = moves[0][1]
         if any(c != rate for _, c, _ in moves):
@@ -668,7 +717,8 @@ def online_run(
     after each: one rollout from each state of a hypothetical successor's
     neighborhood, then the next successor's, each successor drawn under
     the chosen action only once the previous neighborhood is used up,
-    stopping mid-neighborhood when the budget runs out.
+    stopping mid-neighborhood when the budget runs out.  Each rollout is
+    ``_rollout``'s ``rollout(z)``, run inline in the decision loop.
 
     ``safe_by_quarter`` holds the fallback share of each quarter of the
     run, None for a quarter with no steps (r_on < 4).  ``fallback_causes``
@@ -686,12 +736,15 @@ def online_run(
     validate_state(inst, start)
     kernel = kernel_of(inst)
     rows = kernel.rows(base)
+    table, fill = rows.table, rows.fill
     uniforms = _uniforms(kernel, rng)
-    rollout = _rollout(rows, store, uniforms)
     values = store.entries
+    g_base = store.g_base
+    reference = kernel.indexer.index(store.reference)
+    cap = TRAJECTORY_CAP
     action_row = kernel.action_row
-    moves = kernel.moves
-    neighborhood = kernel.neighborhood
+    # Index -> (moves, neighborhood), filled by Kernel.local on a miss.
+    locals_get, local = kernel.locals.get, kernel.local
     # A decision's budget is delta rollouts in step-count mode and delta
     # seconds on the clock in wall-clock mode, where the count never binds.
     delta = budget.delta
@@ -708,9 +761,13 @@ def online_run(
     realized = uniforms if crn is None else iter(crn_codes(kernel, crn, budget.r_on))
 
     for step_index in range(budget.r_on):
-        action, cause = _gate(state, moves(state), values)
+        moves, near = locals_get(state) or local(state)
+        action, cause = _gate(moves, near, values)
         if action is None:
-            location, cost, reward, offsets = rows[state]
+            try:
+                location, cost, reward, offsets = table[state]
+            except KeyError:
+                location, cost, reward, offsets = fill(state)
             safe_by_quarter[min(step_index // quarter, 3)] += 1
             causes[cause] += 1
         else:
@@ -722,8 +779,44 @@ def online_run(
         deadline = clock() + delta if clock else None
         done = 0
         while True:
-            for z in neighborhood(state + offsets[next(uniforms)]):
-                rollout(z)
+            successor = state + offsets[next(uniforms)]
+            for z in (locals_get(successor) or local(successor))[1]:
+                # _rollout's rollout(z), inline: step to a stored state,
+                # then update z's entry.
+                walk_cost = 0.0
+                steps = 0
+                current = z
+                while True:
+                    try:
+                        _, step_cost, _, row = table[current]
+                    except KeyError:
+                        _, step_cost, _, row = fill(current)
+                    walk_cost += step_cost
+                    steps += 1
+                    offset = row[next(uniforms)]
+                    while not offset and current != reference:
+                        if steps >= cap:
+                            raise _too_long(store, z, cap)
+                        walk_cost += step_cost
+                        steps += 1
+                        offset = row[next(uniforms)]
+                    stop = current + offset
+                    if (stop != z or stop == reference) and stop in values:
+                        break
+                    current = stop
+                    if steps >= cap:
+                        raise _too_long(store, z, cap)
+                entry = values.get(z)
+                if entry is None:
+                    entry = values[z] = ValueStoreEntry()
+                entry.s += 1
+                alpha = LEARNING_SCALE / (LEARNING_SCALE + entry.s - 1)
+                keep = 1.0 - alpha
+                observation = walk_cost + values[stop].h - g_base * steps
+                entry.h = keep * entry.h + alpha * observation
+                entry.ss = keep * entry.ss + alpha * observation * observation
+                entry.w = keep ** 2 * entry.w + alpha * alpha
+
                 done += 1
                 if done >= count or clock and clock() >= deadline:
                     break

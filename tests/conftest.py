@@ -16,7 +16,9 @@ import repairnet.cli  # noqa: F401  (loads every module of the package; see belo
 from repairnet.dp import DpModel, StationaryPolicy
 from repairnet.index_policy import _calculator
 from repairnet.instance import CostKind, CostModel, InstanceParameters
-from repairnet.mdp import StateIndexer, SystemState, actions_of, kernel_of
+from repairnet.mdp import (
+    SimulationReport, StateIndexer, SystemState, actions_of, crn_codes, kernel_of,
+)
 from repairnet.network import build_complete_layout, build_star_layout, shortest_next_hop
 from repairnet.opi import (
     LEARNING_SCALE,
@@ -127,7 +129,7 @@ def improving_action(inst, state: SystemState, store, base_action: int) -> tuple
     when it falls back."""
     kernel = kernel_of(inst)
     x = kernel.indexer.index(state)
-    action, _ = _gate(x, kernel.moves(x), store.entries)
+    action, _ = _gate(kernel.moves(x), kernel.neighborhood(x), store.entries)
     return (base_action, True) if action is None else (action, False)
 
 
@@ -139,6 +141,59 @@ def sample_trajectory(inst, base, store, z: SystemState, p: int, generator):
     rollout = _rollout(kernel.rows(base), store, _uniforms(kernel, generator))
     stop, steps = rollout(kernel.indexer.index(z), p)
     return kernel.state(stop), steps
+
+
+def reference_online_run(inst, base, store, budget, generator, x0, crn=None) -> SimulationReport:
+    """``opi.online_run`` in step-count mode with each nested rollout one
+    call to ``opi._rollout``'s ``rollout(z)``: the reference the online
+    loop's inline rollouts are checked against.  Updates ``store`` as the
+    run goes and returns the run's report."""
+    kernel = kernel_of(inst)
+    rows = kernel.rows(base)
+    uniforms = _uniforms(kernel, generator)
+    rollout = _rollout(rows, store, uniforms)
+    realized = uniforms if crn is None else iter(crn_codes(kernel, crn, budget.r_on))
+    r_on, delta = budget.r_on, int(budget.delta)
+    state = kernel.indexer.index(x0)
+    total_cost = total_reward = 0.0
+    visits = [0] * inst.layout.node_count
+    fallbacks, causes = [], {"unbounded": 0, "overlap": 0}
+    for step in range(r_on):
+        action, cause = _gate(kernel.moves(state), kernel.neighborhood(state), store.entries)
+        if action is None:
+            row = rows.table.get(state) or rows.fill(state)
+            fallbacks.append(step)
+            causes[cause] += 1
+        else:
+            row = kernel.action_row(state, action)
+        location, cost, reward, offsets = row
+        visits[location] += 1
+        total_cost += cost
+        total_reward += reward
+        done = 0
+        while done < delta:
+            for z in kernel.neighborhood(state + offsets[next(uniforms)]):
+                rollout(z)
+                done += 1
+                if done == delta:
+                    break
+        state += offsets[next(realized)]
+    report = SimulationReport(
+        average_cost=total_cost / r_on,
+        average_reward=total_reward / r_on,
+        steps=r_on,
+        visit_counts=tuple(visits),
+        safe_action_fraction=len(fallbacks) / r_on,
+    )
+    quarter = max(1, r_on // 4)
+    ends = [min(r_on, k * quarter) for k in range(1, 4)] + [r_on]
+    starts = [0] + ends[:3]
+    report.metadata["safe_by_quarter"] = [
+        sum(a <= step < b for step in fallbacks) / (b - a) if b > a else None
+        for a, b in zip(starts, ends)
+    ]
+    report.metadata["fallback_causes"] = causes
+    return report
 
 
 def homogeneous_complete_instance(

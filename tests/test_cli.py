@@ -265,6 +265,83 @@ def test_file_options_exit_naming_the_option(
     assert reason in message
 
 
+# Each command with an option given as '': the option and the reason the
+# message gives.  Each used to run as if the option were absent: from the
+# pristine state, over every machine, without writing the store or the
+# table, or rerunning the offline phases instead of importing a store; and
+# generate and benchmark wrote into the working directory.
+EMPTY_VALUES = [
+    (["simulate", "--instance", "INSTANCE", "--steps", "10"], "--start", "invalid literal"),
+    (["simulate", "--instance", "INSTANCE", "--steps", "10", "--policy", "polling"],
+     "--subset", "invalid literal"),
+    (["opi", "--instance", "INSTANCE", "--r-on", "10"], "--start", "invalid literal"),
+    (["opi", "--instance", "INSTANCE", "--r-on", "10"], "--export-store", "an empty path"),
+    (["opi", "--instance", "INSTANCE", "--r-on", "10"], "--import-store", "No such file"),
+    (["solve-dp", "--instance", "INSTANCE"], "--out", "an empty path"),
+    (["report", "--records", "RECORDS"], "--out", "an empty path"),
+    (["generate", "--m", "2", "--cap", "1"], "--out", "an empty path"),
+    (["benchmark", "--m", "2", "--cap", "1", "--steps", "100"], "--out", "an empty path"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, reason", EMPTY_VALUES,
+    ids=[f"{command[0]}{option}" for command, option, _ in EMPTY_VALUES],
+)
+def test_an_empty_option_value_exits_naming_the_option(
+    two_machine_file, tmp_path, capsys, monkeypatch, command, option, reason
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    records = work / "records.csv"
+    records.write_text("m\n2\n")
+    names = {"INSTANCE": two_machine_file, "RECORDS": str(records)}
+    with pytest.raises(SystemExit) as exc:
+        main([names.get(arg, arg) for arg in command] + [f"{option}="])
+    message = str(exc.value)
+    assert message.startswith(f"repairnet: error: {option} '': ")
+    assert reason in message
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in work.iterdir()) == ["records.csv"]
+
+
+# Each command with an output path it cannot write: the option and the
+# message.  opi and solve-dp used to end in a FileNotFoundError traceback,
+# and generate and benchmark in a FileExistsError one, after the work.
+BAD_OUTPUTS = [
+    (["opi", "--instance", "INSTANCE", "--r-on", "10"], "--export-store", "missing/store.json",
+     "directory 'missing' does not exist"),
+    (["solve-dp", "--instance", "INSTANCE"], "--out", "missing/policy.json",
+     "directory 'missing' does not exist"),
+    (["solve-dp", "--instance", "INSTANCE"], "--out", ".", "is a directory"),
+    (["generate", "--count", "2", "--m", "2", "--cap", "1"], "--out", "taken",
+     "'taken' is not a directory"),
+    (["benchmark", "--m", "2", "--cap", "1", "--steps", "100"], "--out", "taken/bench",
+     "'taken' is not a directory"),
+    (["report", "--records", "missing.csv"], "--out", "taken", "'taken' is not a directory"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, path, reason", BAD_OUTPUTS,
+    ids=[f"{command[0]}{option}-{path}" for command, option, path, _ in BAD_OUTPUTS],
+)
+def test_an_output_path_is_checked_before_any_work(
+    two_machine_file, tmp_path, capsys, monkeypatch, command, option, path, reason
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / "taken").write_text("")
+    argv = [two_machine_file if arg == "INSTANCE" else arg for arg in command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, path])
+    assert str(exc.value) == f"repairnet: error: {option} {path!r}: {reason}"
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in work.iterdir()) == ["taken"]
+
+
 @pytest.mark.parametrize("steps", ["0", "-1"])
 @pytest.mark.parametrize("command", ["simulate", "benchmark"])
 def test_steps_exit_naming_the_option(two_machine_file, tmp_path, command, steps):

@@ -130,7 +130,7 @@ def test_simulate_polling_and_opi_share_one_kernel_with_exact_rows():
     assert kernel.action_rows == {}
     online_run(inst, base, store, SMALL_BUDGET, rng(5), crn=crn)
     assert kernel_of(inst) is kernel
-    rows = kernel.rows(base)
+    rows = kernel.rows(base).table
     assert len(rows) > 100
     fresh = Kernel(inst)
     for x, row in rows.items():

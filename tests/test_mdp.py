@@ -230,7 +230,7 @@ def test_the_grid_holds_only_ends_below_one(seed):
     assert grid[-1] < 1.0
     policy = IndexPolicy(inst)
     simulate(inst, policy, pristine_state(inst), 2_000, crn=rng(seed).random(2_000))
-    rows = kernel.rows(policy)
+    rows = kernel.rows(policy).table
     assert rows and all(len(offsets) == len(grid) + 1 for *_, offsets in rows.values())
     u = math.nextafter(1.0, 0.0)
     top = kernel.codes([u])[0]

@@ -11,6 +11,7 @@ from conftest import (
     homogeneous_star_instance,
     improving_action,
     neighborhood,
+    reference_online_run,
     rng,
     sample_trajectory,
     with_level_change,
@@ -337,6 +338,33 @@ def test_trajectory_cap_ends_a_run_of_self_loops(monkeypatch):
     with pytest.raises(RuntimeError, match=message) as exc:
         sample_trajectory(inst, never_leaves, store, start, 1, rng(0))
     assert f"of {len(store.entries)} in the store" in str(exc.value)
+
+
+@pytest.mark.parametrize("walk", ["leaves-the-start", "self-loops-at-the-start"])
+def test_online_trajectory_cap_names_the_start_state(monkeypatch, walk):
+    # The online loop runs its rollouts inline, not through _rollout, and
+    # raises the same error at each of its two cap checks: a walk that
+    # wanders at location 1, where the reference is not, and one that
+    # only self-loops at a node without a machine.
+    import repairnet.opi as opi_module
+
+    monkeypatch.setattr(opi_module, "TRAJECTORY_CAP", 200)
+    inst = generate_instance(12, m=2, cap=1)
+    reference = pristine_state(inst, location=2)
+    if walk == "leaves-the-start":
+        x0 = SystemState(1, (1, 0))
+    else:
+        x0 = all_failed_state(inst, location=inst.layout.node_count)
+    budget = OpiBudget(r1=10, r2=10, r_off=5, tau_max=1e9, r_on=10, delta=4, mode=STEP_COUNT)
+    messages = []
+    for run in (online_run, reference_online_run):
+        with pytest.raises(RuntimeError, match=r"exceeded 200 steps.*unichain") as exc:
+            run(inst, never_leaves, make_store(inst, reference), budget, rng(3), x0=x0)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    start = re.match(r"trajectory from (.*) exceeded 200 steps", messages[0]).group(1)
+    assert start.startswith("SystemState(location=1," if walk == "leaves-the-start" else str(x0))
+    assert "of 1 in the store" in messages[0]
 
 
 def test_offline_preparatory_core_sets():

@@ -12,9 +12,10 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -23,6 +24,7 @@ from conftest import (
     improving_action,
     neighborhood,
     oracle_neighborhood,
+    reference_online_run,
     reference_rollout,
     rng,
     sample_trajectory,
@@ -44,6 +46,7 @@ from repairnet.mdp import (
     actions_of,
     pristine_state,
 )
+from repairnet import opi
 from repairnet.network import build_lattice_layout
 from repairnet.opi import (
     STEP_COUNT,
@@ -413,6 +416,58 @@ def test_rollouts_match_the_tuple_level_reference_draw_for_draw(seed, walk_seed,
             if used >= budget.tau_max:
                 break
     assert store_values(store) == entries
+
+
+def warm_store(inst, base, seed):
+    """A store from both offline phases at small budgets, on ``rng(seed)``."""
+    budget = OpiBudget(r1=1_000, r2=5_000, r_off=8, tau_max=1e9, r_on=1, delta=1, mode=STEP_COUNT)
+    generator = rng(seed)
+    prep = offline_preparatory(inst, base, budget, generator)
+    return offline_main(inst, base, prep, budget, generator)
+
+
+def outcome(run, *args, **kwargs):
+    """``run``'s report as JSON, or the message of the RuntimeError it raised."""
+    try:
+        return run(*args, **kwargs).to_json()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    instances_and_states(),
+    st.integers(1, 8),
+    st.integers(1, 120),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+def test_online_rollouts_match_one_rollout_call_per_start(case, delta, r_on, use_crn, seed):
+    # online_run runs its nested rollouts inline; the reference calls
+    # _rollout's rollout(z) once per start.  Both start from equal stores
+    # and equal generators, so the reports (or the TRAJECTORY_CAP errors)
+    # and the final stores match exactly, with the CRN list's realized
+    # draws and without.  The lowered cap keeps a walk that never reaches
+    # the store short; a store whose offline phases hit it is rejected.
+    inst, x0 = case
+    base = ModifiedIndexPolicy(inst)
+    budget = OpiBudget(
+        r1=1, r2=1, r_off=1, tau_max=1.0, r_on=r_on, delta=delta, mode=STEP_COUNT
+    )
+    crn = rng(seed + 2).random(r_on) if use_crn else None
+    with mock.patch.object(opi, "TRAJECTORY_CAP", 100_000):
+        try:
+            store = warm_store(inst, base, seed)
+        except RuntimeError:
+            reject()
+        expected_store = warm_store(inst, base, seed)
+        assert store.entries == expected_store.entries
+        report = outcome(online_run, inst, base, store, budget, rng(seed + 1), x0=x0, crn=crn)
+        expected = outcome(
+            reference_online_run, inst, base, expected_store, budget, rng(seed + 1), x0, crn
+        )
+    assert report == expected
+    assert store.entries == expected_store.entries
 
 
 def test_online_run_draws_nothing_it_does_not_use():
