@@ -141,9 +141,11 @@ class DpModel:
 
     def __init__(self, inst: InstanceParameters):
         self.inst = inst
-        kernel = kernel_of(inst)
-        self.indexer = kernel.indexer
+        # Checked before the kernel's per-level tables, which grow with the
+        # caps, are built.
+        self.indexer = StateIndexer(inst)
         self.indexer.check_bound()
+        kernel = kernel_of(inst)
         self.n = n = self.indexer.count
         block = self.indexer.conditions_per_location
 
@@ -266,7 +268,11 @@ class DpModel:
         return StationaryPolicy(tuple(np.where(switch, ranks[pick, self.idx], incumbent).tolist()))
 
 
-DENSE_STATE_LIMIT = 1024
+# Nothing in the package reads this name: evaluation runs on the sparse
+# matrix at every size.  perfbench/tracing.py reads it on every
+# evaluate_policy call to count dense evaluations, so it stays, at 0, until
+# the benchmark drops that count.
+DENSE_STATE_LIMIT = 0
 
 
 def _check_inputs(inst, reference, tol, span_target) -> SystemState:
@@ -330,7 +336,9 @@ def evaluate_policy(
 ) -> PolicyEvaluation:
     """Average cost (or reward) and relative values of a stationary policy.
 
-    Solves the bordered system by BiCGSTAB from ``v0`` until the per-state
+    Both phases run on the policy's sparse matrix
+    (``DpModel.transition_matrix``), one format at every size.  Solves the
+    bordered system by BiCGSTAB from ``v0`` until the per-state
     estimates g+ are within tol / 4 of g, then sweeps until
     max_x |g+(x) - g(x)| < tol between sweeps, from the Krylov solution or,
     when the Krylov phase gives up (a singular, multichain matrix), from
@@ -359,8 +367,6 @@ def evaluate_policy(
         v0 = _check_start_values(v0, model.n)
     ref = model.indexer.index(reference)
     matrix = model.transition_matrix(policy)
-    if model.n <= DENSE_STATE_LIMIT:
-        matrix = matrix.toarray()
     stage = model.stage_vector(policy, objective)
 
     v_start = np.zeros(model.n) if v0 is None else v0
@@ -461,17 +467,15 @@ def _bordered_bicgstab(
 
 def policy_iteration(
     inst: InstanceParameters,
-    base: StationaryPolicy | None = None,
     reference: SystemState | None = None,
     tol: float = DEFAULT_TOL,
     span_target: float | None = None,
 ) -> DpSolution:
-    """Exact policy iteration from a unichain base policy, in two stages.
-
-    The default base is the modified index policy.  Improvement keeps a
-    state's action unless a rival's Q is lower by more than 10 times the
-    evaluation tolerance (Puterman 1994, section 8.6), so evaluation error
-    cannot make policies of equal gain take turns.
+    """Exact policy iteration from the modified index policy, in two
+    stages.  Improvement keeps a state's action unless a rival's Q is
+    lower by more than 10 times the evaluation tolerance (Puterman 1994,
+    section 8.6), so evaluation error cannot make policies of equal gain
+    take turns.
 
     The approximate stage (modified policy iteration, Puterman 1994,
     section 8.7) runs, each round, the relative value-iteration sweeps
@@ -490,26 +494,21 @@ def policy_iteration(
     ``approximate_rounds`` and ``approximate_sweeps`` the approximate
     stage's rounds and sweeps.
 
-    Raises ValueError as ``evaluate_policy`` does, naming
-    ``base.actions[k]`` for a base action that is not available in its
-    state, and RuntimeError when the exact stage does not settle within
+    Raises ValueError as ``evaluate_policy`` does for ``reference``,
+    ``tol`` and ``span_target``, CapacityError above ``STATE_BOUND``
+    states, and RuntimeError when the exact stage does not settle within
     ``MAX_IMPROVEMENTS`` rounds.
     """
     from .index_policy import ModifiedIndexPolicy
 
     reference = _check_inputs(inst, reference, tol, span_target)
     model = DpModel(inst)
-    if base is None:
-        base = StationaryPolicy.from_rule(inst, ModifiedIndexPolicy(inst))
-    else:
-        model.check_policy(base, "base")
-
-    policy = base
+    policy = StationaryPolicy.from_rule(inst, ModifiedIndexPolicy(inst))
     v_start: np.ndarray | None = None
     approximate_rounds = approximate_sweeps = 0
     if tol < SETTLE_TOL:
         policy, v_start, approximate_rounds, approximate_sweeps = _settle(
-            model, base, model.indexer.index(reference)
+            model, policy, model.indexer.index(reference)
         )
 
     history: list[float] = []

@@ -282,8 +282,16 @@ def state_key(state: SystemState) -> str:
 
 
 def parse_state_key(key: str) -> SystemState:
+    """The state ``state_key`` writes as ``key``.  Raises ValueError for
+    any other text, also for the spellings ``int`` alone would read
+    (``'+1:0,0'``, ``' 1:0,0'``, ``'1_0:0,0'``), naming the key: two
+    spellings of one state would otherwise load as one store entry, the
+    last one winning."""
     loc, _, conds = key.partition(":")
-    return SystemState(int(loc), tuple(int(c) for c in conds.split(",")))
+    state = SystemState(int(loc), tuple(int(c) for c in conds.split(",")))
+    if state_key(state) != key:
+        raise ValueError(f"{key!r} is not a state key: state_key writes {state_key(state)!r}")
+    return state
 
 
 def _fingerprint(inst: InstanceParameters) -> str:

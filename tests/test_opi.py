@@ -753,6 +753,11 @@ DELETE = object()
         # Used to load, then kill `opi --import-store` in confidence_interval
         # with a bare "math domain error".
         (("entries", "2:1,0", 2), -0.5, "root.entries['2:1,0']: store entry '2:1,0': w: "),
+        # Used to load as the entry of '1:1,0', so a file holding both kept
+        # whichever came last.
+        (("entries", "+1:1,0"), [0.0, 0.0, 1.0, 1],
+         "root.entries['+1:1,0']: '+1:1,0' is not a state key: state_key writes '1:1,0'"),
+        (("reference",), " 1:0,0", "root.reference: ' 1:0,0' is not a state key"),
     ],
 )
 def test_load_store_names_the_malformed_field(tmp_path, path, value, field):

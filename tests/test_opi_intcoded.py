@@ -237,7 +237,7 @@ def gate_on_exact_values(seed):
     return gated, model.improve(v, base).actions, q
 
 
-@pytest.mark.parametrize("seed, states", [(20014, 100), (20018, 400), (20028, 100)])
+@pytest.mark.parametrize("seed, states", [(20014, 100), (20028, 100)])
 def test_gate_on_exact_values_takes_the_exact_rollout_action(seed, states):
     # The gate and DpModel.improve are two encodings of one improvement
     # step: fed exact values at zero width, they choose alike.
@@ -246,12 +246,14 @@ def test_gate_on_exact_values_takes_the_exact_rollout_action(seed, states):
     assert gated == list(improved)
 
 
-def test_gate_on_exact_values_departs_from_the_rollout_only_at_near_ties():
-    # The two sum the Q terms in different orders, so on 20001 they part at
-    # 8 of 2,025 states, each a tie to within 8e-14 in rate units.
-    gated, improved, q = gate_on_exact_values(20001)
+@pytest.mark.parametrize("seed, most", [(20001, 8), (20018, 2)])
+def test_gate_on_exact_values_departs_from_the_rollout_only_at_near_ties(seed, most):
+    # The two sum the Q terms in different orders, so they part at a few
+    # states, each a tie to within 1e-13 in rate units: on 20001 at 8 of
+    # 2,025 states, on 20018 at 2 of 400.
+    gated, improved, q = gate_on_exact_values(seed)
     differ = [x for x, (a, b) in enumerate(zip(gated, improved)) if a != b]
-    assert 0 < len(differ) <= 8
+    assert 0 < len(differ) <= most
     for x in differ:
         assert abs(q[x][gated[x]] - q[x][improved[x]]) <= 1e-12
 

@@ -422,7 +422,8 @@ def test_cli_rejects_states_outside_the_instance(tmp_path, capsys, command, opti
     path = tmp_path / "inst.json"
     save_instance(generate_instance(5, m=2, cap=2), path)
     for text, field in (("0:0,0", "state.location"), ("1:3,0", "state.conditions[0]"),
-                        ("1:0", "state.conditions:"), ("x:1", "invalid literal")):
+                        ("1:0", "state.conditions:"), ("x:1", "invalid literal"),
+                        ("1_0:0,0", "is not a state key")):
         with pytest.raises(SystemExit) as exc:
             main([command, "--instance", str(path), option, text])
         assert f"{option} {text!r}" in str(exc.value) and field in str(exc.value)
