@@ -110,7 +110,6 @@ class DpSolution:
     v: np.ndarray
     policy: StationaryPolicy
     iterations: int
-    reference: SystemState
     # span(g+) of the final evaluation: bounds |g_star - g| for the
     # returned policy's true average g when that policy is unichain.
     g_bound: float
@@ -467,7 +466,6 @@ def _bordered_bicgstab(
 
 def policy_iteration(
     inst: InstanceParameters,
-    reference: SystemState | None = None,
     tol: float = DEFAULT_TOL,
     span_target: float | None = None,
 ) -> DpSolution:
@@ -475,7 +473,7 @@ def policy_iteration(
     stages.  Improvement keeps a state's action unless a rival's Q is
     lower by more than 10 times the evaluation tolerance (Puterman 1994,
     section 8.6), so evaluation error cannot make policies of equal gain
-    take turns.
+    take turns.  Values are normalized at the pristine state.
 
     The approximate stage (modified policy iteration, Puterman 1994,
     section 8.7) runs, each round, the relative value-iteration sweeps
@@ -494,14 +492,14 @@ def policy_iteration(
     ``approximate_rounds`` and ``approximate_sweeps`` the approximate
     stage's rounds and sweeps.
 
-    Raises ValueError as ``evaluate_policy`` does for ``reference``,
-    ``tol`` and ``span_target``, CapacityError above ``STATE_BOUND``
+    Raises ValueError as ``evaluate_policy`` does for ``tol`` and
+    ``span_target``, CapacityError above ``STATE_BOUND``
     states, and RuntimeError when the exact stage does not settle within
     ``MAX_IMPROVEMENTS`` rounds.
     """
     from .index_policy import ModifiedIndexPolicy
 
-    reference = _check_inputs(inst, reference, tol, span_target)
+    reference = _check_inputs(inst, None, tol, span_target)
     model = DpModel(inst)
     policy = StationaryPolicy.from_rule(inst, ModifiedIndexPolicy(inst))
     v_start: np.ndarray | None = None
@@ -531,7 +529,6 @@ def policy_iteration(
                 v=evaluation.v,
                 policy=policy,
                 iterations=iteration,
-                reference=reference,
                 g_bound=evaluation.g_span,
                 g_history=tuple(history),
                 approximate_rounds=approximate_rounds,

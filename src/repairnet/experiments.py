@@ -205,21 +205,17 @@ def _format(value) -> str:
     return str(value)
 
 
-def write_records_csv(records: list[SuboptimalityRecord], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
+def records_csv_text(records: list[SuboptimalityRecord]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(RECORD_FIELDS)
     for record in records:
         writer.writerow([_format(getattr(record, name)) for name in RECORD_FIELDS])
-
-
-def records_csv_text(records: list[SuboptimalityRecord]) -> str:
-    buffer = io.StringIO()
-    write_records_csv(records, buffer)
     return buffer.getvalue()
 
 
 def read_records_csv(stream) -> list[SuboptimalityRecord]:
-    """The records of a ``write_records_csv`` text.  Raises ValueError
+    """The records of a ``records_csv_text`` text.  Raises ValueError
     naming the data row (1 is the first below the header) and the column
     of a cell that does not parse."""
     reader = csv.DictReader(stream)
@@ -254,11 +250,16 @@ def _mean_ci(values: list[float]) -> tuple[float, float, int]:
     return mean, half, n
 
 
-def _bucket_of(value: float, bins) -> str | None:
+def _bucket_of(value: float, bins) -> str:
+    """``value``'s bin, ``lo<= <hi`` (the last bin closed above), or the
+    edge bucket named for the bound it passes: ``<lo`` below the first
+    bin, ``>hi`` above the last."""
+    if value < bins[0][0]:
+        return f"<{bins[0][0]}"
     for lo, hi in bins:
         if lo <= value < hi or (value == hi and hi == bins[-1][1]):
             return f"{lo}<= <{hi}"
-    return None
+    return f">{bins[-1][1]}"
 
 
 BUCKET_SPECS = {
@@ -283,16 +284,14 @@ AGGREGATE_METRICS = [
 
 
 def aggregate_records(records: list[SuboptimalityRecord], dimension: str) -> list[dict]:
-    """Per-bucket mean and 95 percent half-width of every metric."""
+    """Per-bucket mean and 95 percent half-width of every metric; every
+    record without an error lands in one bucket."""
     key_of = BUCKET_SPECS[dimension]
     buckets: dict[str, list[SuboptimalityRecord]] = {}
     for record in records:
         if record.error is not None:
             continue
-        key = key_of(record)
-        if key is None:
-            continue
-        buckets.setdefault(key, []).append(record)
+        buckets.setdefault(key_of(record), []).append(record)
     rows = []
     for key in sorted(buckets):
         members = buckets[key]

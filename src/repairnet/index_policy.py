@@ -13,13 +13,14 @@ the simulation and the DP read.
 
 The move and wait indices depend only on the distance, the target
 machine and its level, so the per-instance calculator scores every level
-of each distinct ``(distance, machine)`` once, when it is built, into one
-table per location; a decision is one pass over its location's table.
-The entry points that take input from a caller (``repair_statistics``,
-``arrival_distribution``, ``index_table``) validate it against the
-instance first; the policy objects, called once per simulated step, do
-not.  ``index_table`` reports every score and both decisions at one
-state.
+of each distinct ``(distance, machine)`` once, when it is built, both
+scores in one pass over one arrival distribution per level
+(``_IndexCalculator.scores``), into one table per location; a decision
+is one pass over its location's table.  The entry points that take
+input from a caller (``repair_statistics``, ``arrival_distribution``,
+``index_table``) validate it against the instance first; the policy
+objects, called once per simulated step, do not.  ``index_table``
+reports every score and both decisions at one state.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class IndexPolicy:
         return self._calc.decision(state)
 
 
-class ModifiedIndexPolicy:
+class ModifiedIndexPolicy(IndexPolicy):
     """Unichain variant used as the base policy for improvement methods.
 
     When every machine sits at its cap the repairer heads for the
@@ -120,9 +121,6 @@ class ModifiedIndexPolicy:
     making that state reachable under the policy from everywhere and the
     induced chain unichain; elsewhere it acts as ``IndexPolicy``.
     """
-
-    def __init__(self, inst: InstanceParameters):
-        self._calc = _calculator(inst)
 
     def __call__(self, state: SystemState) -> int:
         return self._calc.modified_decision(state)
@@ -168,11 +166,7 @@ class _IndexCalculator:
                     continue
                 d = self.layout.dist(i, j)
                 if (d, j) not in scores:
-                    levels = range(inst.cap[j - 1] + 1)
-                    scores[d, j] = (
-                        tuple(self.move(d, j, k) for k in levels),
-                        tuple(self.wait(d, j, k) for k in levels),
-                    )
+                    scores[d, j] = self.scores(d, j)
                 table.append((j, d, *scores[d, j]))
             tables.append(tuple(table))
         self.tables = tuple(tables)
@@ -187,9 +181,6 @@ class _IndexCalculator:
             i if i == failed_target else shortest_next_hop(self.layout, i, failed_target)
             for i in range(1, self.layout.node_count + 1)
         )
-
-    def psi(self, node: int) -> float:
-        return self.psi_table[node - 1]
 
     def repair_stats(self, machine: int) -> RepairStatistics:
         return self._repair_stats[machine - 1]
@@ -240,33 +231,31 @@ class _IndexCalculator:
         travel.append(tail_travel)
         return ArrivalDistribution(offset=level, pmf=tuple(pmf), expected_travel=tuple(travel))
 
-    def move(self, d: int, machine: int, level: int) -> float:
-        """Index for heading ``d`` hops to ``machine``, found at ``level``,
-        and repairing it to pristine."""
+    def scores(self, d: int, machine: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The move and wait scores of ``machine``, ``d`` hops away, by
+        the level it sits at now, both read off one arrival distribution
+        per level.  Move: head there and repair it to pristine.  Wait: wait
+        out one extra degradation first, so each arrival outcome is
+        shifted one level up and the expected wait 1/lambda is added to
+        the horizon; at the cap the level cannot rise, but the wait is
+        still paid."""
         stats = self.repair_stats(machine)
-        total = 0.0
-        for k, p, travel in self.arrival(d, machine, level).outcomes():
-            reward = stats.expected_reward[k]
-            if reward > 0.0 and p > 0.0:
-                total += p * reward / (travel + stats.expected_time[k])
-        return total
-
-    def wait(self, d: int, machine: int, level: int) -> float:
-        """Index for waiting out one extra degradation at ``machine``
-        first: each arrival outcome is shifted one level up and the
-        expected wait 1/lambda is added to the horizon; at the cap the
-        level cannot rise, but the wait is still paid."""
-        inst = self.inst
-        stats = self.repair_stats(machine)
-        cap = inst.cap[machine - 1]
-        extra = 1.0 / inst.lam[machine - 1]
-        total = 0.0
-        for k, p, travel in self.arrival(d, machine, level).outcomes():
-            target = min(k + 1, cap)
-            reward = stats.expected_reward[target]
-            if reward > 0.0 and p > 0.0:
-                total += p * reward / (extra + travel + stats.expected_time[target])
-        return total
+        cap = self.inst.cap[machine - 1]
+        extra = 1.0 / self.inst.lam[machine - 1]
+        moves, waits = [], []
+        for level in range(cap + 1):
+            move = wait = 0.0
+            for k, p, travel in self.arrival(d, machine, level).outcomes():
+                reward = stats.expected_reward[k]
+                if reward > 0.0 and p > 0.0:
+                    move += p * reward / (travel + stats.expected_time[k])
+                target = min(k + 1, cap)
+                reward = stats.expected_reward[target]
+                if reward > 0.0 and p > 0.0:
+                    wait += p * reward / (extra + travel + stats.expected_time[target])
+            moves.append(move)
+            waits.append(wait)
+        return tuple(moves), tuple(waits)
 
     def decision(self, state: SystemState) -> int:
         """With every level at zero, head for the idle target.  Otherwise
@@ -315,7 +304,7 @@ def index_table(inst: InstanceParameters, state: SystemState) -> dict:
     i = state.location
     table: dict = {
         "state": {"location": i, "conditions": list(state.conditions)},
-        "idle_score": calc.psi(i),
+        "idle_score": calc.psi_table[i - 1],
         "idle_target": calc.idle_target,
         "stay": None,
         "machines": {},

@@ -19,15 +19,14 @@ rate and an index offset over StateIndexer's mixed-radix integers.  The
 kernel reads it once per instance, per location and level of the machine
 there (the only level the event depends on), into two tables: a move
 template ``(action, rate, offset)`` per available action
-(``Kernel.templates``), which ``Kernel.moves`` reads for OPI's
+(``Kernel.templates``), which ``Kernel.local`` reads for OPI's
 confidence gate and ``dp.DpModel`` gathers into per-state arrays for
 exact DP, and per action the row offsets the event adds past the
 degradation codes, which the row builder reads for simulation and OPI's
 rollouts.
-``Kernel.neighborhood`` lists the indices the gate reads, derived from
-the moves; the two share one memo entry per index (``Kernel.locals``,
-an exact dict that ``Kernel.local`` fills, which OPI's online loop reads
-directly).
+``Kernel.local(x)`` gives a state's moves and the neighborhood the gate
+reads, derived from the moves, memoized together per index in
+``Kernel.locals``, an exact dict that OPI's online loop reads directly.
 ``Kernel.grid`` is the sorted set of every slot end below 1.0 that any
 row can have (the largest rate's event end, 1.0 up to rounding, is left
 out when it bounds no draw), and ``Kernel.codes`` classifies uniform
@@ -103,7 +102,7 @@ class FiniteMemoryRule(Protocol):
 # (location - 1, cost, reward, offsets): one step of a state-action pair,
 # offsets[c] the index move for a draw of code c; see Kernel.action_row.
 Row = tuple[int, float, float, tuple[int, ...]]
-# (action, rate, target): one available action's event; see Kernel.moves.
+# (action, rate, target): one available action's event; see Kernel.local.
 Move = tuple[Action, float, int]
 # (levels, cost, degradation offsets): what a row takes from the levels
 # alone; see Kernel._part.
@@ -251,25 +250,20 @@ class Kernel:
             return self.inst.mu[i - 1], -self.indexer.strides[i - 1]
         return 0.0, 0
 
-    def moves(self, x: int) -> tuple[Move, ...]:
-        """Every available action's ``event`` at the state with index ``x``,
-        as ``(action, rate, x + offset)`` in ``actions_of`` order (staying
-        first); idling is ``(action, 0.0, x)``.  Memoized per index with
-        the neighborhood; see ``local``."""
-        return (self.locals.get(x) or self.local(x))[0]
-
-    def neighborhood(self, x: int) -> tuple[int, ...]:
-        """The indices the gate reads at index ``x``: ``x``, then the
-        targets of its switches in neighbour order, then its repair target
-        if it has one (the ``moves`` targets with a nonzero rate).
-        Memoized per index with the moves; see ``local``."""
-        return (self.locals.get(x) or self.local(x))[1]
-
     def local(self, x: int) -> tuple[tuple[Move, ...], tuple[int, ...]]:
-        """``x``'s moves and neighborhood, read off the event table of its
-        location and the level of the machine there, and memoized together
-        in ``locals`` the first time either is asked for.  A hot loop reads
-        ``locals`` and calls this on a miss."""
+        """The moves and the neighborhood of the state with index ``x``,
+        memoized together in ``locals``.  The moves are every available
+        action's ``event`` as ``(action, rate, x + offset)`` in
+        ``actions_of`` order (staying first; idling is ``(action, 0.0,
+        x)``), read off the event table of ``x``'s location and the level
+        of the machine there.  The neighborhood is the indices the gate
+        reads: ``x``, then the targets of its switches in neighbour order,
+        then its repair target if it has one (the move targets with a
+        nonzero rate).  A hot loop reads ``locals`` and calls this on a
+        miss."""
+        local = self.locals.get(x)
+        if local is not None:
+            return local
         location, c = divmod(x, self.indexer.conditions_per_location)
         own = self._part(c)[0][location] if location < self.machine_count else 0
         moves = tuple(

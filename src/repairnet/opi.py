@@ -50,12 +50,14 @@ one counter that is 0 otherwise.  ``online_run`` spends its budget on
 the neighborhoods of successive hypothetical successors, each successor
 drawn when the previous neighborhood is used up, and runs each of those
 ``p = 1`` rollouts inline, so that one decision, its gate aside, is one
-Python frame: a call per rollout, with the chain's bookkeeping, was most
-of a decision's cost.  So the step loop and the entry update are written
-twice, in ``_rollout`` and in ``online_run``'s loop, which keeps only
-what ``p = 1`` needs; a property test runs ``online_run`` against a
-reference loop that calls ``rollout(z)`` once per start and requires the
-same report and store.  Many draws are self-loops (offset 0; two thirds
+Python frame: an ``online_run`` that calls ``rollout(z)`` for each
+rollout takes 1.15 times as long (``scripts/opi_ab.py`` on seeds 20001
+and 20002, 20 alternating rounds each on a 2-vCPU VM).  So the step
+loop and the entry update are written twice, in ``_rollout`` and in
+``online_run``'s loop, which keeps only what ``p = 1`` needs; a
+property test runs ``online_run`` against a reference loop that calls
+``rollout(z)`` once per start and requires the same report and store.
+Many draws are self-loops (offset 0; two thirds
 of the opi-wide workload's rollout steps), and one anywhere but at the
 reference neither stops the rollout nor adds a record, so both loops
 step it on the row in hand, without the row lookup, the stop test or the
@@ -69,17 +71,17 @@ generator read it back to back.  Online, the realized transitions come
 from the CRN list's codes when one is given, which rejects a draw that
 is NaN or outside [0, 1), and from the same stream otherwise.
 
-The kernel's ``moves`` give each action's event as ``(action, rate,
-target)`` (mu_i for a repair, tau for a switch, 0 for idling), so every
-action's delta is rate * (h[target] - h[x]), the pairwise confidence test
-is closed-form interval arithmetic over at most three values, and a
-state's neighborhood (``Kernel.neighborhood``) is the state plus its move
-targets, read for the gate, the online rollouts and the offline start
-states; this module does no rate or index arithmetic of its own.  The
-gate computes the interval of each neighborhood entry once, in one
-``_intervals`` call, where the interval formula is written.  An
-unbounded interval that the test needs defeats every pair, so the gate
-stops at the first one.
+The kernel's moves (``Kernel.local``) give each action's event as
+``(action, rate, target)`` (mu_i for a repair, tau for a switch, 0 for
+idling), so every action's delta is rate * (h[target] - h[x]), the
+pairwise confidence test is closed-form interval arithmetic over at most
+three values, and a state's neighborhood, memoized with its moves, is the
+state plus its move targets, read for the gate, the online rollouts and
+the offline start states; this module does no rate or index arithmetic
+of its own.  The gate computes the interval of each neighborhood entry
+once, in one ``_intervals`` call, where the interval formula is
+written.  An unbounded interval that the test needs defeats every pair,
+so the gate stops at the first one.
 
 Budgets run in two modes.  Wall-clock mode reproduces the real-time
 regime (seconds per decision); step-count mode swaps every clock for a
@@ -504,7 +506,7 @@ def offline_preparatory(
     state at that location.  A long run then estimates the average cost
     and crowns the most visited machine's state as the reference.  The
     start set is the core states plus their one-switch and one-repair
-    neighbors (``Kernel.neighborhood``), which the online part will need
+    neighbors (``Kernel.local``), which the online part will need
     intervals for; degradation successors are left out, since they occur
     with the same probability under every action.  Raises ValueError for
     a finite-memory ``base``.
@@ -558,7 +560,7 @@ def offline_preparatory(
     core.insert(0, core.pop(j_star - 1))
 
     # The core states' neighbourhoods, in order, each state once.
-    members = dict.fromkeys(y for x in core for y in kernel.neighborhood(x))
+    members = dict.fromkeys(y for x in core for y in kernel.local(x)[1])
     z_all = {y: kernel.state(y) for y in members}
     z_core = [z_all[x] for x in core]
     return OfflinePreparation(
@@ -650,7 +652,7 @@ def _gate(
     values: dict[int, ValueStoreEntry],
 ) -> tuple[int | None, str | None]:
     """At the state x whose ``moves`` and neighborhood ``near`` (x first;
-    ``Kernel.neighborhood``) are given: ``(action, None)`` for the action
+    ``Kernel.local``) are given: ``(action, None)`` for the action
     whose delta beats every rival's for all values inside the confidence
     intervals, or ``(None, cause)`` when no action does:
     ``UNBOUNDED_CAUSE`` when an interval the comparison needs is

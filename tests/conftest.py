@@ -54,6 +54,11 @@ def load_dp_products():
     return _load_file("dp_products", SCRIPTS / "dp_products.py")
 
 
+def load_code_lines():
+    """``scripts/code_lines.py``, loaded once from its file."""
+    return _load_file("code_lines", SCRIPTS / "code_lines.py")
+
+
 # Every run draws the same examples, so a slow or failing example repeats
 # and can be named.  Each test keeps its own max_examples.  derandomize
 # seeds each test from its own source, but Hypothesis also draws some
@@ -65,6 +70,7 @@ def load_dp_products():
 # project module changes.
 load_tracing()
 load_dp_products()
+load_code_lines()
 settings.register_profile("repeatable", derandomize=True)
 settings.load_profile("repeatable")
 
@@ -93,17 +99,17 @@ def stay_index(inst, machine: int, level: int) -> float:
 
 def move_index(inst, source: int, machine: int, level: int) -> float:
     """The move index of ``machine`` at ``level``, seen from ``source``."""
-    return _calculator(inst).move(inst.layout.dist(source, machine), machine, level)
+    return _calculator(inst).scores(inst.layout.dist(source, machine), machine)[0][level]
 
 
 def wait_index(inst, source: int, machine: int, level: int) -> float:
     """The wait index of ``machine`` at ``level``, seen from ``source``."""
-    return _calculator(inst).wait(inst.layout.dist(source, machine), machine, level)
+    return _calculator(inst).scores(inst.layout.dist(source, machine), machine)[1][level]
 
 
 def idle_score(inst, node: int) -> float:
     """The idle score of ``node``."""
-    return _calculator(inst).psi(node)
+    return _calculator(inst).psi_table[node - 1]
 
 
 def index_decision(inst, state: SystemState) -> int:
@@ -118,9 +124,9 @@ def modified_index_decision(inst, state: SystemState) -> int:
 
 def neighborhood(inst, state: SystemState) -> list[SystemState]:
     """The states whose values the gate reads at ``state``
-    (``Kernel.neighborhood``), decoded."""
+    (``Kernel.local``), decoded."""
     kernel = kernel_of(inst)
-    return [kernel.state(y) for y in kernel.neighborhood(kernel.indexer.index(state))]
+    return [kernel.state(y) for y in kernel.local(kernel.indexer.index(state))[1]]
 
 
 def improving_action(inst, state: SystemState, store, base_action: int) -> tuple[int, bool]:
@@ -129,7 +135,7 @@ def improving_action(inst, state: SystemState, store, base_action: int) -> tuple
     when it falls back."""
     kernel = kernel_of(inst)
     x = kernel.indexer.index(state)
-    action, _ = _gate(kernel.moves(x), kernel.neighborhood(x), store.entries)
+    action, _ = _gate(*kernel.local(x), store.entries)
     return (base_action, True) if action is None else (action, False)
 
 
@@ -159,7 +165,7 @@ def reference_online_run(inst, base, store, budget, generator, x0, crn=None) -> 
     visits = [0] * inst.layout.node_count
     fallbacks, causes = [], {"unbounded": 0, "overlap": 0}
     for step in range(r_on):
-        action, cause = _gate(kernel.moves(state), kernel.neighborhood(state), store.entries)
+        action, cause = _gate(*kernel.local(state), store.entries)
         if action is None:
             row = rows.table.get(state) or rows.fill(state)
             fallbacks.append(step)
@@ -172,7 +178,7 @@ def reference_online_run(inst, base, store, budget, generator, x0, crn=None) -> 
         total_reward += reward
         done = 0
         while done < delta:
-            for z in kernel.neighborhood(state + offsets[next(uniforms)]):
+            for z in kernel.local(state + offsets[next(uniforms)])[1]:
                 rollout(z)
                 done += 1
                 if done == delta:

@@ -203,6 +203,16 @@ def test_cost_reward_identity_under_evaluation():
         assert g + u == pytest.approx(total, abs=1e-8)
 
 
+def test_policy_iteration_raises_when_the_exact_stage_does_not_settle(monkeypatch):
+    # 20002's exact stage takes 2 rounds; the approximate stage hands over
+    # after MAX_IMPROVEMENTS rounds without raising.
+    inst = generate_instance(20002)
+    assert policy_iteration(inst).iterations == 2
+    monkeypatch.setattr(dp, "MAX_IMPROVEMENTS", 1)
+    with pytest.raises(RuntimeError, match="^policy iteration did not settle within 1 improvements$"):
+        policy_iteration(inst)
+
+
 def test_evaluate_policy_refuses_an_unknown_objective_before_any_solve(two_machines, monkeypatch):
     policy = StationaryPolicy.from_rule(two_machines, IndexPolicy(two_machines))
     # A model build would fail on this stand-in; the objective is refused first.
@@ -260,9 +270,13 @@ def test_policy_iteration_matches_brute_force():
 
 
 def test_g_star_independent_of_reference(two_machines):
-    sol_a = policy_iteration(two_machines, reference=pristine_state(two_machines), span_target=1e-9)
-    sol_b = policy_iteration(two_machines, reference=SystemState(2, (2, 2)), span_target=1e-9)
-    assert sol_a.g_star == pytest.approx(sol_b.g_star, abs=1e-8)
+    # PI normalizes at the pristine state; the returned policy's g read
+    # at another reference is the same g*.
+    solution = policy_iteration(two_machines, span_target=1e-9)
+    other = evaluate_policy(
+        two_machines, solution.policy, reference=SystemState(2, (2, 2)), span_target=1e-9
+    )
+    assert other.g == pytest.approx(solution.g_star, abs=1e-8)
 
 
 def test_capacity_gate():
@@ -458,11 +472,9 @@ def test_dp_refuses_a_reference_outside_the_instance(two_machines):
     policy = StationaryPolicy.from_rule(two_machines, ModifiedIndexPolicy(two_machines))
     field = r"^reference: state\.conditions\[1\]: level 5 of machine 2"
     with pytest.raises(ValueError, match=field):
-        policy_iteration(two_machines, reference=SystemState(1, (0, 5)))
-    with pytest.raises(ValueError, match=field):
         evaluate_policy(two_machines, policy, reference=SystemState(1, (0, 5)))
     with pytest.raises(ValueError, match=r"^reference: state\.location"):
-        policy_iteration(two_machines, reference=SystemState(3, (0, 0)))
+        evaluate_policy(two_machines, policy, reference=SystemState(3, (0, 0)))
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,15 @@ import io
 import pytest
 
 from repairnet.experiments import (
+    BUCKET_SPECS,
     ExperimentConfig,
+    SuboptimalityRecord,
     aggregate_records,
     read_records_csv,
     records_csv_text,
     render_tables,
     run_benchmark,
+    write_aggregate_csv,
 )
 from repairnet.instance import CostKind, CostModel, InstanceParameters, save_instance
 from repairnet.network import build_complete_layout
@@ -131,6 +134,50 @@ def test_aggregates_and_tables(tiny_records):
     text = render_tables(tiny_records)
     assert "bucketed by eta" in text
     assert "failures: 0" in text
+
+
+def test_every_record_lands_in_one_bucket_of_every_dimension(tiny_records):
+    # Rate rounding puts seed 248's rho at 1.5002, above the last bin; it
+    # used to drop out of the rho aggregate alone.  An m = 5 record has no
+    # polling numbers, and a failed record lands in no bucket.
+    edge = run_benchmark(tiny_config(seed=248, count=1, m=None, cap=None))
+    wide = run_benchmark(tiny_config(count=1, m=5, cap=1))
+    failed = run_benchmark(tiny_config(instance_files=("does/not/exist.json",)))
+    assert edge[0].rho > 1.5 and edge[0].error is None
+    assert wide[0].error is None and wide[0].g_pol is None and wide[0].g_star is not None
+    records = tiny_records + edge + wide + failed
+    for dimension in BUCKET_SPECS:
+        assert sum(row["n"] for row in aggregate_records(records, dimension)) == 4
+    assert ">1.5" in [row["bucket"] for row in aggregate_records(records, "rho")]
+    assert "rho=>1.5  [n=1]" in render_tables(records)
+
+    (row,) = [row for row in aggregate_records(records, "m") if row["bucket"] == "5"]
+    assert row["cost_subopt_pol"] is None and row["cost_subopt_ind"] is not None
+    text = io.StringIO()
+    write_aggregate_csv([row], text)
+    header, line = text.getvalue().splitlines()
+    cells = dict(zip(header.split(","), line.split(",")))
+    assert cells["cost_subopt_pol_mean"] == cells["cost_subopt_pol_n"] == ""
+    assert cells["cost_subopt_ind_n"] == "1"
+    block = render_tables(wide).split("== bucketed by m ==")[1].split("==")[0]
+    assert "cost_subopt_ind" in block and "cost_subopt_pol" not in block
+
+
+@pytest.mark.parametrize(
+    "rho, eta, rho_bucket, eta_bucket",
+    [
+        (0.05, 0.05, "<0.1", "<0.1"),
+        (0.1, 0.1, "0.1<= <0.3", "0.1<= <0.4"),
+        (1.5, 10.0, "1.3<= <1.5", "7.0<= <10.0"),
+        (1.5002, 10.5, ">1.5", ">10.0"),
+    ],
+)
+def test_rho_and_eta_buckets_at_and_past_the_bin_edges(rho, eta, rho_bucket, eta_bucket):
+    # In-range values keep their bin (the last one closed above); a value
+    # past either end gets the edge bucket named for the bound it passes.
+    record = SuboptimalityRecord("r", 0, 2, 1, "linear", rho, eta)
+    assert [row["bucket"] for row in aggregate_records([record], "rho")] == [rho_bucket]
+    assert [row["bucket"] for row in aggregate_records([record], "eta")] == [eta_bucket]
 
 
 def test_single_record_degenerate_ci():

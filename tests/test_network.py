@@ -59,6 +59,8 @@ def test_lattice_rejects_duplicates_and_out_of_range():
         build_lattice_layout(5, [(0, 3)])
     with pytest.raises(LayoutError):
         build_lattice_layout(5, [(2, 6)])
+    with pytest.raises(LayoutError, match="^at least one machine coordinate required$"):
+        build_lattice_layout(5, [])
 
 
 def test_star_distances():

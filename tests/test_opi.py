@@ -24,11 +24,13 @@ from repairnet.mdp import SystemState, kernel_of, pristine_state
 from repairnet.polling import PollingPolicy, best_tour
 from repairnet.opi import (
     STEP_COUNT,
+    UNBOUNDED_CAUSE,
     WALL_CLOCK,
     OfflinePreparation,
     OpiBudget,
     ValueStore,
     ValueStoreEntry,
+    _gate,
     confidence_interval,
     desk_scale_budget,
     load_store,
@@ -501,6 +503,28 @@ def test_improving_action_cold_store_falls_back():
     action, safe = improving_action(inst, state, store, base_action=base)
     assert action == base
     assert safe is True
+
+
+def test_an_entry_with_ss_far_below_h_squared_reads_as_unbounded(tmp_path):
+    # ss - h^2 is the entry's variance; far below zero it is no rounding
+    # error.  load_store accepts such an entry, its interval is unbounded,
+    # and the gate falls back on it as on a cold state.
+    inst = homogeneous_star_instance(3, 2, 0.05, 0.5, 1.0, 0.4)
+    state = SystemState(5, (1, 0, 0))
+    store = make_store(inst, pristine_state(inst))
+    for j in inst.layout.neighbors(5):
+        store[with_location(state, j)] = tight(1.0 + j, 0.1)
+    store[state] = tight(10.0, 0.1)
+    kernel = kernel_of(inst)
+    x = kernel.indexer.index(state)
+    assert _gate(*kernel.local(x), store.entries)[1] is None
+    store[state] = ValueStoreEntry(h=10.0, ss=50.0, w=0.5, s=10)
+    path = tmp_path / "store.json"
+    save_store(store, path)
+    loaded = load_store(path, inst)
+    assert loaded.get(state) == store.get(state)
+    assert confidence_interval(loaded.get(state)) == (-math.inf, math.inf)
+    assert _gate(*kernel.local(x), loaded.entries) == (None, UNBOUNDED_CAUSE)
 
 
 def _interval_of(entry):

@@ -102,11 +102,11 @@ def test_moves_and_neighborhood_match_the_oracle(case):
     index = kernel.indexer.index
     x = index(state)
     expected = [(a, rate, index(s)) for a, rate, s in action_events(inst, state)]
-    assert list(kernel.moves(x)) == expected
-    assert kernel.moves(x) is kernel.moves(x)
+    moves, near = kernel.local(x)
+    assert list(moves) == expected
+    assert kernel.local(x) is kernel.locals[x] is kernel.local(x)
     assert neighborhood(inst, state) == oracle_neighborhood(inst, state)
-    assert kernel.neighborhood(x) is kernel.neighborhood(x)
-    assert list(kernel.neighborhood(x)) == [index(s) for s in oracle_neighborhood(inst, state)]
+    assert list(near) == [index(s) for s in oracle_neighborhood(inst, state)]
 
 
 def test_rows_share_interned_tuples():
@@ -233,7 +233,7 @@ def gate_on_exact_values(seed):
     gated = [improving_action(inst, state, store, base.actions[x])[0]
              for x, state in enumerate(states)]
     kernel = Kernel(inst)
-    q = [{a: c * (v[t] - v[x]) for a, c, t in kernel.moves(x)} for x in range(model.n)]
+    q = [{a: c * (v[t] - v[x]) for a, c, t in kernel.local(x)[0]} for x in range(model.n)]
     return gated, model.improve(v, base).actions, q
 
 
